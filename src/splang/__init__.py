@@ -10,7 +10,8 @@ Submodules:
   closures: structural matcher, bounded enumerator, and the parallel-fragment
   compiler to parallel-linear grammars;
 * ``grammars`` — grammars over series-parallel right-hand sides:
-  classification, bounded generation, bounded membership with traces;
+  classification, exact generation up to an atom bound, exact membership
+  with derivation traces;
 * ``automata`` — fork/join branching automata: run semantics, acceptance,
   bounded enumeration, and the construction from parallel-linear grammars;
 * ``cli`` — the ``splang`` command-line front end.

@@ -6,7 +6,12 @@ equivalence check). Data goes to stdout, diagnostics to stderr, ``-`` means
 stdin for any file argument, and every output is byte-deterministic.
 
 Exit codes: 0 success/true, 1 false/inequality, 2 parse or usage error,
-3 mode mismatch, 4 outside the regex fragment, 5 grammar classification.
+3 mode mismatch, 4 outside the regex fragment, 5 grammar classification,
+6 cardinality cap (200,000) exceeded: universe terms an enumeration builds,
+(nonterminal, word) pairs of `grammar generate`/`equiv`, or (nonterminal,
+sub-term) goals of one `grammar member` search pass. Grammar membership and
+generation are exact (no step budget); `member --trace` prints a leftmost
+derivation, not necessarily the shortest.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import (
     ModeMismatchError,
     NotParallelLinearError,
     SplangError,
-    TermSyntaxError,
 )
 
 EXIT_OK = 0
@@ -31,6 +35,17 @@ EXIT_PARSE = 2
 EXIT_MODE = 3
 EXIT_FRAGMENT = 4
 EXIT_CLASS = 5
+EXIT_CAP = 6
+
+# the first entry that matches a raised error gives the exit code
+_EXIT_CODES = (
+    (ModeMismatchError, EXIT_MODE),
+    (FragmentError, EXIT_FRAGMENT),
+    (NotParallelLinearError, EXIT_CLASS),
+    (EnumerationCapError, EXIT_CAP),
+    (SplangError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+)
 
 
 @dataclass(frozen=True)
@@ -38,9 +53,6 @@ class CliConfig:
     mode: terms.SemanticsMode = terms.ORDERED
     max_atoms: int = 5
     n_max: int = 3
-    step_factor: int = 4
-    step_offset: int = 8
-    cap: int = terms.DEFAULT_CAP
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
@@ -62,17 +74,13 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _steps(cfg: CliConfig, max_atoms: int) -> int:
-    return cfg.step_factor * max_atoms + cfg.step_offset
-
-
 # ---------------------------------------------------------------------------
 # term
 
 def _cmd_term(args) -> int:
     cfg = _config(args)
     if args.sub == "enum":
-        lang = langs.universe(args.alphabet, cfg.max_atoms, cfg.mode, cfg.cap)
+        lang = langs.universe(args.alphabet, cfg.max_atoms, cfg.mode)
         sys.stdout.write(langs.dump_lang(lang))
         return EXIT_OK
     t = terms.canonicalize(terms.parse_term(args.term), cfg.mode)
@@ -135,7 +143,7 @@ def _cmd_regex(args) -> int:
         return EXIT_OK if hit else EXIT_FALSE
     if args.sub == "enum":
         alphabet = tuple(args.alphabet) if args.alphabet else regexes.regex_alphabet(r)
-        lang = regexes.regex_enumerate(r, alphabet, cfg.max_atoms, cfg.mode, cfg.cap)
+        lang = regexes.regex_enumerate(r, alphabet, cfg.max_atoms, cfg.mode)
         sys.stdout.write(langs.dump_lang(lang))
         return EXIT_OK
     # to-grammar
@@ -154,12 +162,12 @@ def _cmd_grammar(args) -> int:
         print(" ".join(grammars.classify_grammar(g).flags()))
         return EXIT_OK
     if args.sub == "generate":
-        lang = grammars.generate(g, cfg.max_atoms, _steps(cfg, cfg.max_atoms), cfg.mode, cfg.cap)
+        lang = grammars.generate(g, cfg.max_atoms, mode=cfg.mode)
         sys.stdout.write(langs.dump_lang(lang))
         return EXIT_OK
     # member
     t = terms.parse_term(args.term)
-    result = grammars.is_member(g, t, cfg.mode, cfg.step_factor, cfg.step_offset, cfg.cap)
+    result = grammars.is_member(g, t, cfg.mode)
     print("true" if result else "false")
     if result and args.trace:
         for form in result.trace:
@@ -184,7 +192,7 @@ def _cmd_automaton(args) -> int:
         return EXIT_OK if hit else EXIT_FALSE
     # enum
     alphabet = tuple(args.alphabet) if args.alphabet else automata.automaton_alphabet(aut)
-    lang = automata.enumerate_accepted(aut, alphabet, cfg.max_atoms, cfg.cap)
+    lang = automata.enumerate_accepted(aut, alphabet, cfg.max_atoms)
     sys.stdout.write(langs.dump_lang(lang))
     return EXIT_OK
 
@@ -193,10 +201,8 @@ def _cmd_equiv(args) -> int:
     cfg = _config(args)
     g = grammars.parse_grammar(_read(args.file))
     aut = automata.from_linear_grammar(g)
-    generated = grammars.generate(
-        g, cfg.max_atoms, _steps(cfg, cfg.max_atoms), terms.COMMUTATIVE, cfg.cap
-    )
-    accepted = automata.enumerate_accepted(aut, sorted(g.terminals), cfg.max_atoms, cfg.cap)
+    generated = grammars.generate(g, cfg.max_atoms, mode=terms.COMMUTATIVE)
+    accepted = automata.enumerate_accepted(aut, sorted(g.terminals), cfg.max_atoms)
     diff = langs.lang_equal(generated, accepted)
     if diff:
         print(f"equal: {len(generated)} words up to {cfg.max_atoms} atoms")
@@ -220,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nmax", type=int, metavar="N",
                         default=argparse.SUPPRESS,
                         help="repetition bound for powers and closures (default: 3)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed reserved for fixture-grammar tooling")
 
     parser = argparse.ArgumentParser(prog="splang", parents=[common],
                                      description="series-parallel language workbench")
@@ -312,24 +316,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TermSyntaxError as exc:
+    except (SplangError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ModeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE
-    except FragmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FRAGMENT
-    except NotParallelLinearError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLASS
-    except (EnumerationCapError, SplangError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,10 @@ x||B / B||x with x a parallel word of terminals, and terminal productions),
 plus the grammar-wide families: no-Seq right-hand sides (context-free
 parallel) and the fully linear classes.
 
+Generation and membership are exact, with no derivation-step budget: the words
+of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
+A's productions", L(rhs) composing its leaves' words and canonicalizing.
+
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
 comments, uppercase letters are nonterminals, ``eps`` allowed, start symbol is
 the first rule's left-hand side. ``||`` is the parallel operator and binds
@@ -17,6 +21,7 @@ inside parentheses.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,14 +37,19 @@ from .terms import (
     SemanticsMode,
     SPTerm,
     Seq,
+    _par_factors,
     _parse_par,
+    _seq_factors,
     atoms_count,
     canonicalize,
     format_term,
+    is_parallel_word,
+    is_sequential_word,
     par,
     seq,
 )
 from .langs import FiniteLang
+from ._partitions import multiset_splits
 
 
 @dataclass(frozen=True)
@@ -165,72 +175,34 @@ class ProductionShape(Enum):
     TERMINAL = "TERMINAL"  # rhs has no nonterminal (eps included)
 
 
-def _is_terminal_form(form: SPTerm) -> bool:
-    return not any(s.isupper() for s in symbols_of(form))
-
-
-def _is_terminal_seq_word(form: SPTerm) -> bool:
-    """Member of T* (or eps): terminals composed sequentially only."""
-    if isinstance(form, Eps):
-        return True
-    if isinstance(form, Leaf):
-        return form.symbol.islower()
-    if isinstance(form, Seq):
-        return all(isinstance(c, Leaf) and c.symbol.islower() for c in form.children)
-    return False
-
-
-def _is_terminal_par_word(form: SPTerm) -> bool:
-    """Member of T^(parallel) (or eps): terminals composed in parallel only."""
-    if isinstance(form, Eps):
-        return True
-    if isinstance(form, Leaf):
-        return form.symbol.islower()
-    if isinstance(form, Par):
-        return all(isinstance(c, Leaf) and c.symbol.islower() for c in form.children)
-    return False
-
-
 def _is_nt_leaf(form: SPTerm) -> bool:
     return isinstance(form, Leaf) and form.symbol.isupper()
+
+
+def _is_terminal_leaf(form: SPTerm) -> bool:
+    return isinstance(form, Leaf) and form.symbol.islower()
 
 
 def production_shapes(rhs: SPTerm) -> frozenset[ProductionShape]:
     """Which linear/terminal shapes the right-hand side satisfies."""
     shapes = set()
-    if _is_terminal_form(rhs):
+    if not any(s.isupper() for s in symbols_of(rhs)):
         shapes.add(ProductionShape.TERMINAL)
     if isinstance(rhs, Seq):
         head, tail = rhs.children[0], rhs.children[-1]
         body_first = rhs.children[1:]
         body_last = rhs.children[:-1]
-        if _is_nt_leaf(tail) and all(isinstance(c, Leaf) and c.symbol.islower() for c in body_last):
+        if _is_nt_leaf(tail) and all(map(_is_terminal_leaf, body_last)):
             shapes.add(ProductionShape.RIGHT_LINEAR)
-        if _is_nt_leaf(head) and all(isinstance(c, Leaf) and c.symbol.islower() for c in body_first):
+        if _is_nt_leaf(head) and all(map(_is_terminal_leaf, body_first)):
             shapes.add(ProductionShape.LEFT_LINEAR)
     if isinstance(rhs, Par):
         head, tail = rhs.children[0], rhs.children[-1]
-        if _is_nt_leaf(tail) and all(isinstance(c, Leaf) and c.symbol.islower() for c in rhs.children[:-1]):
+        if _is_nt_leaf(tail) and all(map(_is_terminal_leaf, rhs.children[:-1])):
             shapes.add(ProductionShape.PARALLEL_LINEAR)
-        elif _is_nt_leaf(head) and all(isinstance(c, Leaf) and c.symbol.islower() for c in rhs.children[1:]):
+        elif _is_nt_leaf(head) and all(map(_is_terminal_leaf, rhs.children[1:])):
             shapes.add(ProductionShape.PARALLEL_LINEAR)
     return frozenset(shapes)
-
-
-def _has_seq_node(form: SPTerm) -> bool:
-    if isinstance(form, Seq):
-        return True
-    if isinstance(form, Par):
-        return any(_has_seq_node(c) for c in form.children)
-    return False
-
-
-def _has_par_node(form: SPTerm) -> bool:
-    if isinstance(form, Par):
-        return True
-    if isinstance(form, Seq):
-        return any(_has_par_node(c) for c in form.children)
-    return False
 
 
 # flag print order used by the CLI and reports
@@ -278,7 +250,8 @@ def classify_grammar(g: Grammar) -> GrammarClass:
     has that linear shape or is a terminal production whose word fits the
     family (sequential word for right/left, parallel word for the parallel
     family; eps fits all three). SP_REGULAR asks only that each production
-    has some linear shape or is terminal.
+    has some linear shape or is terminal. CF_PARALLEL (CF_SEQUENTIAL) asks
+    each right-hand side to be a parallel (sequential) word of any leaves.
     """
     shapes = tuple(production_shapes(p.rhs) for p in g.productions)
 
@@ -288,12 +261,12 @@ def classify_grammar(g: Grammar) -> GrammarClass:
             for s, p in zip(shapes, g.productions)
         )
 
-    right = linear_family(ProductionShape.RIGHT_LINEAR, _is_terminal_seq_word)
-    left = linear_family(ProductionShape.LEFT_LINEAR, _is_terminal_seq_word)
-    parallel = linear_family(ProductionShape.PARALLEL_LINEAR, _is_terminal_par_word)
+    right = linear_family(ProductionShape.RIGHT_LINEAR, is_sequential_word)
+    left = linear_family(ProductionShape.LEFT_LINEAR, is_sequential_word)
+    parallel = linear_family(ProductionShape.PARALLEL_LINEAR, is_parallel_word)
     sp_regular = all(s for s in shapes)
-    cf_parallel = all(not _has_seq_node(p.rhs) for p in g.productions)
-    cf_sequential = all(not _has_par_node(p.rhs) for p in g.productions)
+    cf_parallel = all(is_parallel_word(p.rhs) for p in g.productions)
+    cf_sequential = all(is_sequential_word(p.rhs) for p in g.productions)
     return GrammarClass(
         right_linear=right,
         left_linear=left,
@@ -307,95 +280,44 @@ def classify_grammar(g: Grammar) -> GrammarClass:
 
 
 # ---------------------------------------------------------------------------
-# Bounded generation and membership
-
-def _terminal_atoms(form: SPTerm) -> int:
-    return sum(1 for s in symbols_of(form) if s.islower())
-
-
-def _leftmost_nonterminal(form: SPTerm) -> tuple[tuple[int, ...], str] | None:
-    """Path and symbol of the first nonterminal leaf in serialization order."""
-    if isinstance(form, Leaf):
-        return ((), form.symbol) if form.symbol.isupper() else None
-    if isinstance(form, (Seq, Par)):
-        for i, child in enumerate(form.children):
-            found = _leftmost_nonterminal(child)
-            if found is not None:
-                path, sym = found
-                return ((i,) + path, sym)
-    return None
-
-
-def _replace_at(form: SPTerm, path: tuple[int, ...], replacement: SPTerm) -> SPTerm:
-    if not path:
-        return replacement
-    children = list(form.children)
-    children[path[0]] = _replace_at(children[path[0]], path[1:], replacement)
-    rebuild = seq if isinstance(form, Seq) else par
-    return rebuild(*children)
-
-
-def _derive(
-    g: Grammar,
-    max_atoms: int,
-    max_steps: int,
-    mode: SemanticsMode,
-    cap: int,
-    target: SPTerm | None = None,
-):
-    """Breadth-first leftmost derivation. Returns (words, parents).
-
-    Sentential forms are canonical for `mode`; forms whose terminal-atom
-    count exceeds max_atoms are pruned (that count never decreases). When
-    `target` is given the search stops as soon as it is reached.
-    """
-    start = canonicalize(Leaf(g.start), mode)
-    parents: dict[SPTerm, SPTerm | None] = {start: None}
-    words: set[SPTerm] = set()
-    frontier = [start]
-    for _ in range(max_steps):
-        if not frontier or (target is not None and target in words):
-            break
-        next_frontier: list[SPTerm] = []
-        for form in frontier:
-            site = _leftmost_nonterminal(form)
-            if site is None:
-                continue
-            path, nt = site
-            for rhs in g.alternatives(nt):
-                new = canonicalize(_replace_at(form, path, rhs), mode)
-                if _terminal_atoms(new) > max_atoms:
-                    continue
-                if new in parents:
-                    continue
-                parents[new] = form
-                if len(parents) > cap:
-                    raise EnumerationCapError(
-                        f"derivation frontier exceeds the cardinality cap ({cap})"
-                    )
-                if _leftmost_nonterminal(new) is None:
-                    words.add(new)
-                else:
-                    next_frontier.append(new)
-        frontier = next_frontier
-    return words, parents
-
+# Generation and membership
 
 def generate(
     g: Grammar,
     max_atoms: int,
-    max_steps: int,
+    max_steps: int | None = None,
     mode: SemanticsMode = ORDERED,
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
-    """All fully terminal words derivable from the start symbol within the
-    step budget and with at most max_atoms terminal atoms."""
-    words, _ = _derive(g, max_atoms, max_steps, mode, cap)
-    return FiniteLang.of(words, mode)
+    """Every word of L(g) with at most max_atoms atoms, canonical for `mode`:
+    the least fixpoint of every nonterminal's words, pruned to max_atoms
+    atoms (a derivation never loses an atom). `cap` bounds the (nonterminal,
+    word) pairs held. `max_steps` is ignored; it stays the third positional
+    parameter for existing callers."""
+    words: dict[str, dict[SPTerm, int]] = {nt: {} for nt in g.nonterminals}  # word -> its atoms
+    count, last = 0, -1
+    while count > last:
+        for p in g.productions:
+            words[p.lhs].update(_form_words(p.rhs, words, max_atoms, mode))
+        last, count = count, sum(map(len, words.values()))
+        if count > cap:
+            raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
+    return FiniteLang.of((w for w, n in words[g.start].items() if n <= max_atoms), mode)
 
 
-DEFAULT_STEP_FACTOR = 4
-DEFAULT_STEP_OFFSET = 8
+def _form_words(form: SPTerm, words, max_atoms: int, mode: SemanticsMode) -> dict[SPTerm, int]:
+    if isinstance(form, Eps):
+        return {EPS: 0}
+    if isinstance(form, Leaf):
+        if form.symbol.isupper():
+            return words[form.symbol]
+        return {form: 1} if max_atoms > 0 else {}
+    combine = seq if isinstance(form, Seq) else lambda x, y: canonicalize(par(x, y), mode)
+    acc = {EPS: 0}
+    for child in form.children:
+        child_words = _form_words(child, words, max_atoms, mode).items()
+        acc = {combine(x, y): m + n for x, m in acc.items() for y, n in child_words if m + n <= max_atoms}
+    return acc
 
 
 @dataclass(frozen=True)
@@ -411,28 +333,120 @@ def is_member(
     g: Grammar,
     t: SPTerm,
     mode: SemanticsMode = ORDERED,
-    step_factor: int = DEFAULT_STEP_FACTOR,
-    step_offset: int = DEFAULT_STEP_OFFSET,
     cap: int = DEFAULT_CAP,
 ) -> MembershipResult:
-    """Bounded membership: does `t` appear in the derivations of `g` within
-    the documented step budget (step_factor * atoms + step_offset)?
-
-    This is a semi-decision relative to the budget: a True answer comes with
-    a derivation trace; False means not derivable within the budget.
-    """
-    target = canonicalize(t, mode)
-    budget = step_factor * atoms_count(target) + step_offset
-    words, parents = _derive(g, atoms_count(target), budget, mode, cap, target=target)
-    if target not in words:
+    """Exact membership of `t`, canonicalized for `mode`, in L(g). A True
+    answer carries the canonical forms of a leftmost derivation of `t` (in
+    COMMUTATIVE mode, leftmost as the productions write their nonterminals),
+    read off the first proof found, so not necessarily the shortest. `cap`
+    bounds the (nonterminal, sub-term) goals one search pass examines."""
+    goal = (g.start, canonicalize(t, mode))
+    search = _MemberSearch(g, mode, cap)
+    # A call path holds at most one goal per (nonterminal, atom count), and
+    # two frames per node of a production (at most its text length) between.
+    per_goal = 2 * max(len(format_term(p.rhs)) for p in g.productions) + 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + per_goal * len(g.nonterminals) * (atoms_count(goal[1]) + 1))
+    try:
+        found = search.proves(goal)
+    finally:
+        sys.setrecursionlimit(limit)
+    if not found:
         return MembershipResult(False, None)
-    chain: list[SPTerm] = []
-    node: SPTerm | None = target
-    while node is not None:
-        chain.append(node)
-        node = parents[node]
-    chain.reverse()
-    return MembershipResult(True, tuple(chain))
+    return MembershipResult(True, search.leftmost_derivation(goal))
+
+
+class _MemberSearch:
+    """Goal-directed, memoized search: does nonterminal A derive term u?
+    A production proves (A, u) when its parts, matched left to right over
+    two-way splits, derive ranges of u's Seq factors, or ranges (ORDERED) or
+    sub-multisets (COMMUTATIVE) of its Par children; a terminal part takes
+    exactly one factor. A goal met again while being tried lies on a unit or
+    eps cycle and counts as False for now; the search reruns, keeping what
+    it proved, while a cycle was cut and new facts still appear."""
+
+    def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
+        self.g, self.mode, self.cap = g, mode, cap
+        self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
+        self.tried: dict = {}  # goal -> still being tried, in this pass
+
+    def proves(self, goal) -> bool:
+        while True:
+            known, self.cut, self.tried = len(self.proofs), False, {}
+            if self.derives(goal) or not self.cut or len(self.proofs) == known:
+                return goal in self.proofs
+
+    def derives(self, goal) -> bool:
+        if goal in self.proofs:
+            return True
+        if goal in self.tried:
+            self.cut |= self.tried[goal]
+            return False
+        self.tried[goal] = True
+        if len(self.tried) > self.cap:
+            raise EnumerationCapError(f"membership goals exceed the cardinality cap ({self.cap})")
+        for rhs in self.g.alternatives(goal[0]):
+            subgoals = self.match(rhs, goal[1])
+            if subgoals is not None:
+                self.proofs[goal] = (rhs, subgoals)
+                break
+        self.tried[goal] = False
+        return goal in self.proofs
+
+    def match(self, form: SPTerm, t: SPTerm) -> tuple | None:
+        """The goals under which `form` derives `t`, or None."""
+        if isinstance(form, Leaf):
+            if form.symbol.isupper():
+                return ((form.symbol, t),) if self.derives((form.symbol, t)) else None
+            return () if form == t else None
+        if isinstance(form, Eps):
+            return () if isinstance(t, Eps) else None
+        if isinstance(form, Seq):
+            return self.match_parts(form.children, _seq_factors(t), seq, True)
+        return self.match_parts(form.children, _par_factors(t), par, self.mode is ORDERED)
+
+    def match_parts(self, forms, factors, build, ordered: bool) -> tuple | None:
+        if len(forms) == 1:
+            return self.match(forms[0], build(*factors))
+        later = [_is_terminal_leaf(f) for f in forms[1:]]  # bound the head's size
+        high = len(factors) - sum(later)
+        low = high if all(later) else 0
+        if _is_terminal_leaf(forms[0]):
+            low, high = max(low, 1), min(high, 1)
+        if ordered:
+            splits = ((factors[:i], factors[i:]) for i in range(low, high + 1))
+        else:
+            splits = ((h, r) for h, r in multiset_splits(factors, 2) if low <= len(h) <= high)
+        for head, rest in splits:
+            first = self.match(forms[0], build(*head))
+            if first is not None:
+                others = self.match_parts(forms[1:], rest, build, ordered)
+                if others is not None:
+                    return first + others
+        return None
+
+    def leftmost_derivation(self, goal) -> tuple[SPTerm, ...]:
+        form: SPTerm = Leaf(goal[0])
+        pending = [goal]  # goals of the nonterminal leaves of `form`, rightmost first
+        chain = [form]
+        while pending:
+            rhs, subgoals = self.proofs[pending.pop()]
+            form = _expand_leftmost(form, rhs)
+            pending.extend(reversed(subgoals))
+            chain.append(canonicalize(form, self.mode))
+        return tuple(chain)
+
+
+def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
+    """`form` with its first nonterminal leaf replaced by `rhs`; None if it has none."""
+    if isinstance(form, (Seq, Par)):
+        for i, child in enumerate(form.children):
+            new = _expand_leftmost(child, rhs)
+            if new is not None:
+                build = seq if isinstance(form, Seq) else par
+                return build(*form.children[:i], new, *form.children[i + 1 :])
+        return None
+    return rhs if _is_nt_leaf(form) else None
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from .terms import (
     ORDERED,
     Eps,
     Leaf,
-    Par,
     SemanticsMode,
     SPTerm,
-    Seq,
+    _par_factors,
+    _seq_factors,
     canonicalize,
     enumerate_terms,
     format_term,
@@ -226,22 +226,6 @@ def _fmt(r: Regex, min_level: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Matching
-
-def _seq_factors(t: SPTerm) -> tuple[SPTerm, ...]:
-    if isinstance(t, Eps):
-        return ()
-    if isinstance(t, Seq):
-        return t.children
-    return (t,)
-
-
-def _par_factors(t: SPTerm) -> tuple[SPTerm, ...]:
-    if isinstance(t, Eps):
-        return ()
-    if isinstance(t, Par):
-        return t.children
-    return (t,)
-
 
 def matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
     """Structural match of `t` (canonicalized for `mode`) against `r`."""

@@ -127,6 +127,22 @@ def par(*parts: SPTerm) -> SPTerm:
     return Par(tuple(flat))
 
 
+def _seq_factors(t: SPTerm) -> tuple[SPTerm, ...]:
+    if isinstance(t, Eps):
+        return ()
+    if isinstance(t, Seq):
+        return t.children
+    return (t,)
+
+
+def _par_factors(t: SPTerm) -> tuple[SPTerm, ...]:
+    if isinstance(t, Eps):
+        return ()
+    if isinstance(t, Par):
+        return t.children
+    return (t,)
+
+
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """Rebuild `t` bottom-up into canonical form for `mode`. Idempotent."""
     if isinstance(t, (Eps, Leaf)):
@@ -155,11 +171,6 @@ def format_term(t: SPTerm) -> str:
         # children are leaves or Seq; "." binds tighter, so no parens needed
         return "||".join(format_term(c) for c in t.children)
     raise TypeError(f"not a term: {t!r}")
-
-
-def term_key(t: SPTerm) -> str:
-    """Total order on canonical terms: lexicographic on the formatted text."""
-    return format_term(t)
 
 
 def parse_term(text: str, *, allow_upper: bool = False) -> SPTerm:

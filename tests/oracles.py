@@ -1,14 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's search strategies: the universe is
-rebuilt from binary combinations instead of composition pools, and the regex
+rebuilt from binary combinations instead of composition pools, the regex
 reference matcher is plain exponential recursion over index assignments with
-no memoization.
+no memoization, and grammar words come from a breadth-first search over
+leftmost derivations instead of a fixpoint over nonterminals.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from splang.regexes import (
     Alt,
@@ -24,6 +26,7 @@ from splang.regexes import (
     ParProd,
     Regex,
 )
+from splang.grammars import Grammar, Production
 from splang.terms import (
     COMMUTATIVE,
     EPS,
@@ -201,3 +204,141 @@ def _positive_compositions(total: int, k: int):
     for head in range(1, total - k + 2):
         for rest in _positive_compositions(total - head, k - 1):
             yield (head,) + rest
+
+
+# ---------------------------------------------------------------------------
+# Reference grammar semantics: breadth-first leftmost derivation.
+
+class OracleCapError(Exception):
+    """The derivation search met its own form cap or step budget before it
+    had expanded every sentential form: its answer would be incomplete."""
+
+
+def _nonterminal_paths(form: SPTerm, path=()):
+    """Paths to every nonterminal leaf, left to right."""
+    if isinstance(form, Leaf):
+        if form.symbol.isupper():
+            yield path
+    elif isinstance(form, (Seq, Par)):
+        for i, child in enumerate(form.children):
+            yield from _nonterminal_paths(child, path + (i,))
+
+
+def _leftmost_nonterminal(form: SPTerm):
+    return next(_nonterminal_paths(form), None)
+
+
+def _replace_at(form: SPTerm, path, replacement: SPTerm) -> SPTerm:
+    if not path:
+        return replacement
+    children = list(form.children)
+    children[path[0]] = _replace_at(children[path[0]], path[1:], replacement)
+    rebuild = seq if isinstance(form, Seq) else par
+    return rebuild(*children)
+
+
+def _terminal_atoms(form: SPTerm) -> int:
+    if isinstance(form, Eps):
+        return 0
+    if isinstance(form, Leaf):
+        return int(form.symbol.islower())
+    return sum(_terminal_atoms(c) for c in form.children)
+
+
+def bfs_derive(g: Grammar, max_atoms: int, max_steps: int, mode: SemanticsMode = ORDERED,
+               cap: int = 20_000):
+    """Breadth-first leftmost derivation. Returns (words, complete).
+
+    Sentential forms are canonical for `mode`; forms with more than
+    max_atoms terminal atoms are pruned (that count never decreases). The
+    search stops after max_steps rewriting rounds; `complete` says that no
+    form was left unexpanded. More than `cap` forms raise OracleCapError.
+    """
+    start = canonicalize(Leaf(g.start), mode)
+    seen = {start}
+    words: set[SPTerm] = set()
+    frontier = [start]
+    for _ in range(max_steps):
+        next_frontier: list[SPTerm] = []
+        for form in frontier:
+            path = _leftmost_nonterminal(form)
+            for rhs in g.alternatives(_symbol_at(form, path)):
+                new = canonicalize(_replace_at(form, path, rhs), mode)
+                if _terminal_atoms(new) > max_atoms or new in seen:
+                    continue
+                seen.add(new)
+                if len(seen) > cap:
+                    raise OracleCapError(f"more than {cap} sentential forms")
+                if _leftmost_nonterminal(new) is None:
+                    words.add(new)
+                else:
+                    next_frontier.append(new)
+        frontier = next_frontier
+    return words, not frontier
+
+
+def _symbol_at(form: SPTerm, path) -> str:
+    for i in path:
+        form = form.children[i]
+    return form.symbol
+
+
+def oracle_words(g: Grammar, max_atoms: int, mode: SemanticsMode = ORDERED, max_steps: int = 64,
+                 cap: int = 2_000) -> set:
+    """Every word of L(g) with at most max_atoms atoms, or OracleCapError
+    when the search cannot finish within its own bounds."""
+    words, complete = bfs_derive(g, max_atoms, max_steps, mode, cap)
+    if not complete:
+        raise OracleCapError(f"forms left unexpanded after {max_steps} steps")
+    return words
+
+
+def check_trace(g: Grammar, t: SPTerm, mode: SemanticsMode, trace) -> None:
+    """Replay a membership trace: it must run from the start symbol to `t`,
+    each step rewriting one nonterminal by one of its alternatives. ORDERED
+    traces must rewrite the leftmost nonterminal every time."""
+    assert trace[0] == Leaf(g.start), trace
+    assert trace[-1] == canonicalize(t, mode), trace
+    for before, after in zip(trace, trace[1:]):
+        if mode is ORDERED:
+            paths = [_leftmost_nonterminal(before)]
+        else:
+            paths = list(_nonterminal_paths(before))
+        successors = {
+            canonicalize(_replace_at(before, path, rhs), mode)
+            for path in paths
+            if path is not None
+            for rhs in g.alternatives(_symbol_at(before, path))
+        }
+        assert after in successors, (format_term(before), format_term(after))
+
+
+def random_general_grammar(seed: int, alphabet=("a", "b")) -> Grammar:
+    """A small random grammar outside the linear classes, deterministic in
+    `seed`: unit productions, eps productions, and nested Seq/Par right-hand
+    sides over terminals and nonterminals."""
+    rng = random.Random(seed)
+    names = ["S", "A", "B"][: rng.randint(2, 3)]
+
+    def form(depth: int) -> SPTerm:
+        roll = rng.random()
+        if depth == 0 or roll < 0.6:
+            return Leaf(rng.choice(tuple(alphabet) + tuple(names)))
+        if roll < 0.7:
+            return EPS
+        build = seq if roll < 0.85 else par
+        return build(*(form(depth - 1) for _ in range(rng.randint(2, 3))))
+
+    productions = []
+    for name in names:
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.15:
+                rhs = EPS
+            elif roll < 0.35:
+                rhs = Leaf(rng.choice(names))
+            else:
+                build = seq if roll < 0.7 else par
+                rhs = build(*(form(1) for _ in range(rng.randint(2, 3))))
+            productions.append(Production(name, canonicalize(rhs)))
+    return Grammar.of(productions, start="S")

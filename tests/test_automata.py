@@ -40,9 +40,6 @@ def texts(lang):
     return [format_term(t) for t in lang]
 
 
-STEPS = 28
-
-
 @pytest.fixture(scope="module")
 def fanout_automaton(request):
     g = parse_grammar("S -> a||B\nB -> b||B | b\n")
@@ -196,7 +193,7 @@ def test_non_linear_grammar_rejected(branches_grammar):
 
 def equivalent_at(g, bound):
     aut = from_linear_grammar(g)
-    generated = generate(g, bound, 4 * bound + 8, COMMUTATIVE)
+    generated = generate(g, bound, mode=COMMUTATIVE)
     alphabet = sorted(g.terminals)
     accepted = enumerate_accepted(aut, alphabet, bound)
     return lang_equal(generated, accepted)

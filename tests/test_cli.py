@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import splang
 from splang.cli import main
 
 DATA = Path(__file__).parent / "data"
+UNIT_CHAIN = "S -> A||A||A||A||a\nA -> B\nB -> C\nC -> eps\n"
 
 
 def run(capsys, *argv):
@@ -54,6 +59,12 @@ def test_term_enum(capsys):
     code, out, _ = run(capsys, "term", "enum", "--alphabet", "a", "--max-atoms", "2")
     assert code == 0
     assert out == "mode: ordered\na\na.a\na||a\neps\n"
+
+
+def test_enumeration_cap_exits_6(capsys):
+    code, out, err = run(capsys, "term", "enum", "--alphabet", "abcdefghij", "--max-atoms", "5")
+    assert (code, out) == (6, "")
+    assert "cap (200000)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +180,15 @@ def test_grammar_member_with_trace(capsys):
     assert out == "true\nS\nA.a\n(a||A).a\n(a||b).a\n"
 
 
+def test_grammar_unit_chain_needs_no_step_budget(capsys, tmp_path):
+    path = tmp_path / "chain.g"
+    path.write_text(UNIT_CHAIN, encoding="utf-8")
+    code, out, _ = run(capsys, "grammar", "member", path, "a")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "grammar", "generate", path, "--max-atoms", "1")
+    assert (code, out) == (0, "mode: ordered\na\n")
+
+
 def test_grammar_member_rejection(capsys):
     code, out, _ = run(capsys, "grammar", "member", DATA / "branch_words.g", "a.b")
     assert (code, out) == (1, "false\n")
@@ -247,3 +267,21 @@ def test_outputs_are_byte_deterministic(capsys):
     third = run(capsys, "automaton", "from-grammar", DATA / "parallel_pairs.g")
     fourth = run(capsys, "automaton", "from-grammar", DATA / "parallel_pairs.g")
     assert third == fourth
+
+
+def test_outputs_are_identical_across_hash_seeds():
+    commands = [
+        ["grammar", "member", DATA / "branch_words.g", "(a.a)||b", "--trace"],
+        ["grammar", "member", DATA / "branch_words.g", "b.b||a", "--trace", "--mode", "commutative"],
+        ["grammar", "generate", DATA / "branch_words.g", "--max-atoms", "5"],
+        ["grammar", "generate", DATA / "parallel_pairs.g", "--max-atoms", "6", "--mode", "commutative"],
+    ]
+    src = str(Path(splang.__file__).resolve().parents[1])
+    for argv in commands:
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "splang.cli", *map(str, argv)],
+                                  env=env, capture_output=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv

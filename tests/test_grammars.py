@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from oracles import OracleCapError, bfs_derive, check_trace, oracle_words, random_general_grammar
 from splang.errors import TermSyntaxError
 from splang.grammars import (
     Grammar,
@@ -18,6 +21,7 @@ from splang.terms import (
     COMMUTATIVE,
     EPS,
     ORDERED,
+    Leaf,
     atoms_count,
     depth,
     enumerate_terms,
@@ -25,6 +29,7 @@ from splang.terms import (
     is_parallel_word,
     length,
     parse_term,
+    seq,
 )
 
 
@@ -36,7 +41,12 @@ def texts(lang):
     return [format_term(t) for t in lang]
 
 
-STEPS = 32
+UNIT_CHAIN = "S -> A||A||A||A||a\nA -> B\nB -> C\nC -> eps\n"
+
+
+@pytest.fixture
+def fixture_grammars(pairs_grammar, branches_grammar, fanout_grammar, fan_tail_grammar):
+    return [pairs_grammar, branches_grammar, fanout_grammar, fan_tail_grammar]
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +140,13 @@ def test_middle_nonterminal_is_not_linear():
 # generation
 
 def test_pairs_grammar_language(pairs_grammar):
-    out = generate(pairs_grammar, 6, STEPS)
+    out = generate(pairs_grammar, 6)
     assert texts(out) == ["a||b", "a||b||a||b", "a||b||a||b||a||b", "eps"]
     assert EPS in set(out.terms)  # the explicit eps production contributes
 
 
 def test_branch_grammar_language(branches_grammar):
-    out = generate(branches_grammar, 4, STEPS)
+    out = generate(branches_grammar, 4)
     assert texts(out) == [
         "a.a.a||b",
         "a.a||b",
@@ -152,16 +162,16 @@ def test_branch_grammar_language(branches_grammar):
 
 
 def test_fanout_grammar_language(fanout_grammar):
-    out = generate(fanout_grammar, 3, STEPS)
+    out = generate(fanout_grammar, 3)
     assert texts(out) == ["a||b", "a||b||b"]
-    wider = generate(fanout_grammar, 4, STEPS)
+    wider = generate(fanout_grammar, 4)
     assert texts(wider) == ["a||b", "a||b||b", "a||b||b||b"]
     for t in wider:
         assert is_parallel_word(t)
 
 
 def test_fan_tail_grammar_language(fan_tail_grammar):
-    out = generate(fan_tail_grammar, 5, STEPS)
+    out = generate(fan_tail_grammar, 5)
     assert texts(out) == ["(a||a||a||b).a", "(a||a||b).a", "(a||b).a", "b.a"]
     for t in out:
         assert length(t) == 2
@@ -171,18 +181,18 @@ def test_fan_tail_grammar_language(fan_tail_grammar):
 def test_generate_monotone_in_bounds(branches_grammar):
     prev = set()
     for max_atoms in range(0, 5):
-        cur = set(generate(branches_grammar, max_atoms, STEPS).terms)
+        cur = set(generate(branches_grammar, max_atoms).terms)
         assert prev <= cur
         prev = cur
     prev = set()
     for steps in range(0, 10):
-        cur = set(generate(branches_grammar, 4, steps).terms)
+        cur, _ = bfs_derive(branches_grammar, 4, steps)
         assert prev <= cur
         prev = cur
 
 
 def test_generate_commutative_mode(pairs_grammar):
-    out = generate(pairs_grammar, 4, STEPS, COMMUTATIVE)
+    out = generate(pairs_grammar, 4, mode=COMMUTATIVE)
     assert texts(out) == ["a||a||b||b", "a||b", "eps"]
 
 
@@ -190,14 +200,14 @@ def test_parallel_linear_grammars_generate_parallel_words(fanout_grammar):
     fixtures = [fanout_grammar] + [random_parallel_linear_grammar(seed) for seed in range(20)]
     for g in fixtures:
         assert classify_grammar(g).parallel_linear
-        for t in generate(g, 5, STEPS):
+        for t in generate(g, 5):
             assert is_parallel_word(t)
 
 
 def test_cf_parallel_grammars_avoid_seq_nodes(pairs_grammar, fanout_grammar):
     for g in (pairs_grammar, fanout_grammar):
         assert classify_grammar(g).cf_parallel
-        for t in generate(g, 5, STEPS):
+        for t in generate(g, 5):
             assert "." not in format_term(t)
 
 
@@ -207,6 +217,7 @@ def test_cf_parallel_grammars_avoid_seq_nodes(pairs_grammar, fanout_grammar):
 def test_membership_with_trace(branches_grammar):
     result = is_member(branches_grammar, pt("(a.a)||b"))
     assert result
+    check_trace(branches_grammar, pt("(a.a)||b"), ORDERED, result.trace)
     assert [format_term(f) for f in result.trace] == [
         "S",
         "a.A||b.B",
@@ -223,7 +234,7 @@ def test_membership_rejections(branches_grammar):
 
 
 def test_membership_matches_generation(fan_tail_grammar):
-    generated = set(generate(fan_tail_grammar, 4, STEPS).terms)
+    generated = set(generate(fan_tail_grammar, 4).terms)
     for t in enumerate_terms("ab", 4, ORDERED):
         assert bool(is_member(fan_tail_grammar, t)) == (t in generated)
 
@@ -231,6 +242,75 @@ def test_membership_matches_generation(fan_tail_grammar):
 def test_membership_of_eps(pairs_grammar):
     assert is_member(pairs_grammar, EPS)
     assert [format_term(f) for f in is_member(pairs_grammar, EPS).trace] == ["S", "eps"]
+
+
+def test_unit_and_eps_chains_need_no_step_budget():
+    g = parse_grammar(UNIT_CHAIN)
+    result = is_member(g, pt("a"))
+    assert result
+    check_trace(g, pt("a"), ORDERED, result.trace)
+    assert texts(generate(g, 1)) == ["a"]
+
+
+def test_unit_cycle_accepts_with_a_finite_trace():
+    g = parse_grammar("S -> A\nA -> B | a\nB -> A\n")
+    for mode in (ORDERED, COMMUTATIVE):
+        result = is_member(g, pt("a"), mode)
+        assert [format_term(f) for f in result.trace] == ["S", "A", "a"]
+        assert not is_member(g, pt("b"), mode)
+
+
+def test_long_words_are_decided():
+    word = pt(".".join("a" * 500))
+    limit = sys.getrecursionlimit()
+    for text in ("S -> a.S | eps\n", "S -> S.a | eps\n"):
+        g = parse_grammar(text)
+        assert len(is_member(g, word).trace) == 502
+        assert not is_member(g, seq(word, Leaf("b")))
+    assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the breadth-first derivation oracle
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_generation_agrees_with_the_derivation_oracle(fixture_grammars, mode):
+    for g in fixture_grammars + [random_parallel_linear_grammar(seed) for seed in range(200)]:
+        assert set(generate(g, 5, mode=mode).terms) == oracle_words(g, 5, mode), format_grammar(g)
+
+
+def assert_membership_agrees(g, words, universe, mode):
+    for t in universe:
+        result = is_member(g, t, mode)
+        assert bool(result) == (t in words), (format_grammar(g), format_term(t))
+        if result:
+            check_trace(g, t, mode, result.trace)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_membership_agrees_with_the_derivation_oracle(fixture_grammars, mode):
+    universe = enumerate_terms("ab", 4, mode)
+    for g in fixture_grammars + [random_parallel_linear_grammar(seed) for seed in range(40)]:
+        assert_membership_agrees(g, oracle_words(g, 4, mode), universe, mode)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_general_grammars_agree_with_the_derivation_oracle(mode):
+    """Unit and eps productions, nested Seq/Par right-hand sides. Grammars
+    whose derivations the oracle cannot finish within its own bounds are
+    counted and skipped."""
+    universe = enumerate_terms("ab", 4, mode)
+    skipped = 0
+    for seed in range(40):
+        g = random_general_grammar(seed)
+        try:
+            words = oracle_words(g, 4, mode)
+        except OracleCapError:
+            skipped += 1
+            continue
+        assert set(generate(g, 4, mode=mode).terms) == words, format_grammar(g)
+        assert_membership_agrees(g, words, universe, mode)
+    assert skipped <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_combined_closure_enumeration_is_union():
 def test_conversion_examples():
     g = to_parallel_linear_grammar(parse_regex("(a||b)^"))
     assert classify_grammar(g).parallel_linear
-    out = generate(g, 6, 32)
+    out = generate(g, 6)
     assert texts(out) == ["a||b", "a||b||a||b", "a||b||a||b||a||b", "eps"]
 
     single = to_parallel_linear_grammar(parse_regex("a"))
@@ -198,6 +198,6 @@ def test_conversion_matches_enumeration_for_fragment():
         g = to_parallel_linear_grammar(r)
         cls = classify_grammar(g)
         assert cls.parallel_linear and cls.sp_regular
-        got = generate(g, 4, 24)
+        got = generate(g, 4)
         want = regex_enumerate(r, "ab", 4)
         assert lang_equal(got, want), format_regex(r)

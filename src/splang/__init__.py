@@ -7,11 +7,11 @@ Submodules:
 * ``langs`` — finite languages with concatenation, parallel product, union,
   powers, three bounded Kleene closures, reversal, and equality reports;
 * ``regexes`` — regular expressions with sequential, parallel, and combined
-  closures: structural matcher, bounded enumerator, and the parallel-fragment
-  compiler to parallel-linear grammars;
+  closures: matching and bounded enumeration through a compile to sp
+  grammars, and the parallel-fragment compiler to parallel-linear grammars;
 * ``grammars`` — grammars over series-parallel right-hand sides:
   classification, exact generation up to an atom bound, exact membership
-  with derivation traces;
+  with derivation traces (the package's one membership engine);
 * ``automata`` — fork/join branching automata: run semantics, acceptance,
   bounded enumeration, and the construction from parallel-linear grammars;
 * ``cli`` — the ``splang`` command-line front end.

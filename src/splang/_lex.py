@@ -6,12 +6,16 @@ tokens its format does not allow. `||` is always read before `|`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import TermSyntaxError
 
 # Longest operators first so "||" never lexes as two "|".
 _OPS = ("||", "|", ".", "*", "^", "@", "(", ")")
+
+# A nonterminal name: an uppercase letter, optionally indexed (A_12).
+NONTERMINAL = re.compile(r"[A-Z](?:_[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,8 @@ def tokenize(text: str) -> list[Token]:
 
     Raises TermSyntaxError (with the byte offset) on any character outside the
     formats, and on multi-letter runs other than the keyword ``eps``: atoms are
-    single letters, so adjacent letters must be separated by an operator.
+    single letters, so adjacent letters must be separated by an operator. An
+    uppercase letter may carry an index (``A_12``), read as one LETTER token.
     """
     tokens: list[Token] = []
     i = 0
@@ -48,6 +53,9 @@ def tokenize(text: str) -> list[Token]:
             if word == "eps":
                 tokens.append(Token("EPS", word, i))
             elif len(word) == 1:
+                if word.isupper():
+                    word = NONTERMINAL.match(text, i).group()
+                    j = i + len(word)
                 tokens.append(Token("LETTER", word, i))
             else:
                 raise TermSyntaxError(

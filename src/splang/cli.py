@@ -5,13 +5,17 @@ Subcommand groups wrap the library one-to-one: ``term``, ``lang``, ``regex``,
 equivalence check). Data goes to stdout, diagnostics to stderr, ``-`` means
 stdin for any file argument, and every output is byte-deterministic.
 
-Exit codes: 0 success/true, 1 false/inequality, 2 parse or usage error,
-3 mode mismatch, 4 outside the regex fragment, 5 grammar classification,
-6 cardinality cap (200,000) exceeded: universe terms an enumeration builds,
-(nonterminal, word) pairs of `grammar generate`/`equiv`, or (nonterminal,
-sub-term) goals of one `grammar member` search pass. Grammar membership and
-generation are exact (no step budget); `member --trace` prints a leftmost
-derivation, not necessarily the shortest.
+Exit codes: 0 success/true, 1 false/inequality, 2 parse or usage error
+(including a negative --max-atoms, --nmax or --n, and an --alphabet that is
+not lowercase letters), 3 mode mismatch, 4 outside the regex fragment,
+5 grammar classification, 6 cardinality cap (200,000) exceeded: universe
+terms of `term enum`, `automaton enum` and `equiv`; (nonterminal, word) pairs
+of `grammar generate`, `equiv` and `regex enum` (the fixpoint of the regex's
+compiled grammar); (nonterminal, sub-term) goals per search pass of `grammar
+member` and `regex match`. Regexes are decided and enumerated through their
+compiled grammars. Grammar membership and generation are exact (no step
+budget); `member --trace` prints a leftmost derivation, not necessarily the
+shortest.
 """
 
 from __future__ import annotations
@@ -65,6 +69,20 @@ def _config(args: argparse.Namespace) -> CliConfig:
         max_atoms=getattr(args, "max_atoms", 5),
         n_max=getattr(args, "nmax", 3),
     )
+
+
+def _count(text: str) -> int:
+    """argparse type of --max-atoms, --nmax and --n."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _alphabet(text: str) -> str:
+    """argparse type of --alphabet."""
+    if not all("a" <= c <= "z" for c in text):
+        raise argparse.ArgumentTypeError(f"expected lowercase letters, got {text!r}")
+    return text
 
 
 def _read(path: str) -> str:
@@ -220,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["ordered", "commutative"],
                         default=argparse.SUPPRESS,
                         help="semantics mode (default: ordered)")
-    common.add_argument("--max-atoms", type=int, metavar="N",
+    common.add_argument("--max-atoms", type=_count, metavar="N",
                         default=argparse.SUPPRESS,
                         help="atom bound for enumerations (default: 5)")
-    common.add_argument("--nmax", type=int, metavar="N",
+    common.add_argument("--nmax", type=_count, metavar="N",
                         default=argparse.SUPPRESS,
                         help="repetition bound for powers and closures (default: 3)")
 
@@ -238,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("term")
         p.set_defaults(func=_cmd_term, sub=name)
     p = term_sub.add_parser("enum", parents=[common])
-    p.add_argument("--alphabet", default="ab", help="letters to enumerate over (default: ab)")
+    p.add_argument("--alphabet", type=_alphabet, default="ab", help="letters to enumerate over (default: ab)")
     p.set_defaults(func=_cmd_term, sub="enum")
 
     p_lang = sub.add_parser("lang", parents=[common], help="finite-language operations")
@@ -251,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lang_sub.add_parser("power", parents=[common])
     p.add_argument("file")
     p.add_argument("--kind", choices=["seq", "par"], required=True)
-    p.add_argument("--n", type=int, default=None, help="exponent (default: --nmax)")
+    p.add_argument("--n", type=_count, default=None, help="exponent (default: --nmax)")
     p.set_defaults(func=_cmd_lang, sub="power")
     p = lang_sub.add_parser("closure", parents=[common])
     p.add_argument("file")
@@ -269,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_regex, sub="match")
     p = regex_sub.add_parser("enum", parents=[common])
     p.add_argument("regex")
-    p.add_argument("--alphabet", default=None, help="letters (default: atoms of the regex)")
+    p.add_argument("--alphabet", type=_alphabet, default=None, help="letters (default: atoms of the regex)")
     p.set_defaults(func=_cmd_regex, sub="enum")
     p = regex_sub.add_parser("to-grammar", parents=[common])
     p.add_argument("regex")
@@ -300,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_automaton, sub="accepts")
     p = auto_sub.add_parser("enum", parents=[common])
     p.add_argument("file")
-    p.add_argument("--alphabet", default=None, help="letters (default: transition labels)")
+    p.add_argument("--alphabet", type=_alphabet, default=None, help="letters (default: transition labels)")
     p.set_defaults(func=_cmd_automaton, sub="enum")
 
     p_equiv = sub.add_parser("equiv", parents=[common],

@@ -9,11 +9,14 @@ parallel) and the fully linear classes.
 
 Generation and membership are exact, with no derivation-step budget: the words
 of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
-A's productions", L(rhs) composing its leaves' words and canonicalizing.
+A's productions", L(rhs) composing its leaves' words and canonicalizing. The
+regex layer compiles every regex into a grammar and decides and enumerates it
+here, so this is the one membership engine of the package.
 
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
-comments, uppercase letters are nonterminals, ``eps`` allowed, start symbol is
-the first rule's left-hand side. ``||`` is the parallel operator and binds
+comments, nonterminals are uppercase letters, optionally indexed (``A_12``),
+terminals are lowercase letters, ``eps`` allowed, start symbol is the first
+rule's left-hand side. ``||`` is the parallel operator and binds
 looser than ``.``; a single ``|`` separates alternatives and may not appear
 inside parentheses.
 """
@@ -25,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from ._lex import TokenStream
+from ._lex import NONTERMINAL, TokenStream
 from .errors import EnumerationCapError, TermSyntaxError
 from .terms import (
     DEFAULT_CAP,
@@ -58,8 +61,8 @@ class Production:
     rhs: SPTerm  # canonical sentential form
 
     def __post_init__(self):
-        if len(self.lhs) != 1 or not self.lhs.isupper():
-            raise ValueError(f"nonterminal must be a single uppercase letter, got {self.lhs!r}")
+        if not NONTERMINAL.fullmatch(self.lhs):
+            raise ValueError(f"nonterminal must be an uppercase letter, optionally indexed (A_12), got {self.lhs!r}")
 
     def __repr__(self) -> str:
         return f"{self.lhs} -> {format_term(self.rhs)}"
@@ -127,13 +130,10 @@ def parse_grammar(text: str) -> Grammar:
         head, arrow, body = line.partition("->")
         if not arrow:
             raise TermSyntaxError(f"line {lineno}: expected 'A -> ...'")
-        lhs = head.strip()
-        if len(lhs) != 1 or not lhs.isupper():
-            raise TermSyntaxError(f"line {lineno}: rule head must be a single uppercase letter, got {lhs!r}")
         try:
             for rhs in _parse_alternatives(body):
-                productions.append(Production(lhs, canonicalize(rhs)))
-        except TermSyntaxError as exc:
+                productions.append(Production(head.strip(), canonicalize(rhs)))
+        except (TermSyntaxError, ValueError) as exc:
             raise TermSyntaxError(f"line {lineno}: {exc}") from exc
     if not productions:
         raise TermSyntaxError("grammar file has no productions")
@@ -340,20 +340,10 @@ def is_member(
     COMMUTATIVE mode, leftmost as the productions write their nonterminals),
     read off the first proof found, so not necessarily the shortest. `cap`
     bounds the (nonterminal, sub-term) goals one search pass examines."""
-    goal = (g.start, canonicalize(t, mode))
     search = _MemberSearch(g, mode, cap)
-    # A call path holds at most one goal per (nonterminal, atom count), and
-    # two frames per node of a production (at most its text length) between.
-    per_goal = 2 * max(len(format_term(p.rhs)) for p in g.productions) + 2
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + per_goal * len(g.nonterminals) * (atoms_count(goal[1]) + 1))
-    try:
-        found = search.proves(goal)
-    finally:
-        sys.setrecursionlimit(limit)
-    if not found:
+    if not search.proves(canonicalize(t, mode)):
         return MembershipResult(False, None)
-    return MembershipResult(True, search.leftmost_derivation(goal))
+    return MembershipResult(True, search.leftmost_derivation())
 
 
 class _MemberSearch:
@@ -370,11 +360,21 @@ class _MemberSearch:
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> still being tried, in this pass
 
-    def proves(self, goal) -> bool:
-        while True:
-            known, self.cut, self.tried = len(self.proofs), False, {}
-            if self.derives(goal) or not self.cut or len(self.proofs) == known:
-                return goal in self.proofs
+    def proves(self, t: SPTerm) -> bool:
+        """Whether the start symbol derives `t`, a term canonical for the mode."""
+        self.goal = goal = (self.g.start, t)
+        # A call path holds at most one goal per (nonterminal, atom count), and
+        # two frames per node of a production (at most its text length) between.
+        per_goal = 2 * max(len(format_term(p.rhs)) for p in self.g.productions) + 2
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + per_goal * len(self.g.nonterminals) * (atoms_count(goal[1]) + 1))
+        try:
+            while True:
+                known, self.cut, self.tried = len(self.proofs), False, {}
+                if self.derives(goal) or not self.cut or len(self.proofs) == known:
+                    return goal in self.proofs
+        finally:
+            sys.setrecursionlimit(limit)
 
     def derives(self, goal) -> bool:
         if goal in self.proofs:
@@ -425,9 +425,10 @@ class _MemberSearch:
                     return first + others
         return None
 
-    def leftmost_derivation(self, goal) -> tuple[SPTerm, ...]:
-        form: SPTerm = Leaf(goal[0])
-        pending = [goal]  # goals of the nonterminal leaves of `form`, rightmost first
+    def leftmost_derivation(self) -> tuple[SPTerm, ...]:
+        """The leftmost derivation of the goal `proves` last proved."""
+        form: SPTerm = Leaf(self.g.start)
+        pending = [self.goal]  # goals of the nonterminal leaves of `form`, rightmost first
         chain = [form]
         while pending:
             rhs, subgoals = self.proofs[pending.pop()]

@@ -6,11 +6,11 @@ empty set, and three postfix closures — ``*`` (sequential repetition), ``^``
 (parallel repetition), ``@`` (either: the union of the two closures). All
 closures match zero repetitions, so each accepts the empty word.
 
-Matching is structural on canonical terms. A concatenation splits the flat
-Seq factor list of the candidate (segments may be empty, standing for eps); a
-parallel product splits the flat Par factor list — contiguously in ORDERED
-mode, as arbitrary multiset distributions in COMMUTATIVE mode. Closures split
-into one or more nonempty chunks, each matching the body.
+A regex's language is that of its compiled sp grammar, which gives every
+union and closure one nonterminal and writes concatenations and parallel
+products inline: ``r*`` becomes ``N -> eps | r.N``, ``r^`` becomes
+``N -> eps | r||N``. Matching and bounded enumeration run on that grammar
+with the exact membership search and the least fixpoint of ``grammars``.
 
 Text format: atoms ``a``-``z``, ``eps``, ``0`` for the empty set, postfix
 ``*`` ``^`` ``@``, infix ``.`` ``||`` ``|``. Precedence: postfix > ``.`` >
@@ -19,30 +19,25 @@ Text format: atoms ``a``-``z``, ``eps``, ``0`` for the empty set, postfix
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ._lex import TokenStream
-from .errors import FragmentError, SplangError, TermSyntaxError
-from .grammars import Grammar, Production
+from .errors import FragmentError, TermSyntaxError
+from .grammars import Grammar, Production, _MemberSearch, generate
 from .langs import FiniteLang
 from .terms import (
-    COMMUTATIVE,
     DEFAULT_CAP,
     EPS,
     ORDERED,
-    Eps,
     Leaf,
     SemanticsMode,
     SPTerm,
-    _par_factors,
-    _seq_factors,
+    _letters,
     canonicalize,
-    enumerate_terms,
-    format_term,
     par,
     seq,
 )
-from ._partitions import multiset_splits, ordered_splits
 
 
 class Regex:
@@ -225,82 +220,12 @@ def _fmt(r: Regex, min_level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Matching
+# Matching and enumeration, on the compiled grammar
 
 def matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
-    """Structural match of `t` (canonicalized for `mode`) against `r`."""
-    memo: dict[tuple[Regex, SPTerm], bool] = {}
-    return _match(r, canonicalize(t, mode), mode, memo)
-
-
-def _match(r: Regex, t: SPTerm, mode: SemanticsMode, memo) -> bool:
-    key = (r, t)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    memo[key] = False  # cycle-safe default; overwritten below
-    result = _match_uncached(r, t, mode, memo)
-    memo[key] = result
-    return result
-
-
-def _match_uncached(r: Regex, t: SPTerm, mode: SemanticsMode, memo) -> bool:
-    if isinstance(r, EmptySet):
-        return False
-    if isinstance(r, EpsLit):
-        return isinstance(t, Eps)
-    if isinstance(r, AtomLit):
-        return isinstance(t, Leaf) and t.symbol == r.symbol
-    if isinstance(r, Alt):
-        return any(_match(p, t, mode, memo) for p in r.parts)
-    if isinstance(r, Cat):
-        factors = _seq_factors(t)
-        return any(
-            all(_match(p, seq(*segment), mode, memo) for p, segment in zip(r.parts, split))
-            for split in ordered_splits(factors, len(r.parts))
-        )
-    if isinstance(r, ParProd):
-        factors = _par_factors(t)
-        splitter = ordered_splits if mode is ORDERED else multiset_splits
-        return any(
-            all(_match(p, par(*segment), mode, memo) for p, segment in zip(r.parts, split))
-            for split in splitter(factors, len(r.parts))
-        )
-    if isinstance(r, CloseSeq):
-        if isinstance(t, Eps):
-            return True
-        factors = _seq_factors(t)
-        return any(
-            _match(r.inner, seq(*factors[:i]), mode, memo)
-            and _match(r, seq(*factors[i:]), mode, memo)
-            for i in range(1, len(factors) + 1)
-        )
-    if isinstance(r, ClosePar):
-        if isinstance(t, Eps):
-            return True
-        factors = _par_factors(t)
-        for first, rest in _par_first_blocks(factors, mode):
-            if _match(r.inner, par(*first), mode, memo) and _match(r, par(*rest), mode, memo):
-                return True
-        return False
-    if isinstance(r, CloseSP):
-        return _match(CloseSeq(r.inner), t, mode, memo) or _match(ClosePar(r.inner), t, mode, memo)
-    raise TypeError(f"not a regex: {r!r}")
-
-
-def _par_first_blocks(factors: tuple[SPTerm, ...], mode: SemanticsMode):
-    """Nonempty first chunk plus remainder, for the parallel closure.
-
-    ORDERED: the chunk is a prefix. COMMUTATIVE: the chunk is any nonempty
-    sub-multiset containing the first factor (every block decomposition has
-    one such block, so this is complete)."""
-    if mode is ORDERED:
-        for i in range(1, len(factors) + 1):
-            yield factors[:i], factors[i:]
-        return
-    head, rest = factors[0], factors[1:]
-    for taken, left in multiset_splits(rest, 2):
-        yield (head,) + taken, left
+    """Whether `t`, canonicalized for `mode`, is in the language of `r`."""
+    g = _compile(r)
+    return g is not None and _MemberSearch(g, mode, DEFAULT_CAP).proves(canonicalize(t, mode))
 
 
 def regex_enumerate(
@@ -310,9 +235,51 @@ def regex_enumerate(
     mode: SemanticsMode = ORDERED,
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
-    """All universe terms up to max_atoms that match `r`."""
-    hits = [t for t in enumerate_terms(alphabet, max_atoms, mode, cap) if matches(r, t, mode)]
-    return FiniteLang(mode, tuple(hits))
+    """Every word of `r` over `alphabet` with at most max_atoms atoms. `cap`
+    bounds the (nonterminal, word) pairs of the compiled grammar's fixpoint."""
+    g = _compile(r, set(_letters(alphabet, max_atoms)))
+    return FiniteLang(mode, ()) if g is None else generate(g, max_atoms, mode=mode, cap=cap)
+
+
+def _compile(r: Regex, letters=None) -> Grammar | None:
+    """An sp grammar with the language of `r`, kept to words over `letters`
+    when given, start S; None when that language is empty. A union gets one
+    nonterminal with a production per part, a closure one with ``eps`` and
+    one repetition, and ``@`` the union of both closures; the empty set, and
+    an atom outside `letters`, prune the branch they sit in."""
+    productions: list[Production] = []
+    names = map(_nonterminal, itertools.count())
+
+    def define(name: str, alternatives) -> SPTerm:
+        productions.extend(Production(name, rhs) for rhs in alternatives)
+        return Leaf(name)
+
+    def closure(body: SPTerm, build) -> SPTerm:
+        name = next(names)
+        return define(name, (EPS, build(body, Leaf(name))))
+
+    def form(node: Regex) -> SPTerm | None:
+        if isinstance(node, EmptySet):
+            return None
+        if isinstance(node, EpsLit):
+            return EPS
+        if isinstance(node, AtomLit):
+            return Leaf(node.symbol) if letters is None or node.symbol in letters else None
+        if isinstance(node, (Cat, ParProd)):
+            parts = [form(p) for p in node.parts]
+            return None if any(p is None for p in parts) else (seq if isinstance(node, Cat) else par)(*parts)
+        if isinstance(node, Alt):
+            parts = [f for f in map(form, node.parts) if f is not None]
+            return define(next(names), parts) if parts else None
+        body = form(node.inner)
+        if body is None:
+            return EPS
+        if isinstance(node, (CloseSeq, ClosePar)):
+            return closure(body, seq if isinstance(node, CloseSeq) else par)
+        return define(next(names), (closure(body, seq), closure(body, par)))
+
+    top = form(r)
+    return None if top is None else Grammar.of([Production("S", top)] + productions, start="S")
 
 
 def regex_alphabet(r: Regex) -> tuple[str, ...]:
@@ -336,6 +303,12 @@ def regex_alphabet(r: Regex) -> tuple[str, ...]:
 # Parallel fragment -> parallel-linear grammar
 
 _NT_POOL = "ABCDEFGHIJKLMNOPQRTUVWXYZ"  # S reserved for the start symbol
+
+
+def _nonterminal(i: int) -> str:
+    """The i-th nonterminal other than S: the pool letters, then A_1, B_1, ..."""
+    letter, index = _NT_POOL[i % len(_NT_POOL)], i // len(_NT_POOL)
+    return f"{letter}_{index}" if index else letter
 
 
 def to_parallel_linear_grammar(r: Regex) -> Grammar:
@@ -391,34 +364,21 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
 
     nullable, first, last = analyze(r)
 
-    if len(positions) > len(_NT_POOL):
-        raise SplangError(
-            f"regex has {len(positions)} atom occurrences; at most {len(_NT_POOL)} supported"
-        )
-    names = {idx: _NT_POOL[idx] for idx in range(len(positions))}
-
-    productions: list[Production] = []
-    emitted: set[tuple[str, SPTerm]] = set()
+    productions: dict[Production, None] = {}  # an insertion-ordered set
 
     def emit(lhs: str, targets) -> None:
         for q in sorted(targets):
             if follow[q]:
-                rhs: SPTerm = par(Leaf(positions[q]), Leaf(names[q]))
-                if (lhs, rhs) not in emitted:
-                    emitted.add((lhs, rhs))
-                    productions.append(Production(lhs, rhs))
+                productions[Production(lhs, par(Leaf(positions[q]), Leaf(_nonterminal(q))))] = None
             if q in last:
-                rhs = Leaf(positions[q])
-                if (lhs, rhs) not in emitted:
-                    emitted.add((lhs, rhs))
-                    productions.append(Production(lhs, rhs))
+                productions[Production(lhs, Leaf(positions[q]))] = None
 
     if nullable:
-        productions.append(Production("S", EPS))
+        productions[Production("S", EPS)] = None
     emit("S", first)
     for idx in range(len(positions)):
         if follow[idx]:
-            emit(names[idx], follow[idx])
+            emit(_nonterminal(idx), follow[idx])
 
     return Grammar.of(productions, start="S")
 

@@ -10,8 +10,9 @@ kept in a canonical form:
 * in COMMUTATIVE mode the children of every ``Par`` node are additionally
   sorted, so parallel composition is order-blind.
 
-Lowercase leaves are alphabet atoms. Uppercase leaves are reserved for the
-grammar layer, which reuses this algebra for sentential forms.
+Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
+(``A_12``), are reserved for the grammar layer, which reuses this algebra for
+sentential forms.
 
 Text format (whitespace ignored, ``.`` binds tighter than ``||``)::
 
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from ._lex import TokenStream
+from ._lex import NONTERMINAL, TokenStream
 from .errors import EnumerationCapError, TermSyntaxError
 
 
@@ -64,8 +65,8 @@ class Leaf(SPTerm):
     symbol: str
 
     def __post_init__(self):
-        if len(self.symbol) != 1 or not (self.symbol.isascii() and self.symbol.isalpha()):
-            raise ValueError(f"leaf symbol must be a single letter, got {self.symbol!r}")
+        if not (len(self.symbol) == 1 and "a" <= self.symbol <= "z" or NONTERMINAL.fullmatch(self.symbol)):
+            raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {self.symbol!r}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -320,13 +321,19 @@ def enumerate_terms(
     filter. Raises EnumerationCapError when more than `cap` terms would be
     produced.
     """
+    return _enumerate_cached(_letters(alphabet, max_atoms), max_atoms, mode, cap)
+
+
+def _letters(alphabet, max_atoms: int) -> tuple[str, ...]:
+    """The sorted distinct letters of `alphabet`, after checking the bounds
+    of a bounded enumeration: lowercase letters and max_atoms >= 0."""
     letters = tuple(sorted(set(alphabet)))
     for c in letters:
         if len(c) != 1 or not ("a" <= c <= "z"):
             raise ValueError(f"alphabet entries must be lowercase letters, got {c!r}")
     if max_atoms < 0:
         raise ValueError("max_atoms must be >= 0")
-    return _enumerate_cached(letters, max_atoms, mode, cap)
+    return letters
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,8 +3,10 @@
 These deliberately avoid the library's search strategies: the universe is
 rebuilt from binary combinations instead of composition pools, the regex
 reference matcher is plain exponential recursion over index assignments with
-no memoization, and grammar words come from a breadth-first search over
-leftmost derivations instead of a fixpoint over nonterminals.
+no memoization (the library compiles regexes to grammars instead), bounded
+regex languages filter the term universe through it, and grammar words come
+from a breadth-first search over leftmost derivations instead of a fixpoint
+over nonterminals.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from splang.terms import (
     Seq,
     SPTerm,
     canonicalize,
+    enumerate_terms,
     format_term,
     par,
     seq,
@@ -173,6 +176,12 @@ def naive_matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
             ClosePar(r.inner), t, mode
         )
     raise TypeError(f"not a regex: {r!r}")
+
+
+def oracle_regex_words(r: Regex, alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> tuple:
+    """The words of `r` with at most max_atoms atoms over `alphabet`: every
+    universe term that `naive_matches` accepts, in the universe's order."""
+    return tuple(t for t in enumerate_terms(alphabet, max_atoms, mode) if naive_matches(r, t, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,29 @@ def test_regex_to_grammar(capsys):
     assert out == "S -> eps | a||A\nA -> b||B | b\nB -> a||A\n"
 
 
+def test_regex_match_on_a_long_flat_word(capsys):
+    code, out, _ = run(capsys, "regex", "match", "a*", ".".join(["a"] * 400))
+    assert (code, out) == (0, "true\n")
+
+
+def test_regex_enum_follows_the_answer_not_the_universe(capsys):
+    code, out, _ = run(capsys, "regex", "enum", "a", "--max-atoms", "7", "--alphabet", "ab")
+    assert (code, out) == (0, "mode: ordered\na\n")
+    # letters outside --alphabet are pruned, not generated and dropped
+    code, out, _ = run(capsys, "regex", "enum", "(a|b|c|d|e|f|g|h)*", "--max-atoms", "6", "--alphabet", "a")
+    assert (code, out) == (0, "mode: ordered\na\na.a\na.a.a\na.a.a.a\na.a.a.a.a\na.a.a.a.a.a\neps\n")
+
+
+def test_regex_to_grammar_beyond_25_positions(capsys, tmp_path):
+    word = "||".join(["a"] * 30)
+    code, out, _ = run(capsys, "regex", "to-grammar", word)
+    assert code == 0
+    path = tmp_path / "wide.g"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "grammar", "generate", path, "--max-atoms", "30")
+    assert (code, out) == (0, f"mode: ordered\n{word}\n")
+
+
 def test_regex_to_grammar_fragment_error_exits_4(capsys):
     code, _, err = run(capsys, "regex", "to-grammar", "a.b")
     assert code == 4
@@ -187,6 +210,29 @@ def test_grammar_unit_chain_needs_no_step_budget(capsys, tmp_path):
     assert (code, out) == (0, "true\n")
     code, out, _ = run(capsys, "grammar", "generate", path, "--max-atoms", "1")
     assert (code, out) == (0, "mode: ordered\na\n")
+
+
+def test_grammar_member_trace_with_indexed_nonterminals(capsys, tmp_path):
+    path = tmp_path / "indexed.g"
+    path.write_text("S -> A_1||A_1\nA_1 -> a | b\n", encoding="utf-8")
+    code, out, _ = run(capsys, "grammar", "member", path, "a||b", "--trace")
+    assert (code, out) == (0, "true\nS\nA_1||A_1\na||A_1\na||b\n")
+
+
+@pytest.mark.parametrize("name", ["A_", "A_x", "a_1", "AB"])
+@pytest.mark.parametrize("text", ["S -> {}\n", "S -> a\n{} -> a\n"])
+def test_malformed_nonterminal_names_exit_2(capsys, tmp_path, name, text):
+    path = tmp_path / "bad.g"
+    path.write_text(text.format(name), encoding="utf-8")
+    code, _, err = run(capsys, "grammar", "classify", path)
+    assert code == 2
+    assert err.startswith("error: line ")
+
+
+def test_indexed_nonterminal_is_not_a_term(capsys):
+    code, _, err = run(capsys, "term", "canon", "A_1")
+    assert code == 2
+    assert "A_1" in err
 
 
 def test_grammar_member_rejection(capsys):
@@ -250,6 +296,32 @@ def test_equiv_rejects_non_linear_grammar_with_exit_5(capsys):
 def test_from_grammar_rejects_non_linear_with_exit_5(capsys):
     code, _, err = run(capsys, "automaton", "from-grammar", DATA / "branch_words.g")
     assert code == 5
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["term", "enum", "--max-atoms", "-1"], "--max-atoms"),
+        (["regex", "enum", "a", "--max-atoms", "-1", "--alphabet", "ab"], "--max-atoms"),
+        (["automaton", "enum", "{aut}", "--max-atoms", "-1"], "--max-atoms"),
+        (["regex", "enum", "a", "--alphabet", "AB"], "--alphabet"),
+        (["lang", "power", "{lang}", "--kind", "seq", "--n", "-2"], "--n"),
+        (["lang", "closure", "{lang}", "--kind", "star", "--nmax", "-1"], "--nmax"),
+    ],
+    ids=["term-enum", "regex-enum", "automaton-enum", "regex-alphabet", "lang-power", "lang-closure"],
+)
+def test_out_of_range_options_exit_2(tmp_path, argv, option):
+    aut = tmp_path / "one.aut"
+    aut.write_text("states: p q\ninitial: p\nfinal: q\nseq: p a q\n", encoding="utf-8")
+    lang = write_lang(tmp_path, "one.lang", "a")
+    src = str(Path(splang.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "splang.cli", *(arg.format(aut=aut, lang=lang) for arg in argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"argument {option}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exits_2(capsys):

@@ -76,6 +76,19 @@ def test_grammar_syntax_errors(bad):
         parse_grammar(bad)
 
 
+def test_indexed_nonterminals():
+    text = "S -> A_1||A_1\nA_1 -> a | b\n"
+    g = parse_grammar(text)
+    assert g.nonterminals == {"S", "A_1"}
+    assert format_grammar(g) == text
+    assert texts(generate(g, 2)) == ["a||a", "a||b", "b||a", "b||b"]
+    for mode in (ORDERED, COMMUTATIVE):
+        result = is_member(g, pt("b||a"), mode)
+        assert result and Leaf("A_1") in result.trace[1].children
+        check_trace(g, pt("b||a"), mode, result.trace)
+        assert not is_member(g, pt("a.b"), mode)
+
+
 def test_format_round_trip(branches_grammar):
     text = format_grammar(branches_grammar)
     again = parse_grammar(text)

@@ -15,6 +15,9 @@ from splang.regexes import (
     EMPTY,
     EPS_LIT,
     ParProd,
+    _compile,
+    alt,
+    cat,
     format_regex,
     matches,
     parse_regex,
@@ -31,7 +34,7 @@ from splang.terms import (
     parse_term,
 )
 
-from oracles import all_regexes, naive_matches
+from oracles import all_regexes, naive_matches, oracle_regex_words
 
 a, b = AtomLit("a"), AtomLit("b")
 
@@ -122,17 +125,35 @@ def test_concatenation_allows_empty_segments():
     assert matches(r, pt("a"), ORDERED)
 
 
-def test_matcher_agrees_with_reference_on_commutative_sample():
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_matcher_agrees_with_reference_on_a_sample(mode):
     rng = random.Random(3)
     pool = all_regexes(max_nodes=4)
-    uni = enumerate_terms("ab", 3, COMMUTATIVE)
+    uni = enumerate_terms("ab", 3, mode)
     for r in rng.sample(pool, 120):
         for t in uni:
-            assert matches(r, t, COMMUTATIVE) == naive_matches(r, t, COMMUTATIVE)
+            assert matches(r, t, mode) == naive_matches(r, t, mode)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_regexes_with_many_nonterminals_agree_with_reference(mode):
+    both = alt(a, b)
+    r = cat(*(CloseSP(both) if i % 2 else ParProd((CloseSeq(both), ClosePar(a))) for i in range(9)))
+    assert len(_compile(r).nonterminals) > 25
+    for t in enumerate_terms("ab", 3, mode):
+        assert matches(r, t, mode) == naive_matches(r, t, mode), format_term(t)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_regex_enumerate_agrees_with_the_universe_filter(mode):
+    for r in random.Random(5).sample(all_regexes(max_nodes=4), 150):
+        for alphabet in ("ab", "a"):
+            got = regex_enumerate(r, alphabet, 3, mode)
+            assert got.terms == oracle_regex_words(r, alphabet, 3, mode), format_regex(r)
+
 
 def test_regex_enumerate_examples():
     assert texts(regex_enumerate(parse_regex("(a||b)^"), "ab", 4)) == [

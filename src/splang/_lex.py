@@ -17,6 +17,13 @@ _OPS = ("||", "|", ".", "*", "^", "@", "(", ")")
 # A nonterminal name: an uppercase letter, optionally indexed (A_12).
 NONTERMINAL = re.compile(r"[A-Z](?:_[0-9]+)?")
 
+# The nesting limit of every text format: at most this many parentheses and
+# postfix closures around any atom, as `tokenize` counts them. The parsers and
+# the term and regex walks recurse a few frames per level, so deeper input
+# would overflow the interpreter's stack; it is a TermSyntaxError instead.
+MAX_NESTING = 100
+_CLOSURES = ("*", "^", "@")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -32,8 +39,12 @@ def tokenize(text: str) -> list[Token]:
     formats, and on multi-letter runs other than the keyword ``eps``: atoms are
     single letters, so adjacent letters must be separated by an operator. An
     uppercase letter may carry an index (``A_12``), read as one LETTER token.
+    More than MAX_NESTING parentheses and postfix closures around an atom,
+    ``(a*)*`` has three, is a TermSyntaxError.
     """
     tokens: list[Token] = []
+    groups = [0]  # deepest nesting inside each open parenthesis, the text itself first
+    nesting = 0  # of the operand read last
     i = 0
     n = len(text)
     while i < n:
@@ -42,10 +53,12 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         if c == "0":
+            nesting = 0
             tokens.append(Token("EMPTY", c, i))
             i += 1
             continue
         if c.isascii() and c.isalpha():
+            nesting = 0
             j = i
             while j < n and text[j].isascii() and text[j].isalpha():
                 j += 1
@@ -67,6 +80,18 @@ def tokenize(text: str) -> list[Token]:
             continue
         for op in _OPS:
             if text.startswith(op, i):
+                if op == "(":
+                    groups.append(0)
+                    nesting = 0
+                elif op == ")" and len(groups) > 1:
+                    nesting = groups.pop() + 1
+                elif op in _CLOSURES:
+                    nesting += 1
+                else:
+                    nesting = 0
+                if len(groups) - 1 + nesting > MAX_NESTING:
+                    raise TermSyntaxError(f"input nests deeper than the nesting limit ({MAX_NESTING})", i)
+                groups[-1] = max(groups[-1], nesting)
                 tokens.append(Token("OP", op, i))
                 i += len(op)
                 break

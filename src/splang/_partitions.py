@@ -35,12 +35,29 @@ def _count_splits(total: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def multiset_splits(items: Sequence[T], k: int) -> Iterator[tuple[tuple[T, ...], ...]]:
+def multiset_splits(
+    items: Sequence[T], k: int, head_sizes: tuple[int, int] | None = None
+) -> Iterator[tuple[tuple[T, ...], ...]]:
     """All distributions of the multiset `items` into k labeled, possibly
-    empty parts, each distinct distribution exactly once."""
+    empty parts, each distinct distribution exactly once. With `head_sizes`,
+    a (low, high) pair, only the distributions whose first part has between
+    low and high items, in the same order; the others are never built."""
     runs = _runs(items)
-    per_run = [list(_count_splits(count, k)) for _, count in runs]
-    for choice in itertools.product(*per_run):
+    low, high = head_sizes or (0, len(items))
+    # how many of each run every part takes, run by run in product order,
+    # keeping only the prefixes whose first part can still end in the window
+    later = len(items)
+    choices: list[tuple[tuple, int]] = [((), 0)] if low - later <= 0 <= high else []
+    for _, count in runs:
+        later -= count
+        splits = list(_count_splits(count, k))
+        choices = [
+            (prefix + (split,), size + split[0])
+            for prefix, size in choices
+            for split in splits
+            if low - later <= size + split[0] <= high
+        ]
+    for choice, _ in choices:
         parts: list[list[T]] = [[] for _ in range(k)]
         for (value, _), counts in zip(runs, choice):
             for i, c in enumerate(counts):

@@ -13,6 +13,15 @@ nonempty blocks as the fork has targets, blocks are assigned to targets and
 block end-states to join sources as multiset bijections. Callers comparing
 against grammar output canonicalize that side commutatively as well.
 
+Bounded enumeration reads the same runs backwards (the branching-automaton
+runs of Lodaya & Weil, TCS 237, 2000). `enumerate_accepted` computes the least
+fixpoint of W(p, q), the words of at most n atoms with a run from p to q: eps
+is in W(p, p); a seq transition p a q puts a in W(p, q); a parallel transition
+from fork p -> {T1..Tm} to join {S1..Sm} -> d puts in W(p, d) every
+par(b1, ..., bm) its guard allows, each bi a nonempty word of W(Ti, S_s(i)) for
+a bijection s; and a non-Seq word of W(p, r) followed by a word of W(r, q) is
+in W(p, q). Its cost follows the answer, not the universe of terms.
+
 Automaton file format (sections in this order, ``#`` comments)::
 
     states: q0 q1 ...
@@ -32,20 +41,23 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from ._partitions import distinct_permutations, multiset_partitions
-from .errors import NotParallelLinearError, TermSyntaxError
+from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from .grammars import Grammar, classify_grammar
 from .langs import FiniteLang
 from .terms import (
     COMMUTATIVE,
     DEFAULT_CAP,
+    EPS,
     Eps,
     Leaf,
     Par,
     Seq,
     SPTerm,
+    _letters,
     canonicalize,
-    enumerate_terms,
     format_term,
+    par,
+    seq,
 )
 
 
@@ -279,13 +291,66 @@ def enumerate_accepted(
     max_atoms: int,
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
-    """Accepted subset of the commutative universe up to max_atoms."""
-    hits = [
-        t
-        for t in enumerate_terms(alphabet, max_atoms, COMMUTATIVE, cap)
-        if accepts(aut, t)
-    ]
-    return FiniteLang(COMMUTATIVE, tuple(hits))
+    """Every accepted word over `alphabet` with at most max_atoms atoms, in
+    commutative form and canonical order: the union of W(i, f) over initial i
+    and final f, seq transitions kept to `alphabet` (see the module
+    docstring). `cap` bounds the (state pair, word) pairs held."""
+    letters = _letters(alphabet, max_atoms)
+    words: dict[tuple[str, str], dict[SPTerm, int]] = {(p, p): {EPS: 0} for p in aut.states}  # word -> its atoms
+    for tr in aut.seqs:
+        if tr.label in letters and max_atoms > 0:
+            words.setdefault((tr.src, tr.dst), {})[Leaf(tr.label)] = 1
+    count, last = 0, -1
+    while count > last:
+        found = [((fork.src, join.dst), _par_words(fork, guard, join, words, max_atoms))
+                 for pars in aut._pars_from.values() for _, fork, guard, join in pars]
+        found += _seq_words(words, max_atoms).items()
+        for pair, new in found:
+            words.setdefault(pair, {}).update(new)
+        last, count = count, sum(map(len, words.values()))
+        if count > cap:
+            raise EnumerationCapError(f"automaton words exceed the cardinality cap ({cap})")
+    return FiniteLang.of(
+        (w for (p, q), ws in words.items() if p in aut.initial and q in aut.final for w in ws), COMMUTATIVE
+    )
+
+
+def _par_words(fork, guard, join, words, max_atoms: int) -> dict[SPTerm, int]:
+    """The words a parallel transition puts in W(fork.src, join.dst)."""
+    out: dict[SPTerm, int] = {}
+    if len(fork.targets) != len(join.sources):
+        return out
+    for sources in distinct_permutations(join.sources):
+        acc = {EPS: 0}
+        for target, source in zip(fork.targets, sources):
+            block = words.get((target, source), {}).items()
+            acc = {
+                canonicalize(par(x, b), COMMUTATIVE): m + n
+                for x, m in acc.items() for b, n in block if n and m + n <= max_atoms
+            }
+            if not acc:
+                break
+        for w, n in acc.items():
+            if guard is None or _guard_allows(guard, w):
+                out[w] = n
+    return out
+
+
+def _seq_words(words, max_atoms: int) -> dict[tuple[str, str], dict[SPTerm, int]]:
+    """The Seq words: a non-Seq word of W(p, r), then a word of W(r, q)."""
+    after: dict[str, list] = {}
+    for (r, q), ws in words.items():
+        after.setdefault(r, []).append((q, ws.items()))
+    out: dict[tuple[str, str], dict[SPTerm, int]] = {}
+    for (p, r), heads in words.items():
+        for x, m in heads.items():
+            if isinstance(x, (Eps, Seq)):
+                continue
+            for q, tails in after[r]:
+                new = {seq(x, w): m + n for w, n in tails if m + n <= max_atoms}
+                if new:
+                    out.setdefault((p, q), {}).update(new)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ equivalence check). Data goes to stdout, diagnostics to stderr, ``-`` means
 stdin for any file argument, and every output is byte-deterministic.
 
 Exit codes: 0 success/true, 1 false/inequality, 2 parse or usage error
-(including a negative --max-atoms, --nmax or --n, and an --alphabet that is
-not lowercase letters), 3 mode mismatch, 4 outside the regex fragment,
-5 grammar classification, 6 cardinality cap (200,000) exceeded: universe
-terms of `term enum`, `automaton enum` and `equiv`; (nonterminal, word) pairs
-of `grammar generate`, `equiv` and `regex enum` (the fixpoint of the regex's
+(including a negative --max-atoms, --nmax or --n, an --alphabet that is not
+lowercase letters, and a term, regex, grammar or language text nesting more
+than 100 parentheses and postfix closures around an atom), 3 mode mismatch,
+4 outside the regex fragment, 5 grammar classification, 6 cardinality cap
+(200,000) exceeded: universe terms of `term enum`; (state pair, word) pairs of
+`automaton enum` and of the automaton side of `equiv` (the fixpoint of the
+words between two states); (nonterminal, word) pairs of `grammar generate`,
+the grammar side of `equiv` and `regex enum` (the fixpoint of the regex's
 compiled grammar); (nonterminal, sub-term) goals per search pass of `grammar
 member` and `regex match`. Regexes are decided and enumerated through their
 compiled grammars. Grammar membership and generation are exact (no step

@@ -416,7 +416,7 @@ class _MemberSearch:
         if ordered:
             splits = ((factors[:i], factors[i:]) for i in range(low, high + 1))
         else:
-            splits = ((h, r) for h, r in multiset_splits(factors, 2) if low <= len(h) <= high)
+            splits = multiset_splits(factors, 2, (low, high))
         for head, rest in splits:
             first = self.match(forms[0], build(*head))
             if first is not None:

@@ -317,9 +317,10 @@ def enumerate_terms(
     """Every canonical term (for `mode`) with at most `max_atoms` atom
     occurrences, eps included, sorted by the canonical order.
 
-    This is the brute-force universe that the bounded checks elsewhere
-    filter. Raises EnumerationCapError when more than `cap` terms would be
-    produced.
+    This is the brute-force universe of `term enum`; the library's bounded
+    languages are least fixpoints instead, and the tests filter this universe
+    as their oracle. Raises EnumerationCapError when more than `cap` terms
+    would be produced.
     """
     return _enumerate_cached(_letters(alphabet, max_atoms), max_atoms, mode, cap)
 

@@ -11,6 +11,7 @@ over nonterminals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from splang.regexes import (
     ParProd,
     Regex,
 )
+from splang.automata import BranchingAutomaton, accepts
 from splang.grammars import Grammar, Production
 from splang.terms import (
     COMMUTATIVE,
@@ -63,6 +65,19 @@ def binary_universe(alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> 
     for n in range(0, max_atoms + 1):
         out |= exact[n]
     return tuple(sorted(out, key=format_term))
+
+
+@functools.lru_cache(maxsize=16)
+def _commutative_universe(letters: str, max_atoms: int) -> tuple[SPTerm, ...]:
+    return binary_universe(letters, max_atoms, COMMUTATIVE)
+
+
+def oracle_accepted(aut: BranchingAutomaton, alphabet, max_atoms: int) -> tuple:
+    """The words of `aut` with at most max_atoms atoms over `alphabet`: every
+    commutative `binary_universe` term that `accepts` accepts, in the
+    universe's order."""
+    letters = "".join(sorted(set(alphabet)))
+    return tuple(t for t in _commutative_universe(letters, max_atoms) if accepts(aut, t))
 
 
 # ---------------------------------------------------------------------------

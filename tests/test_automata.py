@@ -18,18 +18,21 @@ from splang.automata import (
     serialize_automaton,
     with_observed_guards,
 )
-from splang.errors import NotParallelLinearError, TermSyntaxError
+from splang.errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from splang.grammars import parse_grammar, random_parallel_linear_grammar
 from splang.langs import lang_equal
 from splang.grammars import generate
 from splang.terms import (
     COMMUTATIVE,
+    atoms_count,
     canonicalize,
     enumerate_terms,
     format_term,
     is_parallel_word,
     parse_term,
 )
+
+from oracles import oracle_accepted
 
 
 def pt(text):
@@ -167,6 +170,109 @@ def test_enumerate_accepted_on_worked_example(fanout_automaton):
         "a||b||b",
         "a||b||b||b",
     ]
+
+
+def test_enumerate_accepted_follows_the_answer_not_the_universe(fanout_automaton):
+    # the universe of 8 commutative atoms over ab is past the default cap
+    assert texts(enumerate_accepted(fanout_automaton, "ab", 8)) == [
+        "a||" + "||".join("b" * k) for k in range(1, 8)
+    ]
+
+
+def test_enumerate_accepted_cap_counts_state_pair_words(pairs_grammar):
+    aut = from_linear_grammar(pairs_grammar)
+    with pytest.raises(EnumerationCapError, match=r"cap \(10\)"):
+        enumerate_accepted(aut, "ab", 6, cap=10)
+
+
+def test_enumerate_accepted_checks_its_bounds(fanout_automaton):
+    with pytest.raises(ValueError):
+        enumerate_accepted(fanout_automaton, "ab", -1)
+    with pytest.raises(ValueError):
+        enumerate_accepted(fanout_automaton, "aB", 2)
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint against the universe filter
+
+HAND_WRITTEN = {
+    # a||a.b has the atoms of a listed multiset but is not flat
+    "guard": (
+        "states: p q1 q2 m r1 r2 s t u v q\n"
+        "initial: p\nfinal: q\n"
+        "seq: m b r2\nseq: q1 a r1\nseq: q2 a m\nseq: q2 a r2\nseq: q2 b r2\n"
+        "seq: s a u\nseq: t b v\n"
+        "fork: F1 p -> {q1, q2}\nfork: F2 q2 -> {s, t}\n"
+        "join: J1 {r1, r2} -> q\njoin: J2 {u, v} -> r2\n"
+        "par: F1 {a,a,b;a,b} J1\npar: F2 * J2\n"
+    ),
+    "two-pars-one-pair": (
+        "states: p q1 q2 r1 r2 q\n"
+        "initial: p\nfinal: q\n"
+        "seq: q a q\nseq: q1 a r1\nseq: q1 b r1\nseq: q2 a r2\nseq: q2 b r2\n"
+        "fork: F1 p -> {q1, q2}\njoin: J1 {r1, r2} -> q\n"
+        "par: F1 {a,a} J1\npar: F1 {b,b} J1\n"
+    ),
+    "arity-mismatch": (
+        "states: p q1 q2 q3 r1 r2 q\n"
+        "initial: p\nfinal: q\n"
+        "seq: p c q\nseq: q1 a r1\nseq: q2 b r2\nseq: q3 c r2\n"
+        "fork: F1 p -> {q1, q2, q3}\njoin: J1 {r1, r2} -> q\n"
+        "par: F1 * J1\n"
+    ),
+    "nested-repeated": (
+        "states: p q r s u f\n"
+        "initial: p\nfinal: f\n"
+        "seq: f a p\nseq: q a r\nseq: q b q\nseq: r c r\nseq: s a u\nseq: s b u\n"
+        "fork: F1 p -> {q, q}\nfork: F2 q -> {q, s, s}\n"
+        "join: J1 {r, r} -> f\njoin: J2 {r, u, u} -> r\n"
+        "par: F1 * J1\npar: F2 * J2\n"
+    ),
+    "initial-is-final": (
+        "states: p q\n"
+        "initial: p q\nfinal: p\n"
+        "seq: p a q\nseq: q b p\n"
+        "fork: F1 q -> {p, q}\njoin: J1 {p, q} -> p\n"
+        "par: F1 * J1\n"
+    ),
+    "unreachable": (
+        "states: p q x y z\n"
+        "initial: p\nfinal: q\n"
+        "seq: p a q\nseq: x b y\nseq: y a q\nseq: z c z\n"
+        "fork: F1 x -> {y, z}\njoin: J1 {q, z} -> q\n"
+        "par: F1 * J1\n"
+    ),
+}
+
+
+def check_against_the_universe_filter(aut, alphabet, max_atoms):
+    """enumerate_accepted at every bound up to max_atoms; the oracle's words
+    at a smaller bound are those of the largest with that many atoms."""
+    oracle = oracle_accepted(aut, alphabet, max_atoms)
+    for n in range(max_atoms + 1):
+        want = [format_term(t) for t in oracle if atoms_count(t) <= n]
+        assert texts(enumerate_accepted(aut, alphabet, n)) == want, (alphabet, n)
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_fixpoint_agrees_with_the_universe_filter_on_fixtures(pairs_grammar, fanout_grammar, alphabet):
+    for g in (pairs_grammar, fanout_grammar):
+        check_against_the_universe_filter(from_linear_grammar(g), alphabet, 5)
+
+
+@pytest.mark.parametrize("alphabet,max_atoms", [("ab", 4), ("abc", 3)])
+def test_fixpoint_agrees_with_the_universe_filter_on_seeded_automata(alphabet, max_atoms):
+    for seed in range(100):
+        aut = from_linear_grammar(random_parallel_linear_grammar(seed, tuple(alphabet)))
+        check_against_the_universe_filter(aut, alphabet, max_atoms)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_fixpoint_agrees_with_the_universe_filter_on_hand_written_automata(name):
+    aut = parse_automaton(HAND_WRITTEN[name])
+    assert enumerate_accepted(aut, "abc", 5)  # every case accepts something
+    for alphabet in ("a", "ab", "abc"):
+        check_against_the_universe_filter(aut, alphabet, 5)
 
 
 # ---------------------------------------------------------------------------

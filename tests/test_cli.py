@@ -280,6 +280,21 @@ def test_automaton_enum(capsys, tmp_path):
     assert out2 == "mode: commutative\na||b\na||b||b\na||b||b||b\n"
 
 
+def test_automaton_enum_follows_the_answer_not_the_universe(capsys, tmp_path):
+    # the commutative universe of 8 atoms over ab is past the cap
+    code, out, _ = run(capsys, "automaton", "from-grammar", DATA / "a_fanout.g")
+    aut_path = tmp_path / "fanout.aut"
+    aut_path.write_text(out, encoding="utf-8")
+    code, out2, err = run(capsys, "automaton", "enum", aut_path, "--max-atoms", "8")
+    assert (code, err) == (0, "")
+    assert out2 == "mode: commutative\n" + "".join("a||" + "||".join("b" * k) + "\n" for k in range(1, 8))
+
+
+def test_equiv_beyond_the_universe_cap(capsys):
+    code, out, _ = run(capsys, "equiv", DATA / "a_fanout.g", "--max-atoms", "8")
+    assert (code, out) == (0, "equal: 7 words up to 8 atoms\n")
+
+
 def test_equiv_succeeds_on_linear_fixtures(capsys):
     for name in ("a_fanout.g", "parallel_pairs.g"):
         code, out, _ = run(capsys, "equiv", DATA / name, "--max-atoms", "5")
@@ -322,6 +337,72 @@ def test_out_of_range_options_exit_2(tmp_path, argv, option):
     assert proc.returncode == 2
     assert f"argument {option}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def alternating(levels):
+    """A term nested `levels` parentheses deep, alternating || and . inside."""
+    text = "a"
+    for i in range(levels):
+        text = f"({text}{'||b' if i % 2 == 0 else '.b'})"
+    return text
+
+
+def closure_groups(groups, closures):
+    """A regex of `groups` nested parentheses, each closed by `closures` stars."""
+    text = "a"
+    for _ in range(groups):
+        text = f"({text}){'*' * closures}"
+    return text
+
+
+DEEP = "(" * 3000 + "a" + ")" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["term", "canon", DEEP],
+        ["regex", "match", "a", DEEP],
+        ["regex", "match", "a" + "*" * 3000, "a"],
+        ["regex", "match", closure_groups(100, 100), "a"],
+        ["grammar", "member", "{grammar}", "a"],
+        ["lang", "reverse", "{lang}"],
+    ],
+    ids=["term-canon", "regex-match-term", "regex-match-closures", "regex-match-groups", "grammar-file", "lang-file"],
+)
+def test_nesting_past_the_limit_exits_2(tmp_path, argv):
+    grammar = tmp_path / "deep.g"
+    grammar.write_text(f"S -> {alternating(101)}\n", encoding="utf-8")
+    lang = write_lang(tmp_path, "deep.lang", "a", alternating(101))
+    src = str(Path(splang.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "splang.cli", *(arg.format(grammar=grammar, lang=lang) for arg in argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "nesting limit (100)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_nesting_at_the_limit_succeeds(capsys, tmp_path):
+    term = alternating(100)
+    grammar = tmp_path / "deep.g"
+    grammar.write_text(f"S -> {term}\n", encoding="utf-8")
+    lang = write_lang(tmp_path, "deep.lang", term)
+    for argv in (
+        ["term", "canon", term],
+        ["term", "metrics", term],
+        ["term", "reverse", term],
+        ["regex", "match", term, term],
+        ["--mode", "commutative", "regex", "match", term, term],
+        ["regex", "match", "a" + "*" * 100, "a.a"],
+        ["--mode", "commutative", "regex", "match", closure_groups(50, 1), "a.a"],
+        ["grammar", "member", grammar, term, "--trace"],
+        ["lang", "reverse", lang],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv[:3]
+        assert out
 
 
 def test_missing_file_exits_2(capsys):

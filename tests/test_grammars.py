@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from oracles import OracleCapError, bfs_derive, check_trace, oracle_words, random_general_grammar
+from splang._partitions import multiset_splits
 from splang.errors import TermSyntaxError
 from splang.grammars import (
     Grammar,
@@ -339,3 +340,14 @@ def test_random_grammars_are_deterministic():
 def test_random_grammars_are_parallel_linear():
     for seed in range(40):
         assert classify_grammar(random_parallel_linear_grammar(seed)).parallel_linear
+
+
+def test_multiset_splits_by_head_size_keep_the_filtered_order():
+    # the membership search asks for the splits whose head size fits a window
+    for items in ["", "a", "aab", "aabbbc", "abcd"]:
+        for k in (1, 2, 3):
+            every = list(multiset_splits(tuple(items), k))
+            for low in range(len(items) + 2):
+                for high in range(-1, len(items) + 2):
+                    kept = [s for s in every if low <= len(s[0]) <= high]
+                    assert list(multiset_splits(tuple(items), k, (low, high))) == kept

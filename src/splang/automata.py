@@ -281,8 +281,7 @@ def _covers(end_sets, sources: tuple[str, ...]) -> bool:
 
 def accepts(aut: BranchingAutomaton, t: SPTerm, observer=None) -> bool:
     """True iff some initial-to-final run on the commutative form of `t` exists."""
-    term = canonicalize(t, COMMUTATIVE)
-    return any(runs_between(aut, s, term, observer) & aut.final for s in sorted(aut.initial))
+    return any(runs_between(aut, s, t, observer) & aut.final for s in sorted(aut.initial))
 
 
 def enumerate_accepted(
@@ -310,9 +309,8 @@ def enumerate_accepted(
         last, count = count, sum(map(len, words.values()))
         if count > cap:
             raise EnumerationCapError(f"automaton words exceed the cardinality cap ({cap})")
-    return FiniteLang.of(
-        (w for (p, q), ws in words.items() if p in aut.initial and q in aut.final for w in ws), COMMUTATIVE
-    )
+    accepted = (w for (p, q), ws in words.items() if p in aut.initial and q in aut.final for w in ws)
+    return FiniteLang(COMMUTATIVE, tuple(accepted))
 
 
 def _par_words(fork, guard, join, words, max_atoms: int) -> dict[SPTerm, int]:
@@ -325,7 +323,7 @@ def _par_words(fork, guard, join, words, max_atoms: int) -> dict[SPTerm, int]:
         for target, source in zip(fork.targets, sources):
             block = words.get((target, source), {}).items()
             acc = {
-                canonicalize(par(x, b), COMMUTATIVE): m + n
+                par(x, b, mode=COMMUTATIVE): m + n
                 for x, m in acc.items() for b, n in block if n and m + n <= max_atoms
             }
             if not acc:

@@ -12,18 +12,19 @@ than 100 parentheses and postfix closures around an atom), 3 mode mismatch,
 4 outside the regex fragment, 5 grammar classification, 6 cardinality cap
 (200,000) exceeded: universe terms of `term enum`; (state pair, word) pairs of
 `automaton enum` and of the automaton side of `equiv` (the fixpoint of the
-words between two states); (nonterminal, word) pairs of `grammar generate`,
-the grammar side of `equiv` and `regex enum` (the fixpoint of the regex's
-compiled grammar); (nonterminal, sub-term) goals per search pass of `grammar
-member` and `regex match`. Regexes are decided and enumerated through their
-compiled grammars. Grammar membership and generation are exact (no step
-budget); `member --trace` prints a leftmost derivation, not necessarily the
-shortest.
+words between two states); (nonterminal, word) pairs of `grammar generate`, the
+grammar side of `equiv` and `regex enum` (the fixpoint of the regex's compiled
+grammar); (nonterminal, sub-term) goals per search pass of `grammar member` and
+`regex match`; 141 (128 + SIGPIPE) when the reader closes stdout, with nothing
+on stderr. Regexes are decided and enumerated through their compiled grammars.
+Grammar membership and generation are exact (no step budget); `member --trace`
+prints a leftmost derivation, not necessarily the shortest.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ EXIT_MODE = 3
 EXIT_FRAGMENT = 4
 EXIT_CLASS = 5
 EXIT_CAP = 6
+EXIT_PIPE = 141
 
 # the first entry that matches a raised error gives the exit code
 _EXIT_CODES = (
@@ -111,7 +113,7 @@ def _cmd_term(args) -> int:
             f"atoms={terms.atoms_count(t)} class={terms.classify_term(t).value}"
         )
     elif args.sub == "reverse":
-        print(terms.format_term(terms.canonicalize(terms.reverse_term(t), cfg.mode)))
+        print(terms.format_term(terms.reverse_term(t, cfg.mode)))
     else:  # canon
         print(terms.format_term(t))
     return EXIT_OK
@@ -163,7 +165,7 @@ def _cmd_regex(args) -> int:
         print("true" if hit else "false")
         return EXIT_OK if hit else EXIT_FALSE
     if args.sub == "enum":
-        alphabet = tuple(args.alphabet) if args.alphabet else regexes.regex_alphabet(r)
+        alphabet = tuple(args.alphabet) if args.alphabet is not None else regexes.regex_alphabet(r)
         lang = regexes.regex_enumerate(r, alphabet, cfg.max_atoms, cfg.mode)
         sys.stdout.write(langs.dump_lang(lang))
         return EXIT_OK
@@ -212,7 +214,7 @@ def _cmd_automaton(args) -> int:
         print("true" if hit else "false")
         return EXIT_OK if hit else EXIT_FALSE
     # enum
-    alphabet = tuple(args.alphabet) if args.alphabet else automata.automaton_alphabet(aut)
+    alphabet = tuple(args.alphabet) if args.alphabet is not None else automata.automaton_alphabet(aut)
     lang = automata.enumerate_accepted(aut, alphabet, cfg.max_atoms)
     sys.stdout.write(langs.dump_lang(lang))
     return EXIT_OK
@@ -337,6 +339,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: the exit-time flush of stdout must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (SplangError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

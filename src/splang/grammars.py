@@ -9,7 +9,7 @@ parallel) and the fully linear classes.
 
 Generation and membership are exact, with no derivation-step budget: the words
 of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
-A's productions", L(rhs) composing its leaves' words and canonicalizing. The
+A's productions", L(rhs) composing its leaves' words with `seq` and `par`. The
 regex layer compiles every regex into a grammar and decides and enumerates it
 here, so this is the one membership engine of the package.
 
@@ -132,7 +132,7 @@ def parse_grammar(text: str) -> Grammar:
             raise TermSyntaxError(f"line {lineno}: expected 'A -> ...'")
         try:
             for rhs in _parse_alternatives(body):
-                productions.append(Production(head.strip(), canonicalize(rhs)))
+                productions.append(Production(head.strip(), rhs))
         except (TermSyntaxError, ValueError) as exc:
             raise TermSyntaxError(f"line {lineno}: {exc}") from exc
     if not productions:
@@ -302,7 +302,7 @@ def generate(
         last, count = count, sum(map(len, words.values()))
         if count > cap:
             raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
-    return FiniteLang.of((w for w, n in words[g.start].items() if n <= max_atoms), mode)
+    return FiniteLang(mode, tuple(words[g.start]))
 
 
 def _form_words(form: SPTerm, words, max_atoms: int, mode: SemanticsMode) -> dict[SPTerm, int]:
@@ -312,7 +312,7 @@ def _form_words(form: SPTerm, words, max_atoms: int, mode: SemanticsMode) -> dic
         if form.symbol.isupper():
             return words[form.symbol]
         return {form: 1} if max_atoms > 0 else {}
-    combine = seq if isinstance(form, Seq) else lambda x, y: canonicalize(par(x, y), mode)
+    combine = seq if isinstance(form, Seq) else lambda x, y: par(x, y, mode=mode)
     acc = {EPS: 0}
     for child in form.children:
         child_words = _form_words(child, words, max_atoms, mode).items()
@@ -476,5 +476,5 @@ def random_parallel_linear_grammar(
                 else:
                     cont = Leaf(rng.choice(names))
                     rhs = par(word, cont) if rng.random() < 0.5 else par(cont, word)
-            productions.append(Production(name, canonicalize(rhs)))
+            productions.append(Production(name, rhs))
     return Grammar.of(productions, start="S" if "S" in names else names[0])

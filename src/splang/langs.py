@@ -1,7 +1,8 @@
 """Finite languages of series-parallel terms.
 
 A FiniteLang is a deterministic, duplicate-free, sorted set of canonical
-terms together with the semantics mode its members are canonical for. All
+terms together with the semantics mode its members are canonical for; the
+constructor sorts and deduplicates, and ``FiniteLang.of`` canonicalizes. All
 operations here are total on finite languages; the three Kleene closures are
 truncated at an explicit repetition bound and never claim anything about the
 infinite closure.
@@ -41,12 +42,12 @@ class FiniteLang:
 
     def __post_init__(self):
         object.__setattr__(self, "_members", frozenset(self.terms))
+        object.__setattr__(self, "terms", tuple(sorted(self._members, key=format_term)))
 
     @staticmethod
     def of(terms: Iterable[SPTerm], mode: SemanticsMode = ORDERED) -> "FiniteLang":
-        """Canonicalize, deduplicate, and sort `terms` into a language."""
-        canon = {canonicalize(t, mode) for t in terms}
-        return FiniteLang(mode, tuple(sorted(canon, key=format_term)))
+        """Canonicalize `terms` for `mode` into a language."""
+        return FiniteLang(mode, tuple(canonicalize(t, mode) for t in terms))
 
     @staticmethod
     def parse(texts: Iterable[str], mode: SemanticsMode = ORDERED) -> "FiniteLang":
@@ -75,18 +76,18 @@ def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
 def concat_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise sequential products x.y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang.of((seq(x, y) for x in l1 for y in l2), mode)
+    return FiniteLang(mode, tuple(seq(x, y) for x in l1 for y in l2))
 
 
 def par_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise parallel products x||y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang.of((par(x, y) for x in l1 for y in l2), mode)
+    return FiniteLang(mode, tuple(par(x, y, mode=mode) for x in l1 for y in l2))
 
 
 def union_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     mode = _require_same_mode(l1, l2)
-    return FiniteLang.of(l1.terms + l2.terms, mode)
+    return FiniteLang(mode, l1.terms + l2.terms)
 
 
 class PowerKind(Enum):
@@ -139,7 +140,7 @@ def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLan
 
 def reverse_lang(lang: FiniteLang) -> FiniteLang:
     """Element-wise reversal, re-sorted. An involution."""
-    return FiniteLang.of((reverse_term(t) for t in lang), lang.mode)
+    return FiniteLang(lang.mode, tuple(reverse_term(t, lang.mode) for t in lang))
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,9 @@ class LangDiff:
 def lang_equal(l1: FiniteLang, l2: FiniteLang) -> LangDiff:
     """Set equality with a symmetric-difference report on failure."""
     _require_same_mode(l1, l2)
-    left = set(l1.terms)
-    right = set(l2.terms)
-    if left == right:
-        return LangDiff(True, (), ())
-    only_left = tuple(sorted(left - right, key=format_term))
-    only_right = tuple(sorted(right - left, key=format_term))
-    return LangDiff(False, only_left, only_right)
+    only_left = tuple(t for t in l1.terms if t not in l2._members)
+    only_right = tuple(t for t in l2.terms if t not in l1._members)
+    return LangDiff(not (only_left or only_right), only_left, only_right)
 
 
 def universe(

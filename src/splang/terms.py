@@ -8,7 +8,9 @@ kept in a canonical form:
 * ``Seq``/``Par`` nodes are flattened (no same-kind direct child), have at
   least two children, and never contain ``eps``;
 * in COMMUTATIVE mode the children of every ``Par`` node are additionally
-  sorted, so parallel composition is order-blind.
+  sorted, so parallel composition is order-blind. ``par(..., mode=mode)``
+  sorts them, so ``seq`` and ``par`` build canonical terms from canonical
+  parts; ``canonicalize`` is for terms built elsewhere.
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
@@ -108,11 +110,9 @@ def seq(*parts: SPTerm) -> SPTerm:
     return Seq(tuple(flat))
 
 
-def par(*parts: SPTerm) -> SPTerm:
-    """Parallel composition with flattening, eps removal, and collapsing.
-
-    Does not sort; use canonicalize(..., COMMUTATIVE) for the multiset form.
-    """
+def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
+    """Parallel composition with flattening, eps removal, collapsing, and in
+    COMMUTATIVE mode sorting: parts canonical for `mode` give a canonical result."""
     flat: list[SPTerm] = []
     for p in parts:
         if isinstance(p, Eps):
@@ -125,6 +125,8 @@ def par(*parts: SPTerm) -> SPTerm:
         return EPS
     if len(flat) == 1:
         return flat[0]
+    if mode is COMMUTATIVE:
+        flat.sort(key=format_term)
     return Par(tuple(flat))
 
 
@@ -150,10 +152,7 @@ def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
         return t
     if isinstance(t, Seq):
         return seq(*(canonicalize(c, mode) for c in t.children))
-    result = par(*(canonicalize(c, mode) for c in t.children))
-    if mode is COMMUTATIVE and isinstance(result, Par):
-        return Par(tuple(sorted(result.children, key=format_term)))
-    return result
+    return par(*(canonicalize(c, mode) for c in t.children), mode=mode)
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,15 +258,15 @@ def atoms_multiset(t: SPTerm) -> Counter[str]:
     return acc
 
 
-def reverse_term(t: SPTerm) -> SPTerm:
+def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """Mirror the sequential structure: Seq children are reversed (and each
-    reversed recursively); Par children keep their order. An involution that
-    preserves both length and depth."""
+    reversed recursively), Par children re-sorted in COMMUTATIVE mode. An
+    involution on terms canonical for `mode` that keeps length and depth."""
     if isinstance(t, (Eps, Leaf)):
         return t
     if isinstance(t, Seq):
-        return Seq(tuple(reverse_term(c) for c in reversed(t.children)))
-    return Par(tuple(reverse_term(c) for c in t.children))
+        return Seq(tuple(reverse_term(c, mode) for c in reversed(t.children)))
+    return par(*(reverse_term(c, mode) for c in t.children), mode=mode)
 
 
 class TermClass(Enum):

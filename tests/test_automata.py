@@ -24,6 +24,7 @@ from splang.langs import lang_equal
 from splang.grammars import generate
 from splang.terms import (
     COMMUTATIVE,
+    ORDERED,
     atoms_count,
     canonicalize,
     enumerate_terms,
@@ -395,3 +396,35 @@ def test_constructed_guards_fire_only_on_flat_words(fanout_automaton):
     )
     assert not nonflat
     assert flat  # both par transitions fire somewhere
+
+
+# ---------------------------------------------------------------------------
+# canonical by construction
+
+def test_library_operations_build_canonical_words_without_canonicalize(
+    monkeypatch, pairs_grammar, branches_grammar, fanout_grammar, fan_tail_grammar
+):
+    from splang import automata, grammars, langs
+
+    fixtures = (pairs_grammar, branches_grammar, fanout_grammar, fan_tail_grammar)
+    auts = [from_linear_grammar(g) for g in (pairs_grammar, fanout_grammar)]
+    operands = [
+        (langs.FiniteLang.parse(["a", "b||a", "(b||a).a", "eps"], mode),
+         langs.FiniteLang.parse(["b", "b.a||a"], mode))
+        for mode in (ORDERED, COMMUTATIVE)
+    ]
+    calls = []  # the terms canonicalized while the operations run
+    for module in (langs, grammars, automata):
+        original = module.canonicalize
+        monkeypatch.setattr(module, "canonicalize", lambda t, mode=ORDERED, f=original: calls.append(t) or f(t, mode))
+    results = [generate(g, 5, mode=mode) for g in fixtures for mode in (ORDERED, COMMUTATIVE)]
+    results += [enumerate_accepted(aut, automaton_alphabet(aut), 5) for aut in auts]
+    for l1, l2 in operands:
+        results += [langs.concat_lang(l1, l2), langs.par_lang(l1, l2), langs.union_lang(l1, l2)]
+        results += [langs.power(l1, 2, kind) for kind in langs.PowerKind]
+        results += [langs.kleene_bounded(l2, kind, 2) for kind in langs.ClosureKind]
+        results.append(langs.reverse_lang(l1))
+    assert calls == []
+    monkeypatch.undo()
+    for lang in results:
+        assert langs.FiniteLang.of(lang, lang.mode) == lang

@@ -140,6 +140,18 @@ def test_regex_enum_defaults_to_regex_alphabet(capsys):
     assert (code, out) == (0, "mode: ordered\na\na.a\na||a\neps\n")
 
 
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["regex", "enum", "a|b.b", "--alphabet", "", "--max-atoms", "2"], "mode: ordered\n"),
+        (["regex", "enum", "a*", "--alphabet", ""], "mode: ordered\neps\n"),
+    ],
+    ids=["no-words", "eps-only"],
+)
+def test_regex_enum_honours_an_empty_alphabet(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_regex_to_grammar(capsys):
     code, out, _ = run(capsys, "regex", "to-grammar", "(a||b)^")
     assert code == 0
@@ -280,6 +292,13 @@ def test_automaton_enum(capsys, tmp_path):
     assert out2 == "mode: commutative\na||b\na||b||b\na||b||b||b\n"
 
 
+def test_automaton_enum_honours_an_empty_alphabet(capsys, tmp_path):
+    code, out, _ = run(capsys, "automaton", "from-grammar", DATA / "a_fanout.g")
+    aut_path = tmp_path / "a_fanout.aut"
+    aut_path.write_text(out, encoding="utf-8")
+    assert run(capsys, "automaton", "enum", aut_path, "--alphabet", "", "--max-atoms", "3") == (0, "mode: commutative\n", "")
+
+
 def test_automaton_enum_follows_the_answer_not_the_universe(capsys, tmp_path):
     # the commutative universe of 8 atoms over ab is past the cap
     code, out, _ = run(capsys, "automaton", "from-grammar", DATA / "a_fanout.g")
@@ -408,6 +427,21 @@ def test_nesting_at_the_limit_succeeds(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "grammar", "classify", "no_such_file.g")
     assert code == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 100 KB of output: past the 64 KiB pipe buffer, under the 128 KiB limit on one argument
+    term = "||".join(["a.b"] * 20000)
+    src = str(Path(splang.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splang.cli", "term", "canon", term],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.read(5) == b"a.b||"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from splang.langs import (
     union_lang,
     universe,
 )
-from splang.terms import COMMUTATIVE, EPS, ORDERED, format_term, parse_term
+from splang.terms import COMMUTATIVE, EPS, ORDERED, canonicalize, format_term, parse_term
 
 
 def lang(*texts, mode=ORDERED):
@@ -139,6 +139,14 @@ def test_mode_mismatch_raises():
         concat_lang(lang("a"), lang("a", mode=COMMUTATIVE))
     with pytest.raises(ModeMismatchError):
         lang_equal(lang("a"), lang("a", mode=COMMUTATIVE))
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_constructor_sorts_and_deduplicates(mode):
+    raw = [parse_term(s) for s in ("b||a", "a.b", "eps", "(b||a).a", "a||b.a", "a", "b.a||a")]
+    canon = [canonicalize(t, mode) for t in raw] * 2
+    random.Random(3).shuffle(canon)
+    assert FiniteLang(mode, tuple(canon)) == FiniteLang.of(raw, mode)
 
 
 # ---------------------------------------------------------------------------

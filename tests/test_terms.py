@@ -255,7 +255,16 @@ def test_parse_format_round_trip(t):
     assert parse_term(format_term(canon)) == canon
 
 
-@given(terms_st)
-def test_reverse_involution_random(t):
-    canon = canonicalize(t)
-    assert reverse_term(reverse_term(canon)) == canon
+@given(terms_st, terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_constructors_build_canonical_terms_from_canonical_parts(x, y, mode):
+    x, y = canonicalize(x, mode), canonicalize(y, mode)
+    assert par(x, y, mode=mode) == canonicalize(par(x, y), mode)
+    assert seq(x, y) == canonicalize(seq(x, y), mode)
+
+
+@given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_reverse_involution_random(t, mode):
+    canon = canonicalize(t, mode)
+    reversed_ = reverse_term(canon, mode)
+    assert reversed_ == canonicalize(reverse_term(canon), mode)
+    assert reverse_term(reversed_, mode) == canon

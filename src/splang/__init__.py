@@ -12,8 +12,10 @@ Submodules:
 * ``grammars`` — grammars over series-parallel right-hand sides:
   classification, exact generation up to an atom bound, exact membership
   with derivation traces (the package's one membership engine);
-* ``automata`` — fork/join branching automata: run semantics, acceptance,
-  bounded enumeration, and the construction from parallel-linear grammars;
+* ``automata`` — fork/join branching automata: runs, acceptance and bounded
+  enumeration through a compile to a commutative sp grammar (nonterminals
+  H and N per state pair joined by a path), and the construction from
+  parallel-linear grammars;
 * ``cli`` — the ``splang`` command-line front end.
 """
 
@@ -95,6 +97,7 @@ from .automata import (
     parse_automaton,
     runs_between,
     serialize_automaton,
+    to_grammar,
 )
 
 __version__ = "0.1.0"

@@ -8,19 +8,31 @@ into one. A parallel transition optionally carries a guard: either ANY or a
 set of atom multisets that the parallel word consumed between fork and join
 must equal (guards beyond ANY apply only to flat parallel words).
 
-Runs always use commutative semantics: a parallel node is split into as many
-nonempty blocks as the fork has targets, blocks are assigned to targets and
-block end-states to join sources as multiset bijections. Callers comparing
-against grammar output canonicalize that side commutatively as well.
+Runs always use commutative semantics: eps stays put, an atom follows a
+sequential transition, a Seq composes runs over its factors, and a parallel
+transition fires on a Par whose children split into as many nonempty blocks
+as the fork has targets, each block running from its own target to its own
+join source. Callers comparing against grammar output canonicalize that side
+commutatively as well.
 
-Bounded enumeration reads the same runs backwards (the branching-automaton
-runs of Lodaya & Weil, TCS 237, 2000). `enumerate_accepted` computes the least
-fixpoint of W(p, q), the words of at most n atoms with a run from p to q: eps
-is in W(p, p); a seq transition p a q puts a in W(p, q); a parallel transition
-from fork p -> {T1..Tm} to join {S1..Sm} -> d puts in W(p, d) every
-par(b1, ..., bm) its guard allows, each bi a nonempty word of W(Ti, S_s(i)) for
-a bijection s; and a non-Seq word of W(p, r) followed by a word of W(r, q) is
-in W(p, q). Its cost follows the answer, not the universe of terms.
+Acceptance, runs and bounded enumeration all read the commutative sp grammar
+`to_grammar` builds (the Kleene theorem for branching automata of Lodaya &
+Weil, TCS 237, 2000). For each state pair (p, q) joined by a path of
+transitions it has two nonterminals:
+
+* H_pq derives the nonempty non-Seq words of a run from p to q:
+  ``H_pq -> a`` for a seq transition p a q, and
+  ``H_pd -> N_{T1,Sσ1} || ... || N_{Tm,Sσm}`` for a parallel transition from
+  fork p -> {T1..Tm} to join {S1..Sm} -> d, one per distinct permutation σ of
+  the join sources;
+* N_pq derives the nonempty words: ``N_pq -> H_pq | H_pr.N_rq``.
+
+The start symbol derives N_if for each initial i and final f, and eps when
+some state is both. A guarded parallel transition instead gets one terminal
+production per flat word its guard allows and its ANY form derives, decided
+smallest first, so nested guarded transitions are settled before they are
+needed. `accepts` and `runs_between` are the commutative membership search of
+`grammars` on that grammar, and `enumerate_accepted` is its `generate`.
 
 Automaton file format (sections in this order, ``#`` comments)::
 
@@ -37,12 +49,13 @@ Automaton file format (sections in this order, ``#`` comments)::
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 
-from ._partitions import distinct_permutations, multiset_partitions
-from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
-from .grammars import Grammar, classify_grammar
+from ._partitions import distinct_permutations
+from .errors import NotParallelLinearError, TermSyntaxError
+from .grammars import Grammar, Production, _MemberSearch, classify_grammar, generate
 from .langs import FiniteLang
 from .terms import (
     COMMUTATIVE,
@@ -51,11 +64,9 @@ from .terms import (
     Eps,
     Leaf,
     Par,
-    Seq,
     SPTerm,
     _letters,
     canonicalize,
-    format_term,
     par,
     seq,
 )
@@ -161,127 +172,110 @@ class BranchingAutomaton:
                 raise ValueError(f"par transition references unknown fork {p.fork_id!r}")
             if p.join_id not in join_by_id:
                 raise ValueError(f"par transition references unknown join {p.join_id!r}")
-        seq_from: dict[str, list[tuple[str, str]]] = {}
-        for tr in self.seqs:
-            seq_from.setdefault(tr.src, []).append((tr.label, tr.dst))
-        pars_from: dict[str, list[tuple[int, ForkTransition, frozenset | None, JoinTransition]]] = {}
-        for idx, p in enumerate(self.pars):
-            fork = fork_by_id[p.fork_id]
-            pars_from.setdefault(fork.src, []).append((idx, fork, p.guard, join_by_id[p.join_id]))
-        object.__setattr__(self, "_seq_from", seq_from)
-        object.__setattr__(self, "_pars_from", pars_from)
         object.__setattr__(self, "_fork_by_id", fork_by_id)
         object.__setattr__(self, "_join_by_id", join_by_id)
+        object.__setattr__(self, "_state_index", {s: i for i, s in enumerate(sorted(self.states))})
+        object.__setattr__(self, "_labels", frozenset(tr.label for tr in self.seqs))
+        object.__setattr__(self, "_grammars", {})  # kept labels -> to_grammar, built on demand
 
 
 def automaton_alphabet(aut: BranchingAutomaton) -> tuple[str, ...]:
-    return tuple(sorted({tr.label for tr in aut.seqs}))
+    return tuple(sorted(aut._labels))
 
 
 # ---------------------------------------------------------------------------
-# Run semantics
+# The automaton's grammar
 
-def runs_between(aut: BranchingAutomaton, start: str, t: SPTerm, observer=None) -> frozenset:
-    """All states reachable from `start` by a run on `t` (commutative form).
+def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
+    """The commutative sp grammar of `aut` (see the module docstring), with
+    start S and the seq transitions kept to `labels` when given. The state
+    pair (p, q) has the nonterminals H_k and N_k, k = i * len(states) + j for
+    p and q the i-th and j-th states in sorted order."""
+    seqs = [tr for tr in aut.seqs if labels is None or tr.label in labels]
+    pars = [(aut._fork_by_id[p.fork_id], p.guard, aut._join_by_id[p.join_id]) for p in aut.pars]
+    pars = [(fork, guard, join) for fork, guard, join in pars if len(fork.targets) == len(join.sources)]
+    steps = sorted({(tr.src, tr.dst) for tr in seqs} | {(fork.src, join.dst) for fork, _, join in pars})
+    after: dict[str, list[str]] = {}
+    for p, q in steps:
+        after.setdefault(p, []).append(q)
+    reach: dict[str, list[str]] = {}  # p -> the states a path of transitions leads to
+    for p in after:
+        todo, seen = list(after[p]), set()
+        while todo:
+            q = todo.pop()
+            if q not in seen:
+                seen.add(q)
+                todo.extend(after.get(q, ()))
+        reach[p] = sorted(seen)
+    H, N = partial(_pair, aut, "H"), partial(_pair, aut, "N")
+    prods = [Production(H(tr.src, tr.dst), Leaf(tr.label)) for tr in seqs]
+    guarded = []  # (head, ANY forms, guard) of each guarded parallel transition
+    for fork, guard, join in pars:
+        forms = dict.fromkeys(
+            par(*(Leaf(N(t, s)) for t, s in zip(fork.targets, sources)), mode=COMMUTATIVE)
+            for sources in distinct_permutations(join.sources)
+            if all(s in reach.get(t, ()) for t, s in zip(fork.targets, sources))
+        )
+        if guard is None:
+            prods += [Production(H(fork.src, join.dst), form) for form in forms]
+        else:
+            guarded.append((H(fork.src, join.dst), forms, guard))
+    prods += [Production(N(p, q), Leaf(H(p, q))) for p, q in steps]
+    prods += [Production(N(p, q), seq(Leaf(H(p, r)), Leaf(N(r, q)))) for p, r in steps for q in reach.get(r, ())]
+    starts = [Leaf(N(i, f)) for i in sorted(aut.initial) for f in sorted(aut.final) if f in reach.get(i, ())]
+    starts += [EPS] if aut.initial & aut.final else []
+    prods += [Production("S", rhs) for rhs in starts or [Leaf("S")]]  # S -> S alone derives nothing
+    names = frozenset({"S"} | {H(p, q) for p, q in steps} | {N(p, q) for p in reach for q in reach[p]})
+    terminals = frozenset(tr.label for tr in seqs)
+    tests = [Production(f"G_{k}", form) for k, (_, forms, _) in enumerate(guarded) for form in forms]
+    test_names = frozenset(f"G_{k}" for k in range(len(guarded)))
+    words = sorted((len(ms), ms, k) for k, (_, _, guard) in enumerate(guarded) for ms in guard)
+    for _, level in groupby(words, key=lambda w: w[0]):  # smallest first
+        g = Grammar(names | test_names, terminals, tuple(prods + tests), "S")
+        search = _MemberSearch(g, COMMUTATIVE, DEFAULT_CAP)
+        for _, ms, k in level:
+            word = par(*map(Leaf, ms), mode=COMMUTATIVE)
+            if search.proves(word, f"G_{k}"):
+                prods.append(Production(guarded[k][0], word))
+    return Grammar(names, terminals, tuple(prods), "S")
 
-    eps stays put; an atom follows a sequential transition; a Seq composes
-    the relation over its factors; a Par needs one parallel transition whose
-    fork/join bracket a blockwise run (see module docstring). `observer`,
-    when given, is called with (par_index, subterm) for every parallel
-    transition that fires successfully.
-    """
+
+def _pair(aut: BranchingAutomaton, kind: str, p: str, q: str) -> str:
+    """The nonterminal `kind` (H or N) of the state pair (p, q)."""
+    return f"{kind}_{aut._state_index[p] * len(aut.states) + aut._state_index[q]}"
+
+
+def _grammar(aut: BranchingAutomaton, letters=None) -> Grammar:
+    """`to_grammar` of `aut` with its seq transitions kept to `letters`, built
+    once per automaton and kept label set."""
+    kept = aut._labels if letters is None else aut._labels.intersection(letters)
+    g = aut._grammars.get(kept)
+    if g is None:
+        g = aut._grammars[kept] = to_grammar(aut, kept)
+    return g
+
+
+def runs_between(aut: BranchingAutomaton, start: str, t: SPTerm) -> frozenset:
+    """All states reachable from `start` by a run on the commutative form of
+    `t`: the states q whose N_{start,q} derives it, and `start` itself on eps."""
     if start not in aut.states:
         raise ValueError(f"unknown state {start!r}")
-    term = canonicalize(t, COMMUTATIVE)
-    memo: dict[tuple[str, SPTerm], frozenset] = {}
-
-    def go(state: str, sub: SPTerm) -> frozenset:
-        key = (state, sub)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(sub, Eps):
-            result = frozenset((state,))
-        elif isinstance(sub, Leaf):
-            result = frozenset(
-                dst for label, dst in aut._seq_from.get(state, ()) if label == sub.symbol
-            )
-        elif isinstance(sub, Seq):
-            reached = {state}
-            for factor in sub.children:
-                step: set[str] = set()
-                for r in reached:
-                    step |= go(r, factor)
-                reached = step
-                if not reached:
-                    break
-            result = frozenset(reached)
-        else:  # Par
-            hits: set[str] = set()
-            for par_idx, fork, guard, join in aut._pars_from.get(state, ()):
-                if guard is not None and not _guard_allows(guard, sub):
-                    continue
-                if len(fork.targets) > len(sub.children):
-                    continue  # blocks are nonempty
-                if _par_fires(fork, join, sub.children, go):
-                    hits.add(join.dst)
-                    if observer is not None:
-                        observer(par_idx, sub)
-            result = frozenset(hits)
-        memo[key] = result
-        return result
-
-    return go(start, term)
+    if isinstance(t, Eps):  # the only term without atoms
+        return frozenset((start,))
+    g = _grammar(aut)
+    row = len(aut.states) * aut._state_index[start]  # see `to_grammar`
+    ends = [(q, nt) for j, q in enumerate(aut._state_index) if (nt := f"N_{row + j}") in g.nonterminals]
+    if not ends:
+        return frozenset()
+    search, term = _MemberSearch(g, COMMUTATIVE, DEFAULT_CAP), canonicalize(t, COMMUTATIVE)
+    return frozenset(q for q, nt in ends if search.proves(term, nt))
 
 
-def _guard_allows(guard: frozenset, sub: Par) -> bool:
-    if not all(isinstance(c, Leaf) for c in sub.children):
-        return False  # only ANY admits non-flat parallel subterms
-    return tuple(sorted(c.symbol for c in sub.children)) in guard
-
-
-def _par_fires(fork: ForkTransition, join: JoinTransition, children, go) -> bool:
-    arity = len(fork.targets)
-    if len(join.sources) != arity:
-        return False
-    for blocks in multiset_partitions(children, arity, key=format_term):
-        block_terms = [b[0] if len(b) == 1 else Par(b) for b in blocks]
-        for assignment in distinct_permutations(fork.targets):
-            end_sets = []
-            feasible = True
-            for target, block in zip(assignment, block_terms):
-                ends = go(target, block)
-                if not ends:
-                    feasible = False
-                    break
-                end_sets.append(ends)
-            if feasible and _covers(end_sets, join.sources):
-                return True
-    return False
-
-
-def _covers(end_sets, sources: tuple[str, ...]) -> bool:
-    """Can one end state be picked from each set to equal `sources` exactly?"""
-    need = Counter(sources)
-
-    def assign(i: int) -> bool:
-        if i == len(end_sets):
-            return True
-        for s in end_sets[i]:
-            if need[s] > 0:
-                need[s] -= 1
-                if assign(i + 1):
-                    need[s] += 1
-                    return True
-                need[s] += 1
-        return False
-
-    return assign(0)
-
-
-def accepts(aut: BranchingAutomaton, t: SPTerm, observer=None) -> bool:
-    """True iff some initial-to-final run on the commutative form of `t` exists."""
-    return any(runs_between(aut, s, t, observer) & aut.final for s in sorted(aut.initial))
+def accepts(aut: BranchingAutomaton, t: SPTerm) -> bool:
+    """True iff some initial-to-final run on the commutative form of `t`
+    exists: the membership search of `to_grammar(aut)`. `DEFAULT_CAP` bounds
+    the (nonterminal, sub-term) goals of one search pass."""
+    return _MemberSearch(_grammar(aut), COMMUTATIVE, DEFAULT_CAP).proves(canonicalize(t, COMMUTATIVE))
 
 
 def enumerate_accepted(
@@ -291,64 +285,12 @@ def enumerate_accepted(
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
     """Every accepted word over `alphabet` with at most max_atoms atoms, in
-    commutative form and canonical order: the union of W(i, f) over initial i
-    and final f, seq transitions kept to `alphabet` (see the module
-    docstring). `cap` bounds the (state pair, word) pairs held."""
+    commutative form and canonical order: `generate` on `to_grammar(aut)`
+    with the seq transitions kept to `alphabet`. `cap` bounds the
+    (nonterminal, word) pairs held, and that grammar holds every nonempty
+    word between two states under both their H and N nonterminals."""
     letters = _letters(alphabet, max_atoms)
-    words: dict[tuple[str, str], dict[SPTerm, int]] = {(p, p): {EPS: 0} for p in aut.states}  # word -> its atoms
-    for tr in aut.seqs:
-        if tr.label in letters and max_atoms > 0:
-            words.setdefault((tr.src, tr.dst), {})[Leaf(tr.label)] = 1
-    count, last = 0, -1
-    while count > last:
-        found = [((fork.src, join.dst), _par_words(fork, guard, join, words, max_atoms))
-                 for pars in aut._pars_from.values() for _, fork, guard, join in pars]
-        found += _seq_words(words, max_atoms).items()
-        for pair, new in found:
-            words.setdefault(pair, {}).update(new)
-        last, count = count, sum(map(len, words.values()))
-        if count > cap:
-            raise EnumerationCapError(f"automaton words exceed the cardinality cap ({cap})")
-    accepted = (w for (p, q), ws in words.items() if p in aut.initial and q in aut.final for w in ws)
-    return FiniteLang(COMMUTATIVE, tuple(accepted))
-
-
-def _par_words(fork, guard, join, words, max_atoms: int) -> dict[SPTerm, int]:
-    """The words a parallel transition puts in W(fork.src, join.dst)."""
-    out: dict[SPTerm, int] = {}
-    if len(fork.targets) != len(join.sources):
-        return out
-    for sources in distinct_permutations(join.sources):
-        acc = {EPS: 0}
-        for target, source in zip(fork.targets, sources):
-            block = words.get((target, source), {}).items()
-            acc = {
-                par(x, b, mode=COMMUTATIVE): m + n
-                for x, m in acc.items() for b, n in block if n and m + n <= max_atoms
-            }
-            if not acc:
-                break
-        for w, n in acc.items():
-            if guard is None or _guard_allows(guard, w):
-                out[w] = n
-    return out
-
-
-def _seq_words(words, max_atoms: int) -> dict[tuple[str, str], dict[SPTerm, int]]:
-    """The Seq words: a non-Seq word of W(p, r), then a word of W(r, q)."""
-    after: dict[str, list] = {}
-    for (r, q), ws in words.items():
-        after.setdefault(r, []).append((q, ws.items()))
-    out: dict[tuple[str, str], dict[SPTerm, int]] = {}
-    for (p, r), heads in words.items():
-        for x, m in heads.items():
-            if isinstance(x, (Eps, Seq)):
-                continue
-            for q, tails in after[r]:
-                new = {seq(x, w): m + n for w, n in tails if m + n <= max_atoms}
-                if new:
-                    out.setdefault((p, q), {}).update(new)
-    return out
+    return generate(_grammar(aut, letters), max_atoms, mode=COMMUTATIVE, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -434,43 +376,6 @@ def _linear_parts(rhs: SPTerm) -> tuple[tuple[str, ...], str | None]:
     if children[0].symbol.isupper():  # type: ignore[union-attr]
         return tuple(c.symbol for c in children[1:]), children[0].symbol
     return tuple(c.symbol for c in children), None
-
-
-# ---------------------------------------------------------------------------
-# Guard observation
-
-def observe_par_guards(aut: BranchingAutomaton, terms) -> tuple[dict, set]:
-    """Run acceptance over `terms`, recording which parallel transitions fire.
-
-    Returns (flat, nonflat): flat maps par index -> set of atom multisets of
-    the flat parallel words it fired on; nonflat is the set of par indexes
-    that fired on some non-flat parallel subterm.
-    """
-    flat: dict[int, set] = {}
-    nonflat: set[int] = set()
-
-    def obs(par_idx: int, sub: Par):
-        if all(isinstance(c, Leaf) for c in sub.children):
-            flat.setdefault(par_idx, set()).add(tuple(sorted(c.symbol for c in sub.children)))
-        else:
-            nonflat.add(par_idx)
-
-    for t in terms:
-        accepts(aut, t, observer=obs)
-    return flat, nonflat
-
-
-def with_observed_guards(aut: BranchingAutomaton, flat: dict, nonflat: set) -> BranchingAutomaton:
-    """Pin every ANY guard to its observed flat multisets. Guards that fired
-    on non-flat subterms (or never fired) stay ANY, since a non-ANY guard
-    would reject those runs."""
-    new_pars = []
-    for idx, p in enumerate(aut.pars):
-        if p.guard is None and idx in flat and idx not in nonflat:
-            new_pars.append(ParTransition(p.fork_id, frozenset(flat[idx]), p.join_id))
-        else:
-            new_pars.append(p)
-    return replace(aut, pars=tuple(new_pars))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ Exit codes: 0 success/true, 1 false/inequality, 2 parse or usage error
 lowercase letters, and a term, regex, grammar or language text nesting more
 than 100 parentheses and postfix closures around an atom), 3 mode mismatch,
 4 outside the regex fragment, 5 grammar classification, 6 cardinality cap
-(200,000) exceeded: universe terms of `term enum`; (state pair, word) pairs of
-`automaton enum` and of the automaton side of `equiv` (the fixpoint of the
-words between two states); (nonterminal, word) pairs of `grammar generate`, the
-grammar side of `equiv` and `regex enum` (the fixpoint of the regex's compiled
-grammar); (nonterminal, sub-term) goals per search pass of `grammar member` and
-`regex match`; 141 (128 + SIGPIPE) when the reader closes stdout, with nothing
-on stderr. Regexes are decided and enumerated through their compiled grammars.
-Grammar membership and generation are exact (no step budget); `member --trace`
-prints a leftmost derivation, not necessarily the shortest.
+(200,000) exceeded: universe terms of `term enum`; (nonterminal, word) pairs
+of `grammar generate`, `regex enum` (the regex's compiled grammar), `automaton
+enum` and both sides of `equiv` (the automaton's compiled grammar, which holds
+every nonempty word between two states twice, under an H and an N
+nonterminal); (nonterminal, sub-term) goals per search pass of `grammar
+member`, `regex match` and `automaton accepts`; 70 internal error (a bug: one
+``error: internal error:`` line on stderr, no traceback); 141 (128 + SIGPIPE)
+when the reader closes stdout, with nothing on stderr. Regexes and automata
+are decided and enumerated through their compiled grammars. Grammar membership
+and generation are exact (no step budget); `member --trace` prints a leftmost
+derivation, not necessarily the shortest.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_MODE = 3
 EXIT_FRAGMENT = 4
 EXIT_CLASS = 5
 EXIT_CAP = 6
+EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 # the first entry that matches a raised error gives the exit code
@@ -90,6 +93,17 @@ def _alphabet(text: str) -> str:
     return text
 
 
+def _write(text: str) -> None:
+    """Write `text` to stdout whole. An unbuffered stdout (PYTHONUNBUFFERED)
+    hands a large write straight to the pipe, which takes what fits and
+    returns a short count when its reader has gone; writing the rest raises
+    BrokenPipeError. (`print` always writes its line end separately.)"""
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -104,7 +118,7 @@ def _cmd_term(args) -> int:
     cfg = _config(args)
     if args.sub == "enum":
         lang = langs.universe(args.alphabet, cfg.max_atoms, cfg.mode)
-        sys.stdout.write(langs.dump_lang(lang))
+        _write(langs.dump_lang(lang))
         return EXIT_OK
     t = terms.canonicalize(terms.parse_term(args.term), cfg.mode)
     if args.sub == "metrics":
@@ -138,7 +152,7 @@ def _cmd_lang(args) -> int:
             "par": langs.par_lang,
             "union": langs.union_lang,
         }[args.sub]
-        sys.stdout.write(langs.dump_lang(op(left, right)))
+        _write(langs.dump_lang(op(left, right)))
         return EXIT_OK
     lang = langs.load_lang(_read(args.file))
     if args.sub == "power":
@@ -149,7 +163,7 @@ def _cmd_lang(args) -> int:
         result = langs.kleene_bounded(lang, langs.ClosureKind(args.kind), cfg.n_max)
     else:  # reverse
         result = langs.reverse_lang(lang)
-    sys.stdout.write(langs.dump_lang(result))
+    _write(langs.dump_lang(result))
     return EXIT_OK
 
 
@@ -167,11 +181,11 @@ def _cmd_regex(args) -> int:
     if args.sub == "enum":
         alphabet = tuple(args.alphabet) if args.alphabet is not None else regexes.regex_alphabet(r)
         lang = regexes.regex_enumerate(r, alphabet, cfg.max_atoms, cfg.mode)
-        sys.stdout.write(langs.dump_lang(lang))
+        _write(langs.dump_lang(lang))
         return EXIT_OK
     # to-grammar
     g = regexes.to_parallel_linear_grammar(r)
-    sys.stdout.write(grammars.format_grammar(g))
+    _write(grammars.format_grammar(g))
     return EXIT_OK
 
 
@@ -186,7 +200,7 @@ def _cmd_grammar(args) -> int:
         return EXIT_OK
     if args.sub == "generate":
         lang = grammars.generate(g, cfg.max_atoms, mode=cfg.mode)
-        sys.stdout.write(langs.dump_lang(lang))
+        _write(langs.dump_lang(lang))
         return EXIT_OK
     # member
     t = terms.parse_term(args.term)
@@ -205,7 +219,7 @@ def _cmd_automaton(args) -> int:
     cfg = _config(args)
     if args.sub == "from-grammar":
         g = grammars.parse_grammar(_read(args.file))
-        sys.stdout.write(automata.serialize_automaton(automata.from_linear_grammar(g)))
+        _write(automata.serialize_automaton(automata.from_linear_grammar(g)))
         return EXIT_OK
     aut = automata.parse_automaton(_read(args.file))
     if args.sub == "accepts":
@@ -216,7 +230,7 @@ def _cmd_automaton(args) -> int:
     # enum
     alphabet = tuple(args.alphabet) if args.alphabet is not None else automata.automaton_alphabet(aut)
     lang = automata.enumerate_accepted(aut, alphabet, cfg.max_atoms)
-    sys.stdout.write(langs.dump_lang(lang))
+    _write(langs.dump_lang(lang))
     return EXIT_OK
 
 
@@ -346,6 +360,9 @@ def main(argv=None) -> int:
     except (SplangError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    except Exception as exc:  # a bug: never a traceback, never exit 1 ("false")
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

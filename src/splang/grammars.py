@@ -91,7 +91,13 @@ class Grammar:
         by_lhs: dict[str, list[SPTerm]] = {}
         for p in self.productions:
             by_lhs.setdefault(p.lhs, []).append(p.rhs)
+        nullable: frozenset[str] = frozenset()  # the nonterminals that derive eps
+        while (grown := frozenset(p.lhs for p in self.productions if _derives_eps(p.rhs, nullable))) != nullable:
+            nullable = grown
         object.__setattr__(self, "_by_lhs", by_lhs)
+        object.__setattr__(self, "_nullable", nullable)
+        # membership recursion: two frames per node of a production (at most its text length)
+        object.__setattr__(self, "_frames_per_goal", 2 * max(len(format_term(p.rhs)) for p in self.productions) + 2)
 
     @staticmethod
     def of(productions, start: str | None = None) -> "Grammar":
@@ -107,6 +113,13 @@ class Grammar:
 
     def alternatives(self, nonterminal: str) -> list[SPTerm]:
         return self._by_lhs.get(nonterminal, [])
+
+
+def _derives_eps(form: SPTerm, nullable) -> bool:
+    """Whether `form` derives eps, given the nonterminals that do."""
+    if isinstance(form, Leaf):
+        return form.symbol in nullable
+    return isinstance(form, Eps) or all(_derives_eps(c, nullable) for c in form.children)
 
 
 def symbols_of(form: SPTerm):
@@ -351,23 +364,24 @@ class _MemberSearch:
     A production proves (A, u) when its parts, matched left to right over
     two-way splits, derive ranges of u's Seq factors, or ranges (ORDERED) or
     sub-multisets (COMMUTATIVE) of its Par children; a terminal part takes
-    exactly one factor. A goal met again while being tried lies on a unit or
-    eps cycle and counts as False for now; the search reruns, keeping what
-    it proved, while a cycle was cut and new facts still appear."""
+    exactly one factor, and a part that cannot derive eps at least one. A
+    goal met again while being tried lies on a unit or eps cycle and counts
+    as False for now; the search reruns, keeping what it proved, while a
+    cycle was cut and new facts still appear."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
         self.g, self.mode, self.cap = g, mode, cap
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> still being tried, in this pass
 
-    def proves(self, t: SPTerm) -> bool:
-        """Whether the start symbol derives `t`, a term canonical for the mode."""
-        self.goal = goal = (self.g.start, t)
-        # A call path holds at most one goal per (nonterminal, atom count), and
-        # two frames per node of a production (at most its text length) between.
-        per_goal = 2 * max(len(format_term(p.rhs)) for p in self.g.productions) + 2
+    def proves(self, t: SPTerm, start: str | None = None) -> bool:
+        """Whether `start` (by default the grammar's) derives `t`, a term
+        canonical for the mode."""
+        self.goal = goal = (start or self.g.start, t)
+        # A call path holds at most one goal per (nonterminal, atom count).
+        per_path = self.g._frames_per_goal * len(self.g.nonterminals) * (atoms_count(t) + 1)
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + per_goal * len(self.g.nonterminals) * (atoms_count(goal[1]) + 1))
+        sys.setrecursionlimit(limit + per_path)
         try:
             while True:
                 known, self.cut, self.tried = len(self.proofs), False, {}
@@ -408,19 +422,22 @@ class _MemberSearch:
     def match_parts(self, forms, factors, build, ordered: bool) -> tuple | None:
         if len(forms) == 1:
             return self.match(forms[0], build(*factors))
-        later = [_is_terminal_leaf(f) for f in forms[1:]]  # bound the head's size
-        high = len(factors) - sum(later)
-        low = high if all(later) else 0
-        if _is_terminal_leaf(forms[0]):
-            low, high = max(low, 1), min(high, 1)
+        head, later = forms[0], forms[1:]  # bound the head's size
+        nullable = self.g._nullable
+        high = len(factors) - sum(not _derives_eps(f, nullable) for f in later)
+        low = high if all(map(_is_terminal_leaf, later)) else 0
+        if not _derives_eps(head, nullable):
+            low = max(low, 1)
+        if _is_terminal_leaf(head):
+            high = min(high, 1)
         if ordered:
             splits = ((factors[:i], factors[i:]) for i in range(low, high + 1))
         else:
             splits = multiset_splits(factors, 2, (low, high))
-        for head, rest in splits:
-            first = self.match(forms[0], build(*head))
+        for part, rest in splits:
+            first = self.match(head, build(*part))
             if first is not None:
-                others = self.match_parts(forms[1:], rest, build, ordered)
+                others = self.match_parts(later, rest, build, ordered)
                 if others is not None:
                     return first + others
         return None

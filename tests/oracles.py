@@ -4,13 +4,16 @@ These deliberately avoid the library's search strategies: the universe is
 rebuilt from binary combinations instead of composition pools, the regex
 reference matcher is plain exponential recursion over index assignments with
 no memoization (the library compiles regexes to grammars instead), bounded
-regex languages filter the term universe through it, and grammar words come
+regex languages filter the term universe through it, grammar words come
 from a breadth-first search over leftmost derivations instead of a fixpoint
-over nonterminals.
+over nonterminals, and automaton runs follow the transitions directly (the
+library compiles automata to grammars instead), trying every assignment of a
+Par's children to fork targets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -29,7 +32,7 @@ from splang.regexes import (
     ParProd,
     Regex,
 )
-from splang.automata import BranchingAutomaton, accepts
+from splang.automata import BranchingAutomaton, ParTransition
 from splang.grammars import Grammar, Production
 from splang.terms import (
     COMMUTATIVE,
@@ -74,10 +77,113 @@ def _commutative_universe(letters: str, max_atoms: int) -> tuple[SPTerm, ...]:
 
 def oracle_accepted(aut: BranchingAutomaton, alphabet, max_atoms: int) -> tuple:
     """The words of `aut` with at most max_atoms atoms over `alphabet`: every
-    commutative `binary_universe` term that `accepts` accepts, in the
+    commutative `binary_universe` term that `oracle_accepts` accepts, in the
     universe's order."""
     letters = "".join(sorted(set(alphabet)))
-    return tuple(t for t in _commutative_universe(letters, max_atoms) if accepts(aut, t))
+    accepts = oracle_acceptor(aut)
+    return tuple(t for t in _commutative_universe(letters, max_atoms) if accepts(t))
+
+
+# ---------------------------------------------------------------------------
+# Reference automaton runs: the run semantics read directly off the
+# transitions, every assignment of a Par's children to fork targets tried.
+
+def oracle_runner(aut: BranchingAutomaton, observer=None):
+    """A function (start, t) -> the states reachable from `start` by a run on
+    the commutative form of `t`, memoized across calls. eps stays put; an atom
+    follows a seq transition; a Seq composes runs over its factors; a Par
+    fires a parallel transition when its children split into one nonempty
+    block per fork target, each block running from its target to an end
+    state, and the end states are the join's sources as a multiset.
+    `observer`, when given, is called with (par index, subterm) for every
+    parallel transition that fires."""
+    forks = {f.fid: f for f in aut.forks}
+    joins = {j.jid: j for j in aut.joins}
+
+    @functools.lru_cache(maxsize=None)
+    def go(state: str, sub: SPTerm) -> frozenset:
+        if isinstance(sub, Eps):
+            return frozenset((state,))
+        if isinstance(sub, Leaf):
+            return frozenset(tr.dst for tr in aut.seqs if (tr.src, tr.label) == (state, sub.symbol))
+        if isinstance(sub, Seq):
+            reached = {state}
+            for factor in sub.children:
+                reached = {q for r in reached for q in go(r, factor)}
+            return frozenset(reached)
+        hits = set()
+        for idx, p in enumerate(aut.pars):
+            fork, join = forks[p.fork_id], joins[p.join_id]
+            if fork.src == state and _guard_allows(p.guard, sub) and _par_fires(fork, join, sub, go):
+                hits.add(join.dst)
+                if observer is not None:
+                    observer(idx, sub)
+        return frozenset(hits)
+
+    canon = functools.lru_cache(maxsize=None)(lambda t: canonicalize(t, COMMUTATIVE))
+    return lambda start, t: go(start, canon(t))
+
+
+def _guard_allows(guard, sub: Par) -> bool:
+    if guard is None:
+        return True
+    if not all(isinstance(c, Leaf) for c in sub.children):
+        return False  # only ANY admits non-flat parallel subterms
+    return tuple(sorted(c.symbol for c in sub.children)) in guard
+
+
+def _par_fires(fork, join, sub: Par, go) -> bool:
+    m = len(fork.targets)
+    for owner in itertools.product(range(m), repeat=len(sub.children)):
+        blocks = [[c for c, o in zip(sub.children, owner) if o == i] for i in range(m)]
+        if not all(blocks):
+            continue
+        ends = [go(target, par(*block, mode=COMMUTATIVE)) for target, block in zip(fork.targets, blocks)]
+        if any(sorted(pick) == sorted(join.sources) for pick in itertools.product(*ends)):
+            return True
+    return False
+
+
+def oracle_acceptor(aut: BranchingAutomaton, observer=None):
+    """A function t -> whether some run on `t` leads from an initial to a
+    final state, memoized across calls (see `oracle_runner`)."""
+    runs = oracle_runner(aut, observer)
+    return lambda t: any(runs(s, t) & aut.final for s in sorted(aut.initial))
+
+
+def observe_par_guards(aut: BranchingAutomaton, terms) -> tuple[dict, set]:
+    """Run acceptance over `terms`, recording which parallel transitions fire.
+
+    Returns (flat, nonflat): flat maps par index -> set of atom multisets of
+    the flat parallel words it fired on; nonflat is the set of par indexes
+    that fired on some non-flat parallel subterm.
+    """
+    flat: dict[int, set] = {}
+    nonflat: set[int] = set()
+
+    def obs(par_idx: int, sub: Par):
+        if all(isinstance(c, Leaf) for c in sub.children):
+            flat.setdefault(par_idx, set()).add(tuple(sorted(c.symbol for c in sub.children)))
+        else:
+            nonflat.add(par_idx)
+
+    accepts = oracle_acceptor(aut, obs)
+    for t in terms:
+        accepts(t)
+    return flat, nonflat
+
+
+def with_observed_guards(aut: BranchingAutomaton, flat: dict, nonflat: set) -> BranchingAutomaton:
+    """Pin every ANY guard to its observed flat multisets. Guards that fired
+    on non-flat subterms (or never fired) stay ANY, since a non-ANY guard
+    would reject those runs."""
+    new_pars = []
+    for idx, p in enumerate(aut.pars):
+        if p.guard is None and idx in flat and idx not in nonflat:
+            new_pars.append(ParTransition(p.fork_id, frozenset(flat[idx]), p.join_id))
+        else:
+            new_pars.append(p)
+    return dataclasses.replace(aut, pars=tuple(new_pars))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +13,10 @@ from splang.automata import (
     automaton_alphabet,
     enumerate_accepted,
     from_linear_grammar,
-    observe_par_guards,
     parse_automaton,
     runs_between,
     serialize_automaton,
-    with_observed_guards,
+    to_grammar,
 )
 from splang.errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from splang.grammars import parse_grammar, random_parallel_linear_grammar
@@ -33,7 +33,16 @@ from splang.terms import (
     parse_term,
 )
 
-from oracles import oracle_accepted
+from oracles import (
+    binary_universe,
+    observe_par_guards,
+    oracle_acceptor,
+    oracle_accepted,
+    oracle_runner,
+    with_observed_guards,
+)
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def pt(text):
@@ -194,7 +203,7 @@ def test_enumerate_accepted_checks_its_bounds(fanout_automaton):
 
 
 # ---------------------------------------------------------------------------
-# the fixpoint against the universe filter
+# the automaton's grammar against the run oracle
 
 HAND_WRITTEN = {
     # a||a.b has the atoms of a listed multiset but is not flat
@@ -236,6 +245,15 @@ HAND_WRITTEN = {
         "fork: F1 q -> {p, q}\njoin: J1 {p, q} -> p\n"
         "par: F1 * J1\n"
     ),
+    # deciding F1's words needs F2's smaller words settled first
+    "nested-guards": (
+        "states: p q1 q2 r1 r2 s t u v q\n"
+        "initial: p\nfinal: q\n"
+        "seq: q1 a r1\nseq: s a u\nseq: s b u\nseq: t b v\n"
+        "fork: F1 p -> {q1, q2}\nfork: F2 q2 -> {s, t}\n"
+        "join: J1 {r1, r2} -> q\njoin: J2 {u, v} -> r2\n"
+        "par: F1 {a,a,b;a,b,b} J1\npar: F2 {a,b} J2\n"
+    ),
     "unreachable": (
         "states: p q x y z\n"
         "initial: p\nfinal: q\n"
@@ -247,8 +265,9 @@ HAND_WRITTEN = {
 
 
 def check_against_the_universe_filter(aut, alphabet, max_atoms):
-    """enumerate_accepted at every bound up to max_atoms; the oracle's words
-    at a smaller bound are those of the largest with that many atoms."""
+    """enumerate_accepted at every bound up to max_atoms, against the
+    universe filtered through the run oracle; the oracle's words at a smaller
+    bound are those of the largest with that many atoms."""
     oracle = oracle_accepted(aut, alphabet, max_atoms)
     for n in range(max_atoms + 1):
         want = [format_term(t) for t in oracle if atoms_count(t) <= n]
@@ -274,6 +293,42 @@ def test_fixpoint_agrees_with_the_universe_filter_on_hand_written_automata(name)
     assert enumerate_accepted(aut, "abc", 5)  # every case accepts something
     for alphabet in ("a", "ab", "abc"):
         check_against_the_universe_filter(aut, alphabet, 5)
+
+
+def test_nested_guards_are_settled_smallest_first():
+    aut = parse_automaton(HAND_WRITTEN["nested-guards"])
+    assert accepts(aut, pt("a||a||b"))
+    assert not accepts(aut, pt("a||b||b"))  # F2 would need b||b, which its guard forbids
+    assert texts(enumerate_accepted(aut, "ab", 5)) == ["a||a||b"]
+
+
+def test_to_grammar_names_only_pairs_joined_by_a_path():
+    # steps p-q, x-y, y-q, z-z and the fork/join x-q; no path leaves q
+    aut = parse_automaton(HAND_WRITTEN["unreachable"])
+    g = to_grammar(aut)
+    assert len(g.nonterminals) == 1 + 5 + 5  # S, and H and N of each pair
+    assert generate(g, 4, mode=COMMUTATIVE) == enumerate_accepted(aut, "abc", 4)
+
+
+def differential_automata():
+    """(name, automaton): both bench fixtures, the automata of 60 seeded
+    parallel-linear grammars, and every hand-written case."""
+    for path in sorted(BENCH_DATA.glob("*.aut")):
+        yield path.stem, parse_automaton(path.read_text(encoding="utf-8"))
+    for seed in range(60):
+        yield f"seed-{seed}", from_linear_grammar(random_parallel_linear_grammar(seed))
+    for name in sorted(HAND_WRITTEN):
+        yield name, parse_automaton(HAND_WRITTEN[name])
+
+
+def test_runs_and_acceptance_agree_with_the_run_oracle():
+    terms = binary_universe("abc", 4, COMMUTATIVE)
+    for name, aut in differential_automata():
+        runs, accepted = oracle_runner(aut), oracle_acceptor(aut)
+        for t in terms:
+            assert accepts(aut, t) == accepted(t), (name, format_term(t))
+            for state in sorted(aut.states):
+                assert runs_between(aut, state, t) == runs(state, t), (name, state, format_term(t))
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +425,13 @@ def test_guard_restricts_multisets():
         "par: F1 {a,b} J1\n"
     )
     aut = parse_automaton(text)
-    assert accepts(aut, pt("a||b"))
-    assert not accepts(aut, pt("a||a"))  # run exists but the guard forbids it
     unguarded = dataclasses.replace(
         aut, pars=(ParTransition("F1", None, "J1"),)
     )
-    assert accepts(unguarded, pt("a||a"))
+    for accepted in (accepts, lambda a, t: oracle_acceptor(a)(t)):
+        assert accepted(aut, pt("a||b"))
+        assert not accepted(aut, pt("a||a"))  # run exists but the guard forbids it
+        assert accepted(unguarded, pt("a||a"))
 
 
 def test_observed_guards_preserve_the_bounded_language(fanout_grammar):

@@ -444,6 +444,42 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.wait(), err) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_on_one_large_write(unbuffered):
+    # `term enum` writes its whole output, past the 64 KiB pipe buffer, in one call
+    src = str(Path(splang.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splang.cli", "term", "enum", "--max-atoms", "6"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.read(5) == b"mode:"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
+def test_internal_error_exits_70_without_a_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("splang.cli._cmd_term", broken)
+    assert run(capsys, "term", "canon", "a") == (70, "", "error: internal error: RuntimeError('boom')\n")
+
+
+def test_automaton_enum_past_the_cap_exits_6(capsys, tmp_path):
+    # one state, 18 letter loops: 111,150 words of 1..4 atoms, held under both
+    # N and S, pass the cap of 200,000 (nonterminal, word) pairs
+    aut = tmp_path / "letters.aut"
+    aut.write_text("states: p\ninitial: p\nfinal: p\n" + "".join(f"seq: p {c} p\n" for c in "abcdefghijklmnopqr"),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "automaton", "enum", aut, "--max-atoms", "4")
+    assert (code, out) == (6, "")
+    assert "cap (200000)" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -13,8 +13,8 @@ Submodules:
   classification, exact generation up to an atom bound, exact membership
   with derivation traces (the package's one membership engine);
 * ``automata`` — fork/join branching automata: runs, acceptance and bounded
-  enumeration through a compile to a commutative sp grammar (nonterminals
-  H and N per state pair joined by a path), and the construction from
+  enumeration through a compile to a commutative sp grammar (a nonterminal
+  per state pair joined by a path), and the construction from
   parallel-linear grammars;
 * ``cli`` — the ``splang`` command-line front end.
 """

@@ -17,22 +17,20 @@ commutatively as well.
 
 Acceptance, runs and bounded enumeration all read the commutative sp grammar
 `to_grammar` builds (the Kleene theorem for branching automata of Lodaya &
-Weil, TCS 237, 2000). For each state pair (p, q) joined by a path of
-transitions it has two nonterminals:
-
-* H_pq derives the nonempty non-Seq words of a run from p to q:
-  ``H_pq -> a`` for a seq transition p a q, and
-  ``H_pd -> N_{T1,Sσ1} || ... || N_{Tm,Sσm}`` for a parallel transition from
-  fork p -> {T1..Tm} to join {S1..Sm} -> d, one per distinct permutation σ of
-  the join sources;
-* N_pq derives the nonempty words: ``N_pq -> H_pq | H_pr.N_rq``.
+Weil, TCS 237, 2000). Each state pair (p, q) joined by a path of transitions
+has a nonterminal N_pq deriving the nonempty words of a run from p to q. A
+step x from p to r is an atom a of a seq transition p a r, or a form
+``N_{T1,Sσ1} || ... || N_{Tm,Sσm}`` of a parallel transition from fork
+p -> {T1..Tm} to join {S1..Sm} -> r, one per distinct permutation σ of the
+join sources; each step gives ``N_pr -> x`` and ``N_pq -> x.N_rq``. A step is
+never a Seq word, so a Seq word's first factor is the step's whole word.
 
 The start symbol derives N_if for each initial i and final f, and eps when
-some state is both. A guarded parallel transition instead gets one terminal
-production per flat word its guard allows and its ANY form derives, decided
-smallest first, so nested guarded transitions are settled before they are
-needed. `accepts` and `runs_between` are the commutative membership search of
-`grammars` on that grammar, and `enumerate_accepted` is its `generate`.
+some state is both. A guarded parallel transition instead has one step per
+flat word its guard allows and its forms derive, decided smallest first, so
+nested guarded transitions are settled before they are needed. `accepts` and
+`runs_between` are the commutative membership search of `grammars` on that
+grammar, and `enumerate_accepted` is its `generate`.
 
 Automaton file format (sections in this order, ``#`` comments)::
 
@@ -54,7 +52,7 @@ from functools import partial
 from itertools import groupby
 
 from ._partitions import distinct_permutations
-from .errors import NotParallelLinearError, TermSyntaxError
+from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from .grammars import Grammar, Production, _MemberSearch, classify_grammar, generate
 from .langs import FiniteLang
 from .terms import (
@@ -176,7 +174,8 @@ class BranchingAutomaton:
         object.__setattr__(self, "_join_by_id", join_by_id)
         object.__setattr__(self, "_state_index", {s: i for i, s in enumerate(sorted(self.states))})
         object.__setattr__(self, "_labels", frozenset(tr.label for tr in self.seqs))
-        object.__setattr__(self, "_grammars", {})  # kept labels -> to_grammar, built on demand
+        object.__setattr__(self, "_searches", {})  # kept labels -> search on to_grammar, built on demand
+        object.__setattr__(self, "_ends", {})  # state p -> (q, N_pq) of its grammar, built on demand
 
 
 def automaton_alphabet(aut: BranchingAutomaton) -> tuple[str, ...]:
@@ -189,15 +188,14 @@ def automaton_alphabet(aut: BranchingAutomaton) -> tuple[str, ...]:
 def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
     """The commutative sp grammar of `aut` (see the module docstring), with
     start S and the seq transitions kept to `labels` when given. The state
-    pair (p, q) has the nonterminals H_k and N_k, k = i * len(states) + j for
-    p and q the i-th and j-th states in sorted order."""
+    pair (p, q) has the nonterminal N_k, k = i * len(states) + j for p and q
+    the i-th and j-th states in sorted order."""
     seqs = [tr for tr in aut.seqs if labels is None or tr.label in labels]
     pars = [(aut._fork_by_id[p.fork_id], p.guard, aut._join_by_id[p.join_id]) for p in aut.pars]
     pars = [(fork, guard, join) for fork, guard, join in pars if len(fork.targets) == len(join.sources)]
-    steps = sorted({(tr.src, tr.dst) for tr in seqs} | {(fork.src, join.dst) for fork, _, join in pars})
-    after: dict[str, list[str]] = {}
-    for p, q in steps:
-        after.setdefault(p, []).append(q)
+    after: dict[str, set[str]] = {}
+    for p, q in [(tr.src, tr.dst) for tr in seqs] + [(fork.src, join.dst) for fork, _, join in pars]:
+        after.setdefault(p, set()).add(q)
     reach: dict[str, list[str]] = {}  # p -> the states a path of transitions leads to
     for p in after:
         todo, seen = list(after[p]), set()
@@ -207,9 +205,9 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
                 seen.add(q)
                 todo.extend(after.get(q, ()))
         reach[p] = sorted(seen)
-    H, N = partial(_pair, aut, "H"), partial(_pair, aut, "N")
-    prods = [Production(H(tr.src, tr.dst), Leaf(tr.label)) for tr in seqs]
-    guarded = []  # (head, ANY forms, guard) of each guarded parallel transition
+    N = partial(_pair, aut)
+    steps = [(tr.src, Leaf(tr.label), tr.dst) for tr in seqs]  # (p, x, r): x leads from p to r
+    guarded = []  # (fork, ANY forms, guard, join) of each guarded parallel transition
     for fork, guard, join in pars:
         forms = dict.fromkeys(
             par(*(Leaf(N(t, s)) for t, s in zip(fork.targets, sources)), mode=COMMUTATIVE)
@@ -217,42 +215,49 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
             if all(s in reach.get(t, ()) for t, s in zip(fork.targets, sources))
         )
         if guard is None:
-            prods += [Production(H(fork.src, join.dst), form) for form in forms]
+            steps += [(fork.src, form, join.dst) for form in forms]
         else:
-            guarded.append((H(fork.src, join.dst), forms, guard))
-    prods += [Production(N(p, q), Leaf(H(p, q))) for p, q in steps]
-    prods += [Production(N(p, q), seq(Leaf(H(p, r)), Leaf(N(r, q)))) for p, r in steps for q in reach.get(r, ())]
+            guarded.append((fork, forms, guard, join))
     starts = [Leaf(N(i, f)) for i in sorted(aut.initial) for f in sorted(aut.final) if f in reach.get(i, ())]
     starts += [EPS] if aut.initial & aut.final else []
-    prods += [Production("S", rhs) for rhs in starts or [Leaf("S")]]  # S -> S alone derives nothing
-    names = frozenset({"S"} | {H(p, q) for p, q in steps} | {N(p, q) for p in reach for q in reach[p]})
+    starts = [Production("S", rhs) for rhs in starts or [Leaf("S")]]  # S -> S alone derives nothing
+
+    def productions():
+        return tuple(starts + [Production(N(p, r), x) for p, x, r in steps] + [
+            Production(N(p, q), seq(x, Leaf(N(r, q)))) for p, x, r in steps for q in reach.get(r, ())])
+
+    names = frozenset({"S"} | {N(p, q) for p in reach for q in reach[p]})
     terminals = frozenset(tr.label for tr in seqs)
-    tests = [Production(f"G_{k}", form) for k, (_, forms, _) in enumerate(guarded) for form in forms]
+    tests = tuple(Production(f"G_{k}", form) for k, (_, forms, _, _) in enumerate(guarded) for form in forms)
     test_names = frozenset(f"G_{k}" for k in range(len(guarded)))
-    words = sorted((len(ms), ms, k) for k, (_, _, guard) in enumerate(guarded) for ms in guard)
+    words = sorted((len(ms), ms, k) for k, (_, _, guard, _) in enumerate(guarded) for ms in guard)
     for _, level in groupby(words, key=lambda w: w[0]):  # smallest first
-        g = Grammar(names | test_names, terminals, tuple(prods + tests), "S")
+        g = Grammar(names | test_names, terminals, productions() + tests, "S")
         search = _MemberSearch(g, COMMUTATIVE, DEFAULT_CAP)
         for _, ms, k in level:
             word = par(*map(Leaf, ms), mode=COMMUTATIVE)
             if search.proves(word, f"G_{k}"):
-                prods.append(Production(guarded[k][0], word))
-    return Grammar(names, terminals, tuple(prods), "S")
+                steps.append((guarded[k][0].src, word, guarded[k][3].dst))
+    return Grammar(names, terminals, productions(), "S")
 
 
-def _pair(aut: BranchingAutomaton, kind: str, p: str, q: str) -> str:
-    """The nonterminal `kind` (H or N) of the state pair (p, q)."""
-    return f"{kind}_{aut._state_index[p] * len(aut.states) + aut._state_index[q]}"
+def _pair(aut: BranchingAutomaton, p: str, q: str) -> str:
+    """The nonterminal of the state pair (p, q)."""
+    return f"N_{aut._state_index[p] * len(aut.states) + aut._state_index[q]}"
 
 
-def _grammar(aut: BranchingAutomaton, letters=None) -> Grammar:
-    """`to_grammar` of `aut` with its seq transitions kept to `letters`, built
-    once per automaton and kept label set."""
+def _search(aut: BranchingAutomaton, letters=None) -> _MemberSearch:
+    """The commutative membership search on `to_grammar` of `aut` with its
+    seq transitions kept to `letters`, built once per automaton and kept label
+    set. Its proofs hold for every term, so later calls reuse them; they are
+    dropped when they pass `DEFAULT_CAP`."""
     kept = aut._labels if letters is None else aut._labels.intersection(letters)
-    g = aut._grammars.get(kept)
-    if g is None:
-        g = aut._grammars[kept] = to_grammar(aut, kept)
-    return g
+    search = aut._searches.get(kept)
+    if search is None:
+        search = aut._searches[kept] = _MemberSearch(to_grammar(aut, kept), COMMUTATIVE, DEFAULT_CAP)
+    if len(search.proofs) > DEFAULT_CAP:
+        search.proofs.clear()
+    return search
 
 
 def runs_between(aut: BranchingAutomaton, start: str, t: SPTerm) -> frozenset:
@@ -262,12 +267,12 @@ def runs_between(aut: BranchingAutomaton, start: str, t: SPTerm) -> frozenset:
         raise ValueError(f"unknown state {start!r}")
     if isinstance(t, Eps):  # the only term without atoms
         return frozenset((start,))
-    g = _grammar(aut)
-    row = len(aut.states) * aut._state_index[start]  # see `to_grammar`
-    ends = [(q, nt) for j, q in enumerate(aut._state_index) if (nt := f"N_{row + j}") in g.nonterminals]
-    if not ends:
-        return frozenset()
-    search, term = _MemberSearch(g, COMMUTATIVE, DEFAULT_CAP), canonicalize(t, COMMUTATIVE)
+    search = _search(aut)
+    ends = aut._ends.get(start)
+    if ends is None:  # the states q with an N_{start,q}
+        names = search.g.nonterminals
+        ends = aut._ends[start] = [(q, nt) for q in aut._state_index if (nt := _pair(aut, start, q)) in names]
+    term = canonicalize(t, COMMUTATIVE) if ends else t
     return frozenset(q for q, nt in ends if search.proves(term, nt))
 
 
@@ -275,7 +280,7 @@ def accepts(aut: BranchingAutomaton, t: SPTerm) -> bool:
     """True iff some initial-to-final run on the commutative form of `t`
     exists: the membership search of `to_grammar(aut)`. `DEFAULT_CAP` bounds
     the (nonterminal, sub-term) goals of one search pass."""
-    return _MemberSearch(_grammar(aut), COMMUTATIVE, DEFAULT_CAP).proves(canonicalize(t, COMMUTATIVE))
+    return _search(aut).proves(canonicalize(t, COMMUTATIVE))
 
 
 def enumerate_accepted(
@@ -287,10 +292,13 @@ def enumerate_accepted(
     """Every accepted word over `alphabet` with at most max_atoms atoms, in
     commutative form and canonical order: `generate` on `to_grammar(aut)`
     with the seq transitions kept to `alphabet`. `cap` bounds the
-    (nonterminal, word) pairs held, and that grammar holds every nonempty
-    word between two states under both their H and N nonterminals."""
+    (state pair, word) pairs of runs, the empty run at each state included:
+    the grammar holds the nonempty words under N and S only copies them."""
     letters = _letters(alphabet, max_atoms)
-    return generate(_grammar(aut, letters), max_atoms, mode=COMMUTATIVE, cap=cap)
+    try:
+        return generate(_search(aut, letters).g, max_atoms, mode=COMMUTATIVE, cap=cap - len(aut.states))
+    except EnumerationCapError:
+        raise EnumerationCapError(f"automaton words exceed the cardinality cap ({cap})") from None
 
 
 # ---------------------------------------------------------------------------

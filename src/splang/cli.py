@@ -11,21 +11,22 @@ lowercase letters, and a term, regex, grammar or language text nesting more
 than 100 parentheses and postfix closures around an atom), 3 mode mismatch,
 4 outside the regex fragment, 5 grammar classification, 6 cardinality cap
 (200,000) exceeded: universe terms of `term enum`; (nonterminal, word) pairs
-of `grammar generate`, `regex enum` (the regex's compiled grammar), `automaton
-enum` and both sides of `equiv` (the automaton's compiled grammar, which holds
-every nonempty word between two states twice, under an H and an N
-nonterminal); (nonterminal, sub-term) goals per search pass of `grammar
-member`, `regex match` and `automaton accepts`; 70 internal error (a bug: one
-``error: internal error:`` line on stderr, no traceback); 141 (128 + SIGPIPE)
-when the reader closes stdout, with nothing on stderr. Regexes and automata
-are decided and enumerated through their compiled grammars. Grammar membership
-and generation are exact (no step budget); `member --trace` prints a leftmost
-derivation, not necessarily the shortest.
+of `grammar generate`, `regex enum` (the regex's compiled grammar) and the
+grammar side of `equiv`, not counting nonterminals that only copy other
+nonterminals' words; (state pair, word) pairs of the runs of `automaton enum`
+and the automaton side of `equiv`; (nonterminal, sub-term) goals per search
+pass of `grammar member`, `regex match` and `automaton accepts`; 70 internal
+error (a bug: one ``error: internal error:`` line on stderr, no traceback);
+141 (128 + SIGPIPE) when the reader closes stdout, with nothing on stderr.
+Regexes and automata are decided and enumerated through their compiled
+grammars. Grammar membership and generation are exact (no step budget);
+`member --trace` prints a leftmost derivation, not necessarily the shortest.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import dataclass
@@ -98,10 +99,17 @@ def _write(text: str) -> None:
     hands a large write straight to the pipe, which takes what fits and
     returns a short count when its reader has gone; writing the rest raises
     BrokenPipeError. (`print` always writes its line end separately.)"""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream with no byte layer, such as io.StringIO
+        sys.stdout.write(text)
+        return
     sys.stdout.flush()
     data = memoryview(text.encode(sys.stdout.encoding))
     while data:
-        data = data[sys.stdout.buffer.write(data):]
+        written = out.write(data)
+        if written is None:  # a non-blocking stdout that is full, as a buffered writer reports it
+            raise BlockingIOError(errno.EAGAIN, "stdout is not ready for writing")
+        data = data[written:]
 
 
 def _read(path: str) -> str:

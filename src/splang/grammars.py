@@ -305,15 +305,19 @@ def generate(
     """Every word of L(g) with at most max_atoms atoms, canonical for `mode`:
     the least fixpoint of every nonterminal's words, pruned to max_atoms
     atoms (a derivation never loses an atom). `cap` bounds the (nonterminal,
-    word) pairs held. `max_steps` is ignored; it stays the third positional
-    parameter for existing callers."""
+    word) pairs held, not counting the nonterminals whose productions are all
+    eps or a single nonterminal: they only copy words counted elsewhere.
+    `max_steps` is ignored; it stays the third positional parameter for
+    existing callers."""
     words: dict[str, dict[SPTerm, int]] = {nt: {} for nt in g.nonterminals}  # word -> its atoms
+    copies = [nt for nt in g.nonterminals
+              if all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in g.alternatives(nt))]
     count, last = 0, -1
     while count > last:
         for p in g.productions:
             words[p.lhs].update(_form_words(p.rhs, words, max_atoms, mode))
         last, count = count, sum(map(len, words.values()))
-        if count > cap:
+        if count - sum(len(words[nt]) for nt in copies) > cap:
             raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
     return FiniteLang(mode, tuple(words[g.start]))
 
@@ -363,8 +367,9 @@ class _MemberSearch:
     """Goal-directed, memoized search: does nonterminal A derive term u?
     A production proves (A, u) when its parts, matched left to right over
     two-way splits, derive ranges of u's Seq factors, or ranges (ORDERED) or
-    sub-multisets (COMMUTATIVE) of its Par children; a terminal part takes
-    exactly one factor, and a part that cannot derive eps at least one. A
+    sub-multisets (COMMUTATIVE) of its Par children; a part that cannot
+    derive eps takes at least one factor, and a terminal, or a part of the
+    other operator over two parts that cannot derive eps, at most one. A
     goal met again while being tried lies on a unit or eps cycle and counts
     as False for now; the search reruns, keeping what it proved, while a
     cycle was cut and new facts still appear."""
@@ -428,7 +433,7 @@ class _MemberSearch:
         low = high if all(map(_is_terminal_leaf, later)) else 0
         if not _derives_eps(head, nullable):
             low = max(low, 1)
-        if _is_terminal_leaf(head):
+        if _one_factor(head, build, nullable):
             high = min(high, 1)
         if ordered:
             splits = ((factors[:i], factors[i:]) for i in range(low, high + 1))
@@ -453,6 +458,16 @@ class _MemberSearch:
             pending.extend(reversed(subgoals))
             chain.append(canonicalize(form, self.mode))
         return tuple(chain)
+
+
+def _one_factor(form: SPTerm, build, nullable) -> bool:
+    """Whether every word of `form` is at most one factor of a `build` (seq
+    or par) term: a terminal, or a form of the other operator with two parts
+    that cannot derive eps."""
+    if isinstance(form, Leaf):
+        return form.symbol.islower()
+    other = Par if build is seq else Seq
+    return isinstance(form, other) and sum(not _derives_eps(c, nullable) for c in form.children) >= 2
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:

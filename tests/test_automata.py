@@ -31,6 +31,7 @@ from splang.terms import (
     format_term,
     is_parallel_word,
     parse_term,
+    seq,
 )
 
 from oracles import (
@@ -195,6 +196,16 @@ def test_enumerate_accepted_cap_counts_state_pair_words(pairs_grammar):
         enumerate_accepted(aut, "ab", 6, cap=10)
 
 
+def test_enumerate_accepted_cap_counts_each_run_once():
+    # 3 letter loops on one state: 120 nonempty words of up to 4 atoms and the
+    # empty run make 121 (state pair, word) pairs; the compiled grammar holds
+    # the accepted words again under its start symbol, which is not counted
+    aut = parse_automaton("states: p\ninitial: p\nfinal: p\nseq: p a p\nseq: p b p\nseq: p c p\n")
+    assert len(enumerate_accepted(aut, "abc", 4, cap=121)) == 121
+    with pytest.raises(EnumerationCapError, match=r"^automaton words exceed the cardinality cap \(120\)$"):
+        enumerate_accepted(aut, "abc", 4, cap=120)
+
+
 def test_enumerate_accepted_checks_its_bounds(fanout_automaton):
     with pytest.raises(ValueError):
         enumerate_accepted(fanout_automaton, "ab", -1)
@@ -306,8 +317,23 @@ def test_to_grammar_names_only_pairs_joined_by_a_path():
     # steps p-q, x-y, y-q, z-z and the fork/join x-q; no path leaves q
     aut = parse_automaton(HAND_WRITTEN["unreachable"])
     g = to_grammar(aut)
-    assert len(g.nonterminals) == 1 + 5 + 5  # S, and H and N of each pair
+    assert len(g.nonterminals) == 1 + 5  # S, and N of each pair
     assert generate(g, 4, mode=COMMUTATIVE) == enumerate_accepted(aut, "abc", 4)
+
+
+@pytest.mark.parametrize("loop, factor", [
+    ("seq: p a p\nseq: p b p\n", None),
+    ("seq: x a u\nseq: y b v\nfork: F p -> {x, y}\njoin: J {u, v} -> p\npar: F * J\n", "a||b"),
+], ids=["letters", "parallel"])
+def test_long_seq_words_are_decided(loop, factor):
+    # a step takes exactly one Seq factor, so the search makes a goal per
+    # state pair and suffix, far under the cap of 200,000 goals
+    aut = parse_automaton("states: p q u v x y\ninitial: p\nfinal: q\nseq: p c q\n" + loop)
+    factors = [parse_term(factor or "ab"[i * i % 7 % 2]) for i in range(640)]
+    word = seq(*factors)
+    assert not accepts(aut, word)
+    assert accepts(aut, seq(word, parse_term("c")))
+    assert runs_between(aut, "p", word) == {"p"}
 
 
 def differential_automata():

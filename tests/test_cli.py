@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -469,15 +472,57 @@ def test_internal_error_exits_70_without_a_traceback(capsys, monkeypatch):
     assert run(capsys, "term", "canon", "a") == (70, "", "error: internal error: RuntimeError('boom')\n")
 
 
-def test_automaton_enum_past_the_cap_exits_6(capsys, tmp_path):
-    # one state, 18 letter loops: 111,150 words of 1..4 atoms, held under both
-    # N and S, pass the cap of 200,000 (nonterminal, word) pairs
+def letter_loops(tmp_path, letters):
+    """One state, initial and final, with a seq loop per letter."""
     aut = tmp_path / "letters.aut"
-    aut.write_text("states: p\ninitial: p\nfinal: p\n" + "".join(f"seq: p {c} p\n" for c in "abcdefghijklmnopqr"),
+    aut.write_text("states: p\ninitial: p\nfinal: p\n" + "".join(f"seq: p {c} p\n" for c in letters),
                    encoding="utf-8")
+    return aut
+
+
+def test_automaton_enum_past_the_cap_exits_6(capsys, tmp_path):
+    # 22 letter loops: 245,410 words of 1..4 atoms, with the empty run 245,411
+    # (state pair, word) pairs, past the cap of 200,000
+    aut = letter_loops(tmp_path, "abcdefghijklmnopqrstuv")
     code, out, err = run(capsys, "automaton", "enum", aut, "--max-atoms", "4")
     assert (code, out) == (6, "")
-    assert "cap (200000)" in err
+    assert err == "error: automaton words exceed the cardinality cap (200000)\n"
+
+
+def test_automaton_enum_counts_each_run_once(capsys, tmp_path):
+    # 18 letter loops: 111,151 (state pair, word) pairs, under the cap; the
+    # compiled grammar holds the accepted words again under its start symbol
+    aut = letter_loops(tmp_path, "abcdefghijklmnopqr")
+    code, out, err = run(capsys, "automaton", "enum", aut, "--max-atoms", "4")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 111151
+
+
+def test_large_outputs_reach_a_text_only_stdout():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["term", "enum", "--alphabet", "a", "--max-atoms", "2"])
+    assert (code, buffer.getvalue()) == (0, "mode: ordered\na\na.a\na||a\neps\n")
+
+
+def test_full_non_blocking_stdout_is_an_error_not_a_busy_loop(capsys, monkeypatch):
+    class Full(io.RawIOBase):
+        writes = 0
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            self.writes += 1
+            assert self.writes == 1, "wrote again to a full stream"
+            return None  # what a non-blocking raw stream returns when it would block
+
+    stdout = io.TextIOWrapper(Full(), encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["term", "enum", "--alphabet", "a", "--max-atoms", "2"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EAGAIN}] stdout is not ready for writing\n"
 
 
 # ---------------------------------------------------------------------------

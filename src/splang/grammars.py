@@ -13,6 +13,16 @@ A's productions", L(rhs) composing its leaves' words with `seq` and `par`. The
 regex layer compiles every regex into a grammar and decides and enumerates it
 here, so this is the one membership engine of the package.
 
+Membership is a goal-directed search over a plan made once per grammar. Each
+production's form is planned with the split bounds of its parts and coarse
+Parikh facts (Parikh, JACM 13, 1966): the fewest atoms of its words and the
+letters they can have, from least fixpoints of each nonterminal's. A split
+whose share has fewer atoms than the parts it must match, or a letter they
+never derive, is skipped before its terms are built. This is sound: a
+derivation never loses an atom, and the letters over-approximate those of the
+derivable words, so only splits that would fail are skipped, and the search
+still tries the others in the same order.
+
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
 comments, nonterminals are uppercase letters, optionally indexed (``A_12``),
 terminals are lowercase letters, ``eps`` allowed, start symbol is the first
@@ -23,10 +33,14 @@ inside parentheses.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._lex import NONTERMINAL, TokenStream
 from .errors import EnumerationCapError, TermSyntaxError
@@ -43,7 +57,6 @@ from .terms import (
     _par_factors,
     _parse_par,
     _seq_factors,
-    atoms_count,
     canonicalize,
     format_term,
     is_parallel_word,
@@ -91,11 +104,22 @@ class Grammar:
         by_lhs: dict[str, list[SPTerm]] = {}
         for p in self.productions:
             by_lhs.setdefault(p.lhs, []).append(p.rhs)
-        nullable: frozenset[str] = frozenset()  # the nonterminals that derive eps
-        while (grown := frozenset(p.lhs for p in self.productions if _derives_eps(p.rhs, nullable))) != nullable:
-            nullable = grown
+        least = _solve(dict.fromkeys(self.nonterminals, math.inf), self.productions,
+                       lambda rhs, n, least: min(n, _least(rhs, least)))
+        # a letter's field in a Parikh vector (see _WIDTH); only productive productions have words
+        shifts = {c: _WIDTH * i for i, c in enumerate(sorted(self.terminals), 1)}
+        fields = {c: _COUNT << shift for c, shift in shifts.items()}
+        allowed = _solve(dict.fromkeys(self.nonterminals, 0),
+                         [p for p in self.productions if _least(p.rhs, least) < math.inf],
+                         lambda rhs, m, allowed: m | _fields(rhs, allowed, fields))
+        units = {c: 1 | 1 << shift for c, shift in shifts.items()}
+        plans = {nt: tuple(_plan(rhs, least, allowed, fields, units) for rhs in alts) for nt, alts in by_lhs.items()}
         object.__setattr__(self, "_by_lhs", by_lhs)
-        object.__setattr__(self, "_nullable", nullable)
+        object.__setattr__(self, "_least", least)
+        object.__setattr__(self, "_allowed", allowed)
+        object.__setattr__(self, "_plans", plans)
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_foreign", 1 | 1 << _WIDTH * (len(shifts) + 1))  # any other letter
         # membership recursion: two frames per node of a production (at most its text length)
         object.__setattr__(self, "_frames_per_goal", 2 * max(len(format_term(p.rhs)) for p in self.productions) + 2)
 
@@ -115,11 +139,32 @@ class Grammar:
         return self._by_lhs.get(nonterminal, [])
 
 
-def _derives_eps(form: SPTerm, nullable) -> bool:
-    """Whether `form` derives eps, given the nonterminals that do."""
+def _solve(values: dict, productions, step) -> dict:
+    """The least fixpoint of values[lhs] = step(rhs, values[lhs], values)
+    over `productions`, from the given start values."""
+    changed = True
+    while changed:
+        changed = False
+        for p in productions:
+            new = step(p.rhs, values[p.lhs], values)
+            if new != values[p.lhs]:
+                values[p.lhs], changed = new, True
+    return values
+
+
+def _least(form: SPTerm, least) -> float:
+    """The fewest atoms of a word of `form`, given each nonterminal's (inf
+    when it has no word); 0 exactly when `form` derives eps."""
     if isinstance(form, Leaf):
-        return form.symbol in nullable
-    return isinstance(form, Eps) or all(_derives_eps(c, nullable) for c in form.children)
+        return least[form.symbol] if form.symbol.isupper() else 1
+    return 0 if isinstance(form, Eps) else sum(_least(c, least) for c in form.children)
+
+
+def _fields(form: SPTerm, allowed, fields) -> int:
+    """The letter fields a word of `form` may fill, given each nonterminal's."""
+    if isinstance(form, Leaf):
+        return (allowed if form.symbol.isupper() else fields)[form.symbol]
+    return 0 if isinstance(form, Eps) else functools.reduce(operator.or_, (_fields(c, allowed, fields) for c in form.children))
 
 
 def symbols_of(form: SPTerm):
@@ -367,85 +412,136 @@ class _MemberSearch:
     """Goal-directed, memoized search: does nonterminal A derive term u?
     A production proves (A, u) when its parts, matched left to right over
     two-way splits, derive ranges of u's Seq factors, or ranges (ORDERED) or
-    sub-multisets (COMMUTATIVE) of its Par children; a part that cannot
+    sub-multisets (COMMUTATIVE) of its Par children. A goal met again while
+    being tried lies on a unit or eps cycle and counts as False for now; the
+    search reruns, keeping what it proved, while a cycle was cut and new facts
+    still appear.
+
+    The grammar plans each production once (`_Node`): a part that cannot
     derive eps takes at least one factor, and a terminal, or a part of the
-    other operator over two parts that cannot derive eps, at most one. A
-    goal met again while being tried lies on a unit or eps cycle and counts
-    as False for now; the search reruns, keeping what it proved, while a
-    cycle was cut and new facts still appear."""
+    other operator over two parts that cannot derive eps, at most one; each
+    part, and each run of later parts, has its fewest atoms and the letters it
+    can derive. A split is skipped before its terms are built when a share
+    has fewer atoms than its parts' least, or a letter they never derive, and
+    so is a production whose form cannot fit the goal. This is sound: a
+    derivation never loses an atom, and the letters over-approximate those of
+    the derivable words, so only splits that would fail are skipped, and the
+    others are tried in the same order. Shares are measured by Parikh vectors
+    (see `_WIDTH`): each factor's once per query, a share's by adding its
+    factors' as the split moves, and the rest's by subtracting that from the
+    goal's, so checking a split costs the same however long the word is."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
         self.g, self.mode, self.cap = g, mode, cap
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
-        self.tried: dict = {}  # goal -> still being tried, in this pass
+        self.tried: dict = {}  # goal -> [still being tried], in this pass
+        self.vectors: dict = {}  # Seq or Par factor -> its Parikh vector, in this query
 
     def proves(self, t: SPTerm, start: str | None = None) -> bool:
         """Whether `start` (by default the grammar's) derives `t`, a term
         canonical for the mode."""
+        self.vectors = {}
+        vec = self.vector(t)
         self.goal = goal = (start or self.g.start, t)
         # A call path holds at most one goal per (nonterminal, atom count).
-        per_path = self.g._frames_per_goal * len(self.g.nonterminals) * (atoms_count(t) + 1)
+        per_path = self.g._frames_per_goal * len(self.g.nonterminals) * ((vec & _COUNT) + 1)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + per_path)
         try:
             while True:
                 known, self.cut, self.tried = len(self.proofs), False, {}
-                if self.derives(goal) or not self.cut or len(self.proofs) == known:
+                if self.derives(goal, vec) or not self.cut or len(self.proofs) == known:
                     return goal in self.proofs
         finally:
             sys.setrecursionlimit(limit)
 
-    def derives(self, goal) -> bool:
+    def vector(self, t: SPTerm) -> int:
+        """The Parikh vector of `t` (see `_WIDTH`)."""
+        if isinstance(t, Leaf):
+            return self.g._units.get(t.symbol, self.g._foreign)
+        if isinstance(t, Eps):
+            return 0
+        vec = self.vectors.get(t)
+        if vec is None:
+            vec = self.vectors[t] = sum(map(self.vector, t.children))
+        return vec
+
+    def derives(self, goal, vec: int) -> bool:
+        """Whether goal (A, u) holds, `vec` being u's Parikh vector."""
         if goal in self.proofs:
             return True
-        if goal in self.tried:
-            self.cut |= self.tried[goal]
+        trying = self.tried.get(goal)
+        if trying is not None:
+            self.cut |= trying[0]
             return False
-        self.tried[goal] = True
+        trying = self.tried[goal] = [True]  # a list, so it is updated without hashing the goal again
         if len(self.tried) > self.cap:
             raise EnumerationCapError(f"membership goals exceed the cardinality cap ({self.cap})")
-        for rhs in self.g.alternatives(goal[0]):
-            subgoals = self.match(rhs, goal[1])
-            if subgoals is not None:
-                self.proofs[goal] = (rhs, subgoals)
-                break
-        self.tried[goal] = False
-        return goal in self.proofs
+        subgoals = None
+        for node in self.g._plans.get(goal[0], ()):
+            if _fits(vec, node.least, node.forbid):
+                subgoals = self.match(node, goal[1], vec)
+                if subgoals is not None:
+                    self.proofs[goal] = (node.form, subgoals)
+                    break
+        trying[0] = False
+        return subgoals is not None
 
-    def match(self, form: SPTerm, t: SPTerm) -> tuple | None:
-        """The goals under which `form` derives `t`, or None."""
-        if isinstance(form, Leaf):
-            if form.symbol.isupper():
-                return ((form.symbol, t),) if self.derives((form.symbol, t)) else None
-            return () if form == t else None
-        if isinstance(form, Eps):
-            return () if isinstance(t, Eps) else None
-        if isinstance(form, Seq):
-            return self.match_parts(form.children, _seq_factors(t), seq, True)
-        return self.match_parts(form.children, _par_factors(t), par, self.mode is ORDERED)
+    def match(self, node: _Node, t: SPTerm, vec: int) -> tuple | None:
+        """The goals under which the form of `node` derives `t`, whose Parikh
+        vector is `vec`, or None."""
+        if node.steps is not None:
+            if isinstance(node.form, Seq):
+                return self.match_parts(node, 0, _seq_factors(t), vec, Seq, True)
+            return self.match_parts(node, 0, _par_factors(t), vec, Par, self.mode is ORDERED)
+        if node.symbol is not None:
+            return ((node.symbol, t),) if self.derives((node.symbol, t), vec) else None
+        return () if vec == node.unit else None  # a terminal or eps: the one word with that vector
 
-    def match_parts(self, forms, factors, build, ordered: bool) -> tuple | None:
-        if len(forms) == 1:
-            return self.match(forms[0], build(*factors))
-        head, later = forms[0], forms[1:]  # bound the head's size
-        nullable = self.g._nullable
-        high = len(factors) - sum(not _derives_eps(f, nullable) for f in later)
-        low = high if all(map(_is_terminal_leaf, later)) else 0
-        if not _derives_eps(head, nullable):
-            low = max(low, 1)
-        if _one_factor(head, build, nullable):
+    def match_parts(self, node: _Node, j: int, factors, vec: int, kind, ordered: bool) -> tuple | None:
+        """The goals under which parts j, j+1, ... of `node` derive `factors`,
+        the factors of a `kind` (Seq or Par) term, whose Parikh vector is
+        `vec`, or None."""
+        step = node.steps[j]
+        high = len(factors) - step.later_nonempty
+        low = max(step.low, high) if step.later_terminals else step.low
+        if step.one:
             high = min(high, 1)
-        if ordered:
-            splits = ((factors[:i], factors[i:]) for i in range(low, high + 1))
-        else:
-            splits = multiset_splits(factors, 2, (low, high))
-        for part, rest in splits:
-            first = self.match(head, build(*part))
+        for part, rest, h, r in self.splits(factors, vec, low, high, ordered, step):
+            first = self.match(step.head, _join(kind, part), h)
             if first is not None:
-                others = self.match_parts(later, rest, build, ordered)
+                if j + 1 < len(node.steps):
+                    others = self.match_parts(node, j + 1, rest, r, kind, ordered)
+                else:
+                    others = self.match(node.last, _join(kind, rest), r)
                 if others is not None:
                     return first + others
         return None
+
+    def splits(self, factors, vec: int, low: int, high: int, ordered: bool, step: _Step):
+        """The two-way splits of `factors` whose head share has low..high
+        factors, a prefix when `ordered` and a sub-multiset otherwise, in the
+        search's order, each with the Parikh vectors of its shares; those
+        where a share cannot fit the head or the later parts of `step` are
+        left out."""
+        vector, head, rest_least, rest_forbid = self.vector, step.head, step.rest_least, step.rest_forbid
+        if ordered:
+            if 2 * low <= len(factors):
+                h = sum(map(vector, factors[:low]))
+            else:
+                h = vec - sum(map(vector, factors[low:]))
+            for i in range(low, high + 1):
+                if i > low:
+                    h += vector(factors[i - 1])
+                r = vec - h
+                if _fits(h, head.least, head.forbid) and _fits(r, rest_least, rest_forbid):
+                    yield factors[:i], factors[i:], h, r
+        else:
+            for part, rest in multiset_splits(factors, 2, (low, high)):
+                h = sum(map(vector, part))
+                r = vec - h
+                if _fits(h, head.least, head.forbid) and _fits(r, rest_least, rest_forbid):
+                    yield part, rest, h, r
 
     def leftmost_derivation(self) -> tuple[SPTerm, ...]:
         """The leftmost derivation of the goal `proves` last proved."""
@@ -460,14 +556,95 @@ class _MemberSearch:
         return tuple(chain)
 
 
-def _one_factor(form: SPTerm, build, nullable) -> bool:
-    """Whether every word of `form` is at most one factor of a `build` (seq
-    or par) term: a terminal, or a form of the other operator with two parts
-    that cannot derive eps."""
+def _join(kind, factors: tuple) -> SPTerm:
+    """The term of some factors of a canonical `kind` (Seq or Par) term: a
+    range of them, or in COMMUTATIVE mode a sorted sub-multiset, is already
+    canonical, so it needs no flattening or sorting."""
+    if len(factors) > 1:
+        return kind(factors)
+    return factors[0] if factors else EPS
+
+
+# A Parikh vector packs a term's atom count and its count of each letter into
+# one int, _WIDTH bits a field: the atoms in field 0, the grammar's terminals
+# in sorted order from field 1, and every other letter (an uppercase leaf of a
+# term built in code included) in the field after them, which no production
+# fills. No term whose atoms can be counted has 2**64 of them, so no field
+# overflows: the vector of a share of factors is the sum of theirs, and the
+# vector of the rest is the whole's minus the share's.
+_WIDTH = 64
+_COUNT = (1 << _WIDTH) - 1  # the atom count's field
+
+
+def _fits(vec: int, least: float, forbid: int) -> bool:
+    """Whether a word with Parikh vector `vec` has at least `least` atoms
+    and fills no field of `forbid`, as every word of the parts with those
+    facts does."""
+    return (vec & _COUNT) >= least and not vec & forbid
+
+
+class _Step(NamedTuple):
+    """What the search needs of a part of a Seq or Par form that has later parts."""
+
+    head: _Node
+    later_nonempty: int  # the later parts that cannot derive eps, each taking a factor
+    later_terminals: bool  # whether every later part is a terminal: then the head takes the rest
+    low: int  # the head's fewest factors: 1 when it cannot derive eps
+    one: bool  # whether the head takes at most one factor (`_one_factor`)
+    rest_least: float  # the later parts' fewest atoms, together
+    rest_forbid: int  # the Parikh vector fields no later part fills
+
+
+class _Node:
+    """A form of a production, planned once per grammar for `_MemberSearch`:
+    the fewest atoms of its words (`least`, inf when it has none) and the
+    Parikh vector fields they never fill (`forbid`); a nonterminal's `symbol`;
+    the vector of the one word of a terminal or eps (`unit`); and for a Seq or
+    Par form, a step per part but the last, and the `last` part."""
+
+    __slots__ = ("form", "least", "forbid", "symbol", "unit", "steps", "last")
+
+
+def _plan(form: SPTerm, least, allowed, fields, units) -> _Node:
+    """The `_Node` of `form`, given each nonterminal's least atoms and
+    allowed letter fields, and each terminal's field and unit vector."""
+    node = _Node()
+    node.form, node.least = form, _least(form, least)
+    node.forbid = ~(_COUNT | _fields(form, allowed, fields))
+    node.symbol = node.unit = node.steps = node.last = None
+    if isinstance(form, Eps):
+        node.unit = 0
+    elif isinstance(form, Leaf):
+        if form.symbol.isupper():
+            node.symbol = form.symbol
+        else:
+            node.unit = units[form.symbol]
+    else:
+        parts = [_plan(c, least, allowed, fields, units) for c in form.children]
+        other = Par if isinstance(form, Seq) else Seq
+        steps = []
+        for j, head in enumerate(parts[:-1]):
+            later = parts[j + 1 :]
+            steps.append(_Step(
+                head=head,
+                later_nonempty=sum(p.least > 0 for p in later),
+                later_terminals=all(_is_terminal_leaf(p.form) for p in later),
+                low=int(head.least > 0),
+                one=_one_factor(head.form, other, least),
+                rest_least=sum(p.least for p in later),
+                rest_forbid=functools.reduce(operator.and_, (p.forbid for p in later)),
+            ))
+        node.steps, node.last = tuple(steps), parts[-1]
+    return node
+
+
+def _one_factor(form: SPTerm, other, least) -> bool:
+    """Whether every word of `form` is at most one factor of a term of the
+    operator that is not `other`: a terminal, or an `other` form with two
+    parts that cannot derive eps."""
     if isinstance(form, Leaf):
         return form.symbol.islower()
-    other = Par if build is seq else Seq
-    return isinstance(form, other) and sum(not _derives_eps(c, nullable) for c in form.children) >= 2
+    return isinstance(form, other) and sum(_least(c, least) > 0 for c in form.children) >= 2
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:

@@ -19,6 +19,7 @@ Text format: atoms ``a``-``z``, ``eps``, ``0`` for the empty set, postfix
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -223,7 +224,9 @@ def _fmt(r: Regex, min_level: int) -> str:
 # Matching and enumeration, on the compiled grammar
 
 def matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
-    """Whether `t`, canonicalized for `mode`, is in the language of `r`."""
+    """Whether `t`, canonicalized for `mode`, is in the language of `r`. The
+    compiled grammars of the last 64 regexes are cached; each call searches
+    afresh, so no proof outlives it."""
     g = _compile(r)
     return g is not None and _MemberSearch(g, mode, DEFAULT_CAP).proves(canonicalize(t, mode))
 
@@ -236,17 +239,21 @@ def regex_enumerate(
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
     """Every word of `r` over `alphabet` with at most max_atoms atoms. `cap`
-    bounds the (nonterminal, word) pairs of the compiled grammar's fixpoint."""
-    g = _compile(r, set(_letters(alphabet, max_atoms)))
+    bounds the (nonterminal, word) pairs of the compiled grammar's fixpoint.
+    The compiled grammars of the last 64 (regex, letters) pairs are cached,
+    shared with `matches`."""
+    g = _compile(r, frozenset(_letters(alphabet, max_atoms)))
     return FiniteLang(mode, ()) if g is None else generate(g, max_atoms, mode=mode, cap=cap)
 
 
-def _compile(r: Regex, letters=None) -> Grammar | None:
+@functools.lru_cache(maxsize=64)
+def _compile(r: Regex, letters: frozenset | None = None) -> Grammar | None:
     """An sp grammar with the language of `r`, kept to words over `letters`
-    when given, start S; None when that language is empty. A union gets one
-    nonterminal with a production per part, a closure one with ``eps`` and
-    one repetition, and ``@`` the union of both closures; the empty set, and
-    an atom outside `letters`, prune the branch they sit in."""
+    when given, start S; None when that language is empty. Cached on
+    (r, letters), up to 64 pairs. A union gets one nonterminal with a
+    production per part, a closure one with ``eps`` and one repetition, and
+    ``@`` the union of both closures; the empty set, and an atom outside
+    `letters`, prune the branch they sit in."""
     productions: list[Production] = []
     names = map(_nonterminal, itertools.count())
 

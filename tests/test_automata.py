@@ -336,6 +336,14 @@ def test_long_seq_words_are_decided(loop, factor):
     assert runs_between(aut, "p", word) == {"p"}
 
 
+@pytest.mark.parametrize("text", ["z", "a.z", "a||z", "A", "a.S", "a||N_0"])
+def test_a_foreign_leaf_is_not_accepted(text):
+    # S and N_0 name nonterminals of the automaton's grammar; z labels no transition
+    aut = parse_automaton("states: p q\ninitial: p\nfinal: p\nseq: p a p\nseq: p b p\n")
+    assert accepts(aut, pt("a.b"))
+    assert not accepts(aut, parse_term(text, allow_upper=True))
+
+
 def differential_automata():
     """(name, automaton): both bench fixtures, the automata of 60 seeded
     parallel-linear grammars, and every hand-written case."""

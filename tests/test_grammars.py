@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from splang.terms import (
     ORDERED,
     Leaf,
     atoms_count,
+    atoms_multiset,
     depth,
     enumerate_terms,
     format_term,
@@ -282,6 +284,50 @@ def test_long_words_are_decided():
         assert len(is_member(g, word).trace) == 502
         assert not is_member(g, seq(word, Leaf("b")))
     assert sys.getrecursionlimit() == limit
+
+
+# the nonterminals S and A, and a letter outside the grammar
+FOREIGN = ["z", "a.z", "a||z", "A", "a.S", "a||A"]
+
+
+def foreign_term(text):
+    """`text` as a term built in code: its uppercase letters become leaves."""
+    return parse_term(text, allow_upper=True)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+@pytest.mark.parametrize("text", FOREIGN)
+def test_a_foreign_leaf_is_not_a_member(text, mode):
+    g = parse_grammar("S -> eps | A\nA -> a | A.A | A||A\n")
+    assert is_member(g, pt("a.(a||a)"), mode)
+    assert not is_member(g, foreign_term(text), mode)
+
+
+def planned_letters(g, nonterminal):
+    """The letters the grammar's plan lets the words of `nonterminal` have."""
+    return {c for c, unit in g._units.items() if unit & g._allowed[nonterminal]}
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_planned_facts_bound_the_generated_words(fixture_grammars, mode):
+    for g in fixture_grammars + [random_general_grammar(seed) for seed in range(40)]:
+        for nt in sorted(g.nonterminals):
+            words = generate(Grammar(g.nonterminals, g.terminals, g.productions, nt), 5, mode=mode).terms
+            least, letters = g._least[nt], planned_letters(g, nt)
+            for w in words:
+                assert atoms_count(w) >= least and set(atoms_multiset(w)) <= letters, (format_grammar(g), nt, w)
+            if least <= 5:
+                assert any(atoms_count(w) == least for w in words), (format_grammar(g), nt)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_a_nonterminal_without_words_has_no_least_size(mode):
+    g = parse_grammar("S -> a | B\nB -> b.B\n")
+    assert g._least == {"S": 1, "B": math.inf}
+    assert planned_letters(g, "S") == {"a"} and planned_letters(g, "B") == set()
+    assert is_member(g, pt("a"), mode)
+    assert not is_member(g, pt("b"), mode)
+    assert not is_member(g, pt("b.b"), mode)
 
 
 # ---------------------------------------------------------------------------

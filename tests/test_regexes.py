@@ -144,6 +144,27 @@ def test_regexes_with_many_nonterminals_agree_with_reference(mode):
         assert matches(r, t, mode) == naive_matches(r, t, mode), format_term(t)
 
 
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+@pytest.mark.parametrize("text", ["z", "a.z", "a||z", "A", "a.S", "a||A"])
+def test_a_foreign_leaf_does_not_match(text, mode):
+    # S and A name nonterminals of the compiled grammar; z is no atom of the regex
+    r = parse_regex("(a|b)@")
+    assert matches(r, parse_term("a.b.a"), mode)
+    assert not matches(r, parse_term(text, allow_upper=True), mode)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_matches_compiles_each_regex_once(mode):
+    _compile.cache_clear()
+    r = parse_regex("(a.b||c)*|d^")
+    terms = enumerate_terms("abcd", 2, mode)
+    for i in range(50):
+        t = terms[i % len(terms)]
+        assert matches(r, t, mode) == naive_matches(r, t, mode), format_term(t)
+    info = _compile.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -183,6 +204,15 @@ def test_combined_closure_enumeration_is_union():
         seqs = regex_enumerate(CloseSeq(body), "ab", 3)
         pars = regex_enumerate(ClosePar(body), "ab", 3)
         assert set(combined.terms) == set(seqs.terms) | set(pars.terms)
+
+
+def test_regex_enumerate_reuses_the_compiled_grammar():
+    _compile.cache_clear()
+    first = regex_enumerate(parse_regex("(a.b)*||c"), "abc", 4)
+    again = regex_enumerate(parse_regex("(a.b)*||c"), "cab", 4)  # an equal regex, the same letters
+    info = _compile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert again.terms == first.terms
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@
 Submodules:
 
 * ``terms`` — the series-parallel term algebra (parse, print, canonical
-  forms, length/depth metrics, reversal, bounded universe enumeration);
+  forms, length/depth metrics, reversal, the bounded term universe);
 * ``langs`` — finite languages with concatenation, parallel product, union,
   powers, three bounded Kleene closures, reversal, and equality reports;
 * ``regexes`` — regular expressions with sequential, parallel, and combined
   closures: matching and bounded enumeration through a compile to sp
   grammars, and the parallel-fragment compiler to parallel-linear grammars;
 * ``grammars`` — grammars over series-parallel right-hand sides:
-  classification, exact generation up to an atom bound, exact membership
-  with derivation traces (the package's one membership engine);
+  classification, exact generation up to an atom bound, level by level
+  (the package's one bounded engine, term universes included), and exact
+  membership with derivation traces (its one membership engine);
 * ``automata`` — fork/join branching automata: runs, acceptance and bounded
   enumeration through a compile to a commutative sp grammar (a nonterminal
   per state pair joined by a path), and the construction from

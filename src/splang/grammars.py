@@ -9,9 +9,19 @@ parallel) and the fully linear classes.
 
 Generation and membership are exact, with no derivation-step budget: the words
 of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
-A's productions", L(rhs) composing its leaves' words with `seq` and `par`. The
-regex layer compiles every regex into a grammar and decides and enumerates it
-here, so this is the one membership engine of the package.
+A's productions", L(rhs) composing its leaves' words with `seq` and `par`.
+Regexes, branching automata and the term universe are all compiled into
+grammars and decided or enumerated here: this is the package's one membership
+engine and its one bounded engine.
+
+Generation is stratified by atom count (the size-stratified evaluation of
+CYK; Younger, Information and Control 10, 1967): level k, the words of k
+atoms, is computed for k = 0, 1, ... in order. A derivation never loses an
+atom, so the parts of a word of k atoms have at most k, and level k needs only
+levels up to k. The words a form builds from parts of fewer atoms are computed
+once; only a part that takes all k atoms, every other part deriving eps,
+reads level k itself and passes its words on unchanged, so a level is
+iterated until no new word appears.
 
 Membership is a goal-directed search over a plan made once per grammar. Each
 production's form is planned with the split bounds of its parts and coarse
@@ -347,39 +357,85 @@ def generate(
     mode: SemanticsMode = ORDERED,
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
-    """Every word of L(g) with at most max_atoms atoms, canonical for `mode`:
-    the least fixpoint of every nonterminal's words, pruned to max_atoms
-    atoms (a derivation never loses an atom). `cap` bounds the (nonterminal,
-    word) pairs held, not counting the nonterminals whose productions are all
-    eps or a single nonterminal: they only copy words counted elsewhere.
-    `max_steps` is ignored; it stays the third positional parameter for
-    existing callers."""
-    words: dict[str, dict[SPTerm, int]] = {nt: {} for nt in g.nonterminals}  # word -> its atoms
-    copies = [nt for nt in g.nonterminals
-              if all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in g.alternatives(nt))]
-    count, last = 0, -1
-    while count > last:
-        for p in g.productions:
-            words[p.lhs].update(_form_words(p.rhs, words, max_atoms, mode))
-        last, count = count, sum(map(len, words.values()))
-        if count - sum(len(words[nt]) for nt in copies) > cap:
+    """Every word of L(g) with at most max_atoms atoms, canonical for `mode`,
+    computed level by level in the atom count (see the module docstring):
+    as a derivation never loses an atom, level k needs only levels <= k, and
+    a form's words of k atoms combine only part sizes that sum to k, each at
+    least its part's fewest atoms (`Grammar._least`). `cap` bounds the
+    (nonterminal, word) pairs held, not counting the nonterminals whose
+    productions are all eps or a single nonterminal: they only copy words
+    counted elsewhere. `max_steps` is ignored; it stays the third positional
+    parameter for existing callers."""
+    join = {Seq: seq, Par: functools.partial(par, mode=mode)}
+    words = {nt: [] for nt in g.nonterminals}  # nonterminal -> its words by atom count
+    inner = {}  # (a Seq or Par form, atoms) -> its words where no part takes all the atoms
+
+    def sized(node: _Node, k: int):
+        """The words of k atoms of a production's form or part, from the words found so far."""
+        if node.symbol is not None:
+            return words[node.symbol][k]
+        if node.steps is None:  # a terminal or eps
+            return (node.form,) if node.unit & _COUNT == k else ()
+        if (node, k) not in inner:  # from levels below k: computed once
+            inner[node, k] = combined(node, k, k - 1)
+        solid = node.steps[0].low + node.steps[0].later_nonempty  # the parts that cannot derive eps
+        if solid > 1:
+            return inner[node, k]
+        # the parts that take all k atoms, every other deriving eps, pass their words on unchanged
+        parts = [step.head for step in node.steps] + [node.last]
+        return inner[node, k].union(*(sized(part, k) for part in parts if part.least > 0 or not solid))
+
+    def combined(node: _Node, k: int, top: int, i: int = 0):
+        """The words of k atoms of the parts i, i+1, ... of a Seq or Par form,
+        each part taking at least its fewest atoms and at most `top`."""
+        if i == len(node.steps):
+            return sized(node.last, k) if k <= top else ()
+        step, out = node.steps[i], set()
+        if step.head.least + step.rest_least <= k:  # inf when a part has no word
+            make = join[type(node.form)]
+            for j in range(step.head.least, min(top, k - step.rest_least) + 1):
+                xs = sized(step.head, j)
+                if xs:
+                    out.update({make(x, y) for y in combined(node, k - j, top, i + 1) for x in xs})
+        return out
+
+    counted = [nt for nt in g.nonterminals
+               if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in g.alternatives(nt))]
+    count = 0
+    for level in range(max_atoms + 1):
+        for nt in g.nonterminals:
+            words[nt].append(set())
+        grown = True
+        while grown:  # only parts that take all the atoms, the others deriving eps, depend on this level
+            grown = False
+            for nt, nodes in g._plans.items():
+                for node in nodes:
+                    new = sized(node, level)
+                    if not words[nt][level].issuperset(new):
+                        words[nt][level].update(new)
+                        grown = True
+        count += sum(len(words[nt][level]) for nt in counted)
+        if count > cap:
             raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
-    return FiniteLang(mode, tuple(words[g.start]))
+    # a set: the language's frozenset copies it without hashing the words again
+    return FiniteLang(mode, set().union(*words[g.start]))
 
 
-def _form_words(form: SPTerm, words, max_atoms: int, mode: SemanticsMode) -> dict[SPTerm, int]:
-    if isinstance(form, Eps):
-        return {EPS: 0}
-    if isinstance(form, Leaf):
-        if form.symbol.isupper():
-            return words[form.symbol]
-        return {form: 1} if max_atoms > 0 else {}
-    combine = seq if isinstance(form, Seq) else lambda x, y: par(x, y, mode=mode)
-    acc = {EPS: 0}
-    for child in form.children:
-        child_words = _form_words(child, words, max_atoms, mode).items()
-        acc = {combine(x, y): m + n for x, m in acc.items() for y, n in child_words if m + n <= max_atoms}
-    return acc
+@functools.lru_cache(maxsize=64)
+def _universe(letters: tuple[str, ...], max_atoms: int, mode: SemanticsMode, cap: int) -> FiniteLang:
+    """Every canonical term over `letters` with at most max_atoms atoms, eps
+    included: a Seq (Q) has two or more factors that are letters or Par
+    terms (X), a Par (R) two or more that are letters or Seq terms (Y). S, X
+    and Y only copy words, so `generate` counts the terms but eps."""
+    A, Q, R, X, Y = map(Leaf, "AQRXY")
+    rules = {"S": (EPS, A, Q, R), "A": tuple(map(Leaf, letters)), "Q": (seq(X, X), seq(X, Q)),
+             "R": (par(Y, Y), par(Y, R)), "X": (A, R), "Y": (A, Q)}
+    productions = tuple(Production(lhs, rhs) for lhs, alts in rules.items() for rhs in alts)
+    g = Grammar(frozenset(rules), frozenset(letters), productions, "S")
+    try:
+        return generate(g, max_atoms, mode=mode, cap=cap - 1)
+    except EnumerationCapError:
+        raise EnumerationCapError(f"term universe exceeds the cardinality cap ({cap})") from None
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .terms import (
     DEFAULT_CAP,
     SemanticsMode,
     SPTerm,
+    _letters,
     canonicalize,
-    enumerate_terms,
     format_term,
     parse_term,
     par,
@@ -184,7 +184,9 @@ def universe(
     cap: int = DEFAULT_CAP,
 ) -> FiniteLang:
     """The full bounded term universe as a language (see enumerate_terms)."""
-    return FiniteLang(mode, enumerate_terms(alphabet, max_atoms, mode, cap))
+    from .grammars import _universe  # grammars imports this module
+
+    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, cap)
 
 
 _MODE_NAMES = {"ordered": ORDERED, "commutative": COMMUTATIVE}

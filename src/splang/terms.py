@@ -14,7 +14,8 @@ kept in a canonical form:
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
-sentential forms.
+sentential forms. That layer's bounded engine also builds the bounded term
+universe (`enumerate_terms`), from a grammar of canonical terms.
 
 Text format (whitespace ignored, ``.`` binds tighter than ``||``)::
 
@@ -25,13 +26,12 @@ Text format (whitespace ignored, ``.`` binds tighter than ``||``)::
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from ._lex import NONTERMINAL, TokenStream
-from .errors import EnumerationCapError, TermSyntaxError
+from .errors import TermSyntaxError
 
 
 class SemanticsMode(Enum):
@@ -316,12 +316,15 @@ def enumerate_terms(
     """Every canonical term (for `mode`) with at most `max_atoms` atom
     occurrences, eps included, sorted by the canonical order.
 
-    This is the brute-force universe of `term enum`; the library's bounded
-    languages are least fixpoints instead, and the tests filter this universe
-    as their oracle. Raises EnumerationCapError when more than `cap` terms
-    would be produced.
+    This is the universe of `term enum`, which the tests filter as their
+    oracle: `grammars.generate` on a grammar of canonical terms, the engine
+    of every bounded language of the package. Raises EnumerationCapError
+    when more than `cap` terms would be produced. The last 64 universes are
+    cached.
     """
-    return _enumerate_cached(_letters(alphabet, max_atoms), max_atoms, mode, cap)
+    from .grammars import _universe  # grammars imports this module
+
+    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, cap).terms
 
 
 def _letters(alphabet, max_atoms: int) -> tuple[str, ...]:
@@ -334,68 +337,3 @@ def _letters(alphabet, max_atoms: int) -> tuple[str, ...]:
     if max_atoms < 0:
         raise ValueError("max_atoms must be >= 0")
     return letters
-
-
-@functools.lru_cache(maxsize=64)
-def _enumerate_cached(
-    letters: tuple[str, ...],
-    max_atoms: int,
-    mode: SemanticsMode,
-    cap: int,
-) -> tuple[SPTerm, ...]:
-    out: list[SPTerm] = [EPS]
-    # pools of terms with exactly n atoms, split by top constructor
-    non_seq: dict[int, list[SPTerm]] = {}  # atoms and Par terms: legal Seq children
-    non_par: dict[int, list[SPTerm]] = {}  # atoms and Seq terms: legal Par children
-    for n in range(1, max_atoms + 1):
-        if n == 1:
-            atoms: list[SPTerm] = [Leaf(c) for c in letters]
-            seq_terms: list[SPTerm] = []
-            par_terms: list[SPTerm] = []
-        else:
-            atoms = []
-            seq_terms = [
-                Seq(tuple(combo))
-                for parts in _compositions(n)
-                for combo in itertools.product(*(non_seq[k] for k in parts))
-            ]
-            if mode is ORDERED:
-                par_terms = [
-                    Par(tuple(combo))
-                    for parts in _compositions(n)
-                    for combo in itertools.product(*(non_par[k] for k in parts))
-                ]
-            else:
-                seen = {
-                    tuple(sorted(combo, key=format_term))
-                    for parts in _compositions(n)
-                    for combo in itertools.product(*(non_par[k] for k in parts))
-                }
-                par_terms = [Par(children) for children in seen]
-        non_seq[n] = atoms + par_terms
-        non_par[n] = atoms + seq_terms
-        out.extend(atoms)
-        out.extend(seq_terms)
-        out.extend(par_terms)
-        if len(out) > cap:
-            raise EnumerationCapError(
-                f"term universe exceeds the cardinality cap ({cap}) at {n} atoms"
-            )
-    out.sort(key=format_term)
-    return tuple(out)
-
-
-def _compositions(n: int):
-    """Ordered splits of n into at least two positive parts."""
-
-    def go(remaining: int, acc: list[int]):
-        if remaining == 0:
-            if len(acc) >= 2:
-                yield tuple(acc)
-            return
-        for k in range(1, remaining + 1):
-            acc.append(k)
-            yield from go(remaining - k, acc)
-            acc.pop()
-
-    yield from go(n, [])

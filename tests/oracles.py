@@ -1,14 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's search strategies: the universe is
-rebuilt from binary combinations instead of composition pools, the regex
-reference matcher is plain exponential recursion over index assignments with
-no memoization (the library compiles regexes to grammars instead), bounded
-regex languages filter the term universe through it, grammar words come
-from a breadth-first search over leftmost derivations instead of a fixpoint
-over nonterminals, and automaton runs follow the transitions directly (the
-library compiles automata to grammars instead), trying every assignment of a
-Par's children to fork targets.
+rebuilt from binary combinations instead of generating a grammar of
+canonical terms level by level, the regex reference matcher is plain
+exponential recursion over index assignments with no memoization (the
+library compiles regexes to grammars instead), bounded regex languages
+filter the term universe through it, grammar words come from a
+breadth-first search over leftmost derivations instead of a level-by-level
+fixpoint over nonterminals, and automaton runs follow the transitions
+directly (the library compiles automata to grammars instead), trying every
+assignment of a Par's children to fork targets.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from oracles import OracleCapError, bfs_derive, check_trace, oracle_words, random_general_grammar
+from oracles import OracleCapError, binary_universe, bfs_derive, check_trace, oracle_words, random_general_grammar
 from splang._partitions import multiset_splits
-from splang.errors import TermSyntaxError
+from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.grammars import (
     Grammar,
     Production,
@@ -210,6 +210,21 @@ def test_generate_monotone_in_bounds(branches_grammar):
 def test_generate_commutative_mode(pairs_grammar):
     out = generate(pairs_grammar, 4, mode=COMMUTATIVE)
     assert texts(out) == ["a||a||b||b", "a||b", "eps"]
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_generate_cap_counts_no_copy_nonterminal(mode):
+    # S and A only copy B's words: the 2 + 4 + 8 + 16 nonempty sequential words
+    g = parse_grammar("S -> A | eps\nA -> B\nB -> a | b | B.B\n")
+    assert len(generate(g, 4, mode=mode, cap=30)) == 31
+    with pytest.raises(EnumerationCapError, match=r"^grammar words exceed the cardinality cap \(29\)$"):
+        generate(g, 4, mode=mode, cap=29)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_ambiguous_universe_grammar_generates_the_universe(mode):
+    g = parse_grammar("S -> eps | T\nT -> a | b | T.T | T||T\n")
+    assert generate(g, 5, mode=mode).terms == binary_universe("ab", 5, mode)
 
 
 def test_parallel_linear_grammars_generate_parallel_words(fanout_grammar):

@@ -208,7 +208,7 @@ def test_enumerate_two_letters_two_atoms():
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
-@pytest.mark.parametrize("max_atoms", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("max_atoms", [0, 1, 2, 3, 4, 5])
 def test_enumerate_matches_independent_generator(mode, max_atoms):
     assert enumerate_terms("ab", max_atoms, mode) == binary_universe("ab", max_atoms, mode)
 
@@ -224,6 +224,14 @@ def test_enumerate_output_is_sorted_and_canonical():
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_terms("ab", 6, cap=100)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_enumerate_cap_bounds_the_terms_eps_included(mode):
+    size = len(binary_universe("ab", 4, mode))
+    assert len(enumerate_terms("ab", 4, mode, cap=size)) == size
+    with pytest.raises(EnumerationCapError, match=rf"^term universe exceeds the cardinality cap \({size - 1}\)$"):
+        enumerate_terms("ab", 4, mode, cap=size - 1)
 
 
 def test_enumerate_rejects_bad_alphabet():

@@ -18,87 +18,64 @@ Submodules:
   per state pair joined by a path), and the construction from
   parallel-linear grammars;
 * ``cli`` — the ``splang`` command-line front end.
+
+The package re-exports the public names of ``errors`` and of the first five
+submodules (listed in ``__all__``). Importing the package imports none of
+them: each name loads on first use from its submodule (PEP 562), so a
+``splang`` process that only handles terms never compiles the grammar,
+regex and automaton modules.
 """
 
-from .errors import (
-    EnumerationCapError,
-    FragmentError,
-    ModeMismatchError,
-    NotParallelLinearError,
-    SplangError,
-    TermSyntaxError,
-)
-from .terms import (
-    COMMUTATIVE,
-    EPS,
-    ORDERED,
-    Eps,
-    Leaf,
-    Par,
-    SemanticsMode,
-    SPTerm,
-    Seq,
-    TermClass,
-    atoms_count,
-    atoms_multiset,
-    canonicalize,
-    classify_term,
-    depth,
-    enumerate_terms,
-    format_term,
-    is_parallel_word,
-    is_sequential_word,
-    length,
-    par,
-    parse_term,
-    reverse_term,
-    seq,
-)
-from .langs import (
-    ClosureKind,
-    FiniteLang,
-    LangDiff,
-    PowerKind,
-    concat_lang,
-    dump_lang,
-    kleene_bounded,
-    lang_equal,
-    load_lang,
-    par_lang,
-    power,
-    reverse_lang,
-    union_lang,
-    universe,
-)
-from .regexes import (
-    Regex,
-    format_regex,
-    matches,
-    parse_regex,
-    regex_enumerate,
-    to_parallel_linear_grammar,
-)
-from .grammars import (
-    Grammar,
-    GrammarClass,
-    Production,
-    classify_grammar,
-    format_grammar,
-    generate,
-    is_member,
-    parse_grammar,
-    random_parallel_linear_grammar,
-)
-from .automata import (
-    BranchingAutomaton,
-    accepts,
-    automaton_alphabet,
-    enumerate_accepted,
-    from_linear_grammar,
-    parse_automaton,
-    runs_between,
-    serialize_automaton,
-    to_grammar,
-)
+import importlib
 
+# every public name, by the submodule that defines it
+_EXPORTS = {
+    "errors": (
+        "EnumerationCapError", "FragmentError", "ModeMismatchError",
+        "NotParallelLinearError", "SplangError", "TermSyntaxError",
+    ),
+    "terms": (
+        "COMMUTATIVE", "EPS", "ORDERED", "Eps", "Leaf", "Par", "SemanticsMode",
+        "SPTerm", "Seq", "TermClass", "atoms_count", "atoms_multiset",
+        "canonicalize", "classify_term", "depth", "enumerate_terms",
+        "format_term", "is_parallel_word", "is_sequential_word", "length", "par",
+        "parse_term", "reverse_term", "seq",
+    ),
+    "langs": (
+        "ClosureKind", "FiniteLang", "LangDiff", "PowerKind", "concat_lang",
+        "dump_lang", "kleene_bounded", "lang_equal", "load_lang", "par_lang",
+        "power", "reverse_lang", "union_lang", "universe",
+    ),
+    "regexes": (
+        "Regex", "format_regex", "matches", "parse_regex", "regex_enumerate",
+        "to_parallel_linear_grammar",
+    ),
+    "grammars": (
+        "Grammar", "GrammarClass", "Production", "classify_grammar",
+        "format_grammar", "generate", "is_member", "parse_grammar",
+        "random_parallel_linear_grammar",
+    ),
+    "automata": (
+        "BranchingAutomaton", "accepts", "automaton_alphabet",
+        "enumerate_accepted", "from_linear_grammar", "parse_automaton",
+        "runs_between", "serialize_automaton", "to_grammar",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # a submodule's name is not in the table: raising lets `from splang
+    # import automata` fall back to importing the submodule
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

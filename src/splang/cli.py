@@ -15,9 +15,11 @@ of `grammar generate`, `regex enum` (the regex's compiled grammar) and the
 grammar side of `equiv`, not counting nonterminals that only copy other
 nonterminals' words; (state pair, word) pairs of the runs of `automaton enum`
 and the automaton side of `equiv`; (nonterminal, sub-term) goals per search
-pass of `grammar member`, `regex match` and `automaton accepts`; 70 internal
-error (a bug: one ``error: internal error:`` line on stderr, no traceback);
-141 (128 + SIGPIPE) when the reader closes stdout, with nothing on stderr.
+pass of `grammar member`, `regex match` and `automaton accepts`; words of
+each partial power of `lang power` and of each partial union of powers of
+`lang closure`; 70 internal error (a bug: one ``error: internal error:`` line
+on stderr, no traceback); 141 (128 + SIGPIPE) when the reader closes stdout,
+with nothing on stderr.
 Regexes and automata are decided and enumerated through their compiled
 grammars. Grammar membership and generation are exact (no step budget);
 `member --trace` prints a leftmost derivation, not necessarily the shortest.
@@ -31,7 +33,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import automata, grammars, langs, regexes, terms
+# each handler imports the grammar, regex and automaton modules it runs, so a
+# process that handles terms or languages never pays for their import
+from . import langs, terms
 from .errors import (
     EnumerationCapError,
     FragmentError,
@@ -179,6 +183,8 @@ def _cmd_lang(args) -> int:
 # regex
 
 def _cmd_regex(args) -> int:
+    from . import grammars, regexes
+
     cfg = _config(args)
     r = regexes.parse_regex(args.regex)
     if args.sub == "match":
@@ -201,6 +207,8 @@ def _cmd_regex(args) -> int:
 # grammar
 
 def _cmd_grammar(args) -> int:
+    from . import grammars
+
     cfg = _config(args)
     g = grammars.parse_grammar(_read(args.file))
     if args.sub == "classify":
@@ -224,6 +232,8 @@ def _cmd_grammar(args) -> int:
 # automaton / equiv
 
 def _cmd_automaton(args) -> int:
+    from . import automata, grammars
+
     cfg = _config(args)
     if args.sub == "from-grammar":
         g = grammars.parse_grammar(_read(args.file))
@@ -243,6 +253,8 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import automata, grammars
+
     cfg = _config(args)
     g = grammars.parse_grammar(_read(args.file))
     aut = automata.from_linear_grammar(g)

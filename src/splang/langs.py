@@ -13,11 +13,12 @@ per line in the term text format. ``#`` starts a comment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import ModeMismatchError, TermSyntaxError
+from .errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from .terms import (
     COMMUTATIVE,
     EPS,
@@ -105,14 +106,24 @@ def epsilon_lang(mode: SemanticsMode = ORDERED) -> FiniteLang:
     return FiniteLang(mode, (EPS,))
 
 
+def _within_cap(lang: FiniteLang, operation: str) -> FiniteLang:
+    if len(lang) > DEFAULT_CAP:
+        raise EnumerationCapError(f"{operation} exceeds the cardinality cap ({DEFAULT_CAP})")
+    return lang
+
+
 def power(lang: FiniteLang, n: int, kind: PowerKind) -> FiniteLang:
-    """n-fold repetition of `lang` under the chosen operator; n=0 gives {eps}."""
+    """n-fold repetition of `lang` under the chosen operator; n=0 gives {eps}.
+
+    Raises EnumerationCapError when a partial power holds more than
+    DEFAULT_CAP words.
+    """
     if n < 0:
         raise ValueError("power exponent must be >= 0")
     combine = concat_lang if kind is PowerKind.SEQ else par_lang
     acc = epsilon_lang(lang.mode)
     for _ in range(n):
-        acc = combine(acc, lang)
+        acc = _within_cap(combine(acc, lang), f"{kind.value} power")
     return acc
 
 
@@ -120,22 +131,26 @@ def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLan
     """Union of the 0..n_max powers of `lang`.
 
     STAR unions sequential powers, PAR_PLUS parallel powers, and SP is the
-    union of both at the same bound. Monotone in n_max.
+    union of both at the same bound. Monotone in n_max. Raises
+    EnumerationCapError when a partial union of powers holds more than
+    DEFAULT_CAP words.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if kind is ClosureKind.SP:
-        return union_lang(
-            kleene_bounded(lang, ClosureKind.STAR, n_max),
-            kleene_bounded(lang, ClosureKind.PAR_PLUS, n_max),
-        )
-    combine = concat_lang if kind is ClosureKind.STAR else par_lang
-    out = epsilon_lang(lang.mode)
-    level = epsilon_lang(lang.mode)
-    for _ in range(n_max):
-        level = combine(level, lang)
-        out = union_lang(out, level)
-    return out
+    combines = {
+        ClosureKind.STAR: (concat_lang,),
+        ClosureKind.PAR_PLUS: (par_lang,),
+        ClosureKind.SP: (concat_lang, par_lang),
+    }[kind]
+    operation = f"{kind.value} closure"
+    closures = []
+    for combine in combines:
+        out = level = epsilon_lang(lang.mode)
+        for _ in range(n_max):
+            level = combine(level, lang)
+            out = _within_cap(union_lang(out, level), operation)
+        closures.append(out)
+    return _within_cap(functools.reduce(union_lang, closures), operation)
 
 
 def reverse_lang(lang: FiniteLang) -> FiniteLang:

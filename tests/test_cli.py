@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splang
 from splang.cli import main
@@ -85,6 +86,34 @@ def test_lang_closure_sp(capsys, tmp_path):
     code, out, _ = run(capsys, "lang", "closure", "--kind", "sp", "--nmax", "2", path)
     assert code == 0
     assert out == "mode: ordered\na\na.a\na||a\neps\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["power", "--kind", "seq", "--n", "4"], "seq power"),
+        (["power", "--kind", "par", "--nmax", "4"], "par power"),
+        (["closure", "--kind", "star", "--nmax", "3"], "star closure"),
+        (["closure", "--kind", "sp", "--nmax", "2"], "sp closure"),
+    ],
+    ids=["power-seq", "power-par", "closure-star", "closure-sp"],
+)
+def test_lang_power_and_closure_past_the_cap_exit_6(capsys, tmp_path, monkeypatch, argv, err):
+    monkeypatch.setattr("splang.langs.DEFAULT_CAP", 8)
+    path = write_lang(tmp_path, "l.lang", "a", "b")
+    code, out, stderr = run(capsys, "lang", argv[0], path, *argv[1:])
+    assert (code, out, stderr) == (6, "", f"error: {err} exceeds the cardinality cap (8)\n")
+
+
+def test_commutative_par_closure_stays_under_the_cap(capsys, tmp_path):
+    # ordered, the parallel powers of {a, b} double at each step; commutative,
+    # the k-th power has only k + 1 words: 496 up to 30
+    path = write_lang(tmp_path, "l.lang", "a", "b", mode="commutative")
+    code, out, err = run(capsys, "lang", "closure", path, "--kind", "par", "--nmax", "30")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[0], len(lines)) == ("mode: commutative", 1 + 496)
+    assert "||".join("a" * 3 + "b" * 27) in lines
 
 
 def test_lang_equal_same_file(capsys, tmp_path):
@@ -553,3 +582,101 @@ def test_outputs_are_identical_across_hash_seeds():
                                   env=env, capture_output=True, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
+
+
+# ---------------------------------------------------------------------------
+# exit codes under random input
+
+def texts_of(atoms, postfix, infix):
+    """Well-formed, fully parenthesized texts over `atoms` and the operators."""
+    def grow(inner):
+        binary = st.tuples(inner, st.sampled_from(infix), inner).map(lambda p: f"({p[0]}){p[1]}({p[2]})")
+        if not postfix:
+            return binary
+        return st.one_of(binary, st.tuples(inner, st.sampled_from(postfix)).map(lambda p: f"({p[0]}){p[1]}"))
+
+    return st.recursive(st.sampled_from(atoms), grow, max_leaves=5)
+
+
+def noise(alphabet):
+    return st.text(alphabet, max_size=12)
+
+
+term_forms = texts_of(["a", "b", "eps"], [], [".", "||"])
+term_texts = st.one_of(term_forms, noise("ab().| ep"))
+regex_texts = st.one_of(texts_of(["a", "b", "eps", "0"], ["*", "^", "@"], [".", "||", "|"]), noise("ab0().|*^@ "))
+grammar_forms = st.lists(texts_of(["a", "b", "eps", "S", "A"], [], [".", "||"]), min_size=1, max_size=3)
+grammar_files = st.one_of(
+    st.tuples(grammar_forms, grammar_forms).map(lambda t: f"S -> {' | '.join(t[0])}\nA -> {' | '.join(t[1])}\n"),
+    noise("SAab->|.\n# "),
+)
+states = st.sampled_from(["p", "q", "r"])
+fork_join = st.tuples(*[states] * 6, st.sampled_from(["*", "{a,b;a,a}", "{a}"])).map(
+    lambda t: "fork: F {} -> {{{}, {}}}\njoin: J {{{}, {}}} -> {}\npar: F {} J\n".format(*t))
+automaton_files = st.one_of(
+    st.tuples(st.lists(states, min_size=1, max_size=2), st.lists(states, max_size=2),
+              st.lists(st.tuples(states, st.sampled_from("ab"), states), max_size=4), st.lists(fork_join, max_size=1))
+    .map(lambda t: f"states: p q r\ninitial: {' '.join(t[0])}\nfinal: {' '.join(t[1])}\n"
+         + "".join("seq: {} {} {}\n".format(*x) for x in t[2]) + "".join(t[3])),
+    noise("pqab:{},;*->\n"),
+)
+lang_files = st.one_of(
+    st.tuples(st.sampled_from(["ordered", "commutative"]), st.lists(term_forms, max_size=4))
+    .map(lambda t: f"mode: {t[0]}\n" + "".join(x + "\n" for x in t[1])),
+    noise("mode:ab.|\n# "),
+)
+alphabets = st.tuples(st.just("--alphabet"), st.text("abc", max_size=3))
+# each subcommand's arguments; l1.lang, l2.lang, g.g and x.aut name files
+COMMANDS = {
+    "term metrics": st.tuples(term_texts),
+    "term reverse": st.tuples(term_texts),
+    "term canon": st.tuples(term_texts),
+    "term enum": alphabets,
+    "lang concat": st.just(("l1.lang", "l2.lang")),
+    "lang par": st.just(("l1.lang", "l2.lang")),
+    "lang union": st.just(("l1.lang", "l2.lang")),
+    "lang equal": st.just(("l1.lang", "l2.lang")),
+    "lang power": st.tuples(st.just("l1.lang"), st.just("--kind"), st.sampled_from(["seq", "par"]),
+                            st.just("--n"), st.integers(0, 3).map(str)),
+    "lang closure": st.tuples(st.just("l1.lang"), st.just("--kind"), st.sampled_from(["star", "par", "sp"])),
+    "lang reverse": st.just(("l1.lang",)),
+    "regex match": st.tuples(regex_texts, term_texts),
+    "regex enum": st.tuples(regex_texts).flatmap(lambda t: alphabets.map(lambda a: t + a)),
+    "regex to-grammar": st.tuples(regex_texts),
+    "grammar classify": st.just(("g.g",)),
+    "grammar generate": st.just(("g.g",)),
+    "grammar member": st.tuples(st.just("g.g"), term_texts).flatmap(
+        lambda t: st.sampled_from([t, t + ("--trace",)])),
+    "automaton from-grammar": st.just(("g.g",)),
+    "automaton accepts": st.tuples(st.just("x.aut"), term_texts),
+    "automaton enum": st.tuples(st.just("x.aut")).flatmap(lambda t: alphabets.map(lambda a: t + a)),
+    "equiv": st.just(("g.g",)),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [*command.split(), *draw(COMMANDS[command]),
+            "--mode", draw(st.sampled_from(["ordered", "commutative"])),
+            "--max-atoms", str(draw(st.integers(0, 4))), "--nmax", str(draw(st.integers(0, 3)))]
+    files = {"l1.lang": draw(lang_files), "l2.lang": draw(lang_files), "g.g": draw(grammar_files),
+             "x.aut": draw(automaton_files)}
+    return argv, files
+
+
+def test_every_command_exits_with_a_documented_code(tmp_path):
+    @settings(max_examples=150, deadline=None)
+    @given(invocations())
+    def check(invocation):
+        argv, files = invocation
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(7), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

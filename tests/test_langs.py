@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from splang.errors import ModeMismatchError, TermSyntaxError
+from splang.errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from splang.langs import (
     ClosureKind,
     FiniteLang,
@@ -132,6 +132,33 @@ def test_closure_bound_zero():
     l = lang("a.b")
     for kind in ClosureKind:
         assert texts(kleene_bounded(l, kind, 0)) == ["eps"]
+
+
+def test_powers_and_closures_stop_at_the_cap(monkeypatch):
+    # over {a, b} in ordered mode the k-th power has 2^k words and the
+    # closure up to n the sum of theirs (both for sp, less the shared a, b, eps)
+    monkeypatch.setattr("splang.langs.DEFAULT_CAP", 8)
+    l = lang("a", "b")
+    for kind in PowerKind:
+        assert len(power(l, 3, kind)) == 8
+        with pytest.raises(EnumerationCapError, match=rf"^{kind.value} power exceeds the cardinality cap \(8\)$"):
+            power(l, 4, kind)
+    for kind, fits in ((ClosureKind.STAR, 2), (ClosureKind.PAR_PLUS, 2), (ClosureKind.SP, 1)):
+        assert len(kleene_bounded(l, kind, fits)) <= 8
+        with pytest.raises(EnumerationCapError, match=rf"^{kind.value} closure exceeds the cardinality cap \(8\)$"):
+            kleene_bounded(l, kind, fits + 1)
+
+
+def test_the_cap_counts_words_after_deduplication(monkeypatch):
+    # commutative parallel powers of {a, b}: the k-th has k + 1 words
+    monkeypatch.setattr("splang.langs.DEFAULT_CAP", 8)
+    l = lang("a", "b", mode=COMMUTATIVE)
+    assert len(power(l, 7, PowerKind.PAR)) == 8
+    with pytest.raises(EnumerationCapError):
+        power(l, 8, PowerKind.PAR)
+    assert len(kleene_bounded(l, ClosureKind.PAR_PLUS, 2)) == 6
+    with pytest.raises(EnumerationCapError):
+        kleene_bounded(l, ClosureKind.PAR_PLUS, 3)
 
 
 def test_mode_mismatch_raises():

@@ -1,0 +1,104 @@
+"""The package namespace and what each CLI command imports.
+
+`splang` re-exports its submodules' public names but imports none of them
+until a name is used, and the CLI imports the grammar, regex and automaton
+modules only in the handlers that run them."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import splang
+
+# every name the package has re-exported since the start, by defining submodule
+EXPORTS = {
+    "errors": [
+        "EnumerationCapError", "FragmentError", "ModeMismatchError",
+        "NotParallelLinearError", "SplangError", "TermSyntaxError",
+    ],
+    "terms": [
+        "COMMUTATIVE", "EPS", "ORDERED", "Eps", "Leaf", "Par", "SemanticsMode", "SPTerm", "Seq",
+        "TermClass", "atoms_count", "atoms_multiset", "canonicalize", "classify_term", "depth",
+        "enumerate_terms", "format_term", "is_parallel_word", "is_sequential_word", "length", "par",
+        "parse_term", "reverse_term", "seq",
+    ],
+    "langs": [
+        "ClosureKind", "FiniteLang", "LangDiff", "PowerKind", "concat_lang", "dump_lang",
+        "kleene_bounded", "lang_equal", "load_lang", "par_lang", "power", "reverse_lang",
+        "union_lang", "universe",
+    ],
+    "regexes": [
+        "Regex", "format_regex", "matches", "parse_regex", "regex_enumerate",
+        "to_parallel_linear_grammar",
+    ],
+    "grammars": [
+        "Grammar", "GrammarClass", "Production", "classify_grammar", "format_grammar", "generate",
+        "is_member", "parse_grammar", "random_parallel_linear_grammar",
+    ],
+    "automata": [
+        "BranchingAutomaton", "accepts", "automaton_alphabet", "enumerate_accepted",
+        "from_linear_grammar", "parse_automaton", "runs_between", "serialize_automaton", "to_grammar",
+    ],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_every_exported_name_is_its_submodules_object():
+    wrong = [name for module, name in NAMES
+             if getattr(splang, name) is not getattr(importlib.import_module(f"splang.{module}"), name)]
+    assert wrong == []
+    assert set(splang.__all__) == {name for _, name in NAMES} <= set(dir(splang))
+    assert len(splang.__all__) == len(NAMES)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from splang import *", namespace)
+    assert all(namespace[name] is getattr(splang, name) for _, name in NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        splang.no_such_name
+    assert not hasattr(splang, "no_such_name")
+
+
+SRC = str(Path(splang.__file__).resolve().parents[1])
+HEAVY = ("splang.grammars", "splang.regexes", "splang.automata", "splang._partitions")
+
+
+def loaded_after(argv, cwd):
+    """The splang modules a fresh interpreter holds after `main(argv)`."""
+    script = (
+        "import json, sys, splang.cli\n"
+        "code = splang.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('splang'))]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["term", "canon", "b||a.a"], HEAVY),
+        (["lang", "concat", "l.lang", "l.lang"], HEAVY),
+        (["grammar", "member", "g.g", "a||b"], ("splang.automata",)),
+        (["regex", "match", "(a||b)^", "a||b"], ("splang.automata",)),
+    ],
+    ids=["term", "lang", "grammar", "regex"],
+)
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, absent):
+    (tmp_path / "l.lang").write_text("mode: ordered\na\nb\n", encoding="utf-8")
+    (tmp_path / "g.g").write_text("S -> a||b\n", encoding="utf-8")
+    loaded = loaded_after(argv, tmp_path)
+    assert "splang.cli" in loaded
+    assert loaded.isdisjoint(absent)

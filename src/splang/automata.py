@@ -525,12 +525,12 @@ def serialize_automaton(aut: BranchingAutomaton) -> str:
         "initial: " + " ".join(sorted(aut.initial)),
         "final: " + " ".join(sorted(aut.final)),
     ]
-    for tr in sorted(aut.seqs, key=lambda tr: (tr.src, tr.label, tr.dst)):
+    for tr in aut.seqs:
         lines.append(f"seq: {tr.src} {tr.label} {tr.dst}")
-    for f in sorted(aut.forks, key=lambda f: f.fid):
+    for f in aut.forks:
         lines.append(f"fork: {f.fid} {f.src} -> {{{', '.join(f.targets)}}}")
-    for j in sorted(aut.joins, key=lambda j: j.jid):
+    for j in aut.joins:
         lines.append(f"join: {j.jid} {{{', '.join(j.sources)}}} -> {j.dst}")
-    for p in sorted(aut.pars, key=lambda p: (p.fork_id, p.join_id, _guard_text(p.guard))):
+    for p in aut.pars:
         lines.append(f"par: {p.fork_id} {_guard_text(p.guard)} {p.join_id}")
     return "\n".join(lines) + "\n"

@@ -23,6 +23,10 @@ with nothing on stderr.
 Regexes and automata are decided and enumerated through their compiled
 grammars. Grammar membership and generation are exact (no step budget);
 `member --trace` prints a leftmost derivation, not necessarily the shortest.
+
+The command table (`_SHARED` and `_COMMANDS`) is the one place a command or
+option is declared: `build_parser` builds every parser from it, and `main`
+calls the handler that the chosen group's entry names.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import dataclass
 
 # each handler imports the grammar, regex and automaton modules it runs, so a
 # process that handles terms or languages never pays for their import
@@ -63,25 +66,6 @@ _EXIT_CODES = (
     (SplangError, EXIT_PARSE),
     (OSError, EXIT_PARSE),
 )
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    mode: terms.SemanticsMode = terms.ORDERED
-    max_atoms: int = 5
-    n_max: int = 3
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    # the shared options use SUPPRESS defaults so a subparser never clobbers
-    # a value parsed before the subcommand; missing attributes mean defaults
-    mode_name = getattr(args, "mode", "ordered")
-    mode = terms.COMMUTATIVE if mode_name == "commutative" else terms.ORDERED
-    return CliConfig(
-        mode=mode,
-        max_atoms=getattr(args, "max_atoms", 5),
-        n_max=getattr(args, "nmax", 3),
-    )
 
 
 def _count(text: str) -> int:
@@ -127,19 +111,18 @@ def _read(path: str) -> str:
 # term
 
 def _cmd_term(args) -> int:
-    cfg = _config(args)
     if args.sub == "enum":
-        lang = langs.universe(args.alphabet, cfg.max_atoms, cfg.mode)
+        lang = langs.universe(args.alphabet, args.max_atoms, args.mode)
         _write(langs.dump_lang(lang))
         return EXIT_OK
-    t = terms.canonicalize(terms.parse_term(args.term), cfg.mode)
+    t = terms.canonicalize(terms.parse_term(args.term), args.mode)
     if args.sub == "metrics":
         print(
             f"lg={terms.length(t)} dp={terms.depth(t)} "
             f"atoms={terms.atoms_count(t)} class={terms.classify_term(t).value}"
         )
     elif args.sub == "reverse":
-        print(terms.format_term(terms.reverse_term(t, cfg.mode)))
+        print(terms.format_term(terms.reverse_term(t, args.mode)))
     else:  # canon
         print(terms.format_term(t))
     return EXIT_OK
@@ -149,7 +132,6 @@ def _cmd_term(args) -> int:
 # lang
 
 def _cmd_lang(args) -> int:
-    cfg = _config(args)
     if args.sub in ("concat", "par", "union", "equal"):
         left = langs.load_lang(_read(args.left))
         right = langs.load_lang(_read(args.right))
@@ -169,10 +151,10 @@ def _cmd_lang(args) -> int:
     lang = langs.load_lang(_read(args.file))
     if args.sub == "power":
         kind = langs.PowerKind(args.kind)
-        n = cfg.n_max if args.n is None else args.n
+        n = args.nmax if args.n is None else args.n
         result = langs.power(lang, n, kind)
     elif args.sub == "closure":
-        result = langs.kleene_bounded(lang, langs.ClosureKind(args.kind), cfg.n_max)
+        result = langs.kleene_bounded(lang, langs.ClosureKind(args.kind), args.nmax)
     else:  # reverse
         result = langs.reverse_lang(lang)
     _write(langs.dump_lang(result))
@@ -185,16 +167,15 @@ def _cmd_lang(args) -> int:
 def _cmd_regex(args) -> int:
     from . import grammars, regexes
 
-    cfg = _config(args)
     r = regexes.parse_regex(args.regex)
     if args.sub == "match":
         t = terms.parse_term(args.term)
-        hit = regexes.matches(r, t, cfg.mode)
+        hit = regexes.matches(r, t, args.mode)
         print("true" if hit else "false")
         return EXIT_OK if hit else EXIT_FALSE
     if args.sub == "enum":
         alphabet = tuple(args.alphabet) if args.alphabet is not None else regexes.regex_alphabet(r)
-        lang = regexes.regex_enumerate(r, alphabet, cfg.max_atoms, cfg.mode)
+        lang = regexes.regex_enumerate(r, alphabet, args.max_atoms, args.mode)
         _write(langs.dump_lang(lang))
         return EXIT_OK
     # to-grammar
@@ -209,18 +190,17 @@ def _cmd_regex(args) -> int:
 def _cmd_grammar(args) -> int:
     from . import grammars
 
-    cfg = _config(args)
     g = grammars.parse_grammar(_read(args.file))
     if args.sub == "classify":
         print(" ".join(grammars.classify_grammar(g).flags()))
         return EXIT_OK
     if args.sub == "generate":
-        lang = grammars.generate(g, cfg.max_atoms, mode=cfg.mode)
+        lang = grammars.generate(g, args.max_atoms, mode=args.mode)
         _write(langs.dump_lang(lang))
         return EXIT_OK
     # member
     t = terms.parse_term(args.term)
-    result = grammars.is_member(g, t, cfg.mode)
+    result = grammars.is_member(g, t, args.mode)
     print("true" if result else "false")
     if result and args.trace:
         for form in result.trace:
@@ -234,7 +214,6 @@ def _cmd_grammar(args) -> int:
 def _cmd_automaton(args) -> int:
     from . import automata, grammars
 
-    cfg = _config(args)
     if args.sub == "from-grammar":
         g = grammars.parse_grammar(_read(args.file))
         _write(automata.serialize_automaton(automata.from_linear_grammar(g)))
@@ -247,7 +226,7 @@ def _cmd_automaton(args) -> int:
         return EXIT_OK if hit else EXIT_FALSE
     # enum
     alphabet = tuple(args.alphabet) if args.alphabet is not None else automata.automaton_alphabet(aut)
-    lang = automata.enumerate_accepted(aut, alphabet, cfg.max_atoms)
+    lang = automata.enumerate_accepted(aut, alphabet, args.max_atoms)
     _write(langs.dump_lang(lang))
     return EXIT_OK
 
@@ -255,14 +234,13 @@ def _cmd_automaton(args) -> int:
 def _cmd_equiv(args) -> int:
     from . import automata, grammars
 
-    cfg = _config(args)
     g = grammars.parse_grammar(_read(args.file))
     aut = automata.from_linear_grammar(g)
-    generated = grammars.generate(g, cfg.max_atoms, mode=terms.COMMUTATIVE)
-    accepted = automata.enumerate_accepted(aut, sorted(g.terminals), cfg.max_atoms)
+    generated = grammars.generate(g, args.max_atoms, mode=terms.COMMUTATIVE)
+    accepted = automata.enumerate_accepted(aut, sorted(g.terminals), args.max_atoms)
     diff = langs.lang_equal(generated, accepted)
     if diff:
-        print(f"equal: {len(generated)} words up to {cfg.max_atoms} atoms")
+        print(f"equal: {len(generated)} words up to {args.max_atoms} atoms")
         return EXIT_OK
     print("not equal", file=sys.stderr)
     print(diff.report(), file=sys.stderr)
@@ -270,109 +248,92 @@ def _cmd_equiv(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
+
+# the options every parser takes, before or after its subcommand; a SUPPRESS
+# default keeps a subparser from resetting a value given before it, and `main`
+# supplies the defaults the help texts name
+_SHARED = [
+    ("--mode", {"choices": ["ordered", "commutative"], "help": "semantics mode (default: ordered)"}),
+    ("--max-atoms", {"type": _count, "metavar": "N", "help": "atom bound for enumerations (default: 5)"}),
+    ("--nmax", {"type": _count, "metavar": "N",
+                "help": "repetition bound for powers and closures (default: 3)"}),
+]
+
+_FILE = ("file", {})
+_TERM = ("term", {})
+_REGEX = ("regex", {})
+_LEFT_RIGHT = [("left", {}), ("right", {})]
+
+# group -> (handler, help, {subcommand: [(argument, add_argument keywords)]});
+# equiv takes its arguments directly. Parsers are built in table order.
+_COMMANDS = {
+    "term": (_cmd_term, "term metrics and rewriting", {
+        "metrics": [_TERM],
+        "reverse": [_TERM],
+        "canon": [_TERM],
+        "enum": [("--alphabet", {"type": _alphabet, "default": "ab",
+                                 "help": "letters to enumerate over (default: ab)"})],
+    }),
+    "lang": (_cmd_lang, "finite-language operations", {
+        "concat": _LEFT_RIGHT,
+        "par": _LEFT_RIGHT,
+        "union": _LEFT_RIGHT,
+        "equal": _LEFT_RIGHT,
+        "power": [_FILE, ("--kind", {"choices": ["seq", "par"], "required": True}),
+                  ("--n", {"type": _count, "default": None, "help": "exponent (default: --nmax)"})],
+        "closure": [_FILE, ("--kind", {"choices": ["star", "par", "sp"], "required": True})],
+        "reverse": [_FILE],
+    }),
+    "regex": (_cmd_regex, "regular-expression operations", {
+        "match": [_REGEX, _TERM],
+        "enum": [_REGEX, ("--alphabet", {"type": _alphabet, "default": None,
+                                         "help": "letters (default: atoms of the regex)"})],
+        "to-grammar": [_REGEX],
+    }),
+    "grammar": (_cmd_grammar, "grammar operations", {
+        "classify": [_FILE],
+        "generate": [_FILE],
+        "member": [_FILE, _TERM, ("--trace", {"action": "store_true",
+                                              "help": "print the derivation on success"})],
+    }),
+    "automaton": (_cmd_automaton, "branching-automaton operations", {
+        "from-grammar": [_FILE],
+        "accepts": [_FILE, _TERM],
+        "enum": [_FILE, ("--alphabet", {"type": _alphabet, "default": None,
+                                        "help": "letters (default: transition labels)"})],
+    }),
+    "equiv": (_cmd_equiv, "bounded grammar/automaton language equality", [_FILE]),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["ordered", "commutative"],
-                        default=argparse.SUPPRESS,
-                        help="semantics mode (default: ordered)")
-    common.add_argument("--max-atoms", type=_count, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help="atom bound for enumerations (default: 5)")
-    common.add_argument("--nmax", type=_count, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help="repetition bound for powers and closures (default: 3)")
-
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_arguments(common, _SHARED)
     parser = argparse.ArgumentParser(prog="splang", parents=[common],
                                      description="series-parallel language workbench")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    p_term = sub.add_parser("term", parents=[common], help="term metrics and rewriting")
-    term_sub = p_term.add_subparsers(dest="sub", required=True)
-    for name in ("metrics", "reverse", "canon"):
-        p = term_sub.add_parser(name, parents=[common])
-        p.add_argument("term")
-        p.set_defaults(func=_cmd_term, sub=name)
-    p = term_sub.add_parser("enum", parents=[common])
-    p.add_argument("--alphabet", type=_alphabet, default="ab", help="letters to enumerate over (default: ab)")
-    p.set_defaults(func=_cmd_term, sub="enum")
-
-    p_lang = sub.add_parser("lang", parents=[common], help="finite-language operations")
-    lang_sub = p_lang.add_subparsers(dest="sub", required=True)
-    for name in ("concat", "par", "union", "equal"):
-        p = lang_sub.add_parser(name, parents=[common])
-        p.add_argument("left")
-        p.add_argument("right")
-        p.set_defaults(func=_cmd_lang, sub=name)
-    p = lang_sub.add_parser("power", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--kind", choices=["seq", "par"], required=True)
-    p.add_argument("--n", type=_count, default=None, help="exponent (default: --nmax)")
-    p.set_defaults(func=_cmd_lang, sub="power")
-    p = lang_sub.add_parser("closure", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--kind", choices=["star", "par", "sp"], required=True)
-    p.set_defaults(func=_cmd_lang, sub="closure")
-    p = lang_sub.add_parser("reverse", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_lang, sub="reverse")
-
-    p_regex = sub.add_parser("regex", parents=[common], help="regular-expression operations")
-    regex_sub = p_regex.add_subparsers(dest="sub", required=True)
-    p = regex_sub.add_parser("match", parents=[common])
-    p.add_argument("regex")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_regex, sub="match")
-    p = regex_sub.add_parser("enum", parents=[common])
-    p.add_argument("regex")
-    p.add_argument("--alphabet", type=_alphabet, default=None, help="letters (default: atoms of the regex)")
-    p.set_defaults(func=_cmd_regex, sub="enum")
-    p = regex_sub.add_parser("to-grammar", parents=[common])
-    p.add_argument("regex")
-    p.set_defaults(func=_cmd_regex, sub="to-grammar")
-
-    p_grammar = sub.add_parser("grammar", parents=[common], help="grammar operations")
-    grammar_sub = p_grammar.add_subparsers(dest="sub", required=True)
-    p = grammar_sub.add_parser("classify", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_grammar, sub="classify")
-    p = grammar_sub.add_parser("generate", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_grammar, sub="generate")
-    p = grammar_sub.add_parser("member", parents=[common])
-    p.add_argument("file")
-    p.add_argument("term")
-    p.add_argument("--trace", action="store_true", help="print the derivation on success")
-    p.set_defaults(func=_cmd_grammar, sub="member")
-
-    p_auto = sub.add_parser("automaton", parents=[common], help="branching-automaton operations")
-    auto_sub = p_auto.add_subparsers(dest="sub", required=True)
-    p = auto_sub.add_parser("from-grammar", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_automaton, sub="from-grammar")
-    p = auto_sub.add_parser("accepts", parents=[common])
-    p.add_argument("file")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_automaton, sub="accepts")
-    p = auto_sub.add_parser("enum", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--alphabet", type=_alphabet, default=None, help="letters (default: transition labels)")
-    p.set_defaults(func=_cmd_automaton, sub="enum")
-
-    p_equiv = sub.add_parser("equiv", parents=[common],
-                             help="bounded grammar/automaton language equality")
-    p_equiv.add_argument("file")
-    p_equiv.set_defaults(func=_cmd_equiv)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (_, help_text, commands) in _COMMANDS.items():
+        p = groups.add_parser(group, parents=[common], help=help_text)
+        if not isinstance(commands, dict):
+            _add_arguments(p, commands)
+            continue
+        subs = p.add_subparsers(dest="sub", required=True)
+        for name, arguments in commands.items():
+            _add_arguments(subs.add_parser(name, parents=[common]), arguments)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(mode="ordered", max_atoms=5, nmax=3))
     try:
-        return args.func(args)
+        args.mode = terms.SemanticsMode(args.mode)
+        return _COMMANDS[args.group][0](args)
     except BrokenPipeError:
         # the reader is gone: the exit-time flush of stdout must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -299,16 +299,7 @@ class GrammarClass:
     shapes: tuple[frozenset[ProductionShape], ...]
 
     def flags(self) -> tuple[str, ...]:
-        present = {
-            "RIGHT_LINEAR": self.right_linear,
-            "LEFT_LINEAR": self.left_linear,
-            "PARALLEL_LINEAR": self.parallel_linear,
-            "SP_REGULAR": self.sp_regular,
-            "CF_SEQUENTIAL": self.cf_sequential,
-            "CF_PARALLEL": self.cf_parallel,
-            "CF_SP": self.cf_sp,
-        }
-        return tuple(name for name in FLAG_ORDER if present[name])
+        return tuple(name for name in FLAG_ORDER if getattr(self, name.lower()))
 
 
 def classify_grammar(g: Grammar) -> GrammarClass:

@@ -328,7 +328,6 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
     ones). Raises FragmentError on ``.``, ``*``, ``@``, or the empty-set
     literal.
     """
-    _check_fragment(r)
     positions: list[str] = []  # index -> atom symbol
     follow: dict[int, set[int]] = {}
 
@@ -367,7 +366,7 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
             for q in l:
                 follow[q] |= f
             return True, f, l
-        raise AssertionError(f"unreachable: {node!r}")
+        raise FragmentError(f"{_OUTSIDE[type(node)]} is outside the parallel fragment")
 
     nullable, first, last = analyze(r)
 
@@ -391,14 +390,3 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
 
 
 _OUTSIDE = {Cat: "'.'", CloseSeq: "'*'", CloseSP: "'@'", EmptySet: "'0'"}
-
-
-def _check_fragment(r: Regex) -> None:
-    for cls, name in _OUTSIDE.items():
-        if isinstance(r, cls):
-            raise FragmentError(f"{name} is outside the parallel fragment")
-    if isinstance(r, (Alt, ParProd)):
-        for p in r.parts:
-            _check_fragment(p)
-    elif isinstance(r, ClosePar):
-        _check_fragment(r.inner)

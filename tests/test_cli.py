@@ -494,10 +494,10 @@ def test_closed_stdout_exits_141_on_one_large_write(unbuffered):
 
 
 def test_internal_error_exits_70_without_a_traceback(capsys, monkeypatch):
-    def broken(args):
+    def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("splang.cli._cmd_term", broken)
+    monkeypatch.setattr("splang.terms.canonicalize", broken)
     assert run(capsys, "term", "canon", "a") == (70, "", "error: internal error: RuntimeError('boom')\n")
 
 
@@ -552,6 +552,32 @@ def test_full_non_blocking_stdout_is_an_error_not_a_busy_loop(capsys, monkeypatc
     monkeypatch.undo()
     assert code == 2
     assert capsys.readouterr().err == f"error: [Errno {errno.EAGAIN}] stdout is not ready for writing\n"
+
+
+# (option and value, another value of it, command, its output under the first)
+SHARED_OPTIONS = [
+    (["--mode", "commutative"], ["--mode", "ordered"], ["term", "canon", "b||a"], "a||b\n"),
+    (["--max-atoms", "2"], ["--max-atoms", "1"], ["term", "enum", "--alphabet", "a"],
+     "mode: ordered\na\na.a\na||a\neps\n"),
+    (["--nmax", "2"], ["--nmax", "1"], ["lang", "power", "{lang}", "--kind", "par"],
+     "mode: ordered\na||a\na||b\nb||a\nb||b\n"),
+]
+# slots: 0 before the group, 1 between the group and the subcommand, 2 after
+# the subcommand; of two slots, the first takes the other value
+PLACEMENTS = [(0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("slots", PLACEMENTS, ids=["-".join(map(str, s)) for s in PLACEMENTS])
+@pytest.mark.parametrize("option,other,argv,expected", SHARED_OPTIONS, ids=["mode", "max-atoms", "nmax"])
+def test_shared_options_apply_wherever_they_appear(capsys, tmp_path, slots, option, other, argv, expected):
+    lang = write_lang(tmp_path, "l.lang", "a", "b")
+    group, sub, *rest = [str(lang) if a == "{lang}" else a for a in argv]
+    values = [other, option] if len(slots) == 2 else [option]
+    placed = {0: [], 1: [], 2: []}
+    for slot, value in zip(slots, values):
+        placed[slot] += value
+    code, out, err = run(capsys, *placed[0], group, *placed[1], sub, *rest, *placed[2])
+    assert (code, out, err) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------

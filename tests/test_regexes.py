@@ -228,10 +228,18 @@ def test_conversion_examples():
     assert [(p.lhs, format_term(p.rhs)) for p in single.productions] == [("S", "a")]
 
 
-@pytest.mark.parametrize("text", ["a.b", "a*", "a@", "0", "(a.b)^", "a|b*"])
-def test_conversion_rejects_non_fragment(text):
-    with pytest.raises(FragmentError):
+# (regex, the operator the error names): the first offender in pre-order
+NON_FRAGMENT = [
+    ("a.b", "."), ("a*", "*"), ("a@", "@"), ("0", "0"), ("(a.b)^", "."), ("a|b*", "*"),
+    ("(a|b*)||0", "*"), ("a^||(b|0.c)", "."), ("(a*)^", "*"),
+]
+
+
+@pytest.mark.parametrize("text,operator", NON_FRAGMENT, ids=[text for text, _ in NON_FRAGMENT])
+def test_conversion_rejects_non_fragment(text, operator):
+    with pytest.raises(FragmentError) as info:
         to_parallel_linear_grammar(parse_regex(text))
+    assert str(info.value) == f"'{operator}' is outside the parallel fragment"
 
 
 def is_fragment(r):

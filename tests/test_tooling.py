@@ -26,3 +26,19 @@ def test_every_traced_name_resolves_in_the_library():
     ]
     assert missing == []
     assert spans.GENERATORS <= {name for names in spans.TRACED.values() for name in names}
+
+
+def test_every_library_hook_the_bench_names_exists():
+    # bench/worker.py loads these submodules by name
+    from splang import _lex, _partitions, automata, cli, grammars, langs, regexes, terms  # noqa: F401
+
+    # bench/worker.py and bench/cli_child.py read the format cache's counters
+    terms.format_term.cache_info()
+    # bench/spans.py wraps FiniteLang.of as a staticmethod
+    assert isinstance(langs.FiniteLang.__dict__["of"], staticmethod)
+    # bench/workloads.py passes generate a positional max_steps, which it ignores
+    g = grammars.parse_grammar("S -> a | a.S\n")
+    n = 2
+    lang = grammars.generate(g, n, 4 * n + 8, terms.COMMUTATIVE)
+    assert lang == grammars.generate(g, n, mode=terms.COMMUTATIVE)
+    assert [terms.format_term(w) for w in lang] == ["a", "a.a"]

@@ -1,13 +1,13 @@
 """Shared tokenizer for the term, regex, grammar, and language text formats.
 
 Produces the superset of tokens used by all formats; each parser rejects the
-tokens its format does not allow. `||` is always read before `|`.
+tokens its format does not allow. `||` is always read before `|`. Also home to
+`Immutable`, the base of the package's slotted value classes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import TermSyntaxError
 
@@ -25,11 +25,35 @@ MAX_NESTING = 100
 _CLOSURES = ("*", "^", "@")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # LETTER | EPS | EMPTY | OP | END
-    text: str
-    offset: int
+class Immutable:
+    """Base of slotted value classes whose constructors set each slot once,
+    through ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Token(Immutable):
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        object.__setattr__(self, "kind", kind)  # LETTER | EPS | EMPTY | OP | END
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "offset", offset)
+
+    def _fields(self) -> tuple:
+        return self.kind, self.text, self.offset
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Token and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def tokenize(text: str) -> list[Token]:

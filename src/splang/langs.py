@@ -1,11 +1,12 @@
 """Finite languages of series-parallel terms.
 
-A FiniteLang is a deterministic, duplicate-free, sorted set of canonical
-terms together with the semantics mode its members are canonical for; the
-constructor sorts and deduplicates, and ``FiniteLang.of`` canonicalizes. All
-operations here are total on finite languages; the three Kleene closures are
-truncated at an explicit repetition bound and never claim anything about the
-infinite closure.
+A FiniteLang is an immutable, slotted value: a deterministic, duplicate-free,
+sorted tuple of canonical terms together with the semantics mode its members
+are canonical for. Two languages are equal when their modes and members are,
+and hash alike then. The constructor sorts and deduplicates, and
+``FiniteLang.of`` canonicalizes. All operations here are total on finite
+languages; the three Kleene closures are truncated at an explicit repetition
+bound and never claim anything about the infinite closure.
 
 Language file format: a ``mode: ordered|commutative`` header, then one term
 per line in the term text format. ``#`` starts a comment.
@@ -14,10 +15,10 @@ per line in the term text format. ``#`` starts a comment.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
+from ._lex import Immutable
 from .errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from .terms import (
     COMMUTATIVE,
@@ -36,14 +37,20 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteLang:
-    mode: SemanticsMode
-    terms: tuple[SPTerm, ...]
+class FiniteLang(Immutable):
+    __slots__ = ("mode", "terms", "_members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.terms))
-        object.__setattr__(self, "terms", tuple(sorted(self._members, key=format_term)))
+    def __init__(self, mode: SemanticsMode, terms: Iterable[SPTerm]):
+        members = frozenset(terms)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "terms", tuple(sorted(members, key=format_term)))
+        object.__setattr__(self, "_members", members)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is FiniteLang and other.mode is self.mode and other.terms == self.terms
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.terms))
 
     @staticmethod
     def of(terms: Iterable[SPTerm], mode: SemanticsMode = ORDERED) -> "FiniteLang":
@@ -74,16 +81,39 @@ def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
     return l1.mode
 
 
+def _cap_error(operation: str) -> EnumerationCapError:
+    return EnumerationCapError(f"{operation} exceeds the cardinality cap ({DEFAULT_CAP})")
+
+
+def _product(left, right, compose, operation: str | None = None, union: set | None = None) -> set[SPTerm]:
+    """The distinct products compose(x, y) for x in `left` and y in `right`.
+
+    They are added one row (one x) at a time, to `union` as well when it is
+    given. With an `operation` named, the words counted after each row (those
+    of `union` when given, else the products) must not exceed DEFAULT_CAP, so
+    EnumerationCapError is raised inside the step that crosses it."""
+    words: set[SPTerm] = set()
+    counted = words if union is None else union
+    for x in left:
+        row = [compose(x, y) for y in right]
+        words.update(row)
+        if union is not None:
+            union.update(row)
+        if operation is not None and len(counted) > DEFAULT_CAP:
+            raise _cap_error(operation)
+    return words
+
+
 def concat_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise sequential products x.y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, tuple(seq(x, y) for x in l1 for y in l2))
+    return FiniteLang(mode, _product(l1.terms, l2.terms, seq))
 
 
 def par_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise parallel products x||y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, tuple(par(x, y, mode=mode) for x in l1 for y in l2))
+    return FiniteLang(mode, _product(l1.terms, l2.terms, functools.partial(par, mode=mode)))
 
 
 def union_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
@@ -106,24 +136,18 @@ def epsilon_lang(mode: SemanticsMode = ORDERED) -> FiniteLang:
     return FiniteLang(mode, (EPS,))
 
 
-def _within_cap(lang: FiniteLang, operation: str) -> FiniteLang:
-    if len(lang) > DEFAULT_CAP:
-        raise EnumerationCapError(f"{operation} exceeds the cardinality cap ({DEFAULT_CAP})")
-    return lang
-
-
 def power(lang: FiniteLang, n: int, kind: PowerKind) -> FiniteLang:
     """n-fold repetition of `lang` under the chosen operator; n=0 gives {eps}.
 
-    Raises EnumerationCapError when a partial power holds more than
+    Raises EnumerationCapError as soon as a partial power holds more than
     DEFAULT_CAP words.
     """
     if n < 0:
         raise ValueError("power exponent must be >= 0")
-    combine = concat_lang if kind is PowerKind.SEQ else par_lang
+    compose = seq if kind is PowerKind.SEQ else functools.partial(par, mode=lang.mode)
     acc = epsilon_lang(lang.mode)
     for _ in range(n):
-        acc = _within_cap(combine(acc, lang), f"{kind.value} power")
+        acc = FiniteLang(lang.mode, _product(acc.terms, lang.terms, compose, f"{kind.value} power"))
     return acc
 
 
@@ -132,25 +156,27 @@ def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLan
 
     STAR unions sequential powers, PAR_PLUS parallel powers, and SP is the
     union of both at the same bound. Monotone in n_max. Raises
-    EnumerationCapError when a partial union of powers holds more than
+    EnumerationCapError as soon as a partial union of powers holds more than
     DEFAULT_CAP words.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    combines = {
-        ClosureKind.STAR: (concat_lang,),
-        ClosureKind.PAR_PLUS: (par_lang,),
-        ClosureKind.SP: (concat_lang, par_lang),
-    }[kind]
+    mode = lang.mode
+    parallel = functools.partial(par, mode=mode)
+    composes = {ClosureKind.STAR: (seq,), ClosureKind.PAR_PLUS: (parallel,), ClosureKind.SP: (seq, parallel)}[kind]
     operation = f"{kind.value} closure"
     closures = []
-    for combine in combines:
-        out = level = epsilon_lang(lang.mode)
+    for compose in composes:
+        out = level = epsilon_lang(mode)
         for _ in range(n_max):
-            level = combine(level, lang)
-            out = _within_cap(union_lang(out, level), operation)
+            union = set(out._members)
+            level = FiniteLang(mode, _product(level.terms, lang.terms, compose, operation, union))
+            out = FiniteLang(mode, union)
         closures.append(out)
-    return _within_cap(functools.reduce(union_lang, closures), operation)
+    both = functools.reduce(union_lang, closures)
+    if len(both) > DEFAULT_CAP:
+        raise _cap_error(operation)
+    return both
 
 
 def reverse_lang(lang: FiniteLang) -> FiniteLang:
@@ -158,13 +184,27 @@ def reverse_lang(lang: FiniteLang) -> FiniteLang:
     return FiniteLang(lang.mode, tuple(reverse_term(t, lang.mode) for t in lang))
 
 
-@dataclass(frozen=True)
-class LangDiff:
+class LangDiff(Immutable):
     """Result of comparing two languages: truthy iff they are equal."""
 
-    equal: bool
-    only_left: tuple[SPTerm, ...]
-    only_right: tuple[SPTerm, ...]
+    __slots__ = ("equal", "only_left", "only_right")
+
+    def __init__(self, equal: bool, only_left: tuple[SPTerm, ...], only_right: tuple[SPTerm, ...]):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "only_left", only_left)
+        object.__setattr__(self, "only_right", only_right)
+
+    def _fields(self) -> tuple:
+        return self.equal, self.only_left, self.only_right
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is LangDiff and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "LangDiff(equal={!r}, only_left={!r}, only_right={!r})".format(*self._fields())
 
     def __bool__(self) -> bool:
         return self.equal

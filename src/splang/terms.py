@@ -12,6 +12,11 @@ kept in a canonical form:
   sorts them, so ``seq`` and ``par`` build canonical terms from canonical
   parts; ``canonicalize`` is for terms built elsewhere.
 
+Nodes are immutable, slotted objects. Each computes its hash once, at
+construction, from its kind and its children's stored hashes, so a term hashes
+in constant time at any depth; equality returns at once on the same object or
+on a different kind or hash (see `SPTerm`).
+
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
 sentential forms. That layer's bounded engine also builds the bounded term
@@ -27,10 +32,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
-from ._lex import NONTERMINAL, TokenStream
+from ._lex import NONTERMINAL, Immutable, TokenStream
 from .errors import TermSyntaxError
 
 
@@ -45,52 +49,104 @@ ORDERED = SemanticsMode.ORDERED
 COMMUTATIVE = SemanticsMode.COMMUTATIVE
 
 
-class SPTerm:
-    """Base class of term nodes. Instances are immutable and hashable."""
+class SPTerm(Immutable):
+    """Base class of term nodes.
 
-    __slots__ = ()
+    Nodes are immutable and slotted. Each computes its hash once, in its
+    constructor, from a tag for its kind and its children's stored hashes, so
+    hashing a term of any depth reads one slot, and a ``Seq`` does not hash
+    like the ``Par`` of the same children. Equality is True at once on the
+    same object and False at once on a different kind or stored hash; only
+    otherwise does it compare the children, and that compare stops at the
+    children the two nodes share.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return format_term(self)
 
 
-@dataclass(frozen=True, repr=False)
+_init = object.__setattr__  # the constructors' way past Immutable.__setattr__
+
+
 class Eps(SPTerm):
     """The empty word; identity of both compositions, length = depth = 0."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        _init(self, "_hash", hash((3,)))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Eps
+
+    __hash__ = SPTerm.__hash__
+
+    def __reduce__(self):
+        return Eps, ()
 
 
 EPS = Eps()
 
 
-@dataclass(frozen=True, repr=False)
 class Leaf(SPTerm):
-    symbol: str
+    __slots__ = ("symbol",)
 
-    def __post_init__(self):
-        if not (len(self.symbol) == 1 and "a" <= self.symbol <= "z" or NONTERMINAL.fullmatch(self.symbol)):
-            raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {self.symbol!r}")
+    def __init__(self, symbol: str):
+        if not (len(symbol) == 1 and "a" <= symbol <= "z" or NONTERMINAL.fullmatch(symbol)):
+            raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
+        _init(self, "symbol", symbol)
+        _init(self, "_hash", hash((0, symbol)))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is Leaf and other.symbol == self.symbol)
+
+    __hash__ = SPTerm.__hash__
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a str hash differs between processes
+        return Leaf, (self.symbol,)
 
 
-@dataclass(frozen=True, repr=False)
-class Seq(SPTerm):
-    children: tuple[SPTerm, ...]
+class _Product(SPTerm):
+    """A Seq or Par node: at least two children, none eps or of its own kind."""
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Seq needs at least two children")
-        if any(isinstance(c, (Seq, Eps)) for c in self.children):
-            raise ValueError("Seq children must be flattened and eps-free")
+    __slots__ = ("children",)
+    _TAG: int
+
+    def __init__(self, children: tuple[SPTerm, ...]):
+        kind = type(self)
+        if len(children) < 2:
+            raise ValueError(f"{kind.__name__} needs at least two children")
+        for c in children:
+            if isinstance(c, (kind, Eps)):
+                raise ValueError(f"{kind.__name__} children must be flattened and eps-free")
+        _init(self, "children", children)
+        _init(self, "_hash", hash((self._TAG, children)))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            other.__class__ is self.__class__ and other._hash == self._hash and other.children == self.children
+        )
+
+    __hash__ = SPTerm.__hash__
+
+    def __reduce__(self):
+        return type(self), (self.children,)
 
 
-@dataclass(frozen=True, repr=False)
-class Par(SPTerm):
-    children: tuple[SPTerm, ...]
+class Seq(_Product):
+    __slots__ = ()
+    _TAG = 1
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Par needs at least two children")
-        if any(isinstance(c, (Par, Eps)) for c in self.children):
-            raise ValueError("Par children must be flattened and eps-free")
+
+class Par(_Product):
+    __slots__ = ()
+    _TAG = 2
 
 
 def seq(*parts: SPTerm) -> SPTerm:

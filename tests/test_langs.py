@@ -161,6 +161,40 @@ def test_the_cap_counts_words_after_deduplication(monkeypatch):
         kleene_bounded(l, ClosureKind.PAR_PLUS, 3)
 
 
+def count_products(monkeypatch):
+    """Count the langs module's calls of seq and par from here on."""
+    import splang.langs
+
+    calls = {}
+    for name in ("seq", "par"):
+        def counted(*parts, _name=name, _compose=getattr(splang.langs, name), **mode):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _compose(*parts, **mode)
+        monkeypatch.setattr(splang.langs, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", PowerKind)
+def test_a_power_stops_inside_the_step_that_crosses_the_cap(monkeypatch, kind):
+    # {a, b} ordered, cap 8: the first three steps build 2 + 4 + 8 products;
+    # the fourth stops after its fifth row of two, at 10 words, not at 16
+    monkeypatch.setattr("splang.langs.DEFAULT_CAP", 8)
+    calls = count_products(monkeypatch)
+    with pytest.raises(EnumerationCapError, match=rf"^{kind.value} power exceeds the cardinality cap \(8\)$"):
+        power(lang("a", "b"), 4, kind)
+    assert calls == {kind.value: 24}
+
+
+def test_a_closure_stops_inside_the_step_that_crosses_the_cap(monkeypatch):
+    # star closure of {a, b}, cap 8: the partial unions hold 3 and 7 words after
+    # 2 + 4 products; the third step's first row takes the union to 9
+    monkeypatch.setattr("splang.langs.DEFAULT_CAP", 8)
+    calls = count_products(monkeypatch)
+    with pytest.raises(EnumerationCapError, match=r"^star closure exceeds the cardinality cap \(8\)$"):
+        kleene_bounded(lang("a", "b"), ClosureKind.STAR, 3)
+    assert calls == {"seq": 8}
+
+
 def test_mode_mismatch_raises():
     with pytest.raises(ModeMismatchError):
         concat_lang(lang("a"), lang("a", mode=COMMUTATIVE))
@@ -174,6 +208,24 @@ def test_constructor_sorts_and_deduplicates(mode):
     canon = [canonicalize(t, mode) for t in raw] * 2
     random.Random(3).shuffle(canon)
     assert FiniteLang(mode, tuple(canon)) == FiniteLang.of(raw, mode)
+
+
+def test_languages_are_values():
+    a, b = lang("a", "b.a"), FiniteLang(ORDERED, (parse_term("b.a"), parse_term("a")))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != lang("a", "b.a", mode=COMMUTATIVE) and a != lang("a") and a != a.terms
+    for attr in ("mode", "terms", "_members"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, getattr(a, attr))
+
+
+def test_lang_diffs_are_values():
+    left, right = lang_equal(lang("a", "b"), lang("b", "c")), lang_equal(lang("a", "b"), lang("c", "b"))
+    assert left == right and hash(left) == hash(right) and len({left, right}) == 1
+    assert left != lang_equal(lang("a"), lang("a")) and left != False  # noqa: E712
+    assert repr(left) == "LangDiff(equal=False, only_left=(a,), only_right=(c,))"
+    with pytest.raises(AttributeError):
+        left.equal = True
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 `splang` re-exports its submodules' public names but imports none of them
 until a name is used, and the CLI imports the grammar, regex and automaton
-modules only in the handlers that run them."""
+modules only in the handlers that run them. The term and language layers use
+no dataclasses, so their commands load neither `dataclasses` nor the
+`inspect` module it imports."""
 
 import importlib
 import json
@@ -69,15 +71,17 @@ def test_an_unknown_name_raises_attribute_error():
 
 
 SRC = str(Path(splang.__file__).resolve().parents[1])
-HEAVY = ("splang.grammars", "splang.regexes", "splang.automata", "splang._partitions")
+HEAVY = ("splang.grammars", "splang.regexes", "splang.automata", "splang._partitions", "dataclasses", "inspect")
 
 
 def loaded_after(argv, cwd):
-    """The splang modules a fresh interpreter holds after `main(argv)`."""
+    """The splang modules, and `dataclasses` and `inspect` if loaded, that a
+    fresh interpreter holds after `main(argv)`."""
     script = (
         "import json, sys, splang.cli\n"
         "code = splang.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('splang'))]), file=sys.stderr)\n"
+        "names = sorted(m for m in sys.modules if m.startswith('splang') or m in ('dataclasses', 'inspect'))\n"
+        "print(json.dumps([code, names]), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC))

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from splang._lex import tokenize
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.terms import (
     COMMUTATIVE,
@@ -76,6 +80,63 @@ def test_parse_error_offset_points_at_culprit():
     with pytest.raises(TermSyntaxError) as err:
         pt("a.!b")
     assert err.value.offset == 2
+
+
+# ---------------------------------------------------------------------------
+# nodes: hashing, equality, immutability
+
+def test_seq_and_par_of_the_same_children_differ():
+    children = (Leaf("a"), Leaf("b"))
+    s, p = Seq(children), Par(children)
+    assert s != p and p != s
+    assert hash(s) != hash(p)
+    assert len({s, p}) == 2 and s in {s, p} and p in {s, p}
+
+
+def test_a_deep_term_hashes_and_compares_without_recursion():
+    # built bottom-up, 10,000 levels of alternating Par and Seq
+    t = Leaf("a")
+    for level in range(10_000):
+        t = (Seq if level % 2 else Par)((Leaf("b"), t))
+    assert hash(t) == hash(t)
+    assert len({t}) == 1 and t in {t}
+    assert t == t and not (t != t)
+    assert t != t.children[1]
+
+
+@pytest.mark.parametrize("text", ["eps", "a", "A_2", "a.b||c", "(a||b).a", "(a.b||c).(b||a)"])
+def test_pickle_and_copy_give_an_equal_term(text):
+    t = parse_term(text, allow_upper=True)
+    for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert type(clone) is type(t)
+        assert clone == t and hash(clone) == hash(t)
+
+
+@pytest.mark.parametrize("term,attr", [(EPS, "_hash"), (Leaf("a"), "symbol"), (pt("a.b||c"), "children")])
+def test_terms_are_immutable(term, attr):
+    with pytest.raises(AttributeError):
+        setattr(term, attr, getattr(term, attr))
+    with pytest.raises(AttributeError):
+        delattr(term, attr)
+
+
+def test_tokens_are_values():
+    first, second = tokenize("a||b"), tokenize("a||b")
+    assert first == second and list(map(hash, first)) == list(map(hash, second))
+    assert first[0] != first[2] and len(set(first + second)) == 4
+    with pytest.raises(AttributeError):
+        first[0].text = "b"
+
+
+@pytest.mark.parametrize("cls,children,message", [
+    (Seq, (Leaf("a"),), "Seq needs at least two children"),
+    (Par, (), "Par needs at least two children"),
+    (Seq, (Leaf("a"), EPS), "Seq children must be flattened and eps-free"),
+    (Par, (Leaf("a"), Par((Leaf("a"), Leaf("b")))), "Par children must be flattened and eps-free"),
+])
+def test_constructors_reject_non_canonical_children(cls, children, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(children)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +329,15 @@ def test_constructors_build_canonical_terms_from_canonical_parts(x, y, mode):
     x, y = canonicalize(x, mode), canonicalize(y, mode)
     assert par(x, y, mode=mode) == canonicalize(par(x, y), mode)
     assert seq(x, y) == canonicalize(seq(x, y), mode)
+
+
+@given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_terms_parsed_apart_are_equal_and_hash_equal(t, mode):
+    text = format_term(canonicalize(t, mode))
+    first, second = (canonicalize(parse_term(text), mode) for _ in range(2))
+    assert first is not second or isinstance(first, Eps)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
 
 
 @given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))

@@ -8,6 +8,11 @@ and hash alike then. The constructor sorts and deduplicates, and
 languages; the three Kleene closures are truncated at an explicit repetition
 bound and never claim anything about the infinite closure.
 
+Powers and closures step on plain sets of terms and sort once, into the
+language they return. Each level is the product of the one before with the
+operand, so they stop once a level repeats, as those of {eps} and of the
+empty language do at once.
+
 Language file format: a ``mode: ordered|commutative`` header, then one term
 per line in the term text format. ``#`` starts a comment.
 """
@@ -81,44 +86,21 @@ def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
     return l1.mode
 
 
-def _cap_error(operation: str) -> EnumerationCapError:
-    return EnumerationCapError(f"{operation} exceeds the cardinality cap ({DEFAULT_CAP})")
-
-
-def _product(left, right, compose, operation: str | None = None, union: set | None = None) -> set[SPTerm]:
-    """The distinct products compose(x, y) for x in `left` and y in `right`.
-
-    They are added one row (one x) at a time, to `union` as well when it is
-    given. With an `operation` named, the words counted after each row (those
-    of `union` when given, else the products) must not exceed DEFAULT_CAP, so
-    EnumerationCapError is raised inside the step that crosses it."""
-    words: set[SPTerm] = set()
-    counted = words if union is None else union
-    for x in left:
-        row = [compose(x, y) for y in right]
-        words.update(row)
-        if union is not None:
-            union.update(row)
-        if operation is not None and len(counted) > DEFAULT_CAP:
-            raise _cap_error(operation)
-    return words
-
-
 def concat_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise sequential products x.y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, _product(l1.terms, l2.terms, seq))
+    return FiniteLang(mode, {seq(x, y) for x in l1.terms for y in l2.terms})
 
 
 def par_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise parallel products x||y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, _product(l1.terms, l2.terms, functools.partial(par, mode=mode)))
+    return FiniteLang(mode, {par(x, y, mode=mode) for x in l1.terms for y in l2.terms})
 
 
 def union_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, l1.terms + l2.terms)
+    return FiniteLang(mode, l1._members | l2._members)
 
 
 class PowerKind(Enum):
@@ -136,47 +118,58 @@ def epsilon_lang(mode: SemanticsMode = ORDERED) -> FiniteLang:
     return FiniteLang(mode, (EPS,))
 
 
+def _level(lang: FiniteLang, n: int, compose, operation: str, union: set | None = None) -> set[SPTerm]:
+    """The n-th power of `lang` under `compose` (level 0 is {eps}), or the
+    first level that repeats. Each level is built one row (one word of the
+    level before) at a time, and goes into `union` too when it is given. The
+    words counted after each row (those of `union` when given, else of the
+    level) must not exceed DEFAULT_CAP, so EnumerationCapError is raised
+    inside the step that crosses it."""
+    level = {EPS}
+    for _ in range(n):
+        step: set[SPTerm] = set()
+        counted = step if union is None else union
+        for x in level:
+            row = [compose(x, y) for y in lang.terms]
+            step.update(row)
+            if union is not None:
+                union.update(row)
+            if len(counted) > DEFAULT_CAP:
+                raise EnumerationCapError(f"{operation} exceeds the cardinality cap ({DEFAULT_CAP})")
+        if step == level:
+            break
+        level = step
+    return level
+
+
 def power(lang: FiniteLang, n: int, kind: PowerKind) -> FiniteLang:
     """n-fold repetition of `lang` under the chosen operator; n=0 gives {eps}.
 
-    Raises EnumerationCapError as soon as a partial power holds more than
-    DEFAULT_CAP words.
+    Returns at once when a level repeats. Raises EnumerationCapError as soon
+    as a partial level holds more than DEFAULT_CAP words.
     """
     if n < 0:
         raise ValueError("power exponent must be >= 0")
     compose = seq if kind is PowerKind.SEQ else functools.partial(par, mode=lang.mode)
-    acc = epsilon_lang(lang.mode)
-    for _ in range(n):
-        acc = FiniteLang(lang.mode, _product(acc.terms, lang.terms, compose, f"{kind.value} power"))
-    return acc
+    return FiniteLang(lang.mode, _level(lang, n, compose, f"{kind.value} power"))
 
 
 def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLang:
     """Union of the 0..n_max powers of `lang`.
 
     STAR unions sequential powers, PAR_PLUS parallel powers, and SP is the
-    union of both at the same bound. Monotone in n_max. Raises
-    EnumerationCapError as soon as a partial union of powers holds more than
-    DEFAULT_CAP words.
+    union of both at the same bound. Monotone in n_max. The powers of every
+    composition go into one running union, and a composition stops once a
+    level repeats. Raises EnumerationCapError as soon as that union (for SP,
+    of both closures together) holds more than DEFAULT_CAP words.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    mode = lang.mode
-    parallel = functools.partial(par, mode=mode)
-    composes = {ClosureKind.STAR: (seq,), ClosureKind.PAR_PLUS: (parallel,), ClosureKind.SP: (seq, parallel)}[kind]
-    operation = f"{kind.value} closure"
-    closures = []
-    for compose in composes:
-        out = level = epsilon_lang(mode)
-        for _ in range(n_max):
-            union = set(out._members)
-            level = FiniteLang(mode, _product(level.terms, lang.terms, compose, operation, union))
-            out = FiniteLang(mode, union)
-        closures.append(out)
-    both = functools.reduce(union_lang, closures)
-    if len(both) > DEFAULT_CAP:
-        raise _cap_error(operation)
-    return both
+    parallel = functools.partial(par, mode=lang.mode)
+    union = {EPS}
+    for compose in {ClosureKind.STAR: (seq,), ClosureKind.PAR_PLUS: (parallel,), ClosureKind.SP: (seq, parallel)}[kind]:
+        _level(lang, n_max, compose, f"{kind.value} closure", union)
+    return FiniteLang(lang.mode, union)
 
 
 def reverse_lang(lang: FiniteLang) -> FiniteLang:

@@ -9,7 +9,9 @@ filter the term universe through it, grammar words come from a
 breadth-first search over leftmost derivations instead of a level-by-level
 fixpoint over nonterminals, and automaton runs follow the transitions
 directly (the library compiles automata to grammars instead), trying every
-assignment of a Par's children to fork targets.
+assignment of a Par's children to fork targets. Powers and closures of finite
+languages are folds of pairwise products over plain sets, canonicalized
+afterwards, with no cap and no early stop.
 """
 
 from __future__ import annotations
@@ -304,6 +306,26 @@ def oracle_regex_words(r: Regex, alphabet, max_atoms: int, mode: SemanticsMode =
     """The words of `r` with at most max_atoms atoms over `alphabet`: every
     universe term that `naive_matches` accepts, in the universe's order."""
     return tuple(t for t in enumerate_terms(alphabet, max_atoms, mode) if naive_matches(r, t, mode))
+
+
+# ---------------------------------------------------------------------------
+# Powers and closures of finite languages.
+
+def oracle_power(terms, n: int, kind: str, mode: SemanticsMode = ORDERED) -> set[SPTerm]:
+    """The n-th power of the words `terms` under "seq" or "par": n folds of
+    the pairwise products, starting from {eps}."""
+    compose = seq if kind == "seq" else par
+    products = lambda level, _: {canonicalize(compose(x, y), mode) for x in level for y in terms}
+    return functools.reduce(products, range(n), {EPS})
+
+
+def oracle_closure(terms, kind: str, n_max: int, mode: SemanticsMode = ORDERED) -> set[SPTerm]:
+    """The union of the 0..n_max powers of `terms`: sequential for "star",
+    parallel for "par", and both closures together for "sp"."""
+    if kind == "sp":
+        return oracle_closure(terms, "star", n_max, mode) | oracle_closure(terms, "par", n_max, mode)
+    power_kind = "seq" if kind == "star" else "par"
+    return set().union(*(oracle_power(terms, k, power_kind, mode) for k in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

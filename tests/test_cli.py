@@ -116,6 +116,21 @@ def test_commutative_par_closure_stays_under_the_cap(capsys, tmp_path):
     assert "||".join("a" * 3 + "b" * 27) in lines
 
 
+@pytest.mark.parametrize("lines,power", [(["eps"], "eps\n"), ([], "")], ids=["eps", "empty"])
+@pytest.mark.parametrize(
+    "argv",
+    [["power", "--kind", "seq", "--n"], ["power", "--kind", "par", "--n"],
+     ["closure", "--kind", "star", "--nmax"], ["closure", "--kind", "sp", "--nmax"]],
+    ids=["power-seq", "power-par", "closure-star", "closure-sp"],
+)
+def test_lang_power_and_closure_of_eps_or_nothing_answer_a_huge_bound(capsys, tmp_path, lines, power, argv):
+    # their levels repeat after a step or two, so the bound is never walked
+    path = write_lang(tmp_path, "l.lang", *lines)
+    code, out, err = run(capsys, "lang", argv[0], path, *argv[1:], 10**18)
+    expected = power if argv[0] == "power" else "eps\n"
+    assert (code, out, err) == (0, "mode: ordered\n" + expected, "")
+
+
 def test_lang_equal_same_file(capsys, tmp_path):
     path = write_lang(tmp_path, "l.lang", "a", "b")
     code, out, err = run(capsys, "lang", "equal", path, path)
@@ -605,6 +620,21 @@ def test_outputs_are_identical_across_hash_seeds():
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             proc = subprocess.run([sys.executable, "-m", "splang.cli", *map(str, argv)],
+                                  env=env, capture_output=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
+
+
+@pytest.mark.parametrize("mode,lines", [("ordered", ["a", "b.a", "a||b"]), ("commutative", ["b", "b||a", "a.b"])])
+def test_lang_powers_and_closures_are_identical_across_hash_seeds(tmp_path, mode, lines):
+    # the products are built in set order, which the hash seed moves
+    path = write_lang(tmp_path, "l.lang", *lines, mode=mode)
+    src = str(Path(splang.__file__).resolve().parents[1])
+    for argv in (["power", "--kind", "par", "--n", "3"], ["closure", "--kind", "sp", "--nmax", "2"]):
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "splang.cli", "lang", argv[0], str(path), *argv[1:]],
                                   env=env, capture_output=True, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv

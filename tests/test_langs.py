@@ -1,7 +1,9 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splang.errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from splang.langs import (
@@ -20,7 +22,9 @@ from splang.langs import (
     union_lang,
     universe,
 )
-from splang.terms import COMMUTATIVE, EPS, ORDERED, canonicalize, format_term, parse_term
+from splang.terms import COMMUTATIVE, DEFAULT_CAP, EPS, ORDERED, canonicalize, format_term, parse_term
+
+from oracles import oracle_closure, oracle_power
 
 
 def lang(*texts, mode=ORDERED):
@@ -193,6 +197,52 @@ def test_a_closure_stops_inside_the_step_that_crosses_the_cap(monkeypatch):
     with pytest.raises(EnumerationCapError, match=r"^star closure exceeds the cardinality cap \(8\)$"):
         kleene_bounded(lang("a", "b"), ClosureKind.STAR, 3)
     assert calls == {"seq": 8}
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_powers_and_closures_stop_at_a_repeated_level(monkeypatch, mode):
+    # the levels of {eps} are all {eps}, and those of the empty language are
+    # {eps}, then empty for good: a huge bound needs one or two steps
+    calls = count_products(monkeypatch)
+    eps, empty, huge = epsilon_lang(mode), FiniteLang(mode, ()), 10**18
+    for kind in PowerKind:
+        assert power(eps, huge, kind) == eps
+        assert power(empty, huge, kind) == empty
+        assert power(empty, 0, kind) == eps
+    for kind in ClosureKind:
+        assert kleene_bounded(eps, kind, huge) == eps
+        assert kleene_bounded(empty, kind, huge) == eps
+    # one product eps.eps per power of {eps}, and one per composition of its
+    # closures: star, par and the two of sp
+    assert calls == {"seq": 3, "par": 3}
+
+
+SMALL_WORDS = universe("ab", 2).terms  # eps, a, b and the eight 2-atom words
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(SMALL_WORDS), max_size=3),
+    st.lists(st.sampled_from(SMALL_WORDS), max_size=3),
+    st.sampled_from([ORDERED, COMMUTATIVE]),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(1, 30)),
+)
+def test_powers_closures_and_unions_match_the_set_oracle(words, others, mode, n, cap):
+    # with a cap, a call raises exactly when the oracle's language exceeds it
+    l, other = FiniteLang.of(words, mode), FiniteLang.of(others, mode)
+    assert union_lang(l, other).terms == tuple(sorted(set(l.terms) | set(other.terms), key=format_term))
+    cases = [(f"{k.value} power", lambda k=k: power(l, n, k), oracle_power(l.terms, n, k.value, mode))
+             for k in PowerKind]
+    cases += [(f"{k.value} closure", lambda k=k: kleene_bounded(l, k, n), oracle_closure(l.terms, k.value, n, mode))
+              for k in ClosureKind]
+    with mock.patch("splang.langs.DEFAULT_CAP", cap or DEFAULT_CAP):
+        for operation, call, expected in cases:
+            if cap is not None and len(expected) > cap:
+                with pytest.raises(EnumerationCapError, match=rf"^{operation} exceeds the cardinality cap \({cap}\)$"):
+                    call()
+            else:
+                assert call() == FiniteLang(mode, expected), operation
 
 
 def test_mode_mismatch_raises():

@@ -2,11 +2,13 @@
 
 Produces the superset of tokens used by all formats; each parser rejects the
 tokens its format does not allow. `||` is always read before `|`. Also home to
-`Immutable`, the base of the package's slotted value classes.
+`Immutable`, the one base of the package's value classes: terms, languages,
+regexes, grammars, automata and tokens.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import TermSyntaxError
@@ -26,10 +28,53 @@ _CLOSURES = ("*", "^", "@")
 
 
 class Immutable:
-    """Base of slotted value classes whose constructors set each slot once,
-    through ``object.__setattr__``; any later assignment raises."""
+    """Base of the package's value classes.
+
+    A subclass names its value fields in ``_fields`` and slots them. The base
+    gives it a constructor that takes the fields by position or by keyword;
+    equality (the same class and equal fields) and a hash of the fields, both
+    through an `operator.attrgetter` bound per class; the repr
+    ``Name(field=value, ...)``; and a ``__reduce__`` that rebuilds the value
+    through its class, so pickle, `copy.copy` and `copy.deepcopy` work and
+    derived slots (a term's stored hash, which differs between processes)
+    are computed afresh. A
+    subclass whose values need checking, normalizing or derived facts writes
+    its own constructor, which sets each slot once through ``object.__setattr__``
+    (or the base constructor); other slots hold facts derived from the fields
+    and are not compared. Any later assignment raises.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one field gives the bare value, more a tuple; either identifies the value
+        cls._values = staticmethod(operator.attrgetter(*cls._fields) if cls._fields else lambda self: ())
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            rest = fields[len(args):]  # the fields not given by position
+            if not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__name__}() got an unknown or repeated field among {sorted(kwargs)}")
+            args += tuple(kwargs[name] for name in rest if name in kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(fields)})")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is self.__class__ and self._values(self) == other._values(other))
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -39,21 +84,12 @@ class Immutable:
 
 
 class Token(Immutable):
-    __slots__ = ("kind", "text", "offset")
+    __slots__ = _fields = ("kind", "text", "offset")
 
-    def __init__(self, kind: str, text: str, offset: int):
+    def __init__(self, kind: str, text: str, offset: int):  # explicit: the tokenizer makes one per token
         object.__setattr__(self, "kind", kind)  # LETTER | EPS | EMPTY | OP | END
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "offset", offset)
-
-    def _fields(self) -> tuple:
-        return self.kind, self.text, self.offset
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is Token and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def tokenize(text: str) -> list[Token]:

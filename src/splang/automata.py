@@ -47,10 +47,10 @@ Automaton file format (sections in this order, ``#`` comments)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 
+from ._lex import Immutable
 from ._partitions import distinct_permutations
 from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from .grammars import Grammar, Production, _MemberSearch, classify_grammar, generate
@@ -70,75 +70,52 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class SeqTransition:
-    src: str
-    label: str
-    dst: str
+class SeqTransition(Immutable):
+    __slots__ = _fields = ("src", "label", "dst")
 
 
-@dataclass(frozen=True)
-class ForkTransition:
-    fid: str
-    src: str
-    targets: tuple[str, ...]  # multiset, kept sorted
+class ForkTransition(Immutable):
+    __slots__ = _fields = ("fid", "src", "targets")  # targets: a multiset, kept sorted
 
-    def __post_init__(self):
-        if len(self.targets) < 2:
-            raise ValueError(f"fork {self.fid} needs at least two targets")
-        object.__setattr__(self, "targets", tuple(sorted(self.targets)))
+    def __init__(self, fid: str, src: str, targets: tuple[str, ...]):
+        if len(targets) < 2:
+            raise ValueError(f"fork {fid} needs at least two targets")
+        super().__init__(fid, src, tuple(sorted(targets)))
 
 
-@dataclass(frozen=True)
-class JoinTransition:
-    jid: str
-    sources: tuple[str, ...]  # multiset, kept sorted
-    dst: str
+class JoinTransition(Immutable):
+    __slots__ = _fields = ("jid", "sources", "dst")  # sources: a multiset, kept sorted
 
-    def __post_init__(self):
-        if len(self.sources) < 2:
-            raise ValueError(f"join {self.jid} needs at least two sources")
-        object.__setattr__(self, "sources", tuple(sorted(self.sources)))
+    def __init__(self, jid: str, sources: tuple[str, ...], dst: str):
+        if len(sources) < 2:
+            raise ValueError(f"join {jid} needs at least two sources")
+        super().__init__(jid, tuple(sorted(sources)), dst)
 
 
-@dataclass(frozen=True)
-class ParTransition:
-    fork_id: str
-    guard: frozenset | None  # None = ANY
-    join_id: str
+class ParTransition(Immutable):
+    __slots__ = _fields = ("fork_id", "guard", "join_id")  # guard: a frozenset of sorted atom tuples, None = ANY
 
-    def __post_init__(self):
-        if self.guard is not None:
-            if not self.guard:
+    def __init__(self, fork_id: str, guard: frozenset | None, join_id: str):
+        if guard is not None:
+            if not guard:
                 raise ValueError("a non-ANY guard needs at least one atom multiset")
-            object.__setattr__(
-                self, "guard", frozenset(tuple(sorted(ms)) for ms in self.guard)
-            )
+            guard = frozenset(tuple(sorted(ms)) for ms in guard)
+        super().__init__(fork_id, guard, join_id)
 
 
-@dataclass(frozen=True)
-class BranchingAutomaton:
-    states: frozenset[str]
-    seqs: tuple[SeqTransition, ...]
-    forks: tuple[ForkTransition, ...]
-    joins: tuple[JoinTransition, ...]
-    pars: tuple[ParTransition, ...]
-    initial: frozenset[str]
-    final: frozenset[str]
+class BranchingAutomaton(Immutable):
+    _fields = ("states", "seqs", "forks", "joins", "pars", "initial", "final")
+    __slots__ = _fields + ("_fork_by_id", "_join_by_id", "_state_index", "_labels", "_searches", "_ends")
 
-    def __post_init__(self):
+    def __init__(self, states: frozenset[str], seqs: tuple[SeqTransition, ...], forks: tuple[ForkTransition, ...],
+                 joins: tuple[JoinTransition, ...], pars: tuple[ParTransition, ...], initial: frozenset[str],
+                 final: frozenset[str]):
         # normalize transition order so equality is insensitive to how the
         # automaton was assembled
-        object.__setattr__(
-            self, "seqs", tuple(sorted(self.seqs, key=lambda tr: (tr.src, tr.label, tr.dst)))
-        )
-        object.__setattr__(self, "forks", tuple(sorted(self.forks, key=lambda f: f.fid)))
-        object.__setattr__(self, "joins", tuple(sorted(self.joins, key=lambda j: j.jid)))
-        object.__setattr__(
-            self,
-            "pars",
-            tuple(sorted(self.pars, key=lambda p: (p.fork_id, p.join_id, _guard_text(p.guard)))),
-        )
+        super().__init__(
+            states, tuple(sorted(seqs, key=lambda tr: (tr.src, tr.label, tr.dst))),
+            tuple(sorted(forks, key=lambda f: f.fid)), tuple(sorted(joins, key=lambda j: j.jid)),
+            tuple(sorted(pars, key=lambda p: (p.fork_id, p.join_id, _guard_text(p.guard)))), initial, final)
 
         def need_state(name: str, where: str):
             if name not in self.states:
@@ -447,7 +424,7 @@ def parse_automaton(text: str) -> BranchingAutomaton:
             if len(parts) != 3:
                 raise TermSyntaxError(f"line {lineno}: expected 'seq: p a q'")
             src, label, dst = parts
-            if not (len(label) == 1 and label.islower() and label.isalpha()):
+            if not (len(label) == 1 and "a" <= label <= "z"):
                 raise TermSyntaxError(f"line {lineno}: label must be one lowercase letter")
             seqs.append(SeqTransition(src, label, dst))
         elif key == "fork":
@@ -478,7 +455,7 @@ def parse_automaton(text: str) -> BranchingAutomaton:
                 multisets = set()
                 for chunk in guard_text[1:-1].split(";"):
                     atoms = [a.strip() for a in chunk.split(",")]
-                    if not all(len(a) == 1 and a.islower() and a.isalpha() for a in atoms):
+                    if not all(len(a) == 1 and "a" <= a <= "z" for a in atoms):
                         raise TermSyntaxError(f"line {lineno}: guard atoms must be lowercase letters")
                     multisets.add(tuple(sorted(atoms)))
                 guard = frozenset(multisets)

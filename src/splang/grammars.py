@@ -48,11 +48,9 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-from ._lex import NONTERMINAL, TokenStream
+from ._lex import NONTERMINAL, Immutable, TokenStream
 from .errors import EnumerationCapError, TermSyntaxError
 from .terms import (
     DEFAULT_CAP,
@@ -78,27 +76,27 @@ from .langs import FiniteLang
 from ._partitions import multiset_splits
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: str
-    rhs: SPTerm  # canonical sentential form
+class Production(Immutable):
+    __slots__ = _fields = ("lhs", "rhs")  # rhs: a canonical sentential form
 
-    def __post_init__(self):
-        if not NONTERMINAL.fullmatch(self.lhs):
-            raise ValueError(f"nonterminal must be an uppercase letter, optionally indexed (A_12), got {self.lhs!r}")
+    def __init__(self, lhs: str, rhs: SPTerm):
+        if not NONTERMINAL.fullmatch(lhs):
+            raise ValueError(f"nonterminal must be an uppercase letter, optionally indexed (A_12), got {lhs!r}")
+        super().__init__(lhs, rhs)
 
     def __repr__(self) -> str:
         return f"{self.lhs} -> {format_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Grammar:
-    nonterminals: frozenset[str]
-    terminals: frozenset[str]
-    productions: tuple[Production, ...]
-    start: str
+class Grammar(Immutable):
+    """The constructor checks the fields and plans membership and generation once."""
 
-    def __post_init__(self):
+    _fields = ("nonterminals", "terminals", "productions", "start")
+    __slots__ = _fields + ("_by_lhs", "_least", "_allowed", "_plans", "_units", "_foreign", "_frames_per_goal")
+
+    def __init__(self, nonterminals: frozenset[str], terminals: frozenset[str], productions: tuple[Production, ...],
+                 start: str):
+        super().__init__(nonterminals, terminals, productions, start)
         if not self.productions:
             raise ValueError("a grammar needs at least one production")
         if self.start not in self.nonterminals:
@@ -121,7 +119,7 @@ class Grammar:
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
         allowed = _solve(dict.fromkeys(self.nonterminals, 0),
                          [p for p in self.productions if _least(p.rhs, least) < math.inf],
-                         lambda rhs, m, allowed: m | _fields(rhs, allowed, fields))
+                         lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
         units = {c: 1 | 1 << shift for c, shift in shifts.items()}
         plans = {nt: tuple(_plan(rhs, least, allowed, fields, units) for rhs in alts) for nt, alts in by_lhs.items()}
         object.__setattr__(self, "_by_lhs", by_lhs)
@@ -170,11 +168,11 @@ def _least(form: SPTerm, least) -> float:
     return 0 if isinstance(form, Eps) else sum(_least(c, least) for c in form.children)
 
 
-def _fields(form: SPTerm, allowed, fields) -> int:
+def _letter_fields(form: SPTerm, allowed, fields) -> int:
     """The letter fields a word of `form` may fill, given each nonterminal's."""
     if isinstance(form, Leaf):
         return (allowed if form.symbol.isupper() else fields)[form.symbol]
-    return 0 if isinstance(form, Eps) else functools.reduce(operator.or_, (_fields(c, allowed, fields) for c in form.children))
+    return 0 if isinstance(form, Eps) else functools.reduce(operator.or_, (_letter_fields(c, allowed, fields) for c in form.children))
 
 
 def symbols_of(form: SPTerm):
@@ -285,18 +283,11 @@ FLAG_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class GrammarClass:
-    """Grammar-level families plus the shape set of each production."""
+class GrammarClass(Immutable):
+    """Grammar-level families, a bool field per flag of FLAG_ORDER named in
+    lowercase, plus the shape set of each production (`shapes`)."""
 
-    right_linear: bool
-    left_linear: bool
-    parallel_linear: bool
-    sp_regular: bool
-    cf_sequential: bool
-    cf_parallel: bool
-    cf_sp: bool
-    shapes: tuple[frozenset[ProductionShape], ...]
+    __slots__ = _fields = tuple(name.lower() for name in FLAG_ORDER) + ("shapes",)
 
     def flags(self) -> tuple[str, ...]:
         return tuple(name for name in FLAG_ORDER if getattr(self, name.lower()))
@@ -429,10 +420,8 @@ def _universe(letters: tuple[str, ...], max_atoms: int, mode: SemanticsMode, cap
         raise EnumerationCapError(f"term universe exceeds the cardinality cap ({cap})") from None
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    trace: tuple[SPTerm, ...] | None  # sentential forms, start first
+class MembershipResult(Immutable):
+    __slots__ = _fields = ("member", "trace")  # trace: the sentential forms, start first, or None
 
     def __bool__(self) -> bool:
         return self.member
@@ -630,16 +619,18 @@ def _fits(vec: int, least: float, forbid: int) -> bool:
     return (vec & _COUNT) >= least and not vec & forbid
 
 
-class _Step(NamedTuple):
+class _Step(Immutable):
     """What the search needs of a part of a Seq or Par form that has later parts."""
 
-    head: _Node
-    later_nonempty: int  # the later parts that cannot derive eps, each taking a factor
-    later_terminals: bool  # whether every later part is a terminal: then the head takes the rest
-    low: int  # the head's fewest factors: 1 when it cannot derive eps
-    one: bool  # whether the head takes at most one factor (`_one_factor`)
-    rest_least: float  # the later parts' fewest atoms, together
-    rest_forbid: int  # the Parikh vector fields no later part fills
+    __slots__ = _fields = (
+        "head",  # the part's _Node
+        "later_nonempty",  # the later parts that cannot derive eps, each taking a factor
+        "later_terminals",  # whether every later part is a terminal: then the head takes the rest
+        "low",  # the head's fewest factors: 1 when it cannot derive eps
+        "one",  # whether the head takes at most one factor (`_one_factor`)
+        "rest_least",  # the later parts' fewest atoms, together
+        "rest_forbid",  # the Parikh vector fields no later part fills
+    )
 
 
 class _Node:
@@ -657,7 +648,7 @@ def _plan(form: SPTerm, least, allowed, fields, units) -> _Node:
     allowed letter fields, and each terminal's field and unit vector."""
     node = _Node()
     node.form, node.least = form, _least(form, least)
-    node.forbid = ~(_COUNT | _fields(form, allowed, fields))
+    node.forbid = ~(_COUNT | _letter_fields(form, allowed, fields))
     node.symbol = node.unit = node.steps = node.last = None
     if isinstance(form, Eps):
         node.unit = 0

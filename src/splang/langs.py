@@ -1,12 +1,13 @@
 """Finite languages of series-parallel terms.
 
-A FiniteLang is an immutable, slotted value: a deterministic, duplicate-free,
-sorted tuple of canonical terms together with the semantics mode its members
-are canonical for. Two languages are equal when their modes and members are,
-and hash alike then. The constructor sorts and deduplicates, and
-``FiniteLang.of`` canonicalizes. All operations here are total on finite
-languages; the three Kleene closures are truncated at an explicit repetition
-bound and never claim anything about the infinite closure.
+A FiniteLang is an immutable value (see ``_lex.Immutable``) with the fields
+``mode`` and ``terms``: a deterministic, duplicate-free, sorted tuple of
+canonical terms and the semantics mode they are canonical for. Two languages
+are equal when their modes and members are, and hash alike then. The
+constructor sorts and deduplicates, and ``FiniteLang.of`` canonicalizes. All
+operations here are total on finite languages; the three Kleene closures are
+truncated at an explicit repetition bound and never claim anything about the
+infinite closure.
 
 Powers and closures step on plain sets of terms and sort once, into the
 language they return. Each level is the product of the one before with the
@@ -43,19 +44,14 @@ from .terms import (
 
 
 class FiniteLang(Immutable):
-    __slots__ = ("mode", "terms", "_members")
+    _fields = ("mode", "terms")
+    __slots__ = _fields + ("_members",)
 
     def __init__(self, mode: SemanticsMode, terms: Iterable[SPTerm]):
         members = frozenset(terms)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "terms", tuple(sorted(members, key=format_term)))
         object.__setattr__(self, "_members", members)
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is FiniteLang and other.mode is self.mode and other.terms == self.terms
-
-    def __hash__(self) -> int:
-        return hash((self.mode, self.terms))
 
     @staticmethod
     def of(terms: Iterable[SPTerm], mode: SemanticsMode = ORDERED) -> "FiniteLang":
@@ -180,24 +176,7 @@ def reverse_lang(lang: FiniteLang) -> FiniteLang:
 class LangDiff(Immutable):
     """Result of comparing two languages: truthy iff they are equal."""
 
-    __slots__ = ("equal", "only_left", "only_right")
-
-    def __init__(self, equal: bool, only_left: tuple[SPTerm, ...], only_right: tuple[SPTerm, ...]):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "only_left", only_left)
-        object.__setattr__(self, "only_right", only_right)
-
-    def _fields(self) -> tuple:
-        return self.equal, self.only_left, self.only_right
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is LangDiff and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "LangDiff(equal={!r}, only_left={!r}, only_right={!r})".format(*self._fields())
+    __slots__ = _fields = ("equal", "only_left", "only_right")  # bool, then the witness terms of each side
 
     def __bool__(self) -> bool:
         return self.equal

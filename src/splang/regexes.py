@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from ._lex import TokenStream
+from ._lex import Immutable, TokenStream
 from .errors import FragmentError, TermSyntaxError
 from .grammars import Grammar, Production, _MemberSearch, generate
 from .langs import FiniteLang
@@ -41,8 +40,8 @@ from .terms import (
 )
 
 
-class Regex:
-    """Base class of regex nodes. Immutable and hashable."""
+class Regex(Immutable):
+    """Base class of regex nodes: values (see `_lex.Immutable`) shown as their text."""
 
     __slots__ = ()
 
@@ -50,49 +49,44 @@ class Regex:
         return format_regex(self)
 
 
-@dataclass(frozen=True, repr=False)
 class EmptySet(Regex):
     """Matches nothing."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class EpsLit(Regex):
     """Matches exactly the empty word."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class AtomLit(Regex):
-    symbol: str
+    __slots__ = _fields = ("symbol",)
 
 
-@dataclass(frozen=True, repr=False)
 class Cat(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = _fields = ("parts",)  # tuple[Regex, ...]
 
 
-@dataclass(frozen=True, repr=False)
 class Alt(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = _fields = ("parts",)
 
 
-@dataclass(frozen=True, repr=False)
 class ParProd(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = _fields = ("parts",)
 
 
-@dataclass(frozen=True, repr=False)
 class CloseSeq(Regex):
-    inner: Regex
+    __slots__ = _fields = ("inner",)
 
 
-@dataclass(frozen=True, repr=False)
 class ClosePar(Regex):
-    inner: Regex
+    __slots__ = _fields = ("inner",)
 
 
-@dataclass(frozen=True, repr=False)
 class CloseSP(Regex):
-    inner: Regex
+    __slots__ = _fields = ("inner",)
 
 
 EMPTY = EmptySet()

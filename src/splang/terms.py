@@ -12,7 +12,8 @@ kept in a canonical form:
   sorts them, so ``seq`` and ``par`` build canonical terms from canonical
   parts; ``canonicalize`` is for terms built elsewhere.
 
-Nodes are immutable, slotted objects. Each computes its hash once, at
+Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
+``("symbol",)`` and ``("children",)``. Each computes its hash once, at
 construction, from its kind and its children's stored hashes, so a term hashes
 in constant time at any depth; equality returns at once on the same object or
 on a different kind or hash (see `SPTerm`).
@@ -86,15 +87,12 @@ class Eps(SPTerm):
 
     __hash__ = SPTerm.__hash__
 
-    def __reduce__(self):
-        return Eps, ()
-
 
 EPS = Eps()
 
 
 class Leaf(SPTerm):
-    __slots__ = ("symbol",)
+    __slots__ = _fields = ("symbol",)
 
     def __init__(self, symbol: str):
         if not (len(symbol) == 1 and "a" <= symbol <= "z" or NONTERMINAL.fullmatch(symbol)):
@@ -107,15 +105,11 @@ class Leaf(SPTerm):
 
     __hash__ = SPTerm.__hash__
 
-    def __reduce__(self):
-        # rebuilt through the constructor: a str hash differs between processes
-        return Leaf, (self.symbol,)
-
 
 class _Product(SPTerm):
     """A Seq or Par node: at least two children, none eps or of its own kind."""
 
-    __slots__ = ("children",)
+    __slots__ = _fields = ("children",)
     _TAG: int
 
     def __init__(self, children: tuple[SPTerm, ...]):
@@ -134,9 +128,6 @@ class _Product(SPTerm):
         )
 
     __hash__ = SPTerm.__hash__
-
-    def __reduce__(self):
-        return type(self), (self.children,)
 
 
 class Seq(_Product):

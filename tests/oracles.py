@@ -16,7 +16,6 @@ afterwards, with no cap and no early stop.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -186,7 +185,7 @@ def with_observed_guards(aut: BranchingAutomaton, flat: dict, nonflat: set) -> B
             new_pars.append(ParTransition(p.fork_id, frozenset(flat[idx]), p.join_id))
         else:
             new_pars.append(p)
-    return dataclasses.replace(aut, pars=tuple(new_pars))
+    return BranchingAutomaton(aut.states, aut.seqs, aut.forks, aut.joins, tuple(new_pars), aut.initial, aut.final)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,18 @@ def test_automaton_enum_follows_the_answer_not_the_universe(capsys, tmp_path):
     assert out2 == "mode: commutative\n" + "".join("a||" + "||".join("b" * k) + "\n" for k in range(1, 8))
 
 
+@pytest.mark.parametrize("lines,err", [
+    ("seq: p \u00e9 q\n", "error: line 4: label must be one lowercase letter\n"),
+    ("seq: p a q\nfork: F p -> {p, q}\njoin: J {p, q} -> q\npar: F {a,\u00e9} J\n",
+     "error: line 7: guard atoms must be lowercase letters\n"),
+], ids=["seq-label", "guard-atom"])
+@pytest.mark.parametrize("argv", [("accepts", "a"), ("enum",)], ids=["accepts", "enum"])
+def test_non_ascii_automaton_letters_exit_2(capsys, tmp_path, lines, err, argv):
+    path = tmp_path / "x.aut"
+    path.write_text("states: p q\ninitial: p\nfinal: q\n" + lines, encoding="utf-8")
+    assert run(capsys, "automaton", argv[0], path, *argv[1:]) == (2, "", err)
+
+
 def test_equiv_beyond_the_universe_cap(capsys):
     code, out, _ = run(capsys, "equiv", DATA / "a_fanout.g", "--max-atoms", "8")
     assert (code, out) == (0, "equal: 7 words up to 8 atoms\n")
@@ -674,7 +686,7 @@ automaton_files = st.one_of(
               st.lists(st.tuples(states, st.sampled_from("ab"), states), max_size=4), st.lists(fork_join, max_size=1))
     .map(lambda t: f"states: p q r\ninitial: {' '.join(t[0])}\nfinal: {' '.join(t[1])}\n"
          + "".join("seq: {} {} {}\n".format(*x) for x in t[2]) + "".join(t[3])),
-    noise("pqab:{},;*->\n"),
+    noise("pqab\u00e9:{},;*->\n"),
 )
 lang_files = st.one_of(
     st.tuples(st.sampled_from(["ordered", "commutative"]), st.lists(term_forms, max_size=4))

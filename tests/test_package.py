@@ -2,13 +2,14 @@
 
 `splang` re-exports its submodules' public names but imports none of them
 until a name is used, and the CLI imports the grammar, regex and automaton
-modules only in the handlers that run them. The term and language layers use
-no dataclasses, so their commands load neither `dataclasses` nor the
-`inspect` module it imports."""
+modules only in the handlers that run them. No module uses dataclasses, so
+no command loads `dataclasses` or the `inspect` module it imports."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,9 @@ from pathlib import Path
 import pytest
 
 import splang
+from splang._lex import Immutable, tokenize
+from splang.automata import SeqTransition
+from splang.grammars import MembershipResult, _Step
 
 # every name the package has re-exported since the start, by defining submodule
 EXPORTS = {
@@ -71,7 +75,8 @@ def test_an_unknown_name_raises_attribute_error():
 
 
 SRC = str(Path(splang.__file__).resolve().parents[1])
-HEAVY = ("splang.grammars", "splang.regexes", "splang.automata", "splang._partitions", "dataclasses", "inspect")
+DATACLASSES = ("dataclasses", "inspect")
+HEAVY = ("splang.grammars", "splang.regexes", "splang.automata", "splang._partitions", *DATACLASSES)
 
 
 def loaded_after(argv, cwd):
@@ -95,14 +100,71 @@ def loaded_after(argv, cwd):
     [
         (["term", "canon", "b||a.a"], HEAVY),
         (["lang", "concat", "l.lang", "l.lang"], HEAVY),
-        (["grammar", "member", "g.g", "a||b"], ("splang.automata",)),
-        (["regex", "match", "(a||b)^", "a||b"], ("splang.automata",)),
+        (["grammar", "member", "g.g", "a||b"], ("splang.automata", *DATACLASSES)),
+        (["regex", "match", "(a||b)^", "a||b"], ("splang.automata", *DATACLASSES)),
+        (["automaton", "accepts", "x.aut", "a"], DATACLASSES),
     ],
-    ids=["term", "lang", "grammar", "regex"],
+    ids=["term", "lang", "grammar", "regex", "automaton"],
 )
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, absent):
     (tmp_path / "l.lang").write_text("mode: ordered\na\nb\n", encoding="utf-8")
     (tmp_path / "g.g").write_text("S -> a||b\n", encoding="utf-8")
+    (tmp_path / "x.aut").write_text("states: p q\ninitial: p\nfinal: q\nseq: p a q\n", encoding="utf-8")
     loaded = loaded_after(argv, tmp_path)
     assert "splang.cli" in loaded
     assert loaded.isdisjoint(absent)
+
+
+# ---------------------------------------------------------------------------
+# value classes
+
+def value_samples():
+    """One instance of every value class, by class."""
+    g = splang.parse_grammar("S -> a.S | eps | A||b\nA -> a\n")
+    aut = splang.parse_automaton(
+        "states: p q r s\ninitial: p\nfinal: q\nseq: r a s\n"
+        "fork: F p -> {r, r}\njoin: J {s, s} -> q\npar: F {a,a;a} J\n"
+    )
+    left, right = splang.FiniteLang.parse(["a", "b.a"]), splang.FiniteLang.parse(["a"])
+    values = [
+        tokenize("a")[0], splang.EPS, splang.parse_term("a"), splang.parse_term("a.b"), splang.parse_term("a||b"),
+        left, splang.lang_equal(left, right),
+        *map(splang.parse_regex, ["0", "eps", "a", "a.b", "a|b", "a||b", "a*", "a^", "a@"]),
+        g.productions[0], g, splang.classify_grammar(g), splang.is_member(g, splang.parse_term("a.a")),
+        _Step(head=None, later_nonempty=1, later_terminals=True, low=1, one=True, rest_least=1, rest_forbid=0),
+        aut.seqs[0], aut.forks[0], aut.joins[0], aut.pars[0], aut,
+    ]
+    return {type(v): v for v in values}
+
+
+def value_classes(cls=Immutable):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from value_classes(sub)
+
+
+def test_every_value_class_has_a_sample():
+    abstract = {splang.SPTerm, splang.terms._Product, splang.Regex}
+    assert set(value_samples()) == set(value_classes()) - abstract
+
+
+@pytest.mark.parametrize("value", list(value_samples().values()), ids=lambda v: type(v).__name__)
+def test_values_copy_pickle_and_refuse_assignment(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+    for name in value._fields or ("_hash",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_the_value_constructor_takes_fields_by_position_or_keyword():
+    Production, t = splang.Production, splang.parse_term("a")
+    assert Production("S", t) == Production("S", rhs=t) == Production(rhs=t, lhs="S")
+    assert Production("S", t) != Production("A", t) and Production("S", t) != ("S", t)
+    assert repr(SeqTransition("p", "a", "q")) == "SeqTransition(src='p', label='a', dst='q')"
+    for args, kwargs in [((True,), {}), ((True, None, None), {}), ((True,), {"member": True}), ((True,), {"proof": None})]:
+        with pytest.raises(TypeError):
+            MembershipResult(*args, **kwargs)

@@ -162,17 +162,15 @@ def _solve(values: dict, productions, step) -> dict:
 
 def _least(form: SPTerm, least) -> float:
     """The fewest atoms of a word of `form`, given each nonterminal's (inf
-    when it has no word); 0 exactly when `form` derives eps."""
-    if isinstance(form, Leaf):
-        return least[form.symbol] if form.symbol.isupper() else 1
-    return 0 if isinstance(form, Eps) else sum(_least(c, least) for c in form.children)
+    when it has no word); 0 exactly when `form` derives eps. Seq and Par both
+    add their parts' atoms, so this is a sum over the leaves."""
+    return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
 
 
 def _letter_fields(form: SPTerm, allowed, fields) -> int:
-    """The letter fields a word of `form` may fill, given each nonterminal's."""
-    if isinstance(form, Leaf):
-        return (allowed if form.symbol.isupper() else fields)[form.symbol]
-    return 0 if isinstance(form, Eps) else functools.reduce(operator.or_, (_letter_fields(c, allowed, fields) for c in form.children))
+    """The letter fields a word of `form` may fill, given each nonterminal's:
+    the OR over the leaves, as Seq and Par both keep their parts' letters."""
+    return functools.reduce(operator.or_, ((allowed if s.isupper() else fields)[s] for s in symbols_of(form)), 0)
 
 
 def symbols_of(form: SPTerm):
@@ -343,7 +341,7 @@ def generate(
     computed level by level in the atom count (see the module docstring):
     as a derivation never loses an atom, level k needs only levels <= k, and
     a form's words of k atoms combine only part sizes that sum to k, each at
-    least its part's fewest atoms (`Grammar._least`). `cap` bounds the
+    least its part's fewest atoms (`_Node.least`). `cap` bounds the
     (nonterminal, word) pairs held, not counting the nonterminals whose
     productions are all eps or a single nonterminal: they only copy words
     counted elsewhere. `max_steps` is ignored; it stays the third positional
@@ -356,27 +354,28 @@ def generate(
         """The words of k atoms of a production's form or part, from the words found so far."""
         if node.symbol is not None:
             return words[node.symbol][k]
-        if node.steps is None:  # a terminal or eps
+        if node.parts is None:  # a terminal or eps
             return (node.form,) if node.unit & _COUNT == k else ()
         if (node, k) not in inner:  # from levels below k: computed once
             inner[node, k] = combined(node, k, k - 1)
-        solid = node.steps[0].low + node.steps[0].later_nonempty  # the parts that cannot derive eps
+        first = node.parts[0]
+        solid = (first.least > 0) + first.later_nonempty  # the parts that cannot derive eps
         if solid > 1:
             return inner[node, k]
         # the parts that take all k atoms, every other deriving eps, pass their words on unchanged
-        parts = [step.head for step in node.steps] + [node.last]
-        return inner[node, k].union(*(sized(part, k) for part in parts if part.least > 0 or not solid))
+        return inner[node, k].union(*(sized(part, k) for part in node.parts if part.least > 0 or not solid))
 
     def combined(node: _Node, k: int, top: int, i: int = 0):
         """The words of k atoms of the parts i, i+1, ... of a Seq or Par form,
         each part taking at least its fewest atoms and at most `top`."""
-        if i == len(node.steps):
-            return sized(node.last, k) if k <= top else ()
-        step, out = node.steps[i], set()
-        if step.head.least + step.rest_least <= k:  # inf when a part has no word
+        part = node.parts[i]
+        if i == len(node.parts) - 1:
+            return sized(part, k) if k <= top else ()
+        out = set()
+        if part.least + part.rest_least <= k:  # inf when a part has no word
             make = join[type(node.form)]
-            for j in range(step.head.least, min(top, k - step.rest_least) + 1):
-                xs = sized(step.head, j)
+            for j in range(part.least, min(top, k - part.rest_least) + 1):
+                xs = sized(part, j)
                 if xs:
                     out.update({make(x, y) for y in combined(node, k - j, top, i + 1) for x in xs})
         return out
@@ -427,18 +426,14 @@ class MembershipResult(Immutable):
         return self.member
 
 
-def is_member(
-    g: Grammar,
-    t: SPTerm,
-    mode: SemanticsMode = ORDERED,
-    cap: int = DEFAULT_CAP,
-) -> MembershipResult:
+def is_member(g: Grammar, t: SPTerm, mode: SemanticsMode = ORDERED) -> MembershipResult:
     """Exact membership of `t`, canonicalized for `mode`, in L(g). A True
     answer carries the canonical forms of a leftmost derivation of `t` (in
     COMMUTATIVE mode, leftmost as the productions write their nonterminals),
-    read off the first proof found, so not necessarily the shortest. `cap`
-    bounds the (nonterminal, sub-term) goals one search pass examines."""
-    search = _MemberSearch(g, mode, cap)
+    read off the first proof found, so not necessarily the shortest.
+    `DEFAULT_CAP` bounds the (nonterminal, sub-term) goals one search pass
+    examines."""
+    search = _MemberSearch(g, mode, DEFAULT_CAP)
     if not search.proves(canonicalize(t, mode)):
         return MembershipResult(False, None)
     return MembershipResult(True, search.leftmost_derivation())
@@ -453,13 +448,14 @@ class _MemberSearch:
     search reruns, keeping what it proved, while a cycle was cut and new facts
     still appear.
 
-    The grammar plans each production once (`_Node`): a part that cannot
-    derive eps takes at least one factor, and a terminal, or a part of the
-    other operator over two parts that cannot derive eps, at most one; each
-    part, and each run of later parts, has its fewest atoms and the letters it
-    can derive. A split is skipped before its terms are built when a share
-    has fewer atoms than its parts' least, or a letter they never derive, and
-    so is a production whose form cannot fit the goal. This is sound: a
+    The grammar plans each production once, a `_Node` per form and per part:
+    a part that cannot derive eps takes at least one factor, and a terminal,
+    or a part of the other operator over two parts that cannot derive eps, at
+    most one; each part holds its fewest atoms and the letters it can derive,
+    and those of the parts after it together. A split is skipped before its
+    terms are built when a share has fewer atoms than its parts' least, or a
+    letter they never derive, and so is a production whose form cannot fit
+    the goal. This is sound: a
     derivation never loses an atom, and the letters over-approximate those of
     the derivable words, so only splits that would fail are skipped, and the
     others are tried in the same order. Shares are measured by Parikh vectors
@@ -526,7 +522,7 @@ class _MemberSearch:
     def match(self, node: _Node, t: SPTerm, vec: int) -> tuple | None:
         """The goals under which the form of `node` derives `t`, whose Parikh
         vector is `vec`, or None."""
-        if node.steps is not None:
+        if node.parts is not None:
             if isinstance(node.form, Seq):
                 return self.match_parts(node, 0, _seq_factors(t), vec, Seq, True)
             return self.match_parts(node, 0, _par_factors(t), vec, Par, self.mode is ORDERED)
@@ -537,30 +533,32 @@ class _MemberSearch:
     def match_parts(self, node: _Node, j: int, factors, vec: int, kind, ordered: bool) -> tuple | None:
         """The goals under which parts j, j+1, ... of `node` derive `factors`,
         the factors of a `kind` (Seq or Par) term, whose Parikh vector is
-        `vec`, or None."""
-        step = node.steps[j]
-        high = len(factors) - step.later_nonempty
-        low = max(step.low, high) if step.later_terminals else step.low
-        if step.one:
+        `vec`, or None; part j is not the last."""
+        part = node.parts[j]
+        high = len(factors) - part.later_nonempty
+        low = int(part.least > 0)  # a part that cannot derive eps takes a factor
+        if part.later_terminals:
+            low = max(low, high)
+        if part.one:
             high = min(high, 1)
-        for part, rest, h, r in self.splits(factors, vec, low, high, ordered, step):
-            first = self.match(step.head, _join(kind, part), h)
+        for share, rest, h, r in self.splits(factors, vec, low, high, ordered, part):
+            first = self.match(part, _join(kind, share), h)
             if first is not None:
-                if j + 1 < len(node.steps):
+                if j + 2 < len(node.parts):
                     others = self.match_parts(node, j + 1, rest, r, kind, ordered)
                 else:
-                    others = self.match(node.last, _join(kind, rest), r)
+                    others = self.match(node.parts[-1], _join(kind, rest), r)
                 if others is not None:
                     return first + others
         return None
 
-    def splits(self, factors, vec: int, low: int, high: int, ordered: bool, step: _Step):
+    def splits(self, factors, vec: int, low: int, high: int, ordered: bool, part: _Node):
         """The two-way splits of `factors` whose head share has low..high
         factors, a prefix when `ordered` and a sub-multiset otherwise, in the
         search's order, each with the Parikh vectors of its shares; those
-        where a share cannot fit the head or the later parts of `step` are
-        left out."""
-        vector, head, rest_least, rest_forbid = self.vector, step.head, step.rest_least, step.rest_forbid
+        where a share cannot fit `part` or the parts after it are left out."""
+        vector, least, forbid = self.vector, part.least, part.forbid
+        rest_least, rest_forbid = part.rest_least, part.rest_forbid
         if ordered:
             if 2 * low <= len(factors):
                 h = sum(map(vector, factors[:low]))
@@ -570,14 +568,14 @@ class _MemberSearch:
                 if i > low:
                     h += vector(factors[i - 1])
                 r = vec - h
-                if _fits(h, head.least, head.forbid) and _fits(r, rest_least, rest_forbid):
+                if _fits(h, least, forbid) and _fits(r, rest_least, rest_forbid):
                     yield factors[:i], factors[i:], h, r
         else:
-            for part, rest in multiset_splits(factors, 2, (low, high)):
-                h = sum(map(vector, part))
+            for share, rest in multiset_splits(factors, 2, (low, high)):
+                h = sum(map(vector, share))
                 r = vec - h
-                if _fits(h, head.least, head.forbid) and _fits(r, rest_least, rest_forbid):
-                    yield part, rest, h, r
+                if _fits(h, least, forbid) and _fits(r, rest_least, rest_forbid):
+                    yield share, rest, h, r
 
     def leftmost_derivation(self) -> tuple[SPTerm, ...]:
         """The leftmost derivation of the goal `proves` last proved."""
@@ -619,70 +617,56 @@ def _fits(vec: int, least: float, forbid: int) -> bool:
     return (vec & _COUNT) >= least and not vec & forbid
 
 
-class _Step(Immutable):
-    """What the search needs of a part of a Seq or Par form that has later parts."""
-
-    __slots__ = _fields = (
-        "head",  # the part's _Node
-        "later_nonempty",  # the later parts that cannot derive eps, each taking a factor
-        "later_terminals",  # whether every later part is a terminal: then the head takes the rest
-        "low",  # the head's fewest factors: 1 when it cannot derive eps
-        "one",  # whether the head takes at most one factor (`_one_factor`)
-        "rest_least",  # the later parts' fewest atoms, together
-        "rest_forbid",  # the Parikh vector fields no later part fills
-    )
-
-
 class _Node:
-    """A form of a production, planned once per grammar for `_MemberSearch`:
-    the fewest atoms of its words (`least`, inf when it has none) and the
-    Parikh vector fields they never fill (`forbid`); a nonterminal's `symbol`;
-    the vector of the one word of a terminal or eps (`unit`); and for a Seq or
-    Par form, a step per part but the last, and the `last` part."""
+    """A form of a production, or a part of one, planned once per grammar for
+    `generate` and `_MemberSearch`: the fewest atoms of its words (`least`,
+    inf when it has none) and the Parikh vector fields they never fill
+    (`forbid`); a nonterminal's `symbol`; the vector of the one word of a
+    terminal or eps (`unit`); and a Seq or Par form's `parts`, in order. A
+    part that has later parts also holds what the search needs of them: how
+    many cannot derive eps, each taking a factor (`later_nonempty`); whether
+    all are terminals, so that this part takes the rest (`later_terminals`);
+    their fewest atoms together (`rest_least`) and the fields none of them
+    fills (`rest_forbid`); and whether this part takes at most one factor
+    (`one`): a terminal, or a form of the other operator over two parts that
+    cannot derive eps."""
 
-    __slots__ = ("form", "least", "forbid", "symbol", "unit", "steps", "last")
+    __slots__ = ("form", "least", "forbid", "symbol", "unit", "parts",
+                 "later_nonempty", "later_terminals", "one", "rest_least", "rest_forbid")
 
 
 def _plan(form: SPTerm, least, allowed, fields, units) -> _Node:
     """The `_Node` of `form`, given each nonterminal's least atoms and
-    allowed letter fields, and each terminal's field and unit vector."""
+    allowed letter fields, and each terminal's field and unit vector. A Seq
+    or Par form takes its facts from its parts': it has a word only from a
+    word of each, so its fewest atoms are their sum, and it fills a field only
+    when one of them does."""
     node = _Node()
-    node.form, node.least = form, _least(form, least)
-    node.forbid = ~(_COUNT | _letter_fields(form, allowed, fields))
-    node.symbol = node.unit = node.steps = node.last = None
+    node.form = form
+    node.symbol = node.unit = node.parts = None
     if isinstance(form, Eps):
-        node.unit = 0
+        node.least, node.forbid, node.unit = 0, ~_COUNT, 0
     elif isinstance(form, Leaf):
         if form.symbol.isupper():
-            node.symbol = form.symbol
+            node.least, node.symbol = least[form.symbol], form.symbol
+            node.forbid = ~(_COUNT | allowed[form.symbol])
         else:
-            node.unit = units[form.symbol]
+            node.least, node.unit = 1, units[form.symbol]
+            node.forbid = ~(_COUNT | fields[form.symbol])
     else:
-        parts = [_plan(c, least, allowed, fields, units) for c in form.children]
+        node.parts = parts = tuple(_plan(c, least, allowed, fields, units) for c in form.children)
+        node.least = sum(p.least for p in parts)
+        node.forbid = functools.reduce(operator.and_, (p.forbid for p in parts))
         other = Par if isinstance(form, Seq) else Seq
-        steps = []
-        for j, head in enumerate(parts[:-1]):
+        for j, part in enumerate(parts[:-1]):
             later = parts[j + 1 :]
-            steps.append(_Step(
-                head=head,
-                later_nonempty=sum(p.least > 0 for p in later),
-                later_terminals=all(_is_terminal_leaf(p.form) for p in later),
-                low=int(head.least > 0),
-                one=_one_factor(head.form, other, least),
-                rest_least=sum(p.least for p in later),
-                rest_forbid=functools.reduce(operator.and_, (p.forbid for p in later)),
-            ))
-        node.steps, node.last = tuple(steps), parts[-1]
+            part.later_nonempty = sum(p.least > 0 for p in later)
+            part.later_terminals = all(_is_terminal_leaf(p.form) for p in later)
+            part.one = _is_terminal_leaf(part.form) or (
+                isinstance(part.form, other) and sum(p.least > 0 for p in part.parts) >= 2)
+            part.rest_least = sum(p.least for p in later)
+            part.rest_forbid = functools.reduce(operator.and_, (p.forbid for p in later))
     return node
-
-
-def _one_factor(form: SPTerm, other, least) -> bool:
-    """Whether every word of `form` is at most one factor of a term of the
-    operator that is not `other`: a terminal, or an `other` form with two
-    parts that cannot derive eps."""
-    if isinstance(form, Leaf):
-        return form.symbol.islower()
-    return isinstance(form, other) and sum(_least(c, least) > 0 for c in form.children) >= 2
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
@@ -700,19 +684,15 @@ def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
 # ---------------------------------------------------------------------------
 # Seeded fixture grammars
 
-def random_parallel_linear_grammar(
-    seed: int,
-    alphabet: tuple[str, ...] = ("a", "b"),
-    max_nonterminals: int = 3,
-    max_productions_per_nt: int = 3,
-) -> Grammar:
+def random_parallel_linear_grammar(seed: int, alphabet: tuple[str, ...] = ("a", "b")) -> Grammar:
     """A small random grammar in the parallel-linear class, deterministic in
-    `seed`. Used to fan out the grammar/automaton equivalence checks."""
+    `seed`: one to three nonterminals, each with one to three productions.
+    Used to fan out the grammar/automaton equivalence checks."""
     rng = random.Random(seed)
-    names = ["S", "A", "B"][: rng.randint(1, max_nonterminals)]
+    names = ["S", "A", "B"][: rng.randint(1, 3)]
     productions: list[Production] = []
     for name in names:
-        for _ in range(rng.randint(1, max_productions_per_nt)):
+        for _ in range(rng.randint(1, 3)):
             roll = rng.random()
             if roll < 0.2:
                 rhs: SPTerm = EPS

@@ -181,11 +181,12 @@ class LangDiff(Immutable):
     def __bool__(self) -> bool:
         return self.equal
 
-    def report(self, max_witnesses: int = 20) -> str:
+    def report(self) -> str:
+        """The witnesses of each side, at most 20 in all, and how many more each has."""
         if self.equal:
             return "languages are equal"
         lines = []
-        budget = max_witnesses
+        budget = 20
         for label, members in (("only in left", self.only_left), ("only in right", self.only_right)):
             for t in members[:budget]:
                 lines.append(f"{label}: {format_term(t)}")

@@ -10,7 +10,9 @@ kept in a canonical form:
 * in COMMUTATIVE mode the children of every ``Par`` node are additionally
   sorted, so parallel composition is order-blind. ``par(..., mode=mode)``
   sorts them, so ``seq`` and ``par`` build canonical terms from canonical
-  parts; ``canonicalize`` is for terms built elsewhere.
+  parts. The constructors refuse a node that breaks the first rule, so every
+  term is canonical for ORDERED; ``canonicalize`` sorts the Par nodes of a
+  term built without the mode.
 
 Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, at
@@ -194,8 +196,10 @@ def _par_factors(t: SPTerm) -> tuple[SPTerm, ...]:
 
 
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
-    """Rebuild `t` bottom-up into canonical form for `mode`. Idempotent."""
-    if isinstance(t, (Eps, Leaf)):
+    """`t` in canonical form for `mode`. Idempotent. Every term is canonical
+    for ORDERED, the constructors refusing any other, so `t` itself is
+    returned; COMMUTATIVE rebuilds it bottom-up, sorting every Par."""
+    if mode is ORDERED or isinstance(t, (Eps, Leaf)):
         return t
     if isinstance(t, Seq):
         return seq(*(canonicalize(c, mode) for c in t.children))

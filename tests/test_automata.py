@@ -114,6 +114,13 @@ def test_undeclared_state_rejected():
         parse_automaton("states: p\ninitial: p\nfinal: p\nseq: p a r\n")
 
 
+def test_code_built_automata_and_runs_check_their_arguments(fanout_automaton):
+    with pytest.raises(ValueError, match=r"^unknown state 'zz'$"):
+        runs_between(fanout_automaton, "zz", parse_term("a"))
+    with pytest.raises(ValueError, match="^a non-ANY guard needs at least one atom multiset$"):
+        ParTransition("F", frozenset(), "J")
+
+
 def test_guard_syntax_round_trips():
     text = MINIMAL + "fork: F1 p -> {p, q}\njoin: J1 {p, q} -> q\npar: F1 {a,b;a,a,b} J1\n"
     aut = parse_automaton(text)

@@ -528,6 +528,51 @@ def test_internal_error_exits_70_without_a_traceback(capsys, monkeypatch):
     assert run(capsys, "term", "canon", "a") == (70, "", "error: internal error: RuntimeError('boom')\n")
 
 
+AUT_HEAD = "states: p q\ninitial: p\nfinal: q\n"
+FORK_JOIN = "fork: F p -> {p, q}\njoin: J {p, q} -> q\n"
+
+
+@pytest.mark.parametrize("text,err", [
+    (AUT_HEAD + "bogus: x\n", "line 4: expected one of states, initial, final, seq, fork, join, par"),
+    ("states: p q\nstates: r\ninitial: p\nfinal: q\n", "line 2: duplicate 'states' line"),
+    ("states: p 9q\ninitial: p\nfinal: q\n", "line 1: bad state name '9q'"),
+    (AUT_HEAD + "fork: F p -> {p, 9q}\n", "line 4: bad state name '9q'"),
+    (AUT_HEAD + "fork: F p -> {p, , q}\n", "line 4: empty name in multiset"),
+    (AUT_HEAD + "seq: p a\n", "line 4: expected 'seq: p a q'"),
+    (AUT_HEAD + "fork: F p {p, q}\n", "line 4: expected 'fork: F p -> {q1, q2, ...}'"),
+    (AUT_HEAD + "join: J {p, q} q\n", "line 4: expected 'join: J {q1, q2, ...} -> p'"),
+    (AUT_HEAD + "par: F J\n", "line 4: expected 'par: F * J' or 'par: F {a,b;...} J'"),
+    (AUT_HEAD + "join: J {p} -> q\n", "line 4: join J needs at least two sources"),
+    (AUT_HEAD + "fork: F p -> {p, q}\nfork: F q -> {p, q}\njoin: J {p, q} -> q\npar: F * J\n",
+     "duplicate fork id 'F'"),
+    (AUT_HEAD + FORK_JOIN + "join: J {q, q} -> p\npar: F * J\n", "duplicate join id 'J'"),
+    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: F * K\n", "par transition references unknown join 'K'"),
+    ("states: p q\nfinal: q\n", "missing 'initial:' line"),
+    (AUT_HEAD + FORK_JOIN + "join: K {p, q} -> q\npar: F * J\n", "join 'K' is not referenced by any par transition"),
+], ids=["section", "duplicate-states", "state-name", "multiset-name", "empty-name", "seq", "fork", "join", "par",
+        "one-source", "duplicate-fork", "duplicate-join", "unknown-join", "missing-initial",
+        "unreferenced-join"])
+def test_every_automaton_file_error_exits_2(capsys, tmp_path, text, err):
+    path = tmp_path / "x.aut"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "automaton", "accepts", path, "a") == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("grammar", "member", "g.g", "a.a.a.b"),
+    ("regex", "match", "(a|a.a)*.b", "a.a.b"),
+    ("automaton", "accepts", "fanout.aut", "a||b||b"),
+], ids=["grammar", "regex", "automaton"])
+def test_membership_goals_past_the_cap_exit_6(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "g.g").write_text("S -> A.b\nA -> a | A.a\n", encoding="utf-8")
+    _, aut, _ = run(capsys, "automaton", "from-grammar", DATA / "a_fanout.g")
+    (tmp_path / "fanout.aut").write_text(aut, encoding="utf-8")
+    for module in ("grammars", "regexes", "automata"):
+        monkeypatch.setattr(f"splang.{module}.DEFAULT_CAP", 3)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (6, "", "error: membership goals exceed the cardinality cap (3)\n")
+
+
 def letter_loops(tmp_path, letters):
     """One state, initial and final, with a seq loop per letter."""
     aut = tmp_path / "letters.aut"

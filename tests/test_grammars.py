@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import sys
 
 import pytest
@@ -17,6 +19,10 @@ from splang.grammars import (
     parse_grammar,
     production_shapes,
     random_parallel_linear_grammar,
+    _COUNT,
+    _WIDTH,
+    _least,
+    _letter_fields,
 )
 from splang.langs import lang_equal
 from splang.terms import (
@@ -24,6 +30,8 @@ from splang.terms import (
     EPS,
     ORDERED,
     Leaf,
+    Par,
+    Seq,
     atoms_count,
     atoms_multiset,
     depth,
@@ -301,6 +309,23 @@ def test_long_words_are_decided():
     assert sys.getrecursionlimit() == limit
 
 
+def test_a_deeply_nested_term_is_decided():
+    # built in code, 300 levels of a.(b||...) around a
+    g = parse_grammar("S -> a.(b||S) | a\n")
+    t = Leaf("a")
+    for _ in range(300):
+        t = Seq((Leaf("a"), Par((Leaf("b"), t))))
+    assert len(is_member(g, t).trace) == 302
+
+
+def test_membership_goals_past_the_cap_raise(monkeypatch):
+    monkeypatch.setattr("splang.grammars.DEFAULT_CAP", 3)
+    g = parse_grammar("S -> A.b\nA -> a | A.a\n")
+    assert is_member(g, pt("a.a.b"))  # 3 goals: (S, a.a.b), (A, a.a), (A, a)
+    with pytest.raises(EnumerationCapError, match=r"^membership goals exceed the cardinality cap \(3\)$"):
+        is_member(g, pt("a.a.a.b"))
+
+
 # the nonterminals S and A, and a letter outside the grammar
 FOREIGN = ["z", "a.z", "a||z", "A", "a.S", "a||A"]
 
@@ -333,6 +358,38 @@ def test_planned_facts_bound_the_generated_words(fixture_grammars, mode):
                 assert atoms_count(w) >= least and set(atoms_multiset(w)) <= letters, (format_grammar(g), nt, w)
             if least <= 5:
                 assert any(atoms_count(w) == least for w in words), (format_grammar(g), nt)
+
+
+def planned_nodes(node):
+    """`node` and the nodes of its parts, depth first."""
+    yield node
+    for part in node.parts or ():
+        yield from planned_nodes(part)
+
+
+def test_every_planned_node_has_the_facts_of_its_form(fixture_grammars):
+    # the plan sums and ANDs its parts' facts; the leaf walks recompute them from each form
+    for g in fixture_grammars + [random_general_grammar(seed) for seed in range(40)]:
+        fields = {c: _COUNT << _WIDTH * i for i, c in enumerate(sorted(g.terminals), 1)}
+
+        def least(forms):
+            return sum(_least(f, g._least) for f in forms)
+
+        def forbid(forms):
+            return ~(_COUNT | functools.reduce(operator.or_, (_letter_fields(f, g._allowed, fields) for f in forms)))
+
+        for node in (n for plans in g._plans.values() for top in plans for n in planned_nodes(top)):
+            assert (node.least, node.forbid) == (least([node.form]), forbid([node.form])), format_grammar(g)
+            if node.parts is None:
+                continue
+            other = Par if isinstance(node.form, Seq) else Seq
+            for j, part in enumerate(node.parts[:-1]):
+                later = [p.form for p in node.parts[j + 1 :]]
+                assert (part.rest_least, part.rest_forbid) == (least(later), forbid(later)), format_grammar(g)
+                assert part.later_nonempty == sum(least([f]) > 0 for f in later)
+                assert part.later_terminals == all(isinstance(f, Leaf) and f.symbol.islower() for f in later)
+                one = isinstance(part.form, other) and sum(least([c]) > 0 for c in part.form.children) >= 2
+                assert part.one == (one or isinstance(part.form, Leaf) and part.form.symbol.islower())
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])

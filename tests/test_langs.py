@@ -354,7 +354,7 @@ def test_empty_differs_from_epsilon():
 def test_report_caps_witnesses():
     l = universe("ab", 3)
     diff = lang_equal(l, FiniteLang(ORDERED, ()))
-    lines = diff.report(max_witnesses=20).splitlines()
+    lines = diff.report().splitlines()
     assert len(lines) == 21  # 20 witnesses plus the elision line
     assert lines[-1].endswith("more")
 

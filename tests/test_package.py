@@ -19,7 +19,7 @@ import pytest
 import splang
 from splang._lex import Immutable, tokenize
 from splang.automata import SeqTransition
-from splang.grammars import MembershipResult, _Step
+from splang.grammars import MembershipResult
 
 # every name the package has re-exported since the start, by defining submodule
 EXPORTS = {
@@ -131,7 +131,6 @@ def value_samples():
         left, splang.lang_equal(left, right),
         *map(splang.parse_regex, ["0", "eps", "a", "a.b", "a|b", "a||b", "a*", "a^", "a@"]),
         g.productions[0], g, splang.classify_grammar(g), splang.is_member(g, splang.parse_term("a.a")),
-        _Step(head=None, later_nonempty=1, later_terminals=True, low=1, one=True, rest_least=1, rest_forbid=0),
         aut.seqs[0], aut.forks[0], aut.joins[0], aut.pars[0], aut,
     ]
     return {type(v): v for v in values}

@@ -93,11 +93,16 @@ def test_seq_and_par_of_the_same_children_differ():
     assert len({s, p}) == 2 and s in {s, p} and p in {s, p}
 
 
-def test_a_deep_term_hashes_and_compares_without_recursion():
-    # built bottom-up, 10,000 levels of alternating Par and Seq
+def alternating(levels):
+    """A term built bottom-up in code, `levels` levels of alternating Par and Seq."""
     t = Leaf("a")
-    for level in range(10_000):
+    for level in range(levels):
         t = (Seq if level % 2 else Par)((Leaf("b"), t))
+    return t
+
+
+def test_a_deep_term_hashes_and_compares_without_recursion():
+    t = alternating(10_000)
     assert hash(t) == hash(t)
     assert len({t}) == 1 and t in {t}
     assert t == t and not (t != t)
@@ -145,6 +150,11 @@ def test_constructors_reject_non_canonical_children(cls, children, message):
 def test_canonicalize_flattens_and_drops_identity():
     assert canonicalize(par(Leaf("b"), par(Leaf("a"), Leaf("a")))) == pt("b||a||a")
     assert canonicalize(seq(Leaf("a"), EPS, Leaf("b"))) == pt("a.b")
+
+
+def test_every_term_is_canonical_for_ordered_at_any_depth():
+    t = alternating(10_000)
+    assert canonicalize(t, ORDERED) is t
 
 
 def test_commutative_mode_sorts_parallel_children():
@@ -316,6 +326,11 @@ terms_st = st.recursive(
 def test_canonicalize_idempotent(t, mode):
     once = canonicalize(t, mode)
     assert canonicalize(once, mode) == once
+
+
+@given(terms_st)
+def test_canonicalize_returns_an_ordered_term_itself(t):
+    assert canonicalize(t, ORDERED) is t
 
 
 @given(terms_st)

@@ -1,9 +1,13 @@
-"""Shared tokenizer for the term, regex, grammar, and language text formats.
+"""The lexical rules of every text format.
 
-Produces the superset of tokens used by all formats; each parser rejects the
-tokens its format does not allow. `||` is always read before `|`. Also home to
-`Immutable`, the one base of the package's value classes: terms, languages,
-regexes, grammars, automata and tokens.
+`tokenize` is the shared tokenizer of terms, regexes, sentential forms and
+language lines: it produces the superset of tokens used by all formats, and
+each parser rejects the tokens its format does not allow. `||` is always read
+before `|`. `read_lines` is the line reader of the grammar, language and
+automaton files: it cuts each line at ``#``, skips blank lines, and prefixes
+a line's error with ``line N:``. `is_atom` is the atom rule: one lowercase
+ASCII letter. Also home to `Immutable`, the one base of the package's value
+classes: terms, languages, regexes, grammars, automata and tokens.
 """
 
 from __future__ import annotations
@@ -25,6 +29,25 @@ NONTERMINAL = re.compile(r"[A-Z](?:_[0-9]+)?")
 # would overflow the interpreter's stack; it is a TermSyntaxError instead.
 MAX_NESTING = 100
 _CLOSURES = ("*", "^", "@")
+
+
+def is_atom(s: str) -> bool:
+    """Whether `s` is an atom: one lowercase ASCII letter."""
+    return len(s) == 1 and "a" <= s <= "z"
+
+
+def read_lines(text: str, handle) -> None:
+    """Call `handle` on each line of `text`, cut at its first ``#`` and
+    stripped, skipping the lines that are then blank. A TermSyntaxError or
+    ValueError from `handle` is raised again as a TermSyntaxError prefixed
+    with ``line N:``, N counting from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                handle(line)
+            except (TermSyntaxError, ValueError) as exc:
+                raise TermSyntaxError(f"line {lineno}: {exc}") from exc
 
 
 class Immutable:
@@ -176,12 +199,9 @@ class TokenStream:
         self.pos += 1
         return tok
 
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == op
-
     def eat_op(self, op: str) -> bool:
-        if self.at_op(op):
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.text == op:
             self.pos += 1
             return True
         return False

@@ -50,7 +50,7 @@ import re
 from functools import partial
 from itertools import groupby
 
-from ._lex import Immutable
+from ._lex import Immutable, is_atom, read_lines
 from ._partitions import distinct_permutations
 from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
 from .grammars import Grammar, Production, _MemberSearch, classify_grammar, generate
@@ -260,22 +260,17 @@ def accepts(aut: BranchingAutomaton, t: SPTerm) -> bool:
     return _search(aut).proves(canonicalize(t, COMMUTATIVE))
 
 
-def enumerate_accepted(
-    aut: BranchingAutomaton,
-    alphabet,
-    max_atoms: int,
-    cap: int = DEFAULT_CAP,
-) -> FiniteLang:
+def enumerate_accepted(aut: BranchingAutomaton, alphabet, max_atoms: int) -> FiniteLang:
     """Every accepted word over `alphabet` with at most max_atoms atoms, in
     commutative form and canonical order: `generate` on `to_grammar(aut)`
-    with the seq transitions kept to `alphabet`. `cap` bounds the
+    with the seq transitions kept to `alphabet`. DEFAULT_CAP bounds the
     (state pair, word) pairs of runs, the empty run at each state included:
     the grammar holds the nonempty words under N and S only copies them."""
     letters = _letters(alphabet, max_atoms)
     try:
-        return generate(_search(aut, letters).g, max_atoms, mode=COMMUTATIVE, cap=cap - len(aut.states))
+        return generate(_search(aut, letters).g, max_atoms, mode=COMMUTATIVE, cap=DEFAULT_CAP - len(aut.states))
     except EnumerationCapError:
-        raise EnumerationCapError(f"automaton words exceed the cardinality cap ({cap})") from None
+        raise EnumerationCapError(f"automaton words exceed the cardinality cap ({DEFAULT_CAP})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -373,98 +368,81 @@ _PAR_RE = re.compile(rf"^({_NAME})\s+(\*|\{{[^{{}}]*\}})\s+({_NAME})$")
 _SECTIONS = ("states", "initial", "final", "seq", "fork", "join", "par")
 
 
-def _split_names(body: str, lineno: int) -> list[str]:
-    names = []
-    for chunk in body.split(","):
-        name = chunk.strip()
+def _names(body: str, sep: str | None = None) -> list[str]:
+    """The state names in `body`, split at `sep`, or at whitespace when None."""
+    names = [chunk.strip() for chunk in body.split(sep)]
+    for name in names:
         if not name:
-            raise TermSyntaxError(f"line {lineno}: empty name in multiset")
+            raise TermSyntaxError("empty name in multiset")
         if not re.fullmatch(_NAME, name):
-            raise TermSyntaxError(f"line {lineno}: bad state name {name!r}")
-        names.append(name)
+            raise TermSyntaxError(f"bad state name {name!r}")
     return names
 
 
 def parse_automaton(text: str) -> BranchingAutomaton:
     """Parse the automaton file format, enforcing the section order and
     rejecting dangling or unreferenced fork/join declarations."""
-    states: list[str] = []
-    initial: list[str] = []
-    final: list[str] = []
+    named: dict[str, list[str]] = {}  # the states, initial and final lines
     seqs: list[SeqTransition] = []
     forks: list[ForkTransition] = []
     joins: list[JoinTransition] = []
     pars: list[ParTransition] = []
-    seen = set()
     section_idx = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def entry(line: str) -> None:
+        nonlocal section_idx
         key, colon, body = line.partition(":")
         key = key.strip()
         body = body.strip()
         if not colon or key not in _SECTIONS:
-            raise TermSyntaxError(f"line {lineno}: expected one of {', '.join(_SECTIONS)}")
+            raise TermSyntaxError(f"expected one of {', '.join(_SECTIONS)}")
         idx = _SECTIONS.index(key)
         if idx < section_idx:
-            raise TermSyntaxError(f"line {lineno}: section {key!r} out of order")
+            raise TermSyntaxError(f"section {key!r} out of order")
         section_idx = idx
         if key in ("states", "initial", "final"):
-            if key in seen:
-                raise TermSyntaxError(f"line {lineno}: duplicate {key!r} line")
-            seen.add(key)
-            names = body.split()
-            for name in names:
-                if not re.fullmatch(_NAME, name):
-                    raise TermSyntaxError(f"line {lineno}: bad state name {name!r}")
-            {"states": states, "initial": initial, "final": final}[key].extend(names)
+            if key in named:
+                raise TermSyntaxError(f"duplicate {key!r} line")
+            named[key] = _names(body)
         elif key == "seq":
             parts = body.split()
             if len(parts) != 3:
-                raise TermSyntaxError(f"line {lineno}: expected 'seq: p a q'")
+                raise TermSyntaxError("expected 'seq: p a q'")
             src, label, dst = parts
-            if not (len(label) == 1 and "a" <= label <= "z"):
-                raise TermSyntaxError(f"line {lineno}: label must be one lowercase letter")
+            if not is_atom(label):
+                raise TermSyntaxError("label must be one lowercase letter")
             seqs.append(SeqTransition(src, label, dst))
         elif key == "fork":
             m = _FORK_RE.match(body)
             if not m:
-                raise TermSyntaxError(f"line {lineno}: expected 'fork: F p -> {{q1, q2, ...}}'")
+                raise TermSyntaxError("expected 'fork: F p -> {q1, q2, ...}'")
             fid, src, targets = m.groups()
-            try:
-                forks.append(ForkTransition(fid, src, tuple(_split_names(targets, lineno))))
-            except ValueError as exc:
-                raise TermSyntaxError(f"line {lineno}: {exc}") from exc
+            forks.append(ForkTransition(fid, src, tuple(_names(targets, ","))))
         elif key == "join":
             m = _JOIN_RE.match(body)
             if not m:
-                raise TermSyntaxError(f"line {lineno}: expected 'join: J {{q1, q2, ...}} -> p'")
+                raise TermSyntaxError("expected 'join: J {q1, q2, ...} -> p'")
             jid, sources, dst = m.groups()
-            try:
-                joins.append(JoinTransition(jid, tuple(_split_names(sources, lineno)), dst))
-            except ValueError as exc:
-                raise TermSyntaxError(f"line {lineno}: {exc}") from exc
+            joins.append(JoinTransition(jid, tuple(_names(sources, ",")), dst))
         else:  # par
             m = _PAR_RE.match(body)
             if not m:
-                raise TermSyntaxError(f"line {lineno}: expected 'par: F * J' or 'par: F {{a,b;...}} J'")
+                raise TermSyntaxError("expected 'par: F * J' or 'par: F {a,b;...} J'")
             fid, guard_text, jid = m.groups()
             guard = None
             if guard_text != "*":
                 multisets = set()
                 for chunk in guard_text[1:-1].split(";"):
                     atoms = [a.strip() for a in chunk.split(",")]
-                    if not all(len(a) == 1 and "a" <= a <= "z" for a in atoms):
-                        raise TermSyntaxError(f"line {lineno}: guard atoms must be lowercase letters")
+                    if not all(map(is_atom, atoms)):
+                        raise TermSyntaxError("guard atoms must be lowercase letters")
                     multisets.add(tuple(sorted(atoms)))
                 guard = frozenset(multisets)
-            try:
-                pars.append(ParTransition(fid, guard, jid))
-            except ValueError as exc:
-                raise TermSyntaxError(f"line {lineno}: {exc}") from exc
+            pars.append(ParTransition(fid, guard, jid))
+
+    read_lines(text, entry)
     for required in ("states", "initial", "final"):
-        if required not in seen:
+        if required not in named:
             raise TermSyntaxError(f"missing '{required}:' line")
     referenced_forks = {p.fork_id for p in pars}
     referenced_joins = {p.join_id for p in pars}
@@ -476,13 +454,13 @@ def parse_automaton(text: str) -> BranchingAutomaton:
             raise TermSyntaxError(f"join {j.jid!r} is not referenced by any par transition")
     try:
         return BranchingAutomaton(
-            states=frozenset(states),
+            states=frozenset(named["states"]),
             seqs=tuple(seqs),
             forks=tuple(forks),
             joins=tuple(joins),
             pars=tuple(pars),
-            initial=frozenset(initial),
-            final=frozenset(final),
+            initial=frozenset(named["initial"]),
+            final=frozenset(named["final"]),
         )
     except ValueError as exc:
         raise TermSyntaxError(str(exc)) from exc

@@ -38,7 +38,7 @@ import sys
 
 # each handler imports the grammar, regex and automaton modules it runs, so a
 # process that handles terms or languages never pays for their import
-from . import langs, terms
+from . import _lex, langs, terms
 from .errors import (
     EnumerationCapError,
     FragmentError,
@@ -77,7 +77,7 @@ def _count(text: str) -> int:
 
 def _alphabet(text: str) -> str:
     """argparse type of --alphabet."""
-    if not all("a" <= c <= "z" for c in text):
+    if not all(map(_lex.is_atom, text)):
         raise argparse.ArgumentTypeError(f"expected lowercase letters, got {text!r}")
     return text
 

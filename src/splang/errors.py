@@ -6,9 +6,12 @@ class SplangError(Exception):
 
 
 class TermSyntaxError(SplangError):
-    """Malformed text in any of the line formats (terms, regexes, grammars, automata).
+    """Malformed text in any of the text formats: terms and regexes, and the
+    line formats of grammars, languages and automata.
 
-    Carries the byte offset of the offending character when known.
+    Carries the byte offset of the offending character when known. An error
+    on one line of a line format says ``line N:`` first (see
+    `_lex.read_lines`).
     """
 
     def __init__(self, message: str, offset: int | None = None):

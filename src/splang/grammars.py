@@ -50,7 +50,7 @@ import random
 import sys
 from enum import Enum
 
-from ._lex import NONTERMINAL, Immutable, TokenStream
+from ._lex import NONTERMINAL, Immutable, TokenStream, read_lines
 from .errors import EnumerationCapError, TermSyntaxError
 from .terms import (
     DEFAULT_CAP,
@@ -187,18 +187,14 @@ def symbols_of(form: SPTerm):
 def parse_grammar(text: str) -> Grammar:
     """Parse the grammar file format. The first rule's head is the start."""
     productions: list[Production] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def rule(line: str) -> None:
         head, arrow, body = line.partition("->")
         if not arrow:
-            raise TermSyntaxError(f"line {lineno}: expected 'A -> ...'")
-        try:
-            for rhs in _parse_alternatives(body):
-                productions.append(Production(head.strip(), rhs))
-        except (TermSyntaxError, ValueError) as exc:
-            raise TermSyntaxError(f"line {lineno}: {exc}") from exc
+            raise TermSyntaxError("expected 'A -> ...'")
+        productions.extend(Production(head.strip(), rhs) for rhs in _parse_alternatives(body))
+
+    read_lines(text, rule)
     if not productions:
         raise TermSyntaxError("grammar file has no productions")
     try:
@@ -217,16 +213,10 @@ def _parse_alternatives(body: str) -> list[SPTerm]:
 
 
 def format_grammar(g: Grammar) -> str:
-    """Deterministic grammar text: heads in first-appearance order, start first."""
-    order: list[str] = []
-    for p in g.productions:
-        if p.lhs not in order:
-            order.append(p.lhs)
-    lines = []
-    for lhs in order:
-        alts = " | ".join(format_term(rhs) for rhs in g.alternatives(lhs))
-        lines.append(f"{lhs} -> {alts}")
-    return "\n".join(lines) + "\n"
+    """Deterministic grammar text: one line per head, the start first, then
+    the others in first-appearance order."""
+    heads = sorted(g._by_lhs, key=lambda lhs: lhs != g.start)  # stable: the rest keep their order
+    return "".join(f"{lhs} -> {' | '.join(map(format_term, g._by_lhs[lhs]))}\n" for lhs in heads)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import functools
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from ._lex import Immutable
+from ._lex import Immutable, read_lines
 from .errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from .terms import (
     COMMUTATIVE,
@@ -205,16 +205,12 @@ def lang_equal(l1: FiniteLang, l2: FiniteLang) -> LangDiff:
     return LangDiff(not (only_left or only_right), only_left, only_right)
 
 
-def universe(
-    alphabet,
-    max_atoms: int,
-    mode: SemanticsMode = ORDERED,
-    cap: int = DEFAULT_CAP,
-) -> FiniteLang:
-    """The full bounded term universe as a language (see enumerate_terms)."""
+def universe(alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> FiniteLang:
+    """The full bounded term universe as a language (see enumerate_terms);
+    more than DEFAULT_CAP terms raise EnumerationCapError."""
     from .grammars import _universe  # grammars imports this module
 
-    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, cap)
+    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, DEFAULT_CAP)
 
 
 _MODE_NAMES = {"ordered": ORDERED, "commutative": COMMUTATIVE}
@@ -224,22 +220,20 @@ def load_lang(text: str) -> FiniteLang:
     """Parse the language file format."""
     mode: SemanticsMode | None = None
     terms: list[SPTerm] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if mode is None:
-            if not line.startswith("mode:"):
-                raise TermSyntaxError(f"line {lineno}: language file must start with a 'mode:' header")
-            name = line.split(":", 1)[1].strip()
-            if name not in _MODE_NAMES:
-                raise TermSyntaxError(f"line {lineno}: unknown mode {name!r}")
-            mode = _MODE_NAMES[name]
-            continue
-        try:
+
+    def entry(line: str) -> None:
+        nonlocal mode
+        if mode is not None:
             terms.append(parse_term(line))
-        except TermSyntaxError as exc:
-            raise TermSyntaxError(f"line {lineno}: {exc}") from exc
+            return
+        if not line.startswith("mode:"):
+            raise TermSyntaxError("language file must start with a 'mode:' header")
+        name = line.split(":", 1)[1].strip()
+        if name not in _MODE_NAMES:
+            raise TermSyntaxError(f"unknown mode {name!r}")
+        mode = _MODE_NAMES[name]
+
+    read_lines(text, entry)
     if mode is None:
         raise TermSyntaxError("language file is missing the 'mode:' header")
     return FiniteLang.of(terms, mode)

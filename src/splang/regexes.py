@@ -41,9 +41,20 @@ from .terms import (
 
 
 class Regex(Immutable):
-    """Base class of regex nodes: values (see `_lex.Immutable`) shown as their text."""
+    """Base class of regex nodes: values (see `_lex.Immutable`) shown as their
+    text. A node computes its hash on first use and keeps it, so a cached
+    regex hashes in constant time; a pickle or copy rebuilds the node from
+    its fields and computes the hash afresh."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = Immutable.__hash__(self)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return format_regex(self)
@@ -225,19 +236,13 @@ def matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
     return g is not None and _MemberSearch(g, mode, DEFAULT_CAP).proves(canonicalize(t, mode))
 
 
-def regex_enumerate(
-    r: Regex,
-    alphabet,
-    max_atoms: int,
-    mode: SemanticsMode = ORDERED,
-    cap: int = DEFAULT_CAP,
-) -> FiniteLang:
-    """Every word of `r` over `alphabet` with at most max_atoms atoms. `cap`
-    bounds the (nonterminal, word) pairs of the compiled grammar's fixpoint.
-    The compiled grammars of the last 64 (regex, letters) pairs are cached,
-    shared with `matches`."""
+def regex_enumerate(r: Regex, alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> FiniteLang:
+    """Every word of `r` over `alphabet` with at most max_atoms atoms.
+    DEFAULT_CAP bounds the (nonterminal, word) pairs of the compiled
+    grammar's fixpoint. The compiled grammars of the last 64 (regex, letters)
+    pairs are cached, shared with `matches`."""
     g = _compile(r, frozenset(_letters(alphabet, max_atoms)))
-    return FiniteLang(mode, ()) if g is None else generate(g, max_atoms, mode=mode, cap=cap)
+    return FiniteLang(mode, ()) if g is None else generate(g, max_atoms, mode=mode, cap=DEFAULT_CAP)
 
 
 @functools.lru_cache(maxsize=64)

@@ -37,7 +37,7 @@ import functools
 from collections import Counter
 from enum import Enum
 
-from ._lex import NONTERMINAL, Immutable, TokenStream
+from ._lex import NONTERMINAL, Immutable, TokenStream, is_atom
 from .errors import TermSyntaxError
 
 
@@ -97,7 +97,7 @@ class Leaf(SPTerm):
     __slots__ = _fields = ("symbol",)
 
     def __init__(self, symbol: str):
-        if not (len(symbol) == 1 and "a" <= symbol <= "z" or NONTERMINAL.fullmatch(symbol)):
+        if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
             raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
         _init(self, "symbol", symbol)
         _init(self, "_hash", hash((0, symbol)))
@@ -358,24 +358,19 @@ def classify_term(t: SPTerm) -> TermClass:
 DEFAULT_CAP = 200_000
 
 
-def enumerate_terms(
-    alphabet,
-    max_atoms: int,
-    mode: SemanticsMode = ORDERED,
-    cap: int = DEFAULT_CAP,
-) -> tuple[SPTerm, ...]:
+def enumerate_terms(alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> tuple[SPTerm, ...]:
     """Every canonical term (for `mode`) with at most `max_atoms` atom
     occurrences, eps included, sorted by the canonical order.
 
     This is the universe of `term enum`, which the tests filter as their
     oracle: `grammars.generate` on a grammar of canonical terms, the engine
     of every bounded language of the package. Raises EnumerationCapError
-    when more than `cap` terms would be produced. The last 64 universes are
-    cached.
+    when more than DEFAULT_CAP terms would be produced. The last 64
+    universes are cached.
     """
     from .grammars import _universe  # grammars imports this module
 
-    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, cap).terms
+    return _universe(_letters(alphabet, max_atoms), max_atoms, mode, DEFAULT_CAP).terms
 
 
 def _letters(alphabet, max_atoms: int) -> tuple[str, ...]:
@@ -383,7 +378,7 @@ def _letters(alphabet, max_atoms: int) -> tuple[str, ...]:
     of a bounded enumeration: lowercase letters and max_atoms >= 0."""
     letters = tuple(sorted(set(alphabet)))
     for c in letters:
-        if len(c) != 1 or not ("a" <= c <= "z"):
+        if not is_atom(c):
             raise ValueError(f"alphabet entries must be lowercase letters, got {c!r}")
     if max_atoms < 0:
         raise ValueError("max_atoms must be >= 0")

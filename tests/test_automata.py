@@ -196,20 +196,23 @@ def test_enumerate_accepted_follows_the_answer_not_the_universe(fanout_automaton
     ]
 
 
-def test_enumerate_accepted_cap_counts_state_pair_words(pairs_grammar):
+def test_enumerate_accepted_cap_counts_state_pair_words(pairs_grammar, monkeypatch):
     aut = from_linear_grammar(pairs_grammar)
+    monkeypatch.setattr("splang.automata.DEFAULT_CAP", 10)
     with pytest.raises(EnumerationCapError, match=r"cap \(10\)"):
-        enumerate_accepted(aut, "ab", 6, cap=10)
+        enumerate_accepted(aut, "ab", 6)
 
 
-def test_enumerate_accepted_cap_counts_each_run_once():
+def test_enumerate_accepted_cap_counts_each_run_once(monkeypatch):
     # 3 letter loops on one state: 120 nonempty words of up to 4 atoms and the
     # empty run make 121 (state pair, word) pairs; the compiled grammar holds
     # the accepted words again under its start symbol, which is not counted
     aut = parse_automaton("states: p\ninitial: p\nfinal: p\nseq: p a p\nseq: p b p\nseq: p c p\n")
-    assert len(enumerate_accepted(aut, "abc", 4, cap=121)) == 121
+    monkeypatch.setattr("splang.automata.DEFAULT_CAP", 121)
+    assert len(enumerate_accepted(aut, "abc", 4)) == 121
+    monkeypatch.setattr("splang.automata.DEFAULT_CAP", 120)
     with pytest.raises(EnumerationCapError, match=r"^automaton words exceed the cardinality cap \(120\)$"):
-        enumerate_accepted(aut, "abc", 4, cap=120)
+        enumerate_accepted(aut, "abc", 4)
 
 
 def test_enumerate_accepted_checks_its_bounds(fanout_automaton):

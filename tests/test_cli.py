@@ -307,6 +307,27 @@ def test_grammar_undeclared_symbol_exits_2(capsys, tmp_path):
     assert "undeclared" in err
 
 
+@pytest.mark.parametrize("argv,text,err", [
+    (("grammar", "classify"), "S a\n", "line 1: expected 'A -> ...'"),
+    (("grammar", "classify"), "# start\n\ns -> a\n",
+     "line 3: nonterminal must be an uppercase letter, optionally indexed (A_12), got 's'"),
+    (("grammar", "classify"), "S -> a\nA -> a..b\n", "line 2: expected a letter, 'eps' or '(', found '.' (at offset 3)"),
+    (("grammar", "classify"), "S -> (a|b)\n", "line 1: expected ')', found '|' (at offset 3)"),
+    (("grammar", "classify"), "# nothing\n\n", "grammar file has no productions"),
+    (("grammar", "classify"), "S -> a | X  # X has no rule\n", "undeclared nonterminal 'X' in S -> X"),
+    (("lang", "reverse"), "a.b\n", "line 1: language file must start with a 'mode:' header"),
+    (("lang", "reverse"), "# header\nmode: sideways\n", "line 2: unknown mode 'sideways'"),
+    (("lang", "reverse"), "# no header\n", "language file is missing the 'mode:' header"),
+    (("lang", "reverse"), "mode: ordered\na\n\na.B\n",
+     "line 4: uppercase letter 'B' not allowed in a plain term (at offset 2)"),
+], ids=["arrow", "lowercase-head", "term-offset", "bar-in-parens", "no-productions", "undeclared",
+        "no-mode-first", "unknown-mode", "missing-mode", "uppercase-in-lang"])
+def test_every_grammar_and_language_file_error_exits_2(capsys, tmp_path, argv, text, err):
+    path = tmp_path / "x.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, *argv, path) == (2, "", f"error: {err}\n")
+
+
 # ---------------------------------------------------------------------------
 # automaton and equivalence
 

@@ -110,6 +110,15 @@ def test_format_round_trip(branches_grammar):
 def test_repeated_heads_merge():
     g = parse_grammar("S -> a\nS -> b\n")
     assert [format_term(p.rhs) for p in g.productions] == ["a", "b"]
+    assert format_grammar(parse_grammar("S -> a\nA -> b\nS -> A\n")) == "S -> a | A\nA -> b\n"
+
+
+def test_format_grammar_puts_the_start_first():
+    g = Grammar.of([Production("A", Leaf("b")), Production("S", Seq((Leaf("a"), Leaf("A"))))], start="S")
+    text = format_grammar(g)
+    assert text == "S -> a.A\nA -> b\n"
+    again = parse_grammar(text)
+    assert again.start == "S" and set(again.productions) == set(g.productions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,130 @@
+"""The lexical rules every text format shares: the line reader of the grammar,
+language and automaton files, and the atom rule."""
+
+import re
+import string
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from splang._lex import is_atom, read_lines
+from splang.automata import parse_automaton
+from splang.cli import main
+from splang.errors import TermSyntaxError
+from splang.grammars import parse_grammar
+from splang.langs import load_lang
+from splang.terms import Leaf, enumerate_terms
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+READERS = {".g": parse_grammar, ".aut": parse_automaton}
+SOURCES = [(READERS[p.suffix], p.read_text(encoding="utf-8")) for p in sorted(BENCH_DATA.iterdir())]
+SOURCES.append((load_lang, "# a language\nmode: commutative\na.b   # first\n\nb||a\n(a.b)||c\n"))
+CHUNKS = ["#", "\n", " ", "|", "||", "->", ":", "{", "}", ",", ";", "*", "A", "a", "é", "(", ")", ".",
+          "S", "eps", "mode:", "_1", "seq:", "par:", "fork:", "join:"]
+
+# the errors about the whole file, raised after every line is read, carry no line number
+FILE_WIDE = re.compile(
+    r"grammar file has no productions|undeclared nonterminal '.*' in .*"
+    r"|language file is missing the 'mode:' header|missing '(states|initial|final):' line"
+    r"|(fork|join) '.*' is not referenced by any par transition"
+    r"|undeclared state '.*' in .*|duplicate (fork|join) id '.*'"
+    r"|par transition references unknown (fork|join) '.*'"
+)
+
+
+def test_read_lines_cuts_comments_skips_blank_lines_and_numbers_errors():
+    seen = []
+    read_lines("  a b # c\n\n   # only a comment\n\tb\r\n#\n", seen.append)
+    assert seen == ["a b", "b"]
+
+    def reject(line):
+        raise ValueError(f"bad {line}")
+
+    with pytest.raises(TermSyntaxError, match=r"^line 3: bad b$") as info:
+        read_lines("# c\n\nb  # d\n", reject)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@st.composite
+def mutated_files(draw):
+    reader, text = draw(st.sampled_from(SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(CHUNKS)) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return reader, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_files())
+def test_every_line_error_names_a_line_that_is_there(case):
+    reader, text = case
+    try:
+        reader(text)
+    except TermSyntaxError as exc:
+        message = str(exc)
+        m = re.match(r"line (\d+): ", message)
+        if m is None:
+            assert FILE_WIDE.fullmatch(message), message
+        else:
+            lines = text.splitlines()
+            n = int(m.group(1))
+            assert 1 <= n <= len(lines) and lines[n - 1].split("#", 1)[0].strip(), message
+
+
+NOT_ATOMS = ["A", "é", "ab", "", "`", "{"]  # "`" and "{" are the neighbours of "a" and "z"
+
+
+def test_the_atoms_are_the_lowercase_ascii_letters():
+    assert all(map(is_atom, string.ascii_lowercase))
+    assert not any(map(is_atom, NOT_ATOMS))
+
+
+def automaton(seq_line="", par_line=""):
+    """An automaton with `seq_line` on line 4 and `par_line` on line 7."""
+    return parse_automaton(f"states: p q\ninitial: p\nfinal: q\n{seq_line}\nfork: F p -> {{p, q}}\n"
+                           f"join: J {{p, q}} -> q\n{par_line}\npar: F * J\n")
+
+
+def cli_alphabet(letters, capsys):
+    try:
+        code = main(["term", "enum", "--max-atoms", "0", "--alphabet", letters])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_every_atom_site_accepts_each_lowercase_letter(capsys):
+    for c in string.ascii_lowercase:
+        assert Leaf(c).symbol == c
+        assert Leaf(c) in enumerate_terms([c], 1)
+        assert automaton(seq_line=f"seq: p {c} q").seqs[0].label == c
+        assert frozenset({(c, c)}) in {p.guard for p in automaton(par_line=f"par: F {{{c},{c}}} J").pars}
+        assert cli_alphabet(c, capsys) == (0, "")
+
+
+@pytest.mark.parametrize("s", NOT_ATOMS)
+def test_every_atom_site_rejects_what_is_not_one_lowercase_letter(s, capsys):
+    if s == "A":
+        assert Leaf(s).symbol == "A"  # a nonterminal: the grammar layer's leaf
+    else:
+        with pytest.raises(ValueError, match="^leaf symbol must be a lowercase letter or a nonterminal name, got "):
+            Leaf(s)
+    with pytest.raises(ValueError, match=f"^alphabet entries must be lowercase letters, got {re.escape(repr(s))}$"):
+        enumerate_terms([s], 1)
+    label_error = "line 4: expected 'seq: p a q'" if s == "" else "line 4: label must be one lowercase letter"
+    with pytest.raises(TermSyntaxError, match=f"^{re.escape(label_error)}$"):
+        automaton(seq_line=f"seq: p {s} q")
+    guard_error = ("line 7: expected 'par: F * J' or 'par: F {a,b;...} J'" if s == "{"
+                   else "line 7: guard atoms must be lowercase letters")
+    with pytest.raises(TermSyntaxError, match=f"^{re.escape(guard_error)}$"):
+        automaton(par_line=f"par: F {{a,{s}}} J")
+    # --alphabet takes a string of atoms: each letter must be one, and "ab" and "" are alphabets
+    code, err = cli_alphabet(s, capsys)
+    if s in ("ab", ""):
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and err.endswith(f"argument --alphabet: expected lowercase letters, got {s!r}\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -37,6 +39,26 @@ from splang.terms import (
 from oracles import all_regexes, naive_matches, oracle_regex_words
 
 a, b = AtomLit("a"), AtomLit("b")
+
+
+class CountingSymbol(str):
+    """An atom symbol that counts its hash calls."""
+
+    calls = 0
+
+    def __hash__(self):
+        CountingSymbol.calls += 1
+        return str.__hash__(self)
+
+
+def test_regex_nodes_hash_once():
+    r = alt(cat(AtomLit(CountingSymbol("c")), CloseSeq(a)), ParProd((a, b)))
+    CountingSymbol.calls = 0
+    assert hash(r) == hash(r)
+    assert CountingSymbol.calls == 1
+    for other in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert not hasattr(other, "_hash")  # rebuilt from the fields: the hash is computed afresh
+        assert other == r and hash(other) == hash(r)
 
 
 def pt(text):

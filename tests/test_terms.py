@@ -292,17 +292,20 @@ def test_enumerate_output_is_sorted_and_canonical():
         assert canonicalize(t, COMMUTATIVE) == t
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setattr("splang.terms.DEFAULT_CAP", 100)
     with pytest.raises(EnumerationCapError):
-        enumerate_terms("ab", 6, cap=100)
+        enumerate_terms("ab", 6)
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
-def test_enumerate_cap_bounds_the_terms_eps_included(mode):
+def test_enumerate_cap_bounds_the_terms_eps_included(mode, monkeypatch):
     size = len(binary_universe("ab", 4, mode))
-    assert len(enumerate_terms("ab", 4, mode, cap=size)) == size
+    monkeypatch.setattr("splang.terms.DEFAULT_CAP", size)
+    assert len(enumerate_terms("ab", 4, mode)) == size
+    monkeypatch.setattr("splang.terms.DEFAULT_CAP", size - 1)
     with pytest.raises(EnumerationCapError, match=rf"^term universe exceeds the cardinality cap \({size - 1}\)$"):
-        enumerate_terms("ab", 4, mode, cap=size - 1)
+        enumerate_terms("ab", 4, mode)
 
 
 def test_enumerate_rejects_bad_alphabet():

@@ -36,12 +36,18 @@ def is_atom(s: str) -> bool:
     return len(s) == 1 and "a" <= s <= "z"
 
 
+# The line breaks of every line-based format; `str.splitlines` would also
+# break at form feeds, vertical tabs and Unicode separators, inside comments too.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
 def read_lines(text: str, handle) -> None:
     """Call `handle` on each line of `text`, cut at its first ``#`` and
-    stripped, skipping the lines that are then blank. A TermSyntaxError or
-    ValueError from `handle` is raised again as a TermSyntaxError prefixed
-    with ``line N:``, N counting from 1."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    stripped, skipping the lines that are then blank. A line ends only at an
+    LF, a CR LF or a CR. A TermSyntaxError or ValueError from `handle` is
+    raised again as a TermSyntaxError prefixed with ``line N:``, N counting
+    from 1."""
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             try:

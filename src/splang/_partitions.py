@@ -41,7 +41,10 @@ def multiset_splits(
     """All distributions of the multiset `items` into k labeled, possibly
     empty parts, each distinct distribution exactly once. With `head_sizes`,
     a (low, high) pair, only the distributions whose first part has between
-    low and high items, in the same order; the others are never built."""
+    low and high items, in the same order; the others are never built. In
+    the package only `multiset_partitions` calls it now: the tests use it as
+    the oracle of the membership search's own two-way splits, and the
+    benchmark's tracer names it."""
     runs = _runs(items)
     low, high = head_sizes or (0, len(items))
     # how many of each run every part takes, run by run in product order,

@@ -121,7 +121,7 @@ class BranchingAutomaton(Immutable):
             if name not in self.states:
                 raise ValueError(f"undeclared state {name!r} in {where}")
 
-        for s in self.initial | self.final:
+        for s in sorted(self.initial | self.final):  # sorted: an error names the same state in every run
             need_state(s, "initial/final sets")
         for tr in self.seqs:
             need_state(tr.src, "seq transition")

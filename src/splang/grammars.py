@@ -25,13 +25,12 @@ iterated until no new word appears.
 
 Membership is a goal-directed search over a plan made once per grammar. Each
 production's form is planned with the split bounds of its parts and coarse
-Parikh facts (Parikh, JACM 13, 1966): the fewest atoms of its words and the
-letters they can have, from least fixpoints of each nonterminal's. A split
-whose share has fewer atoms than the parts it must match, or a letter they
-never derive, is skipped before its terms are built. This is sound: a
-derivation never loses an atom, and the letters over-approximate those of the
-derivable words, so only splits that would fail are skipped, and the search
-still tries the others in the same order.
+Parikh facts (Parikh, JACM 13, 1966): the fewest and most atoms of its words
+and the letters they can have, from fixpoints of each nonterminal's. A split
+whose share has fewer or more atoms than the parts it must match, or a letter
+they never derive, is skipped before its terms are built. This is sound: the
+facts hold for every derivable word, so only splits that would fail are
+skipped, and the search still tries the others in the same order.
 
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
 comments, nonterminals are uppercase letters, optionally indexed (``A_12``),
@@ -44,6 +43,7 @@ inside parentheses.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -73,7 +73,6 @@ from .terms import (
     seq,
 )
 from .langs import FiniteLang
-from ._partitions import multiset_splits
 
 
 class Production(Immutable):
@@ -92,7 +91,7 @@ class Grammar(Immutable):
     """The constructor checks the fields and plans membership and generation once."""
 
     _fields = ("nonterminals", "terminals", "productions", "start")
-    __slots__ = _fields + ("_by_lhs", "_least", "_allowed", "_plans", "_units", "_foreign", "_frames_per_goal")
+    __slots__ = _fields + ("_by_lhs", "_least", "_most", "_allowed", "_plans", "_units", "_foreign", "_frames_per_goal")
 
     def __init__(self, nonterminals: frozenset[str], terminals: frozenset[str], productions: tuple[Production, ...],
                  start: str):
@@ -114,16 +113,19 @@ class Grammar(Immutable):
             by_lhs.setdefault(p.lhs, []).append(p.rhs)
         least = _solve(dict.fromkeys(self.nonterminals, math.inf), self.productions,
                        lambda rhs, n, least: min(n, _least(rhs, least)))
-        # a letter's field in a Parikh vector (see _WIDTH); only productive productions have words
+        productive = [p for p in self.productions if _least(p.rhs, least) < math.inf]  # the ones with words
+        most = _most(self.nonterminals, productive)
+        # a letter's field in a Parikh vector (see _WIDTH)
         shifts = {c: _WIDTH * i for i, c in enumerate(sorted(self.terminals), 1)}
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
-        allowed = _solve(dict.fromkeys(self.nonterminals, 0),
-                         [p for p in self.productions if _least(p.rhs, least) < math.inf],
+        allowed = _solve(dict.fromkeys(self.nonterminals, 0), productive,
                          lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
         units = {c: 1 | 1 << shift for c, shift in shifts.items()}
-        plans = {nt: tuple(_plan(rhs, least, allowed, fields, units) for rhs in alts) for nt, alts in by_lhs.items()}
+        facts = least, most, allowed, fields, units
+        plans = {nt: tuple(_plan(rhs, *facts) for rhs in alts) for nt, alts in by_lhs.items()}
         object.__setattr__(self, "_by_lhs", by_lhs)
         object.__setattr__(self, "_least", least)
+        object.__setattr__(self, "_most", most)
         object.__setattr__(self, "_allowed", allowed)
         object.__setattr__(self, "_plans", plans)
         object.__setattr__(self, "_units", units)
@@ -165,6 +167,21 @@ def _least(form: SPTerm, least) -> float:
     when it has no word); 0 exactly when `form` derives eps. Seq and Par both
     add their parts' atoms, so this is a sum over the leaves."""
     return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
+
+
+def _most(nonterminals, productions) -> dict:
+    """The most atoms of a word of each nonterminal over the productive
+    `productions`, 0 when it has none: inf exactly when it reaches a cycle
+    through a production whose other leaves can derive an atom, which can be
+    pumped; otherwise no cycle adds an atom and a fixpoint gives the most."""
+    reach = _solve({nt: frozenset((nt,)) for nt in nonterminals}, productions,
+                   lambda rhs, r, reach: r.union(*(reach[s] for s in symbols_of(rhs) if s.isupper())))
+    lettered = {p.lhs for p in productions if any(s.islower() for s in symbols_of(p.rhs))}
+    pumped = {p.lhs for p in productions for leaves in [list(symbols_of(p.rhs))] for i, s in enumerate(leaves)
+              if s.isupper() and p.lhs in reach[s]  # a leaf on a cycle back to the head
+              and any(x.islower() or reach[x] & lettered for x in leaves[:i] + leaves[i + 1 :])}
+    return _solve({nt: math.inf if reach[nt] & pumped else 0 for nt in nonterminals}, productions,
+                  lambda rhs, m, most: max(m, sum(most[s] if s.isupper() else 1 for s in symbols_of(rhs))))
 
 
 def _letter_fields(form: SPTerm, allowed, fields) -> int:
@@ -439,19 +456,21 @@ class _MemberSearch:
     still appear.
 
     The grammar plans each production once, a `_Node` per form and per part:
-    a part that cannot derive eps takes at least one factor, and a terminal,
-    or a part of the other operator over two parts that cannot derive eps, at
-    most one; each part holds its fewest atoms and the letters it can derive,
-    and those of the parts after it together. A split is skipped before its
-    terms are built when a share has fewer atoms than its parts' least, or a
-    letter they never derive, and so is a production whose form cannot fit
-    the goal. This is sound: a
-    derivation never loses an atom, and the letters over-approximate those of
-    the derivable words, so only splits that would fail are skipped, and the
-    others are tried in the same order. Shares are measured by Parikh vectors
-    (see `_WIDTH`): each factor's once per query, a share's by adding its
-    factors' as the split moves, and the rest's by subtracting that from the
-    goal's, so checking a split costs the same however long the word is."""
+    each part holds its fewest and most atoms and the letters it can derive,
+    and those of the parts after it together. Every factor has an atom, so a
+    part takes at most its most atoms in factors and leaves at most the later
+    parts' most; a part that cannot derive eps takes at least one, and a part
+    of the other operator over two parts that cannot derive eps at most one.
+    A split is skipped before its terms are built when a share has fewer or
+    more atoms than its parts allow, or a letter they never derive, and so is
+    a production whose form cannot fit the goal; the others are tried in the
+    same order. Shares are measured by Parikh vectors (see `_WIDTH`): each
+    factor's once per query, a share's by adding its factors' as the split
+    moves, and the rest's by subtracting that from the goal's, so checking a
+    split costs the same however long the word is. A COMMUTATIVE split moves
+    a run of equal factors at a time and drops a head-count prefix, with every
+    split extending it, once its share or rest has too many atoms or a letter
+    it may not have."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
         self.g, self.mode, self.cap = g, mode, cap
@@ -478,14 +497,20 @@ class _MemberSearch:
             sys.setrecursionlimit(limit)
 
     def vector(self, t: SPTerm) -> int:
-        """The Parikh vector of `t` (see `_WIDTH`)."""
+        """The Parikh vector of `t` (see `_WIDTH`), kept for the query's Seq
+        and Par terms and found with a stack, so deep terms need no recursion."""
         if isinstance(t, Leaf):
             return self.g._units.get(t.symbol, self.g._foreign)
         if isinstance(t, Eps):
             return 0
         vec = self.vectors.get(t)
         if vec is None:
-            vec = self.vectors[t] = sum(map(self.vector, t.children))
+            order = [t]  # the Seq and Par terms in `t`, each before its children
+            for node in order:
+                order += [c for c in node.children if not isinstance(c, Leaf)]
+            for node in reversed(order):
+                self.vectors[node] = sum(map(self.vector, node.children))
+            vec = self.vectors[t]
         return vec
 
     def derives(self, goal, vec: int) -> bool:
@@ -501,7 +526,7 @@ class _MemberSearch:
             raise EnumerationCapError(f"membership goals exceed the cardinality cap ({self.cap})")
         subgoals = None
         for node in self.g._plans.get(goal[0], ()):
-            if _fits(vec, node.least, node.forbid):
+            if _fits(vec, node.least, node.most, node.forbid):
                 subgoals = self.match(node, goal[1], vec)
                 if subgoals is not None:
                     self.proofs[goal] = (node.form, subgoals)
@@ -525,12 +550,14 @@ class _MemberSearch:
         the factors of a `kind` (Seq or Par) term, whose Parikh vector is
         `vec`, or None; part j is not the last."""
         part = node.parts[j]
+        low = len(factors) - part.rest_most  # every factor has an atom: the rest takes at most rest_most
+        if low < 1:
+            low = int(part.least > 0)  # a part that cannot derive eps takes a factor
         high = len(factors) - part.later_nonempty
-        low = int(part.least > 0)  # a part that cannot derive eps takes a factor
-        if part.later_terminals:
-            low = max(low, high)
-        if part.one:
-            high = min(high, 1)
+        if high > part.most:  # and the share at most most
+            high = part.most
+        if part.one and high > 1:
+            high = 1
         for share, rest, h, r in self.splits(factors, vec, low, high, ordered, part):
             first = self.match(part, _join(kind, share), h)
             if first is not None:
@@ -546,9 +573,11 @@ class _MemberSearch:
         """The two-way splits of `factors` whose head share has low..high
         factors, a prefix when `ordered` and a sub-multiset otherwise, in the
         search's order, each with the Parikh vectors of its shares; those
-        where a share cannot fit `part` or the parts after it are left out."""
-        vector, least, forbid = self.vector, part.least, part.forbid
-        rest_least, rest_forbid = part.rest_least, part.rest_forbid
+        where a share cannot fit `part` or the parts after it are left out.
+        The sub-multisets are those of `multiset_splits(factors, 2, (low,
+        high))`, in its order, counted over the runs of equal factors."""
+        vector, least, most, forbid = self.vector, part.least, part.most, part.forbid
+        rest_least, rest_most, rest_forbid = part.rest_least, part.rest_most, part.rest_forbid
         if ordered:
             if 2 * low <= len(factors):
                 h = sum(map(vector, factors[:low]))
@@ -558,14 +587,28 @@ class _MemberSearch:
                 if i > low:
                     h += vector(factors[i - 1])
                 r = vec - h
-                if _fits(h, least, forbid) and _fits(r, rest_least, rest_forbid):
+                if _fits(h, least, most, forbid) and _fits(r, rest_least, rest_most, rest_forbid):
                     yield factors[:i], factors[i:], h, r
-        else:
-            for share, rest in multiset_splits(factors, 2, (low, high)):
-                h = sum(map(vector, share))
-                r = vec - h
-                if _fits(h, least, forbid) and _fits(r, rest_least, rest_forbid):
-                    yield share, rest, h, r
+            return
+        runs = [(f, len(tuple(same)), vector(f)) for f, same in itertools.groupby(factors)]
+        # (head counts, head size, head and rest vectors) of the run prefixes that can still fit;
+        # the share's and the rest's atoms and fields only grow as runs are added, so a prefix past them is dropped
+        prefixes = [((), 0, 0, 0)] if low - len(factors) <= 0 <= high else []
+        later = len(factors)
+        for _, n, v in runs:
+            later -= n
+            prefixes = [(counts + (c,), size + c, hc, rc)
+                        for counts, size, h, r in prefixes
+                        for c in range(max(0, low - later - size), min(n, high - size) + 1)
+                        if _fits(hc := h + c * v, 0, most, forbid)
+                        and _fits(rc := r + (n - c) * v, 0, rest_most, rest_forbid)]
+        for counts, _, h, r in prefixes:
+            if (h & _COUNT) >= least and (r & _COUNT) >= rest_least:
+                share = rest = ()
+                for (f, n, _), c in zip(runs, counts):
+                    share += (f,) * c
+                    rest += (f,) * (n - c)
+                yield share, rest, h, r
 
     def leftmost_derivation(self) -> tuple[SPTerm, ...]:
         """The leftmost derivation of the goal `proves` last proved."""
@@ -600,75 +643,79 @@ _WIDTH = 64
 _COUNT = (1 << _WIDTH) - 1  # the atom count's field
 
 
-def _fits(vec: int, least: float, forbid: int) -> bool:
-    """Whether a word with Parikh vector `vec` has at least `least` atoms
-    and fills no field of `forbid`, as every word of the parts with those
-    facts does."""
-    return (vec & _COUNT) >= least and not vec & forbid
+def _fits(vec: int, least: float, most: float, forbid: int) -> bool:
+    """Whether a word with Parikh vector `vec` has least..most atoms and
+    fills no field of `forbid`, as every word of the parts with those facts
+    does."""
+    return least <= (vec & _COUNT) <= most and not vec & forbid
 
 
 class _Node:
     """A form of a production, or a part of one, planned once per grammar for
     `generate` and `_MemberSearch`: the fewest atoms of its words (`least`,
-    inf when it has none) and the Parikh vector fields they never fill
-    (`forbid`); a nonterminal's `symbol`; the vector of the one word of a
-    terminal or eps (`unit`); and a Seq or Par form's `parts`, in order. A
-    part that has later parts also holds what the search needs of them: how
-    many cannot derive eps, each taking a factor (`later_nonempty`); whether
-    all are terminals, so that this part takes the rest (`later_terminals`);
-    their fewest atoms together (`rest_least`) and the fields none of them
-    fills (`rest_forbid`); and whether this part takes at most one factor
-    (`one`): a terminal, or a form of the other operator over two parts that
-    cannot derive eps."""
+    inf when it has none), the most (`most`, inf when they are unbounded) and
+    the Parikh vector fields they never fill (`forbid`); a nonterminal's
+    `symbol`; the vector of the one word of a terminal or eps (`unit`); and a
+    Seq or Par form's `parts`, in order. A part that has later parts also
+    holds what the search needs of them: how many cannot derive eps, each
+    taking a factor (`later_nonempty`); their fewest and most atoms together
+    (`rest_least`, `rest_most`) and the fields none of them fills
+    (`rest_forbid`); and whether this part, a form of the other operator over
+    two parts that cannot derive eps, takes at most one factor (`one`)."""
 
-    __slots__ = ("form", "least", "forbid", "symbol", "unit", "parts",
-                 "later_nonempty", "later_terminals", "one", "rest_least", "rest_forbid")
+    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts",
+                 "later_nonempty", "one", "rest_least", "rest_most", "rest_forbid")
 
 
-def _plan(form: SPTerm, least, allowed, fields, units) -> _Node:
-    """The `_Node` of `form`, given each nonterminal's least atoms and
-    allowed letter fields, and each terminal's field and unit vector. A Seq
-    or Par form takes its facts from its parts': it has a word only from a
-    word of each, so its fewest atoms are their sum, and it fills a field only
-    when one of them does."""
+def _plan(form: SPTerm, least, most, allowed, fields, units) -> _Node:
+    """The `_Node` of `form`, given each nonterminal's least and most atoms
+    and allowed letter fields, and each terminal's field and unit vector. A
+    Seq or Par form takes its facts from its parts': it has a word only from a
+    word of each, so its fewest and most atoms are their sums, and it fills a
+    field only when one of them does."""
     node = _Node()
     node.form = form
     node.symbol = node.unit = node.parts = None
     if isinstance(form, Eps):
-        node.least, node.forbid, node.unit = 0, ~_COUNT, 0
+        node.least, node.most, node.forbid, node.unit = 0, 0, ~_COUNT, 0
     elif isinstance(form, Leaf):
         if form.symbol.isupper():
-            node.least, node.symbol = least[form.symbol], form.symbol
+            node.least, node.most, node.symbol = least[form.symbol], most[form.symbol], form.symbol
             node.forbid = ~(_COUNT | allowed[form.symbol])
         else:
-            node.least, node.unit = 1, units[form.symbol]
+            node.least, node.most, node.unit = 1, 1, units[form.symbol]
             node.forbid = ~(_COUNT | fields[form.symbol])
     else:
-        node.parts = parts = tuple(_plan(c, least, allowed, fields, units) for c in form.children)
+        node.parts = parts = tuple(_plan(c, least, most, allowed, fields, units) for c in form.children)
         node.least = sum(p.least for p in parts)
+        node.most = sum(p.most for p in parts)
         node.forbid = functools.reduce(operator.and_, (p.forbid for p in parts))
         other = Par if isinstance(form, Seq) else Seq
         for j, part in enumerate(parts[:-1]):
             later = parts[j + 1 :]
             part.later_nonempty = sum(p.least > 0 for p in later)
-            part.later_terminals = all(_is_terminal_leaf(p.form) for p in later)
-            part.one = _is_terminal_leaf(part.form) or (
-                isinstance(part.form, other) and sum(p.least > 0 for p in part.parts) >= 2)
+            part.one = isinstance(part.form, other) and sum(p.least > 0 for p in part.parts) >= 2
             part.rest_least = sum(p.least for p in later)
+            part.rest_most = sum(p.most for p in later)
             part.rest_forbid = functools.reduce(operator.and_, (p.forbid for p in later))
     return node
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
-    """`form` with its first nonterminal leaf replaced by `rhs`; None if it has none."""
-    if isinstance(form, (Seq, Par)):
-        for i, child in enumerate(form.children):
-            new = _expand_leftmost(child, rhs)
-            if new is not None:
-                build = seq if isinstance(form, Seq) else par
-                return build(*form.children[:i], new, *form.children[i + 1 :])
-        return None
-    return rhs if _is_nt_leaf(form) else None
+    """`form` with its first nonterminal leaf replaced by `rhs`; None if it
+    has none. The walk keeps its own stack, so a deep form needs no recursion."""
+    stack = [(form, None)]  # (node, (the Seq or Par above it, its index there, that node's link) or None)
+    while stack:
+        node, up = stack.pop()
+        if _is_nt_leaf(node):
+            while up is not None:
+                above, i, up = up
+                build = seq if isinstance(above, Seq) else par
+                rhs = build(*above.children[:i], rhs, *above.children[i + 1 :])
+            return rhs
+        if isinstance(node, (Seq, Par)):
+            stack.extend((node.children[i], (node, i, up)) for i in reversed(range(len(node.children))))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from splang.automata import (
     to_grammar,
 )
 from splang.errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
-from splang.grammars import parse_grammar, random_parallel_linear_grammar
+from splang.grammars import is_member, parse_grammar, random_parallel_linear_grammar
 from splang.langs import lang_equal
 from splang.grammars import generate
 from splang.terms import (
@@ -351,6 +351,16 @@ def test_a_foreign_leaf_is_not_accepted(text):
     aut = parse_automaton("states: p q\ninitial: p\nfinal: p\nseq: p a p\nseq: p b p\n")
     assert accepts(aut, pt("a.b"))
     assert not accepts(aut, parse_term(text, allow_upper=True))
+
+
+def test_a_wide_commutative_word_is_rejected_through_the_grammar_and_its_automaton():
+    # S -> a||S | ... | j||S | z||z rejects a||...||j||z. The automaton's forms put the unbounded part first: the
+    # one atom the part after it can take leaves that share all the factors but one, as the grammar's `a` takes one.
+    letters = "abcdefghij"
+    g = parse_grammar("S -> " + " | ".join(f"{c}||S" for c in letters) + " | z||z\n")
+    word = parse_term("||".join(letters + "z"))
+    assert not is_member(g, word, COMMUTATIVE)
+    assert not accepts(from_linear_grammar(g), word)
 
 
 def differential_automata():

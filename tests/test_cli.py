@@ -703,6 +703,19 @@ def test_outputs_are_identical_across_hash_seeds():
         assert len(outputs) == 1, argv
 
 
+def test_an_undeclared_initial_and_final_state_give_the_same_error_across_hash_seeds(tmp_path):
+    aut = tmp_path / "undeclared.aut"
+    aut.write_text("states: p\ninitial: X\nfinal: Y\n", encoding="utf-8")
+    src = str(Path(splang.__file__).resolve().parents[1])
+    outcomes = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "splang.cli", "automaton", "accepts", str(aut), "a"],
+                              env=env, capture_output=True, text=True)
+        outcomes.add((proc.returncode, proc.stderr))
+    assert outcomes == {(2, "error: undeclared state 'X' in initial/final sets\n")}
+
+
 @pytest.mark.parametrize("mode,lines", [("ordered", ["a", "b.a", "a||b"]), ("commutative", ["b", "b||a", "a.b"])])
 def test_lang_powers_and_closures_are_identical_across_hash_seeds(tmp_path, mode, lines):
     # the products are built in set order, which the hash seed moves

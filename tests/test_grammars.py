@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import random
 import sys
 
 import pytest
@@ -21,8 +22,12 @@ from splang.grammars import (
     random_parallel_linear_grammar,
     _COUNT,
     _WIDTH,
+    _MemberSearch,
+    _Node,
+    _fits,
     _least,
     _letter_fields,
+    symbols_of,
 )
 from splang.langs import lang_equal
 from splang.terms import (
@@ -327,6 +332,18 @@ def test_a_deeply_nested_term_is_decided():
     assert len(is_member(g, t).trace) == 302
 
 
+def test_a_term_nested_a_thousand_deep_is_decided():
+    # built in code, 1,000 levels; the search raises the recursion limit only while it runs
+    g = parse_grammar("S -> a.(b||S) | a\n")
+    t = Leaf("a")
+    for _ in range(1000):
+        t = Seq((Leaf("a"), Par((Leaf("b"), t))))
+    limit = sys.getrecursionlimit()
+    trace = is_member(g, t).trace
+    assert sys.getrecursionlimit() == limit
+    assert len(trace) == 1002 and hash(trace[-1]) == hash(t)  # == would recurse through the whole term
+
+
 def test_membership_goals_past_the_cap_raise(monkeypatch):
     monkeypatch.setattr("splang.grammars.DEFAULT_CAP", 3)
     g = parse_grammar("S -> A.b\nA -> a | A.a\n")
@@ -369,6 +386,43 @@ def test_planned_facts_bound_the_generated_words(fixture_grammars, mode):
                 assert any(atoms_count(w) == least for w in words), (format_grammar(g), nt)
 
 
+def most_of_low_trees(g, height):
+    """Each nonterminal's most atoms over derivation trees at most `height` nonterminals high, those of the
+    lower trees counting 0 atoms. With len(g.nonterminals) it is a finite most: a nonterminal met twice on a
+    path of a largest tree adds no atom there, so the tree can be cut to that height."""
+    productive = [p for p in g.productions if _least(p.rhs, g._least) < math.inf]
+    most = dict.fromkeys(g.nonterminals, 0)
+    for _ in range(height):
+        most = {nt: max([sum(most[s] if s.isupper() else 1 for s in symbols_of(p.rhs))
+                         for p in productive if p.lhs == nt], default=0) for nt in g.nonterminals}
+    return most
+
+
+# cycles that add no atom (the other leaf derives only eps, or there is none) and cycles that do
+CYCLES = ["S -> S.B | a\nB -> eps\n", "S -> S||A | b\nA -> eps | B\nB -> A\n", "S -> T\nT -> S | a.b\n",
+          "S -> a.S | b\n", "S -> A.A | a\nA -> S\n", "S -> A||b\nA -> B | eps\nB -> A.a | C\nC -> eps\n"]
+
+
+def test_most_atoms_are_reached_and_never_passed(fixture_grammars):
+    # a finite most is the size of the largest word and of the largest low tree; an infinite one is beaten by a
+    # word larger than any finite one in the grammar, and by a tree higher than the low ones
+    cycles = [parse_grammar(text) for text in CYCLES]
+    assert [g._most[g.start] for g in cycles] == [1, 1, 2, math.inf, math.inf, math.inf]
+    for g in cycles + fixture_grammars + [random_general_grammar(seed) for seed in range(40)]:
+        productive = sorted(nt for nt in g.nonterminals if g._least[nt] < math.inf)
+        finite = max((g._most[nt] for nt in productive if g._most[nt] < math.inf), default=0)
+        low, high = most_of_low_trees(g, len(g.nonterminals)), most_of_low_trees(g, 200)
+        for nt in productive:
+            most = g._most[nt]
+            bound = most + 1 if most < math.inf else max(finite + 1, g._least[nt]) + 4
+            words = generate(Grammar(g.nonterminals, g.terminals, g.productions, nt), bound).terms
+            largest = max(map(atoms_count, words))
+            if most < math.inf:
+                assert largest == most == low[nt] == high[nt], (format_grammar(g), nt)
+            else:
+                assert largest > finite and high[nt] > low[nt], (format_grammar(g), nt)
+
+
 def planned_nodes(node):
     """`node` and the nodes of its parts, depth first."""
     yield node
@@ -384,21 +438,25 @@ def test_every_planned_node_has_the_facts_of_its_form(fixture_grammars):
         def least(forms):
             return sum(_least(f, g._least) for f in forms)
 
+        def most(forms):
+            return sum(g._most[s] if s.isupper() else 1 for f in forms for s in symbols_of(f))
+
         def forbid(forms):
             return ~(_COUNT | functools.reduce(operator.or_, (_letter_fields(f, g._allowed, fields) for f in forms)))
 
         for node in (n for plans in g._plans.values() for top in plans for n in planned_nodes(top)):
-            assert (node.least, node.forbid) == (least([node.form]), forbid([node.form])), format_grammar(g)
+            facts = (least([node.form]), most([node.form]), forbid([node.form]))
+            assert (node.least, node.most, node.forbid) == facts, format_grammar(g)
             if node.parts is None:
                 continue
             other = Par if isinstance(node.form, Seq) else Seq
             for j, part in enumerate(node.parts[:-1]):
                 later = [p.form for p in node.parts[j + 1 :]]
-                assert (part.rest_least, part.rest_forbid) == (least(later), forbid(later)), format_grammar(g)
+                facts = (least(later), most(later), forbid(later))
+                assert (part.rest_least, part.rest_most, part.rest_forbid) == facts, format_grammar(g)
                 assert part.later_nonempty == sum(least([f]) > 0 for f in later)
-                assert part.later_terminals == all(isinstance(f, Leaf) and f.symbol.islower() for f in later)
                 one = isinstance(part.form, other) and sum(least([c]) > 0 for c in part.form.children) >= 2
-                assert part.one == (one or isinstance(part.form, Leaf) and part.form.symbol.islower())
+                assert part.one == one
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
@@ -478,3 +536,29 @@ def test_multiset_splits_by_head_size_keep_the_filtered_order():
                 for high in range(-1, len(items) + 2):
                     kept = [s for s in every if low <= len(s[0]) <= high]
                     assert list(multiset_splits(tuple(items), k, (low, high))) == kept
+
+
+def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
+    # the commutative split of the search against `multiset_splits` and the same checks, with random facts
+    g = parse_grammar("S -> a | b | c | d\n")
+    search = _MemberSearch(g, COMMUTATIVE, 100)
+    fields = [_COUNT << _WIDTH * i for i in range(1, 5)]
+    rng = random.Random(0)
+    for items in ["", "a", "aab", "aabbbc", "abcd"]:
+        factors = tuple(map(Leaf, items))
+        vec = sum(map(search.vector, factors))
+        for low in range(len(items) + 2):
+            for high in range(-1, len(items) + 2):
+                for _ in range(4):
+                    part = _Node()
+                    part.least, part.rest_least = rng.randint(0, 3), rng.randint(0, 3)
+                    part.most, part.rest_most = (rng.choice([rng.randint(0, 5), math.inf]) for _ in "hr")
+                    part.forbid, part.rest_forbid = (
+                        ~_COUNT & ~functools.reduce(operator.or_, rng.sample(fields, rng.randint(1, 4))) for _ in "hr")
+                    expected = []
+                    for share, rest in multiset_splits(factors, 2, (low, high)):
+                        h = sum(map(search.vector, share))
+                        if _fits(h, part.least, part.most, part.forbid) and _fits(
+                                vec - h, part.rest_least, part.rest_most, part.rest_forbid):
+                            expected.append((share, rest, h, vec - h))
+                    assert list(search.splits(factors, vec, low, high, False, part)) == expected

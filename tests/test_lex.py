@@ -12,7 +12,7 @@ from splang._lex import is_atom, read_lines
 from splang.automata import parse_automaton
 from splang.cli import main
 from splang.errors import TermSyntaxError
-from splang.grammars import parse_grammar
+from splang.grammars import format_grammar, parse_grammar
 from splang.langs import load_lang
 from splang.terms import Leaf, enumerate_terms
 
@@ -46,6 +46,14 @@ def test_read_lines_cuts_comments_skips_blank_lines_and_numbers_errors():
     assert isinstance(info.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x85", "\u2028"])
+def test_only_line_feeds_and_carriage_returns_end_a_line(separator):
+    # str.splitlines breaks at these too: inside a comment they would start a rule
+    assert format_grammar(parse_grammar(f"S -> a # x{separator}S -> b\n")) == "S -> a\n"
+    for newline in ("\n", "\r\n", "\r"):
+        assert format_grammar(parse_grammar(f"S -> a # x{newline}S -> b\n")) == "S -> a | b\n"
+
+
 @st.composite
 def mutated_files(draw):
     reader, text = draw(st.sampled_from(SOURCES))
@@ -70,7 +78,7 @@ def test_every_line_error_names_a_line_that_is_there(case):
         if m is None:
             assert FILE_WIDE.fullmatch(message), message
         else:
-            lines = text.splitlines()
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # the line breaks of the formats
             n = int(m.group(1))
             assert 1 <= n <= len(lines) and lines[n - 1].split("#", 1)[0].strip(), message
 

@@ -554,7 +554,7 @@ class _MemberSearch:
         if low < 1:
             low = int(part.least > 0)  # a part that cannot derive eps takes a factor
         high = len(factors) - part.later_nonempty
-        if high > part.most:  # and the share at most most
+        if high > part.most:  # and the share at most `most`
             high = part.most
         if part.one and high > 1:
             high = 1

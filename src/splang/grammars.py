@@ -62,6 +62,7 @@ from .terms import (
     SemanticsMode,
     SPTerm,
     Seq,
+    _node,
     _par_factors,
     _parse_par,
     _seq_factors,
@@ -71,6 +72,7 @@ from .terms import (
     is_sequential_word,
     par,
     seq,
+    symbols_of,
 )
 from .langs import FiniteLang
 
@@ -188,17 +190,6 @@ def _letter_fields(form: SPTerm, allowed, fields) -> int:
     """The letter fields a word of `form` may fill, given each nonterminal's:
     the OR over the leaves, as Seq and Par both keep their parts' letters."""
     return functools.reduce(operator.or_, ((allowed if s.isupper() else fields)[s] for s in symbols_of(form)), 0)
-
-
-def symbols_of(form: SPTerm):
-    """Leaf symbols of a sentential form, left to right."""
-    if isinstance(form, Eps):
-        return
-    if isinstance(form, Leaf):
-        yield form.symbol
-        return
-    for c in form.children:
-        yield from symbols_of(c)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -476,12 +467,13 @@ class _MemberSearch:
         self.g, self.mode, self.cap = g, mode, cap
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> [still being tried], in this pass
-        self.vectors: dict = {}  # Seq or Par factor -> its Parikh vector, in this query
+        self.vectors: dict = {}  # Seq or Par term -> its Parikh vector, in the last query
 
     def proves(self, t: SPTerm, start: str | None = None) -> bool:
         """Whether `start` (by default the grammar's) derives `t`, a term
         canonical for the mode."""
-        self.vectors = {}
+        if t not in self.vectors:  # a query on a sub-term of the last one keeps its vectors
+            self.vectors = {}
         vec = self.vector(t)
         self.goal = goal = (start or self.g.start, t)
         # A call path holds at most one goal per (nonterminal, atom count).
@@ -626,9 +618,9 @@ class _MemberSearch:
 def _join(kind, factors: tuple) -> SPTerm:
     """The term of some factors of a canonical `kind` (Seq or Par) term: a
     range of them, or in COMMUTATIVE mode a sorted sub-multiset, is already
-    canonical, so it needs no flattening or sorting."""
+    canonical, so it needs no flattening, sorting or check (see `_node`)."""
     if len(factors) > 1:
-        return kind(factors)
+        return _node(kind, factors)
     return factors[0] if factors else EPS
 
 

@@ -10,9 +10,10 @@ kept in a canonical form:
 * in COMMUTATIVE mode the children of every ``Par`` node are additionally
   sorted, so parallel composition is order-blind. ``par(..., mode=mode)``
   sorts them, so ``seq`` and ``par`` build canonical terms from canonical
-  parts. The constructors refuse a node that breaks the first rule, so every
-  term is canonical for ORDERED; ``canonicalize`` sorts the Par nodes of a
-  term built without the mode.
+  parts. The constructors ``Seq(...)`` and ``Par(...)`` refuse a node that
+  breaks the first rule; ``_node`` trusts its caller to keep it, so every term
+  is canonical for ORDERED. ``canonicalize`` sorts the Par nodes of a term
+  built without the mode.
 
 Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, at
@@ -109,7 +110,9 @@ class Leaf(SPTerm):
 
 
 class _Product(SPTerm):
-    """A Seq or Par node: at least two children, none eps or of its own kind."""
+    """A Seq or Par node: at least two children, none eps or of its own kind.
+    The constructor, which pickling also uses, checks that rule on children
+    from outside the package; `_node` builds the same node without the check."""
 
     __slots__ = _fields = ("children",)
     _TAG: int
@@ -142,21 +145,28 @@ class Par(_Product):
     _TAG = 2
 
 
+def _node(kind, children: tuple) -> _Product:
+    """The `kind` (Seq or Par) node of `children`, hashed as the constructor
+    does but unchecked: `seq`, `par`, `reverse_term` and the membership
+    search's shares keep the rule of `_Product` by construction."""
+    node = object.__new__(kind)
+    _init(node, "children", children)
+    _init(node, "_hash", hash((kind._TAG, children)))
+    return node
+
+
 def seq(*parts: SPTerm) -> SPTerm:
     """Sequential composition with flattening, eps removal, and collapsing."""
     flat: list[SPTerm] = []
     for p in parts:
-        if isinstance(p, Eps):
-            continue
-        if isinstance(p, Seq):
-            flat.extend(p.children)
-        else:
+        cls = p.__class__
+        if cls is Seq:
+            flat += p.children
+        elif cls is not Eps:
             flat.append(p)
-    if not flat:
-        return EPS
-    if len(flat) == 1:
-        return flat[0]
-    return Seq(tuple(flat))
+    if len(flat) > 1:
+        return _node(Seq, tuple(flat))
+    return flat[0] if flat else EPS
 
 
 def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
@@ -164,19 +174,16 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     COMMUTATIVE mode sorting: parts canonical for `mode` give a canonical result."""
     flat: list[SPTerm] = []
     for p in parts:
-        if isinstance(p, Eps):
-            continue
-        if isinstance(p, Par):
-            flat.extend(p.children)
-        else:
+        cls = p.__class__
+        if cls is Par:
+            flat += p.children
+        elif cls is not Eps:
             flat.append(p)
-    if not flat:
-        return EPS
-    if len(flat) == 1:
-        return flat[0]
+    if len(flat) < 2:
+        return flat[0] if flat else EPS
     if mode is COMMUTATIVE:
         flat.sort(key=format_term)
-    return Par(tuple(flat))
+    return _node(Par, tuple(flat))
 
 
 def _seq_factors(t: SPTerm) -> tuple[SPTerm, ...]:
@@ -289,24 +296,25 @@ def depth(t: SPTerm) -> int:
     return sum(depth(c) for c in t.children)
 
 
+def symbols_of(t: SPTerm):
+    """Leaf symbols of `t`, left to right, found with a stack, so deep terms
+    need no recursion."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Leaf:
+            yield node.symbol
+        elif node.__class__ is not Eps:
+            stack += reversed(node.children)
+
+
 def atoms_count(t: SPTerm) -> int:
-    if isinstance(t, Eps):
-        return 0
-    if isinstance(t, Leaf):
-        return 1
-    return sum(atoms_count(c) for c in t.children)
+    return sum(1 for _ in symbols_of(t))
 
 
 def atoms_multiset(t: SPTerm) -> Counter[str]:
     """Leaf symbols with multiplicity."""
-    if isinstance(t, Eps):
-        return Counter()
-    if isinstance(t, Leaf):
-        return Counter([t.symbol])
-    acc: Counter[str] = Counter()
-    for c in t.children:
-        acc.update(atoms_multiset(c))
-    return acc
+    return Counter(symbols_of(t))
 
 
 def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
@@ -316,7 +324,7 @@ def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     if isinstance(t, (Eps, Leaf)):
         return t
     if isinstance(t, Seq):
-        return Seq(tuple(reverse_term(c, mode) for c in reversed(t.children)))
+        return _node(Seq, tuple(reverse_term(c, mode) for c in reversed(t.children)))
     return par(*(reverse_term(c, mode) for c in t.children), mode=mode)
 
 

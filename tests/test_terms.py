@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -29,13 +30,24 @@ from splang.terms import (
     parse_term,
     reverse_term,
     seq,
+    symbols_of,
 )
+from splang.grammars import _join
 
 from oracles import binary_universe
 
 
 def pt(text: str):
     return parse_term(text)
+
+
+atoms_st = st.sampled_from("ab").map(Leaf)
+terms_st = st.recursive(
+    st.just(EPS) | atoms_st,
+    lambda inner: st.builds(lambda cs: seq(*cs), st.lists(inner, min_size=2, max_size=3))
+    | st.builds(lambda cs: par(*cs), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=10,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +156,44 @@ def test_constructors_reject_non_canonical_children(cls, children, message):
         cls(children)
 
 
+def checked(t):
+    """`t` rebuilt bottom-up through the checked constructors."""
+    if isinstance(t, (Eps, Leaf)):
+        return t
+    return type(t)(tuple(map(checked, t.children)))
+
+
+def shares(t, mode):
+    """The factor tuples the membership search joins for `t`: the ranges of
+    its factors, and in COMMUTATIVE mode every sorted sub-multiset of a Par's."""
+    if isinstance(t, (Eps, Leaf)):
+        return
+    n = len(t.children)
+    if isinstance(t, Par) and mode is COMMUTATIVE:
+        for picks in itertools.product((False, True), repeat=n):
+            yield tuple(itertools.compress(t.children, picks))
+    else:
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                yield t.children[i:j]
+
+
+@given(terms_st, terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_unchecked_builders_make_the_nodes_the_constructors_accept(x, y, mode):
+    x, y = canonicalize(x, mode), canonicalize(y, mode)
+    products = [seq(x, y), par(x, y, mode=mode)]
+    built = products + [reverse_term(t, mode) for t in (x, y, *products)]
+    for t in (x, y, *products):
+        for share in shares(t, mode):
+            built.append(_join(type(t), share))
+            assert built[-1] == (par(*share, mode=mode) if isinstance(t, Par) else seq(*share))
+    for t in built:
+        rebuilt = checked(t)  # raises on a node that breaks the rule
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        clone = pickle.loads(pickle.dumps(t))
+        assert type(clone) is type(t) and clone == t and hash(clone) == hash(t)
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -193,6 +243,15 @@ def test_atom_counts():
     assert atoms_count(EPS) == 0
     assert atoms_multiset(EPS) == {}
     assert atoms_count(pt("(a||b).a")) == 3
+
+
+def test_leaf_walks_take_a_term_ten_thousand_levels_deep():
+    t = Leaf("c")  # a.(b||(a.(b||...c)))
+    for level in range(10_000):
+        t = seq(Leaf("a"), t) if level % 2 else par(Leaf("b"), t)
+    assert list(symbols_of(t)) == ["a", "b"] * 5_000 + ["c"]
+    assert atoms_count(t) == 10_001
+    assert atoms_multiset(t) == {"a": 5_000, "b": 5_000, "c": 1}
 
 
 def test_recurrences_hold_structurally():
@@ -315,15 +374,6 @@ def test_enumerate_rejects_bad_alphabet():
 
 # ---------------------------------------------------------------------------
 # randomized structural properties
-
-atoms_st = st.sampled_from("ab").map(Leaf)
-terms_st = st.recursive(
-    st.just(EPS) | atoms_st,
-    lambda inner: st.builds(lambda cs: seq(*cs), st.lists(inner, min_size=2, max_size=3))
-    | st.builds(lambda cs: par(*cs), st.lists(inner, min_size=2, max_size=3)),
-    max_leaves=10,
-)
-
 
 @given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
 def test_canonicalize_idempotent(t, mode):

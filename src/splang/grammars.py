@@ -20,8 +20,15 @@ atoms, is computed for k = 0, 1, ... in order. A derivation never loses an
 atom, so the parts of a word of k atoms have at most k, and level k needs only
 levels up to k. The words a form builds from parts of fewer atoms are computed
 once; only a part that takes all k atoms, every other part deriving eps,
-reads level k itself and passes its words on unchanged, so a level is
-iterated until no new word appears.
+reads level k itself and passes its words on unchanged. Each grammar plans
+once the order in which a level visits its nonterminals: the strongly
+connected components of "A passes B's words on" (Tarjan, SIAM J. Comput.
+1(2), 1972), each after the ones it reads. A level is then one pass over
+them; only a component that passes words around a cycle repeats its own
+forms until no new word appears. The Parikh facts below are solved a
+component of "A's productions name B" at a time too, so planning a long
+chain of nonterminals, like generating from it, takes time linear in its
+length.
 
 Membership is a goal-directed search over a plan made once per grammar. Each
 production's form is planned with the split bounds of its parts and coarse
@@ -93,7 +100,8 @@ class Grammar(Immutable):
     """The constructor checks the fields and plans membership and generation once."""
 
     _fields = ("nonterminals", "terminals", "productions", "start")
-    __slots__ = _fields + ("_by_lhs", "_least", "_most", "_allowed", "_plans", "_units", "_foreign", "_frames_per_goal")
+    __slots__ = _fields + ("_by_lhs", "_least", "_most", "_allowed", "_plans", "_schedule", "_counted", "_units",
+                           "_foreign", "_frames_per_goal")
 
     def __init__(self, nonterminals: frozenset[str], terminals: frozenset[str], productions: tuple[Production, ...],
                  start: str):
@@ -116,12 +124,12 @@ class Grammar(Immutable):
         least = _solve(dict.fromkeys(self.nonterminals, math.inf), self.productions,
                        lambda rhs, n, least: min(n, _least(rhs, least)))
         productive = [p for p in self.productions if _least(p.rhs, least) < math.inf]  # the ones with words
-        most = _most(self.nonterminals, productive)
         # a letter's field in a Parikh vector (see _WIDTH)
         shifts = {c: _WIDTH * i for i, c in enumerate(sorted(self.terminals), 1)}
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
         allowed = _solve(dict.fromkeys(self.nonterminals, 0), productive,
                          lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
+        most = _most(self.nonterminals, productive, allowed)
         units = {c: 1 | 1 << shift for c, shift in shifts.items()}
         facts = least, most, allowed, fields, units
         plans = {nt: tuple(_plan(rhs, *facts) for rhs in alts) for nt, alts in by_lhs.items()}
@@ -130,6 +138,11 @@ class Grammar(Immutable):
         object.__setattr__(self, "_most", most)
         object.__setattr__(self, "_allowed", allowed)
         object.__setattr__(self, "_plans", plans)
+        object.__setattr__(self, "_schedule", _schedule(plans))
+        # the nonterminals `generate` counts against its cap: the others only copy words counted elsewhere
+        counted = tuple(nt for nt, alts in by_lhs.items()
+                        if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in alts))
+        object.__setattr__(self, "_counted", counted)
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_foreign", 1 | 1 << _WIDTH * (len(shifts) + 1))  # any other letter
         # membership recursion: two frames per node of a production (at most its text length)
@@ -153,15 +166,85 @@ class Grammar(Immutable):
 
 def _solve(values: dict, productions, step) -> dict:
     """The least fixpoint of values[lhs] = step(rhs, values[lhs], values)
-    over `productions`, from the given start values."""
-    changed = True
-    while changed:
-        changed = False
-        for p in productions:
-            new = step(p.rhs, values[p.lhs], values)
-            if new != values[p.lhs]:
-                values[p.lhs], changed = new, True
+    over `productions`, from the given start values. The heads are solved a
+    strongly connected component at a time (see `_components`), each after
+    every one its productions name, so a component is solved from final
+    values and only a cyclic one repeats its own productions."""
+    by_lhs: dict = {}
+    for p in productions:
+        by_lhs.setdefault(p.lhs, []).append(p.rhs)
+    names = {nt: [s for rhs in alts for s in symbols_of(rhs) if s in by_lhs] for nt, alts in by_lhs.items()}
+    for cyclic, group in _components(names):
+        changed = True
+        while changed:
+            changed = False
+            for nt in group:
+                for rhs in by_lhs[nt]:
+                    new = step(rhs, values[nt], values)
+                    if new != values[nt]:  # an acyclic group reads only final values: one pass solves it
+                        values[nt], changed = new, cyclic
     return values
+
+
+def _components(graph: dict) -> list:
+    """The strongly connected components of `graph` (a node -> the nodes it
+    depends on, each a node of `graph`), each after every component it
+    depends on, as (cyclic, members) pairs; a component is cyclic when it
+    holds a cycle: more than one member, or a member that depends on itself.
+    Tarjan's search (SIAM J. Comput. 1(2), 1972) closes a component only
+    after every component it reaches, so the order it closes them in is this
+    one. It keeps its own stack, so a long chain needs no recursion."""
+    index: dict = {}  # node -> its visit number
+    low: dict = {}  # node -> the least visit number it reaches on the open stack
+    open_at: dict = {}  # a node on the open stack -> its position there
+    stack, order, path = [], [], []  # path: the search's own call stack
+
+    def enter(node) -> None:
+        index[node] = low[node] = len(index)
+        open_at[node] = len(stack)
+        stack.append(node)
+        path.append((node, iter(graph[node])))
+
+    for root in graph:
+        if root not in index:
+            enter(root)
+        while path:
+            node, edges = path[-1]
+            for dep in edges:
+                if dep not in index:
+                    enter(dep)
+                    break
+                if dep in open_at and index[dep] < low[node]:
+                    low[node] = index[dep]
+            else:
+                path.pop()
+                if path and low[node] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    members = stack[open_at[node]:]
+                    del stack[open_at[node]:]
+                    for m in members:
+                        del open_at[m]
+                    order.append((len(members) > 1 or node in graph[node], tuple(members)))
+    return order
+
+
+def _schedule(plans: dict) -> list:
+    """The order in which a level of `generate` visits the nonterminals with
+    productions: the strongly connected components of "a form of A passes
+    B's words of the level on unchanged" (see `_Node.passing`), each after
+    every one it depends on, as (cyclic, members) pairs."""
+    graph = {}
+    for nt, nodes in plans.items():
+        passed, todo = {}, list(nodes)
+        while todo:
+            node = todo.pop()
+            if node.symbol is not None:
+                passed[node.symbol] = None
+            elif node.passing:
+                todo += node.passing
+        graph[nt] = [s for s in passed if s in plans]
+    return _components(graph)
 
 
 def _least(form: SPTerm, least) -> float:
@@ -171,18 +254,24 @@ def _least(form: SPTerm, least) -> float:
     return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
 
 
-def _most(nonterminals, productions) -> dict:
+def _most(nonterminals, productions, allowed) -> dict:
     """The most atoms of a word of each nonterminal over the productive
-    `productions`, 0 when it has none: inf exactly when it reaches a cycle
-    through a production whose other leaves can derive an atom, which can be
-    pumped; otherwise no cycle adds an atom and a fixpoint gives the most."""
-    reach = _solve({nt: frozenset((nt,)) for nt in nonterminals}, productions,
-                   lambda rhs, r, reach: r.union(*(reach[s] for s in symbols_of(rhs) if s.isupper())))
-    lettered = {p.lhs for p in productions if any(s.islower() for s in symbols_of(p.rhs))}
+    `productions`, 0 when it has none, given the letter fields each can fill
+    (`allowed`, nonzero exactly when it derives a letter): inf exactly when
+    it reaches a cycle through a production whose other leaves can derive an
+    atom, which can be pumped; otherwise no cycle adds an atom and a fixpoint
+    gives the most. A leaf is on a cycle back to its production's head when
+    the two share a strongly connected component."""
+    graph: dict = {}  # every leaf of a productive production heads one
+    for p in productions:
+        graph.setdefault(p.lhs, []).extend(s for s in symbols_of(p.rhs) if s.isupper())
+    component = {nt: group for _, group in _components(graph) for nt in group}
     pumped = {p.lhs for p in productions for leaves in [list(symbols_of(p.rhs))] for i, s in enumerate(leaves)
-              if s.isupper() and p.lhs in reach[s]  # a leaf on a cycle back to the head
-              and any(x.islower() or reach[x] & lettered for x in leaves[:i] + leaves[i + 1 :])}
-    return _solve({nt: math.inf if reach[nt] & pumped else 0 for nt in nonterminals}, productions,
+              if s.isupper() and component[s] is component[p.lhs]
+              and any(x.islower() or allowed[x] for x in leaves[:i] + leaves[i + 1 :])}
+    pumps = _solve({nt: nt in pumped for nt in nonterminals}, productions,
+                   lambda rhs, m, pumps: m or any(pumps[s] for s in symbols_of(rhs) if s.isupper()))
+    return _solve({nt: math.inf if pumps[nt] else 0 for nt in nonterminals}, productions,
                   lambda rhs, m, most: max(m, sum(most[s] if s.isupper() else 1 for s in symbols_of(rhs))))
 
 
@@ -339,11 +428,16 @@ def generate(
     computed level by level in the atom count (see the module docstring):
     as a derivation never loses an atom, level k needs only levels <= k, and
     a form's words of k atoms combine only part sizes that sum to k, each at
-    least its part's fewest atoms (`_Node.least`). `cap` bounds the
-    (nonterminal, word) pairs held, not counting the nonterminals whose
-    productions are all eps or a single nonterminal: they only copy words
-    counted elsewhere. `max_steps` is ignored; it stays the third positional
-    parameter for existing callers."""
+    least its part's fewest atoms (`_Node.least`). Within level k, a form's
+    words from smaller parts are computed once, and only its `passing` parts
+    add level-k words of their own. Each level visits the nonterminals in
+    the grammar's schedule (`_schedule`): a group that holds no cycle is
+    evaluated once, after every group it reads; a cyclic group repeats its
+    own forms until its words stop growing. `cap` bounds the (nonterminal,
+    word) pairs held, checked after each level, not counting the
+    nonterminals whose productions are all eps or a single nonterminal: they
+    only copy words counted elsewhere. `max_steps` is ignored; it stays the
+    third positional parameter for existing callers."""
     join = {Seq: seq, Par: functools.partial(par, mode=mode)}
     words = {nt: [] for nt in g.nonterminals}  # nonterminal -> its words by atom count
     inner = {}  # (a Seq or Par form, atoms) -> its words where no part takes all the atoms
@@ -354,14 +448,12 @@ def generate(
             return words[node.symbol][k]
         if node.parts is None:  # a terminal or eps
             return (node.form,) if node.unit & _COUNT == k else ()
-        if (node, k) not in inner:  # from levels below k: computed once
-            inner[node, k] = combined(node, k, k - 1)
-        first = node.parts[0]
-        solid = (first.least > 0) + first.later_nonempty  # the parts that cannot derive eps
-        if solid > 1:
-            return inner[node, k]
-        # the parts that take all k atoms, every other deriving eps, pass their words on unchanged
-        return inner[node, k].union(*(sized(part, k) for part in node.parts if part.least > 0 or not solid))
+        below = inner.get((node, k))
+        if below is None:  # from levels below k: computed once
+            below = inner[node, k] = combined(node, k, k - 1)
+        if not node.passing:
+            return below
+        return below.union(*(sized(part, k) for part in node.passing))
 
     def combined(node: _Node, k: int, top: int, i: int = 0):
         """The words of k atoms of the parts i, i+1, ... of a Seq or Par form,
@@ -378,22 +470,21 @@ def generate(
                     out.update({make(x, y) for y in combined(node, k - j, top, i + 1) for x in xs})
         return out
 
-    counted = [nt for nt in g.nonterminals
-               if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in g.alternatives(nt))]
     count = 0
     for level in range(max_atoms + 1):
         for nt in g.nonterminals:
             words[nt].append(set())
-        grown = True
-        while grown:  # only parts that take all the atoms, the others deriving eps, depend on this level
-            grown = False
-            for nt, nodes in g._plans.items():
-                for node in nodes:
-                    new = sized(node, level)
-                    if not words[nt][level].issuperset(new):
-                        words[nt][level].update(new)
-                        grown = True
-        count += sum(len(words[nt][level]) for nt in counted)
+        for cyclic, group in g._schedule:
+            grown = True
+            while grown:  # the groups before this one are done: only a cycle within it needs another pass
+                grown = False
+                for nt in group:
+                    got = words[nt][level]
+                    size = len(got)
+                    for node in g._plans[nt]:
+                        got.update(sized(node, level))
+                    grown |= cyclic and len(got) > size
+        count += sum(len(words[nt][level]) for nt in g._counted)
         if count > cap:
             raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
     # a set: the language's frozenset copies it without hashing the words again
@@ -648,14 +739,19 @@ class _Node:
     inf when it has none), the most (`most`, inf when they are unbounded) and
     the Parikh vector fields they never fill (`forbid`); a nonterminal's
     `symbol`; the vector of the one word of a terminal or eps (`unit`); and a
-    Seq or Par form's `parts`, in order. A part that has later parts also
+    Seq or Par form's `parts`, in order, with the parts that pass their words
+    of k atoms on unchanged as the form's words of k atoms (`passing`): every
+    part when all of them derive eps, the one part that cannot when only one
+    cannot, and none otherwise, as two parts that cannot derive eps share the
+    atoms. `generate` reads `passing` at each level, and the grammar's
+    schedule is planned from it. A part that has later parts also
     holds what the search needs of them: how many cannot derive eps, each
     taking a factor (`later_nonempty`); their fewest and most atoms together
     (`rest_least`, `rest_most`) and the fields none of them fills
     (`rest_forbid`); and whether this part, a form of the other operator over
     two parts that cannot derive eps, takes at most one factor (`one`)."""
 
-    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts",
+    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts", "passing",
                  "later_nonempty", "one", "rest_least", "rest_most", "rest_forbid")
 
 
@@ -667,7 +763,7 @@ def _plan(form: SPTerm, least, most, allowed, fields, units) -> _Node:
     field only when one of them does."""
     node = _Node()
     node.form = form
-    node.symbol = node.unit = node.parts = None
+    node.symbol = node.unit = node.parts = node.passing = None
     if isinstance(form, Eps):
         node.least, node.most, node.forbid, node.unit = 0, 0, ~_COUNT, 0
     elif isinstance(form, Leaf):
@@ -682,6 +778,8 @@ def _plan(form: SPTerm, least, most, allowed, fields, units) -> _Node:
         node.least = sum(p.least for p in parts)
         node.most = sum(p.most for p in parts)
         node.forbid = functools.reduce(operator.and_, (p.forbid for p in parts))
+        solid = sum(p.least > 0 for p in parts)  # the parts that cannot derive eps
+        node.passing = tuple(p for p in parts if p.least > 0 or not solid) if solid <= 1 else ()
         other = Par if isinstance(form, Seq) else Seq
         for j, part in enumerate(parts[:-1]):
             later = parts[j + 1 :]

@@ -35,6 +35,7 @@ Text format (whitespace ignored, ``.`` binds tighter than ``||``)::
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from enum import Enum
 
@@ -205,12 +206,27 @@ def _par_factors(t: SPTerm) -> tuple[SPTerm, ...]:
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """`t` in canonical form for `mode`. Idempotent. Every term is canonical
     for ORDERED, the constructors refusing any other, so `t` itself is
-    returned; COMMUTATIVE rebuilds it bottom-up, sorting every Par."""
-    if mode is ORDERED or isinstance(t, (Eps, Leaf)):
+    returned. COMMUTATIVE sorts the children of every Par in one bottom-up
+    pass with its own stack, so a deep term needs no recursion. Sorting never
+    changes a node's kind, so no node needs flattening; a node whose children
+    come back unchanged and, for a Par, in order is kept, so a term that is
+    already canonical comes back itself. Each Par's children are sorted by
+    `format_term` after theirs were, so the sort key finds their text cached
+    and recurses only a few frames."""
+    if mode is ORDERED or t.__class__ is Leaf or t.__class__ is Eps:
         return t
-    if isinstance(t, Seq):
-        return seq(*(canonicalize(c, mode) for c in t.children))
-    return par(*(canonicalize(c, mode) for c in t.children), mode=mode)
+    order = [t]  # the Seq and Par nodes of `t`, each before its children
+    for node in order:
+        order += [c for c in node.children if c.__class__ is not Leaf]
+    done = {}  # id of a node of `t` -> its canonical form
+    for node in reversed(order):
+        children = tuple([done.get(id(c), c) for c in node.children]) if done else node.children
+        if node.__class__ is Par:
+            keys = list(map(format_term, children))
+            if any(map(operator.gt, keys, keys[1:])):
+                children = tuple([children[i] for i in sorted(range(len(keys)), key=keys.__getitem__)])
+        done[id(node)] = node if children == node.children else _node(node.__class__, children)
+    return done[id(t)]
 
 
 @functools.lru_cache(maxsize=None)

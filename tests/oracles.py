@@ -6,7 +6,8 @@ canonical terms level by level, the regex reference matcher is plain
 exponential recursion over index assignments with no memoization (the
 library compiles regexes to grammars instead), bounded regex languages
 filter the term universe through it, grammar words come from a
-breadth-first search over leftmost derivations instead of a level-by-level
+breadth-first search over leftmost derivations, or from a fixpoint over whole
+languages where that search cannot finish, instead of a level-by-level
 fixpoint over nonterminals, and automaton runs follow the transitions
 directly (the library compiles automata to grammars instead), trying every
 assignment of a Par's children to fork targets. Powers and closures of finite
@@ -443,6 +444,42 @@ def oracle_words(g: Grammar, max_atoms: int, mode: SemanticsMode = ORDERED, max_
     if not complete:
         raise OracleCapError(f"forms left unexpanded after {max_steps} steps")
     return words
+
+
+def fixpoint_words(g: Grammar, max_atoms: int, mode: SemanticsMode = ORDERED) -> set:
+    """Every word of L(g) with at most max_atoms atoms, as the textbook least
+    fixpoint over whole languages: every round recomputes every production's
+    words from the last round's, keeping those of at most max_atoms atoms,
+    until a round adds nothing. It finishes where `oracle_words` cannot, on
+    forms such as S.S.S... that grow without atoms when S derives eps.
+    Languages are kept as atom count -> words, so only parts whose sizes fit
+    are combined."""
+    build = {Seq: seq, Par: functools.partial(par, mode=mode)}
+
+    def form_words(form: SPTerm, words: dict) -> dict:
+        if isinstance(form, Eps):
+            return {0: {EPS}}
+        if isinstance(form, Leaf):
+            return words[form.symbol] if form.symbol.isupper() else {1: {form}}
+        out = {0: {EPS}}
+        for child in form.children:
+            combined: dict = {}
+            for j, ys in form_words(child, words).items():
+                for i, xs in out.items():
+                    if i + j <= max_atoms:
+                        combined.setdefault(i + j, set()).update(build[type(form)](x, y) for x in xs for y in ys)
+            out = combined
+        return out
+
+    words: dict = {nt: {} for nt in g.nonterminals}
+    while True:
+        new: dict = {nt: {} for nt in g.nonterminals}
+        for p in g.productions:
+            for size, found in form_words(p.rhs, words).items():
+                new[p.lhs].setdefault(size, set()).update(found)
+        if new == words:
+            return set().union(*words[g.start].values())
+        words = new
 
 
 def check_trace(g: Grammar, t: SPTerm, mode: SemanticsMode, trace) -> None:

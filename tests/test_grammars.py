@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from oracles import OracleCapError, binary_universe, bfs_derive, check_trace, oracle_words, random_general_grammar
+from oracles import (
+    OracleCapError,
+    binary_universe,
+    bfs_derive,
+    check_trace,
+    fixpoint_words,
+    oracle_words,
+    random_general_grammar,
+)
 from splang._partitions import multiset_splits
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.grammars import (
@@ -510,6 +518,68 @@ def test_general_grammars_agree_with_the_derivation_oracle(mode):
         assert set(generate(g, 4, mode=mode).terms) == words, format_grammar(g)
         assert_membership_agrees(g, words, universe, mode)
     assert skipped <= 8
+
+
+# a level's words passed on through a cycle: S.S with S deriving eps, A||A with A deriving eps through B, a unit
+# cycle; and the term universe's grammar over a and b, whose S, X and Y pass on A's, Q's and R's words
+PASS_THROUGH = ["S -> S.S | a | eps\n", "A -> B | a\nB -> A||A | eps\n", "A -> B\nB -> C\nC -> A | a.b\n",
+                "S -> eps | A | Q | R\nA -> a | b\nQ -> X.X | X.Q\nR -> Y||Y | Y||R\nX -> A | R\nY -> A | Q\n"]
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+@pytest.mark.parametrize("text", PASS_THROUGH, ids=["S.S", "A||A", "unit-cycle", "universe"])
+def test_generation_through_pass_through_cycles_agrees_with_the_fixpoint_oracle(text, mode):
+    g = parse_grammar(text)
+    assert set(generate(g, 5, mode=mode).terms) == fixpoint_words(g, 5, mode)
+
+
+def test_the_two_oracles_agree_where_the_derivation_search_finishes(fixture_grammars):
+    for g in fixture_grammars + [random_general_grammar(seed) for seed in range(40)]:
+        for mode in (ORDERED, COMMUTATIVE):
+            try:
+                words = oracle_words(g, 4, mode)
+            except OracleCapError:
+                continue
+            assert fixpoint_words(g, 4, mode) == words, format_grammar(g)
+
+
+def passed_on(g, nt, nullable):
+    """The nonterminals with productions whose words of a level some form of
+    `nt` passes on at that level: a leaf whose form's other leaves all derive eps."""
+    return {s for rhs in g.alternatives(nt) for leaves in [list(symbols_of(rhs))] for i, s in enumerate(leaves)
+            if g.alternatives(s) and all(x in nullable for x in leaves[:i] + leaves[i + 1 :])}
+
+
+def test_the_schedule_orders_the_components_of_the_pass_through_graph(fixture_grammars):
+    cycles = [parse_grammar(text) for text in PASS_THROUGH + CYCLES]
+    for g in cycles + fixture_grammars + [random_general_grammar(seed) for seed in range(60)]:
+        nullable = set()
+        while more := {p.lhs for p in g.productions if all(s in nullable for s in symbols_of(p.rhs))} - nullable:
+            nullable |= more
+        deps = {nt: passed_on(g, nt, nullable) for nt in g._plans}
+        reach = {}  # nt -> what it reaches by one edge or more
+        for nt in deps:
+            reach[nt], todo = set(), list(deps[nt])
+            while todo:
+                if (d := todo.pop()) not in reach[nt]:
+                    reach[nt].add(d)
+                    todo += deps[d]
+        where = {nt: i for i, (_, group) in enumerate(g._schedule) for nt in group}
+        assert sorted(where) == sorted(g._plans) == sorted(nt for _, group in g._schedule for nt in group)
+        for i, (cyclic, group) in enumerate(g._schedule):
+            for nt in group:
+                assert all(where[d] <= i for d in deps[nt]), format_grammar(g)  # after what it depends on
+                assert all(m == nt or m in reach[nt] for m in group), format_grammar(g)  # one component
+            assert cyclic == any(nt in reach[nt] for nt in group), format_grammar(g)
+
+
+def test_a_long_unit_chain_is_planned_and_generated_without_recursion():
+    # A_i -> A_{i+1} | a.A_{i+1}: each level is one pass down the chain, not one sweep per link
+    n = 1_600
+    links = [(Leaf(f"A_{i + 1}"), seq(Leaf("a"), Leaf(f"A_{i + 1}"))) for i in range(n)] + [(Leaf("a"), Leaf("b"))]
+    g = Grammar.of(Production(f"A_{i}", rhs) for i, alts in enumerate(links) for rhs in alts)
+    assert g._schedule == [(False, (f"A_{i}",)) for i in reversed(range(n + 1))]
+    assert sorted(texts(generate(g, 4))) == sorted("a." * j + c for j in range(4) for c in "ab")
 
 
 # ---------------------------------------------------------------------------

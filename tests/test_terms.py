@@ -207,6 +207,24 @@ def test_every_term_is_canonical_for_ordered_at_any_depth():
     assert canonicalize(t, ORDERED) is t
 
 
+def test_a_commutative_canonical_term_comes_back_itself():
+    for t in enumerate_terms("abc", 4, COMMUTATIVE):
+        assert canonicalize(t, COMMUTATIVE) is t
+    t = Leaf("c")  # b||(b.(b||...c)): every Par in order
+    for level in range(1_000):
+        t = (Seq if level % 2 else Par)((Leaf("b"), t))
+    assert canonicalize(t, COMMUTATIVE) is t
+
+
+def test_commutative_canonicalize_sorts_a_term_a_thousand_levels_deep():
+    t, expected = alternating(1_000), Par((Leaf("a"), Leaf("b")))  # only the innermost Par, b||a, is out of order
+    for level in range(1, 1_000):
+        expected = (Seq if level % 2 else Par)((Leaf("b"), expected))
+    canon = canonicalize(t, COMMUTATIVE)
+    assert canon is not t and hash(canon) == hash(expected)  # == recurses on two distinct deep copies
+    assert canonicalize(canon, COMMUTATIVE) is canon
+
+
 def test_commutative_mode_sorts_parallel_children():
     assert canonicalize(pt("b||a||a"), COMMUTATIVE) == pt("a||a||b")
     # sorting is recursive and uses the canonical text order

@@ -20,15 +20,18 @@ atoms, is computed for k = 0, 1, ... in order. A derivation never loses an
 atom, so the parts of a word of k atoms have at most k, and level k needs only
 levels up to k. The words a form builds from parts of fewer atoms are computed
 once; only a part that takes all k atoms, every other part deriving eps,
-reads level k itself and passes its words on unchanged. Each grammar plans
-once the order in which a level visits its nonterminals: the strongly
+reads level k itself and passes its words on unchanged. A form, and each of
+its parts, takes from its fewest to its most atoms (the Parikh facts below),
+so sizes outside them are skipped before any word is combined. Each grammar
+plans once the order in which a level visits its nonterminals: the strongly
 connected components of "A passes B's words on" (Tarjan, SIAM J. Comput.
 1(2), 1972), each after the ones it reads. A level is then one pass over
 them; only a component that passes words around a cycle repeats its own
 forms until no new word appears. The Parikh facts below are solved a
-component of "A's productions name B" at a time too, so planning a long
-chain of nonterminals, like generating from it, takes time linear in its
-length.
+component of "A's productions name B" at a time too, the components found
+once per graph, so planning a long chain of nonterminals, like generating
+from it, takes time linear in its length. Nothing a call of `generate`
+builds is on a reference cycle, so it is all freed when the call returns.
 
 Membership is a goal-directed search over a plan made once per grammar. Each
 production's form is planned with the split bounds of its parts and coarse
@@ -118,12 +121,12 @@ class Grammar(Immutable):
                     raise ValueError(f"undeclared nonterminal {s!r} in {p!r}")
                 if s.islower() and s not in self.terminals:
                     raise ValueError(f"undeclared terminal {s!r} in {p!r}")
-        by_lhs: dict[str, list[SPTerm]] = {}
-        for p in self.productions:
-            by_lhs.setdefault(p.lhs, []).append(p.rhs)
-        least = _solve(dict.fromkeys(self.nonterminals, math.inf), self.productions,
+        graph = _heads(self.productions)
+        by_lhs = graph[0]
+        least = _solve(dict.fromkeys(self.nonterminals, math.inf), graph,
                        lambda rhs, n, least: min(n, _least(rhs, least)))
-        productive = [p for p in self.productions if _least(p.rhs, least) < math.inf]  # the ones with words
+        # the productions with words, and the order of their heads, shared by the facts below
+        productive = _heads([p for p in self.productions if _least(p.rhs, least) < math.inf])
         # a letter's field in a Parikh vector (see _WIDTH)
         shifts = {c: _WIDTH * i for i, c in enumerate(sorted(self.terminals), 1)}
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
@@ -164,17 +167,25 @@ class Grammar(Immutable):
         return self._by_lhs.get(nonterminal, [])
 
 
-def _solve(values: dict, productions, step) -> dict:
-    """The least fixpoint of values[lhs] = step(rhs, values[lhs], values)
-    over `productions`, from the given start values. The heads are solved a
-    strongly connected component at a time (see `_components`), each after
-    every one its productions name, so a component is solved from final
-    values and only a cyclic one repeats its own productions."""
+def _heads(productions) -> tuple[dict, list]:
+    """The right-hand sides of each head of `productions`, in order, and the
+    heads' strongly connected components (see `_components`) in the graph
+    "A's productions name B": the graph `_solve` solves over."""
     by_lhs: dict = {}
     for p in productions:
         by_lhs.setdefault(p.lhs, []).append(p.rhs)
     names = {nt: [s for rhs in alts for s in symbols_of(rhs) if s in by_lhs] for nt, alts in by_lhs.items()}
-    for cyclic, group in _components(names):
+    return by_lhs, _components(names)
+
+
+def _solve(values: dict, graph: tuple[dict, list], step) -> dict:
+    """The least fixpoint of values[lhs] = step(rhs, values[lhs], values)
+    over the productions of `graph` (see `_heads`), from the given start
+    values. The heads are solved a strongly connected component at a time,
+    each after every one its productions name, so a component is solved
+    from final values and only a cyclic one repeats its own productions."""
+    by_lhs, order = graph
+    for cyclic, group in order:
         changed = True
         while changed:
             changed = False
@@ -254,24 +265,22 @@ def _least(form: SPTerm, least) -> float:
     return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
 
 
-def _most(nonterminals, productions, allowed) -> dict:
+def _most(nonterminals, productive: tuple[dict, list], allowed) -> dict:
     """The most atoms of a word of each nonterminal over the productive
-    `productions`, 0 when it has none, given the letter fields each can fill
-    (`allowed`, nonzero exactly when it derives a letter): inf exactly when
-    it reaches a cycle through a production whose other leaves can derive an
-    atom, which can be pumped; otherwise no cycle adds an atom and a fixpoint
-    gives the most. A leaf is on a cycle back to its production's head when
-    the two share a strongly connected component."""
-    graph: dict = {}  # every leaf of a productive production heads one
-    for p in productions:
-        graph.setdefault(p.lhs, []).extend(s for s in symbols_of(p.rhs) if s.isupper())
-    component = {nt: group for _, group in _components(graph) for nt in group}
-    pumped = {p.lhs for p in productions for leaves in [list(symbols_of(p.rhs))] for i, s in enumerate(leaves)
-              if s.isupper() and component[s] is component[p.lhs]
+    productions (see `_heads`), 0 when it has none, given the letter fields
+    each can fill (`allowed`, nonzero exactly when it derives a letter): inf
+    exactly when it reaches a cycle through a production whose other leaves
+    can derive an atom, which can be pumped; otherwise no cycle adds an atom
+    and a fixpoint gives the most. A leaf is on a cycle back to its
+    production's head when the two share a strongly connected component."""
+    by_lhs, order = productive
+    component = {nt: group for _, group in order for nt in group}
+    pumped = {lhs for lhs, alts in by_lhs.items() for rhs in alts for leaves in [list(symbols_of(rhs))]
+              for i, s in enumerate(leaves) if s.isupper() and component[s] is component[lhs]
               and any(x.islower() or allowed[x] for x in leaves[:i] + leaves[i + 1 :])}
-    pumps = _solve({nt: nt in pumped for nt in nonterminals}, productions,
+    pumps = _solve({nt: nt in pumped for nt in nonterminals}, productive,
                    lambda rhs, m, pumps: m or any(pumps[s] for s in symbols_of(rhs) if s.isupper()))
-    return _solve({nt: math.inf if pumps[nt] else 0 for nt in nonterminals}, productions,
+    return _solve({nt: math.inf if pumps[nt] else 0 for nt in nonterminals}, productive,
                   lambda rhs, m, most: max(m, sum(most[s] if s.isupper() else 1 for s in symbols_of(rhs))))
 
 
@@ -428,9 +437,11 @@ def generate(
     computed level by level in the atom count (see the module docstring):
     as a derivation never loses an atom, level k needs only levels <= k, and
     a form's words of k atoms combine only part sizes that sum to k, each at
-    least its part's fewest atoms (`_Node.least`). Within level k, a form's
-    words from smaller parts are computed once, and only its `passing` parts
-    add level-k words of their own. Each level visits the nonterminals in
+    least its part's fewest atoms and at most its most (`_Node.least`,
+    `_Node.most`), and a form is evaluated only at the levels between its
+    own fewest and most. Within level k, a form's words from smaller parts
+    are computed once, and only its `passing` parts add level-k words of
+    their own. Each level visits the nonterminals in
     the grammar's schedule (`_schedule`): a group that holds no cycle is
     evaluated once, after every group it reads; a cyclic group repeats its
     own forms until its words stop growing. `cap` bounds the (nonterminal,
@@ -438,38 +449,8 @@ def generate(
     nonterminals whose productions are all eps or a single nonterminal: they
     only copy words counted elsewhere. `max_steps` is ignored; it stays the
     third positional parameter for existing callers."""
-    join = {Seq: seq, Par: functools.partial(par, mode=mode)}
-    words = {nt: [] for nt in g.nonterminals}  # nonterminal -> its words by atom count
-    inner = {}  # (a Seq or Par form, atoms) -> its words where no part takes all the atoms
-
-    def sized(node: _Node, k: int):
-        """The words of k atoms of a production's form or part, from the words found so far."""
-        if node.symbol is not None:
-            return words[node.symbol][k]
-        if node.parts is None:  # a terminal or eps
-            return (node.form,) if node.unit & _COUNT == k else ()
-        below = inner.get((node, k))
-        if below is None:  # from levels below k: computed once
-            below = inner[node, k] = combined(node, k, k - 1)
-        if not node.passing:
-            return below
-        return below.union(*(sized(part, k) for part in node.passing))
-
-    def combined(node: _Node, k: int, top: int, i: int = 0):
-        """The words of k atoms of the parts i, i+1, ... of a Seq or Par form,
-        each part taking at least its fewest atoms and at most `top`."""
-        part = node.parts[i]
-        if i == len(node.parts) - 1:
-            return sized(part, k) if k <= top else ()
-        out = set()
-        if part.least + part.rest_least <= k:  # inf when a part has no word
-            make = join[type(node.form)]
-            for j in range(part.least, min(top, k - part.rest_least) + 1):
-                xs = sized(part, j)
-                if xs:
-                    out.update({make(x, y) for y in combined(node, k - j, top, i + 1) for x in xs})
-        return out
-
+    levels = _Levels(g, mode)
+    words = levels.words
     count = 0
     for level in range(max_atoms + 1):
         for nt in g.nonterminals:
@@ -482,13 +463,60 @@ def generate(
                     got = words[nt][level]
                     size = len(got)
                     for node in g._plans[nt]:
-                        got.update(sized(node, level))
+                        if node.least <= level <= node.most:
+                            got.update(levels.sized(node, level))
                     grown |= cyclic and len(got) > size
         count += sum(len(words[nt][level]) for nt in g._counted)
         if count > cap:
             raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
     # a set: the language's frozenset copies it without hashing the words again
     return FiniteLang(mode, set().union(*words[g.start]))
+
+
+class _Levels:
+    """The words one `generate` call has found. Its helpers are methods of
+    this object, not closures that name each other, so nothing it holds is on
+    a reference cycle and all of it is freed when the call returns."""
+
+    __slots__ = ("words", "inner", "join")
+
+    def __init__(self, g: Grammar, mode: SemanticsMode):
+        self.words = {nt: [] for nt in g.nonterminals}  # nonterminal -> its words by atom count
+        self.inner = {}  # (a Seq or Par form, atoms) -> its words where no part takes all the atoms
+        self.join = {Seq: seq, Par: functools.partial(par, mode=mode)}
+
+    def sized(self, node: _Node, k: int):
+        """The words of k atoms of a production's form or part, from the words found so far."""
+        if node.symbol is not None:
+            return self.words[node.symbol][k]
+        if node.parts is None:  # a terminal or eps
+            return (node.form,) if node.unit & _COUNT == k else ()
+        if k > node.most:
+            return ()
+        below = self.inner.get((node, k))
+        if below is None:  # from levels below k: computed once
+            below = self.inner[node, k] = self.combined(node, k, k - 1)
+        if not node.passing:
+            return below
+        return below.union(*(self.sized(part, k) for part in node.passing))
+
+    def combined(self, node: _Node, k: int, top: int, i: int = 0):
+        """The words of k atoms of the parts i, i+1, ... of a Seq or Par form,
+        each part taking from its fewest to its most atoms, and at most `top`,
+        and leaving the later parts from their fewest to their most."""
+        part = node.parts[i]
+        if i == len(node.parts) - 1:
+            return self.sized(part, k) if k <= top else ()
+        out = set()
+        low = max(part.least, k - part.rest_most)  # inf when a part has no word
+        high = min(top, k - part.rest_least, part.most)
+        if low <= high:
+            make = self.join[type(node.form)]
+            for j in range(low, high + 1):
+                xs = self.sized(part, j)
+                if xs:
+                    out.update({make(x, y) for y in self.combined(node, k - j, top, i + 1) for x in xs})
+        return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -743,8 +771,9 @@ class _Node:
     of k atoms on unchanged as the form's words of k atoms (`passing`): every
     part when all of them derive eps, the one part that cannot when only one
     cannot, and none otherwise, as two parts that cannot derive eps share the
-    atoms. `generate` reads `passing` at each level, and the grammar's
-    schedule is planned from it. A part that has later parts also
+    atoms. `generate` reads `passing`, `least` and `most` at each level, and
+    the grammar's schedule is planned from `passing`. A part that has later
+    parts also
     holds what the search needs of them: how many cannot derive eps, each
     taking a factor (`later_nonempty`); their fewest and most atoms together
     (`rest_least`, `rest_most`) and the fields none of them fills

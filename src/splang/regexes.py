@@ -254,54 +254,60 @@ def _compile(r: Regex, letters: frozenset | None = None) -> Grammar | None:
     ``@`` the union of both closures; the empty set, and an atom outside
     `letters`, prune the branch they sit in."""
     productions: list[Production] = []
-    names = map(_nonterminal, itertools.count())
-
-    def define(name: str, alternatives) -> SPTerm:
-        productions.extend(Production(name, rhs) for rhs in alternatives)
-        return Leaf(name)
-
-    def closure(body: SPTerm, build) -> SPTerm:
-        name = next(names)
-        return define(name, (EPS, build(body, Leaf(name))))
-
-    def form(node: Regex) -> SPTerm | None:
-        if isinstance(node, EmptySet):
-            return None
-        if isinstance(node, EpsLit):
-            return EPS
-        if isinstance(node, AtomLit):
-            return Leaf(node.symbol) if letters is None or node.symbol in letters else None
-        if isinstance(node, (Cat, ParProd)):
-            parts = [form(p) for p in node.parts]
-            return None if any(p is None for p in parts) else (seq if isinstance(node, Cat) else par)(*parts)
-        if isinstance(node, Alt):
-            parts = [f for f in map(form, node.parts) if f is not None]
-            return define(next(names), parts) if parts else None
-        body = form(node.inner)
-        if body is None:
-            return EPS
-        if isinstance(node, (CloseSeq, ClosePar)):
-            return closure(body, seq if isinstance(node, CloseSeq) else par)
-        return define(next(names), (closure(body, seq), closure(body, par)))
-
-    top = form(r)
+    top = _form(r, letters, productions, map(_nonterminal, itertools.count()))
     return None if top is None else Grammar.of([Production("S", top)] + productions, start="S")
+
+
+def _form(node: Regex, letters: frozenset | None, productions: list, names) -> SPTerm | None:
+    """The sp form of `node` for `_compile`, None when its language is
+    empty; the rules of the nonterminals it names go to `productions`, their
+    names drawn from `names`."""
+    if isinstance(node, EmptySet):
+        return None
+    if isinstance(node, EpsLit):
+        return EPS
+    if isinstance(node, AtomLit):
+        return Leaf(node.symbol) if letters is None or node.symbol in letters else None
+    if isinstance(node, (Cat, ParProd)):
+        parts = [_form(p, letters, productions, names) for p in node.parts]
+        return None if any(p is None for p in parts) else (seq if isinstance(node, Cat) else par)(*parts)
+    if isinstance(node, Alt):
+        parts = [_form(p, letters, productions, names) for p in node.parts]
+        parts = [f for f in parts if f is not None]
+        return _define(productions, next(names), parts) if parts else None
+    body = _form(node.inner, letters, productions, names)
+    if body is None:
+        return EPS
+    if isinstance(node, (CloseSeq, ClosePar)):
+        return _closure(body, seq if isinstance(node, CloseSeq) else par, productions, names)
+    return _define(productions, next(names), (_closure(body, seq, productions, names),
+                                              _closure(body, par, productions, names)))
+
+
+def _define(productions: list, name: str, alternatives) -> SPTerm:
+    """The leaf of a nonterminal `name` with a production per alternative."""
+    productions.extend(Production(name, rhs) for rhs in alternatives)
+    return Leaf(name)
+
+
+def _closure(body: SPTerm, build, productions: list, names) -> SPTerm:
+    """A fresh nonterminal N -> eps | build(body, N)."""
+    name = next(names)
+    return _define(productions, name, (EPS, build(body, Leaf(name))))
 
 
 def regex_alphabet(r: Regex) -> tuple[str, ...]:
     """Sorted atom symbols appearing in `r`."""
     out: set[str] = set()
-
-    def walk(node: Regex):
+    todo = [r]
+    while todo:
+        node = todo.pop()
         if isinstance(node, AtomLit):
             out.add(node.symbol)
         elif isinstance(node, (Cat, Alt, ParProd)):
-            for p in node.parts:
-                walk(p)
+            todo += node.parts
         elif isinstance(node, (CloseSeq, ClosePar, CloseSP)):
-            walk(node.inner)
-
-    walk(r)
+            todo.append(node.inner)
     return tuple(sorted(out))
 
 
@@ -329,45 +335,7 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
     """
     positions: list[str] = []  # index -> atom symbol
     follow: dict[int, set[int]] = {}
-
-    def analyze(node: Regex) -> tuple[bool, set[int], set[int]]:
-        """nullable, first positions, last positions; fills `follow`."""
-        if isinstance(node, EpsLit):
-            return True, set(), set()
-        if isinstance(node, AtomLit):
-            idx = len(positions)
-            positions.append(node.symbol)
-            follow[idx] = set()
-            return False, {idx}, {idx}
-        if isinstance(node, Alt):
-            nullable, first, last = False, set(), set()
-            for p in node.parts:
-                n, f, l = analyze(p)
-                nullable = nullable or n
-                first |= f
-                last |= l
-            return nullable, first, last
-        if isinstance(node, ParProd):
-            # the parallel product concatenates flat parallel words, so the
-            # position analysis is the sequential one
-            nullable, first, last = True, set(), set()
-            for p in node.parts:
-                n, f, l = analyze(p)
-                for q in last:
-                    follow[q] |= f
-                if nullable:
-                    first |= f
-                last = (last | l) if n else set(l)
-                nullable = nullable and n
-            return nullable, first, last
-        if isinstance(node, ClosePar):
-            _, f, l = analyze(node.inner)
-            for q in l:
-                follow[q] |= f
-            return True, f, l
-        raise FragmentError(f"{_OUTSIDE[type(node)]} is outside the parallel fragment")
-
-    nullable, first, last = analyze(r)
+    nullable, first, last = _analyze(r, positions, follow)
 
     productions: dict[Production, None] = {}  # an insertion-ordered set
 
@@ -386,6 +354,46 @@ def to_parallel_linear_grammar(r: Regex) -> Grammar:
             emit(_nonterminal(idx), follow[idx])
 
     return Grammar.of(productions, start="S")
+
+
+def _analyze(node: Regex, positions: list, follow: dict) -> tuple[bool, set[int], set[int]]:
+    """nullable, first positions, last positions of `node` for
+    `to_parallel_linear_grammar`; adds its atoms to `positions` and fills
+    `follow`."""
+    if isinstance(node, EpsLit):
+        return True, set(), set()
+    if isinstance(node, AtomLit):
+        idx = len(positions)
+        positions.append(node.symbol)
+        follow[idx] = set()
+        return False, {idx}, {idx}
+    if isinstance(node, Alt):
+        nullable, first, last = False, set(), set()
+        for p in node.parts:
+            n, f, l = _analyze(p, positions, follow)
+            nullable = nullable or n
+            first |= f
+            last |= l
+        return nullable, first, last
+    if isinstance(node, ParProd):
+        # the parallel product concatenates flat parallel words, so the
+        # position analysis is the sequential one
+        nullable, first, last = True, set(), set()
+        for p in node.parts:
+            n, f, l = _analyze(p, positions, follow)
+            for q in last:
+                follow[q] |= f
+            if nullable:
+                first |= f
+            last = (last | l) if n else set(l)
+            nullable = nullable and n
+        return nullable, first, last
+    if isinstance(node, ClosePar):
+        _, f, l = _analyze(node.inner, positions, follow)
+        for q in l:
+            follow[q] |= f
+        return True, f, l
+    raise FragmentError(f"{_OUTSIDE[type(node)]} is outside the parallel fragment")
 
 
 _OUTSIDE = {Cat: "'.'", CloseSeq: "'*'", CloseSP: "'@'", EmptySet: "'0'"}

@@ -15,6 +15,7 @@ from oracles import (
     oracle_words,
     random_general_grammar,
 )
+from splang import grammars
 from splang._partitions import multiset_splits
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.grammars import (
@@ -431,6 +432,47 @@ def test_most_atoms_are_reached_and_never_passed(fixture_grammars):
                 assert largest > finite and high[nt] > low[nt], (format_grammar(g), nt)
 
 
+def naive_facts(g):
+    """Each nonterminal's fewest atoms, letter fields and most atoms, by fixpoints over the whole grammar at
+    once, with no component order: a nonterminal is pumped when a production of it names one that reaches it
+    back beside a leaf that derives an atom, and its most is inf when it reaches a pumped one."""
+    def fixpoint(values, step, productions):
+        while True:
+            new = dict(values)
+            for p in productions:
+                new[p.lhs] = step(p.rhs, new[p.lhs], new)
+            if new == values:
+                return values
+            values = new
+
+    least = fixpoint(dict.fromkeys(g.nonterminals, math.inf), lambda rhs, n, v: min(n, _least(rhs, v)), g.productions)
+    productive = [p for p in g.productions if _least(p.rhs, least) < math.inf]
+    fields = {c: _COUNT << _WIDTH * i for i, c in enumerate(sorted(g.terminals), 1)}
+    allowed = fixpoint(dict.fromkeys(g.nonterminals, 0),
+                       lambda rhs, m, v: m | _letter_fields(rhs, v, fields), productive)
+    reach = {nt: {nt} for nt in g.nonterminals}  # nt -> what it reaches by zero or more names
+    reach = fixpoint(reach, lambda rhs, r, v: r.union(*(v[s] for s in symbols_of(rhs) if s.isupper())), productive)
+    pumped = {p.lhs for p in productive for leaves in [list(symbols_of(p.rhs))] for i, s in enumerate(leaves)
+              if s.isupper() and p.lhs in reach[s]
+              and any(x.islower() or allowed[x] for x in leaves[:i] + leaves[i + 1 :])}
+    most = fixpoint({nt: math.inf if reach[nt] & pumped else 0 for nt in g.nonterminals},
+                    lambda rhs, m, v: max(m, sum(v[s] if s.isupper() else 1 for s in symbols_of(rhs))), productive)
+    return least, allowed, most
+
+
+def test_planning_finds_components_once_per_graph(fixture_grammars, monkeypatch):
+    # the productions' graph, the productive productions' graph (shared by every fact but the fewest atoms)
+    # and the schedule's pass-through graph
+    calls = []
+    components = grammars._components
+    monkeypatch.setattr(grammars, "_components", lambda graph: calls.append(graph) or components(graph))
+    for g in fixture_grammars + [random_general_grammar(seed) for seed in range(60)]:
+        calls.clear()
+        planned = Grammar(g.nonterminals, g.terminals, g.productions, g.start)
+        assert len(calls) == 3
+        assert (planned._least, planned._allowed, planned._most) == naive_facts(g), format_grammar(g)
+
+
 def planned_nodes(node):
     """`node` and the nodes of its parts, depth first."""
     yield node
@@ -531,6 +573,25 @@ PASS_THROUGH = ["S -> S.S | a | eps\n", "A -> B | a\nB -> A||A | eps\n", "A -> B
 def test_generation_through_pass_through_cycles_agrees_with_the_fixpoint_oracle(text, mode):
     g = parse_grammar(text)
     assert set(generate(g, 5, mode=mode).terms) == fixpoint_words(g, 5, mode)
+
+
+# generation skips the sizes a part cannot reach: a bounded part beside a pumped one; most atoms below the bound
+# (A at 2, B at 4); nonterminals without words (B and C: most 0, least inf) beside ones with them
+BOUNDED_PARTS = ["S -> A.B | A||S | a\nA -> a||b | eps\nB -> b | B.b\n",
+                 "S -> A.S | A||B | b\nA -> a | a.b | eps\nB -> A.A | A||b\n",
+                 "S -> a | B.a | A||S | S.B\nA -> a.b | C | b\nB -> b.B\nC -> B||a | C.b\n"]
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+@pytest.mark.parametrize("text", BOUNDED_PARTS, ids=["bounded-beside-pumped", "most-below-bound", "no-words"])
+def test_generation_of_bounded_parts_agrees_with_the_oracles(text, mode):
+    g = parse_grammar(text)
+    words = set(generate(g, 6, mode=mode).terms)
+    assert words == fixpoint_words(g, 6, mode)
+    try:
+        assert words == oracle_words(g, 6, mode)
+    except OracleCapError:  # the derivation search cannot finish a form with a nonterminal without words
+        assert any(g._least[nt] == math.inf for nt in g.nonterminals)
 
 
 def test_the_two_oracles_agree_where_the_derivation_search_finishes(fixture_grammars):

@@ -3,9 +3,13 @@
 `splang` re-exports its submodules' public names but imports none of them
 until a name is used, and the CLI imports the grammar, regex and automaton
 modules only in the handlers that run them. No module uses dataclasses, so
-no command loads `dataclasses` or the `inspect` module it imports."""
+no command loads `dataclasses` or the `inspect` module it imports. A library
+call leaves no reference cycle behind, so what it built is freed when it
+returns, without the cyclic garbage collector."""
 
+import ast
 import copy
+import gc
 import importlib
 import json
 import os
@@ -17,9 +21,12 @@ from pathlib import Path
 import pytest
 
 import splang
+from splang import automata, grammars, langs, regexes, terms
 from splang._lex import Immutable, tokenize
 from splang.automata import SeqTransition
+from splang.errors import EnumerationCapError
 from splang.grammars import MembershipResult
+from splang.terms import COMMUTATIVE
 
 # every name the package has re-exported since the start, by defining submodule
 EXPORTS = {
@@ -167,3 +174,74 @@ def test_the_value_constructor_takes_fields_by_position_or_keyword():
     for args, kwargs in [((True,), {}), ((True, None, None), {}), ((True,), {"member": True}), ((True,), {"proof": None})]:
         with pytest.raises(TypeError):
             MembershipResult(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# memory goes back when a call returns
+
+def library_calls():
+    """(name, call) pairs covering every bounded engine, search and
+    compiler, the cap errors raised inside `generate` included."""
+    g = grammars.parse_grammar("S -> A.B | A||S | a\nA -> a||b | eps\nB -> b | B.b\n")
+    linear = grammars.parse_grammar("S -> a||S | b||A\nA -> a | eps\n")
+    aut = automata.from_linear_grammar(linear)
+    left, right = langs.FiniteLang.parse(["a", "a.b", "a||b"]), langs.FiniteLang.parse(["b", "eps"])
+    word = terms.parse_term("a||a||b")
+    return [
+        ("generate ordered", lambda: grammars.generate(g, 5)),
+        ("generate commutative", lambda: grammars.generate(g, 5, mode=COMMUTATIVE)),
+        ("generate over its cap", lambda: grammars.generate(g, 6, cap=5)),
+        ("regex_enumerate", lambda: regexes.regex_enumerate(regexes.parse_regex("(a.b)*||c^|a@"), "abc", 4)),
+        ("matches", lambda: regexes.matches(regexes.parse_regex("(b.a)*|(c||a)@"), terms.parse_term("b.a"))),
+        ("enumerate_accepted", lambda: automata.enumerate_accepted(aut, "ab", 4)),
+        ("universe", lambda: langs.universe("ab", 4, COMMUTATIVE)),
+        ("enumerate_terms", lambda: terms.enumerate_terms("ab", 4)),
+        ("enumerate_terms over its cap", lambda: terms.enumerate_terms("abc", 8)),
+        ("is_member", lambda: grammars.is_member(g, terms.parse_term("(a||b).b.b"))),
+        ("accepts", lambda: automata.accepts(aut, word)),
+        ("from_linear_grammar", lambda: automata.from_linear_grammar(linear)),
+        ("to_grammar", lambda: automata.to_grammar(aut)),
+        ("concat_lang", lambda: langs.concat_lang(left, right)),
+        ("par_lang", lambda: langs.par_lang(left, right)),
+        ("union_lang", lambda: langs.union_lang(left, right)),
+        ("power", lambda: langs.power(left, 3, langs.PowerKind.PAR)),
+        ("kleene_bounded", lambda: langs.kleene_bounded(left, langs.ClosureKind.SP, 3)),
+        ("reverse_lang", lambda: langs.reverse_lang(left)),
+        ("lang_equal", lambda: langs.lang_equal(left, right)),
+        ("load_lang", lambda: langs.load_lang(langs.dump_lang(left))),
+        ("regex_alphabet", lambda: regexes.regex_alphabet(regexes.parse_regex("(a.b)*||c^"))),
+        ("to_parallel_linear_grammar", lambda: regexes.to_parallel_linear_grammar(regexes.parse_regex("(a||b)^|c"))),
+    ]
+
+
+def test_a_call_leaves_no_cyclic_garbage():
+    regexes._compile.cache_clear()  # so `matches` compiles its regex
+    grammars._universe.cache_clear()  # and the universes are generated
+    calls = library_calls()
+    gc.collect()
+    gc.disable()
+    gc.freeze()  # what earlier tests left alive is not traced again after each call
+    try:
+        for name, call in calls:
+            try:
+                call()
+            except EnumerationCapError:
+                pass
+            assert gc.collect() == 0, name
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_no_nested_helper_names_itself_or_a_sibling():
+    # a closure cell holding its own function, or a sibling that names it back, is a cycle that keeps
+    # everything the enclosing call built until the collector runs
+    found = []
+    for path in sorted(Path(splang.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(outer, ast.FunctionDef):
+                helpers = [node for node in ast.walk(outer) if isinstance(node, ast.FunctionDef) and node is not outer]
+                names = {helper.name for helper in helpers}
+                found += [(path.name, outer.name, helper.name) for helper in helpers
+                          if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(helper))]
+    assert found == []

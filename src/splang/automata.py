@@ -256,7 +256,7 @@ def runs_between(aut: BranchingAutomaton, start: str, t: SPTerm) -> frozenset:
 def accepts(aut: BranchingAutomaton, t: SPTerm) -> bool:
     """True iff some initial-to-final run on the commutative form of `t`
     exists: the membership search of `to_grammar(aut)`. `DEFAULT_CAP` bounds
-    the (nonterminal, sub-term) goals of one search pass."""
+    the (nonterminal, position of `t`) goals of one search pass."""
     return _search(aut).proves(canonicalize(t, COMMUTATIVE))
 
 

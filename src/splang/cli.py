@@ -14,7 +14,7 @@ than 100 parentheses and postfix closures around an atom), 3 mode mismatch,
 of `grammar generate`, `regex enum` (the regex's compiled grammar) and the
 grammar side of `equiv`, not counting nonterminals that only copy other
 nonterminals' words; (state pair, word) pairs of the runs of `automaton enum`
-and the automaton side of `equiv`; (nonterminal, sub-term) goals per search
+and the automaton side of `equiv`; (nonterminal, position) goals per search
 pass of `grammar member`, `regex match` and `automaton accepts`; words of
 each partial power of `lang power` and of each partial union of powers of
 `lang closure`; 70 internal error (a bug: one ``error: internal error:`` line

@@ -33,14 +33,15 @@ once per graph, so planning a long chain of nonterminals, like generating
 from it, takes time linear in its length. Nothing a call of `generate`
 builds is on a reference cycle, so it is all freed when the call returns.
 
-Membership is a goal-directed search over a plan made once per grammar. Each
-production's form is planned with the split bounds of its parts and coarse
-Parikh facts (Parikh, JACM 13, 1966): the fewest and most atoms of its words
-and the letters they can have, from fixpoints of each nonterminal's. A split
-whose share has fewer or more atoms than the parts it must match, or a letter
-they never derive, is skipped before its terms are built. This is sound: the
-facts hold for every derivable word, so only splits that would fail are
-skipped, and the search still tries the others in the same order.
+Membership is a goal-directed search over a plan made once per grammar, its
+goals a nonterminal and a position of the query, as in CYK and Earley (CACM
+13, 1970), so it builds no term. Each production's form is planned with the
+split bounds of its parts and coarse Parikh facts (Parikh, JACM 13, 1966):
+the fewest and most atoms and top-level factors of its words and the letters
+they can have, from fixpoints of each nonterminal's. A split whose share has
+fewer or more atoms or factors than the parts it must match, or a letter
+they never derive, is skipped. This is sound: the facts hold for every
+derivable word, so only splits that would fail are skipped.
 
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
 comments, nonterminals are uppercase letters, optionally indexed (``A_12``),
@@ -72,10 +73,7 @@ from .terms import (
     SemanticsMode,
     SPTerm,
     Seq,
-    _node,
-    _par_factors,
     _parse_par,
-    _seq_factors,
     canonicalize,
     format_term,
     is_parallel_word,
@@ -103,8 +101,8 @@ class Grammar(Immutable):
     """The constructor checks the fields and plans membership and generation once."""
 
     _fields = ("nonterminals", "terminals", "productions", "start")
-    __slots__ = _fields + ("_by_lhs", "_least", "_most", "_allowed", "_plans", "_schedule", "_counted", "_units",
-                           "_foreign", "_frames_per_goal")
+    __slots__ = _fields + ("_by_lhs", "_least", "_most", "_widths", "_allowed", "_plans", "_schedule", "_counted",
+                           "_units", "_foreign", "_frames_per_goal")
 
     def __init__(self, nonterminals: frozenset[str], terminals: frozenset[str], productions: tuple[Production, ...],
                  start: str):
@@ -132,19 +130,21 @@ class Grammar(Immutable):
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
         allowed = _solve(dict.fromkeys(self.nonterminals, 0), productive,
                          lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
-        most = _most(self.nonterminals, productive, allowed)
+        most = _most(self.nonterminals, productive, least, allowed, (Seq, Par))  # every node adds its atoms
+        widths = {kind: _most(self.nonterminals, productive, least, allowed, kind) for kind in (Seq, Par)}
         units = {c: 1 | 1 << shift for c, shift in shifts.items()}
-        facts = least, most, allowed, fields, units
-        plans = {nt: tuple(_plan(rhs, *facts) for rhs in alts) for nt, alts in by_lhs.items()}
+        facts = least, most, allowed, fields, units, widths
+        plans = {nt: tuple(_plan(rhs, facts) for rhs in alts) for nt, alts in by_lhs.items()}
         object.__setattr__(self, "_by_lhs", by_lhs)
         object.__setattr__(self, "_least", least)
         object.__setattr__(self, "_most", most)
+        object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_allowed", allowed)
         object.__setattr__(self, "_plans", plans)
         object.__setattr__(self, "_schedule", _schedule(plans))
         # the nonterminals `generate` counts against its cap: the others only copy words counted elsewhere
-        counted = tuple(nt for nt, alts in by_lhs.items()
-                        if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in alts))
+        counted = frozenset(nt for nt, alts in by_lhs.items()
+                            if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in alts))
         object.__setattr__(self, "_counted", counted)
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_foreign", 1 | 1 << _WIDTH * (len(shifts) + 1))  # any other letter
@@ -265,23 +265,62 @@ def _least(form: SPTerm, least) -> float:
     return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
 
 
-def _most(nonterminals, productive: tuple[dict, list], allowed) -> dict:
-    """The most atoms of a word of each nonterminal over the productive
-    productions (see `_heads`), 0 when it has none, given the letter fields
-    each can fill (`allowed`, nonzero exactly when it derives a letter): inf
-    exactly when it reaches a cycle through a production whose other leaves
-    can derive an atom, which can be pumped; otherwise no cycle adds an atom
-    and a fixpoint gives the most. A leaf is on a cycle back to its
-    production's head when the two share a strongly connected component."""
-    by_lhs, order = productive
-    component = {nt: group for _, group in order for nt in group}
-    pumped = {lhs for lhs, alts in by_lhs.items() for rhs in alts for leaves in [list(symbols_of(rhs))]
-              for i, s in enumerate(leaves) if s.isupper() and component[s] is component[lhs]
-              and any(x.islower() or allowed[x] for x in leaves[:i] + leaves[i + 1 :])}
-    pumps = _solve({nt: nt in pumped for nt in nonterminals}, productive,
-                   lambda rhs, m, pumps: m or any(pumps[s] for s in symbols_of(rhs) if s.isupper()))
+def _most(nonterminals, productive: tuple[dict, list], least, allowed, kind) -> dict:
+    """The most top-level `kind` factors (see `_width`; atoms when `kind` is
+    (Seq, Par)) of a word of each nonterminal over the productive productions
+    (see `_heads`), 0 when it has none, given each nonterminal's fewest atoms
+    and letter fields (`allowed`): inf exactly when it reaches a cycle of "A's
+    words can have B's factors" (`_takes`) through a production where a part
+    beside B can add one, which can be pumped; otherwise a fixpoint gives the
+    most. B is on a cycle back to A when they share a strongly connected
+    component of that graph."""
+    by_lhs, _ = productive
+    takes = {nt: [t for rhs in alts for t in _takes(rhs, kind, least, allowed)] for nt, alts in by_lhs.items()}
+    component = {nt: group for _, group in _components({nt: [s for s, _ in t] for nt, t in takes.items()})
+                 for nt in group}
+    pumps = _solve({nt: any(beside and component[s] is component[nt] for s, beside in takes.get(nt, ()))
+                    for nt in nonterminals}, productive,
+                   lambda rhs, m, pumps: m or any(pumps[s] for s, _ in _takes(rhs, kind, least, allowed)))
     return _solve({nt: math.inf if pumps[nt] else 0 for nt in nonterminals}, productive,
-                  lambda rhs, m, most: max(m, sum(most[s] if s.isupper() else 1 for s in symbols_of(rhs))))
+                  lambda rhs, m, most: max(m, _width(rhs, kind, most, least)))
+
+
+def _width(form: SPTerm, kind, widths, least) -> float:
+    """The most top-level `kind` (Seq or Par) factors of a word of `form`,
+    given each nonterminal's (`widths`) and fewest atoms: a `kind` node adds
+    its children's, and a node of the other operator is one factor or has
+    those of a child it passes on (see `_through`)."""
+    if isinstance(form, Eps):
+        return 0
+    if isinstance(form, Leaf):
+        return widths[form.symbol] if form.symbol.isupper() else 1
+    if isinstance(form, kind):
+        return sum(_width(c, kind, widths, least) for c in form.children)
+    return max((_width(c, kind, widths, least) for c in _through(form, least)), default=1)
+
+
+def _through(form: SPTerm, least) -> tuple:
+    """The children of a Seq or Par form that can take all of a word's atoms,
+    and so its factors of the other operator: the one child that cannot
+    derive eps, or every child when all can; none when two cannot, as the
+    form's words are then one such factor (see `_Node.passing`)."""
+    solid = tuple(c for c in form.children if _least(c, least) > 0)
+    return () if len(solid) > 1 else solid or form.children
+
+
+def _takes(form: SPTerm, kind, least, allowed, beside: bool = False):
+    """The nonterminal leaves whose top-level `kind` factors the words of
+    `form` can have, each with whether a part beside it can add to them."""
+    if isinstance(form, Leaf):
+        if form.symbol.isupper():
+            yield form.symbol, beside
+    elif isinstance(form, kind):
+        grows = [any(s.islower() or allowed[s] for s in symbols_of(c)) for c in form.children]
+        for i, c in enumerate(form.children):
+            yield from _takes(c, kind, least, allowed, beside or any(grows[:i] + grows[i + 1 :]))
+    elif not isinstance(form, Eps):
+        for c in _through(form, least):
+            yield from _takes(c, kind, least, allowed, beside)
 
 
 def _letter_fields(form: SPTerm, allowed, fields) -> int:
@@ -445,10 +484,10 @@ def generate(
     the grammar's schedule (`_schedule`): a group that holds no cycle is
     evaluated once, after every group it reads; a cyclic group repeats its
     own forms until its words stop growing. `cap` bounds the (nonterminal,
-    word) pairs held, checked after each level, not counting the
-    nonterminals whose productions are all eps or a single nonterminal: they
-    only copy words counted elsewhere. `max_steps` is ignored; it stays the
-    third positional parameter for existing callers."""
+    word) pairs held, checked as each form's words are added, not counting
+    the nonterminals whose productions are all eps or a single nonterminal:
+    they only copy words counted elsewhere. `max_steps` is ignored; it stays
+    the third positional parameter for existing callers."""
     levels = _Levels(g, mode)
     words = levels.words
     count = 0
@@ -464,11 +503,13 @@ def generate(
                     size = len(got)
                     for node in g._plans[nt]:
                         if node.least <= level <= node.most:
+                            before = len(got)
                             got.update(levels.sized(node, level))
+                            if nt in g._counted:
+                                count += len(got) - before
+                                if count > cap:
+                                    raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
                     grown |= cyclic and len(got) > size
-        count += sum(len(words[nt][level]) for nt in g._counted)
-        if count > cap:
-            raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
     # a set: the language's frozenset copies it without hashing the words again
     return FiniteLang(mode, set().union(*words[g.start]))
 
@@ -548,8 +589,8 @@ def is_member(g: Grammar, t: SPTerm, mode: SemanticsMode = ORDERED) -> Membershi
     answer carries the canonical forms of a leftmost derivation of `t` (in
     COMMUTATIVE mode, leftmost as the productions write their nonterminals),
     read off the first proof found, so not necessarily the shortest.
-    `DEFAULT_CAP` bounds the (nonterminal, sub-term) goals one search pass
-    examines."""
+    `DEFAULT_CAP` bounds the (nonterminal, position of `t`) goals one search
+    pass examines."""
     search = _MemberSearch(g, mode, DEFAULT_CAP)
     if not search.proves(canonicalize(t, mode)):
         return MembershipResult(False, None)
@@ -557,44 +598,46 @@ def is_member(g: Grammar, t: SPTerm, mode: SemanticsMode = ORDERED) -> Membershi
 
 
 class _MemberSearch:
-    """Goal-directed, memoized search: does nonterminal A derive term u?
-    A production proves (A, u) when its parts, matched left to right over
-    two-way splits, derive ranges of u's Seq factors, or ranges (ORDERED) or
-    sub-multisets (COMMUTATIVE) of its Par children. A goal met again while
-    being tried lies on a unit or eps cycle and counts as False for now; the
-    search reruns, keeping what it proved, while a cycle was cut and new facts
-    still appear.
+    """Goal-directed, memoized search: does nonterminal A derive the word at
+    a position (a key) of the query? A key is a sub-term, a range `(node, i,
+    j)` of the factors of a Seq node (or ORDERED Par node), or a sub-multiset
+    `(node, counts)` of a COMMUTATIVE Par node's runs of equal children; one
+    factor is the factor itself, none eps and all the node. Keys are values
+    built from the query's terms, so proofs hold for any later query. A
+    production proves (A, key) when its parts, matched one by one over
+    two-way splits, derive ranges of the key's factors of its operator, or
+    sub-multisets of its Par factors in COMMUTATIVE mode; a leaf, or a key
+    of the other operator, is one factor. A goal met again while being
+    tried lies on a unit or eps cycle and counts as False for now; the
+    search reruns, keeping what it proved, while a cycle was cut and new
+    facts appear.
 
-    The grammar plans each production once, a `_Node` per form and per part:
-    each part holds its fewest and most atoms and the letters it can derive,
-    and those of the parts after it together. Every factor has an atom, so a
-    part takes at most its most atoms in factors and leaves at most the later
-    parts' most; a part that cannot derive eps takes at least one, and a part
-    of the other operator over two parts that cannot derive eps at most one.
-    A split is skipped before its terms are built when a share has fewer or
-    more atoms than its parts allow, or a letter they never derive, and so is
-    a production whose form cannot fit the goal; the others are tried in the
-    same order. Shares are measured by Parikh vectors (see `_WIDTH`): each
-    factor's once per query, a share's by adding its factors' as the split
-    moves, and the rest's by subtracting that from the goal's, so checking a
-    split costs the same however long the word is. A COMMUTATIVE split moves
-    a run of equal factors at a time and drops a head-count prefix, with every
-    split extending it, once its share or rest has too many atoms or a letter
-    it may not have."""
+    Each part of a form is planned (`_Node`) with its fewest and most atoms
+    and factors and its letters, and those of the parts after it. A split is
+    skipped when a share has more factors than its part can take, fewer or
+    more atoms, or a letter it never derives; the others are tried in the
+    form's order, but a COMMUTATIVE Par form's parts fewest factors first,
+    so that an unbounded part takes what is left. Subgoals are kept in leaf
+    order. Shares are measured by Parikh vectors (see `_WIDTH`), summed once
+    per query node: by prefix sums for a range, run by run for a
+    sub-multiset, whose split prefix is dropped with all that extend it once
+    its share or rest has too many atoms or a letter it may not have."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
         self.g, self.mode, self.cap = g, mode, cap
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> [still being tried], in this pass
-        self.vectors: dict = {}  # Seq or Par term -> its Parikh vector, in the last query
+        self.table: dict = {}  # Seq or Par node of the last query -> its factors (see `entry`)
 
     def proves(self, t: SPTerm, start: str | None = None) -> bool:
         """Whether `start` (by default the grammar's) derives `t`, a term
         canonical for the mode."""
-        if t not in self.vectors:  # a query on a sub-term of the last one keeps its vectors
-            self.vectors = {}
-        vec = self.vector(t)
         self.goal = goal = (start or self.g.start, t)
+        if goal in self.proofs:  # proved for an earlier query
+            return True
+        if t not in self.table:  # a query on a sub-term of the last one keeps its table
+            self.table = {}
+        vec = self.vector(t)
         # A call path holds at most one goal per (nonterminal, atom count).
         per_path = self.g._frames_per_goal * len(self.g.nonterminals) * ((vec & _COUNT) + 1)
         limit = sys.getrecursionlimit()
@@ -608,24 +651,37 @@ class _MemberSearch:
             sys.setrecursionlimit(limit)
 
     def vector(self, t: SPTerm) -> int:
-        """The Parikh vector of `t` (see `_WIDTH`), kept for the query's Seq
-        and Par terms and found with a stack, so deep terms need no recursion."""
+        """The Parikh vector of `t` (see `_WIDTH`). The entries of the query's
+        Seq and Par nodes are made with a stack, each after its children's,
+        so deep terms need no recursion."""
         if isinstance(t, Leaf):
             return self.g._units.get(t.symbol, self.g._foreign)
         if isinstance(t, Eps):
             return 0
-        vec = self.vectors.get(t)
-        if vec is None:
-            order = [t]  # the Seq and Par terms in `t`, each before its children
+        entry = self.table.get(t)
+        if entry is None:
+            order = [t]  # the Seq and Par nodes in `t`, each before its children
             for node in order:
                 order += [c for c in node.children if not isinstance(c, Leaf)]
             for node in reversed(order):
-                self.vectors[node] = sum(map(self.vector, node.children))
-            vec = self.vectors[t]
-        return vec
+                self.table[node] = self.entry(node.children, type(node) is Seq or self.mode is ORDERED)
+            entry = self.table[t]
+        return entry[-1]
+
+    def entry(self, children: tuple, ordered: bool) -> tuple:
+        """A node's `children` as the search reads them, its Parikh vector
+        last: when `ordered`, with the prefix sums of their vectors; else the
+        first child of each run of equal ones, the run lengths and vectors."""
+        if ordered:
+            pre = tuple(itertools.accumulate(map(self.vector, children), initial=0))
+            return children, pre, pre[-1]
+        runs = [(c, len(tuple(same))) for c, same in itertools.groupby(children)]
+        firsts, counts = tuple(c for c, _ in runs), tuple(n for _, n in runs)
+        vecs = tuple(map(self.vector, firsts))
+        return firsts, counts, vecs, sum(map(operator.mul, counts, vecs))
 
     def derives(self, goal, vec: int) -> bool:
-        """Whether goal (A, u) holds, `vec` being u's Parikh vector."""
+        """Whether goal (A, key) holds, `vec` being the Parikh vector of the key's word."""
         if goal in self.proofs:
             return True
         trying = self.tried.get(goal)
@@ -645,81 +701,69 @@ class _MemberSearch:
         trying[0] = False
         return subgoals is not None
 
-    def match(self, node: _Node, t: SPTerm, vec: int) -> tuple | None:
-        """The goals under which the form of `node` derives `t`, whose Parikh
-        vector is `vec`, or None."""
-        if node.parts is not None:
-            if isinstance(node.form, Seq):
-                return self.match_parts(node, 0, _seq_factors(t), vec, Seq, True)
-            return self.match_parts(node, 0, _par_factors(t), vec, Par, self.mode is ORDERED)
-        if node.symbol is not None:
-            return ((node.symbol, t),) if self.derives((node.symbol, t), vec) else None
-        return () if vec == node.unit else None  # a terminal or eps: the one word with that vector
+    def match(self, node: _Node, key, vec: int) -> tuple | None:
+        """The goals under which the form of `node` derives the word of `key`,
+        whose Parikh vector is `vec`, or None."""
+        if node.parts is None:
+            if node.symbol is not None:
+                goal = (node.symbol, key)
+                return (goal,) if self.derives(goal, vec) else None
+            return () if vec == node.unit else None  # a terminal or eps: the one word with that vector
+        kind = type(node.form)
+        ordered = kind is Seq or self.mode is ORDERED
+        owner, at = (key[0], key[1:]) if type(key) is tuple else (key, ())
+        if type(owner) is kind:
+            entry = self.table[owner]
+        elif ordered:  # one factor, or none
+            owner, at, entry = None, (), ((key,), (0, vec), vec) if vec else ((), (0,), 0)
+        else:
+            owner, at, entry = None, (), ((key,), (1,), (vec,), vec) if vec else ((), (), (), 0)
+        if ordered:
+            return self.match_range(node.parts, 0, entry, owner, *(at or (0, len(entry[0]))))
+        found = self.match_counts(node.commuted, 0, entry, owner, at[0] if at else entry[1])
+        if found is None:
+            return None
+        if node.commuted is not node.parts:
+            found = sorted(found)  # back in the form's leaf order
+        return tuple(goal for _, goals in found for goal in goals)
 
-    def match_parts(self, node: _Node, j: int, factors, vec: int, kind, ordered: bool) -> tuple | None:
-        """The goals under which parts j, j+1, ... of `node` derive `factors`,
-        the factors of a `kind` (Seq or Par) term, whose Parikh vector is
-        `vec`, or None; part j is not the last."""
-        part = node.parts[j]
-        low = len(factors) - part.rest_most  # every factor has an atom: the rest takes at most rest_most
-        if low < 1:
-            low = int(part.least > 0)  # a part that cannot derive eps takes a factor
-        high = len(factors) - part.later_nonempty
-        if high > part.most:  # and the share at most `most`
-            high = part.most
-        if part.one and high > 1:
-            high = 1
-        for share, rest, h, r in self.splits(factors, vec, low, high, ordered, part):
-            first = self.match(part, _join(kind, share), h)
-            if first is not None:
-                if j + 2 < len(node.parts):
-                    others = self.match_parts(node, j + 1, rest, r, kind, ordered)
-                else:
-                    others = self.match(node.parts[-1], _join(kind, rest), r)
-                if others is not None:
-                    return first + others
+    def match_range(self, parts, k: int, entry, owner, i: int, j: int) -> tuple | None:
+        """The goals under which parts k, k+1, ... of a form derive the
+        factors i..j-1 of `owner`, whose ordered `entry` they are, or None;
+        part k is not the last."""
+        part, (children, pre, _) = parts[k], entry
+        low, high = _share_sizes(part, j - i)
+        for m in range(i + low, i + high + 1):
+            h, r = pre[m] - pre[i], pre[j] - pre[m]
+            if _fits(h, part.least, part.most, part.forbid) and _fits(r, part.rest_least, part.rest_most,
+                                                                       part.rest_forbid):
+                first = self.match(part, _range(children, owner, i, m), h)
+                if first is not None:
+                    if k + 2 < len(parts):
+                        others = self.match_range(parts, k + 1, entry, owner, m, j)
+                    else:
+                        others = self.match(parts[-1], _range(children, owner, m, j), r)
+                    if others is not None:
+                        return first + others
         return None
 
-    def splits(self, factors, vec: int, low: int, high: int, ordered: bool, part: _Node):
-        """The two-way splits of `factors` whose head share has low..high
-        factors, a prefix when `ordered` and a sub-multiset otherwise, in the
-        search's order, each with the Parikh vectors of its shares; those
-        where a share cannot fit `part` or the parts after it are left out.
-        The sub-multisets are those of `multiset_splits(factors, 2, (low,
-        high))`, in its order, counted over the runs of equal factors."""
-        vector, least, most, forbid = self.vector, part.least, part.most, part.forbid
-        rest_least, rest_most, rest_forbid = part.rest_least, part.rest_most, part.rest_forbid
-        if ordered:
-            if 2 * low <= len(factors):
-                h = sum(map(vector, factors[:low]))
-            else:
-                h = vec - sum(map(vector, factors[low:]))
-            for i in range(low, high + 1):
-                if i > low:
-                    h += vector(factors[i - 1])
-                r = vec - h
-                if _fits(h, least, most, forbid) and _fits(r, rest_least, rest_most, rest_forbid):
-                    yield factors[:i], factors[i:], h, r
-            return
-        runs = [(f, len(tuple(same)), vector(f)) for f, same in itertools.groupby(factors)]
-        # (head counts, head size, head and rest vectors) of the run prefixes that can still fit;
-        # the share's and the rest's atoms and fields only grow as runs are added, so a prefix past them is dropped
-        prefixes = [((), 0, 0, 0)] if low - len(factors) <= 0 <= high else []
-        later = len(factors)
-        for _, n, v in runs:
-            later -= n
-            prefixes = [(counts + (c,), size + c, hc, rc)
-                        for counts, size, h, r in prefixes
-                        for c in range(max(0, low - later - size), min(n, high - size) + 1)
-                        if _fits(hc := h + c * v, 0, most, forbid)
-                        and _fits(rc := r + (n - c) * v, 0, rest_most, rest_forbid)]
-        for counts, _, h, r in prefixes:
-            if (h & _COUNT) >= least and (r & _COUNT) >= rest_least:
-                share = rest = ()
-                for (f, n, _), c in zip(runs, counts):
-                    share += (f,) * c
-                    rest += (f,) * (n - c)
-                yield share, rest, h, r
+    def match_counts(self, parts, k: int, entry, owner, counts: tuple) -> tuple | None:
+        """The (part index, goals) pairs under which parts k, k+1, ... of a
+        COMMUTATIVE Par form derive the sub-multiset `counts` of `owner`,
+        whose `entry` they are, or None; part k is not the last."""
+        part, (firsts, full, vecs, _) = parts[k], entry
+        for share, h, r in _count_splits(counts, vecs, *_share_sizes(part, sum(counts)), part):
+            first = self.match(part, _sub_multiset(firsts, full, owner, share), h)
+            if first is not None:
+                rest = tuple(map(operator.sub, counts, share))
+                if k + 2 < len(parts):
+                    others = self.match_counts(parts, k + 1, entry, owner, rest)
+                else:
+                    last = self.match(parts[-1], _sub_multiset(firsts, full, owner, rest), r)
+                    others = None if last is None else ((parts[-1].index, last),)
+                if others is not None:
+                    return ((part.index, first),) + others
+        return None
 
     def leftmost_derivation(self) -> tuple[SPTerm, ...]:
         """The leftmost derivation of the goal `proves` last proved."""
@@ -734,13 +778,50 @@ class _MemberSearch:
         return tuple(chain)
 
 
-def _join(kind, factors: tuple) -> SPTerm:
-    """The term of some factors of a canonical `kind` (Seq or Par) term: a
-    range of them, or in COMMUTATIVE mode a sorted sub-multiset, is already
-    canonical, so it needs no flattening, sorting or check (see `_node`)."""
-    if len(factors) > 1:
-        return _node(kind, factors)
-    return factors[0] if factors else EPS
+def _share_sizes(part: _Node, size: int) -> tuple[int, int]:
+    """The fewest and most of `size` factors `part` can take, the later parts
+    taking at most `rest_width` and at least `later_nonempty`."""
+    return max(size - part.rest_width, int(part.least > 0)), min(size - part.later_nonempty, part.width)
+
+
+def _range(children: tuple, owner, i: int, j: int):
+    """The key of the factors i..j-1 of `owner`, whose factors are `children`."""
+    if j - i > 1:
+        return owner if j - i == len(children) else (owner, i, j)
+    return children[i] if j > i else EPS
+
+
+def _sub_multiset(firsts: tuple, full: tuple, owner, counts: tuple):
+    """The key of the sub-multiset `counts` of `owner`'s runs (see `entry`)."""
+    size = sum(counts)
+    if size > 1:
+        return owner if counts == full else (owner, counts)
+    return firsts[counts.index(1)] if size else EPS
+
+
+def _count_splits(counts: tuple, vecs: tuple, low: int, high: int, part: _Node):
+    """The two-way splits of the sub-multiset `counts` (per run of equal
+    children of Parikh vector `vecs`) whose share has low..high children, as
+    (share counts, share vector, rest vector), in the order of
+    `multiset_splits(children, 2, (low, high))`, but those whose share or
+    rest cannot fit `part` or the later parts: a run prefix is dropped once
+    either has too many atoms or a letter it may not have."""
+    most, forbid, rest_most, rest_forbid = part.most, part.forbid, part.rest_most, part.rest_forbid
+    later = tuple(itertools.accumulate(reversed(counts), initial=0))[::-1]  # later[i]: children from run i on
+    stack = [((), 0, 0, 0)] if low <= later[0] and high >= 0 else []  # (share counts, size, share, rest vectors)
+    while stack:
+        share, size, h, r = stack.pop()
+        while len(share) < len(counts) and not counts[len(share)]:
+            share += (0,)  # an empty run takes no choice
+        i = len(share)
+        if i == len(counts):
+            if (h & _COUNT) >= part.least and (r & _COUNT) >= part.rest_least:
+                yield share, h, r
+            continue
+        n, v = counts[i], vecs[i]
+        for c in range(min(n, high - size), max(0, low - later[i + 1] - size) - 1, -1):  # pushed last-first
+            if _fits(hc := h + c * v, 0, most, forbid) and _fits(rc := r + (n - c) * v, 0, rest_most, rest_forbid):
+                stack.append((share + (c,), size + c, hc, rc))
 
 
 # A Parikh vector packs a term's atom count and its count of each letter into
@@ -772,24 +853,26 @@ class _Node:
     part when all of them derive eps, the one part that cannot when only one
     cannot, and none otherwise, as two parts that cannot derive eps share the
     atoms. `generate` reads `passing`, `least` and `most` at each level, and
-    the grammar's schedule is planned from `passing`. A part that has later
-    parts also
-    holds what the search needs of them: how many cannot derive eps, each
-    taking a factor (`later_nonempty`); their fewest and most atoms together
-    (`rest_least`, `rest_most`) and the fields none of them fills
-    (`rest_forbid`); and whether this part, a form of the other operator over
-    two parts that cannot derive eps, takes at most one factor (`one`)."""
+    the grammar's schedule is planned from `passing`. A part also holds its
+    `index` and its most factors of its form's operator (`width`), and for
+    the search the facts of the parts after it: how many cannot derive eps
+    (`later_nonempty`), their fewest and most atoms and factors together
+    (`rest_least`, `rest_most`, `rest_width`) and the fields none fills
+    (`rest_forbid`). `commuted` plans the parts again fewest factors first,
+    when that order differs, each with the facts of the parts after it."""
 
-    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts", "passing",
-                 "later_nonempty", "one", "rest_least", "rest_most", "rest_forbid")
+    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts", "passing", "commuted", "index",
+                 "width", "later_nonempty", "rest_least", "rest_most", "rest_width", "rest_forbid")
 
 
-def _plan(form: SPTerm, least, most, allowed, fields, units) -> _Node:
-    """The `_Node` of `form`, given each nonterminal's least and most atoms
-    and allowed letter fields, and each terminal's field and unit vector. A
-    Seq or Par form takes its facts from its parts': it has a word only from a
-    word of each, so its fewest and most atoms are their sums, and it fills a
-    field only when one of them does."""
+def _plan(form: SPTerm, facts: tuple) -> _Node:
+    """The `_Node` of `form`, given the `facts` each nonterminal's least and
+    most atoms, allowed letter fields and most factors of each operator, and
+    each terminal's field and unit vector. A Seq or Par form takes its facts
+    from its parts': it has a word only from a word of each, so its fewest
+    and most atoms are their sums, and it fills a field only when one of
+    them does."""
+    least, most, allowed, fields, units, widths = facts
     node = _Node()
     node.form = form
     node.symbol = node.unit = node.parts = node.passing = None
@@ -803,21 +886,32 @@ def _plan(form: SPTerm, least, most, allowed, fields, units) -> _Node:
             node.least, node.most, node.unit = 1, 1, units[form.symbol]
             node.forbid = ~(_COUNT | fields[form.symbol])
     else:
-        node.parts = parts = tuple(_plan(c, least, most, allowed, fields, units) for c in form.children)
+        width = [_width(c, type(form), widths[type(form)], least) for c in form.children]
+        node.parts = parts = _parts(form, range(len(width)), width, facts)
         node.least = sum(p.least for p in parts)
         node.most = sum(p.most for p in parts)
         node.forbid = functools.reduce(operator.and_, (p.forbid for p in parts))
         solid = sum(p.least > 0 for p in parts)  # the parts that cannot derive eps
         node.passing = tuple(p for p in parts if p.least > 0 or not solid) if solid <= 1 else ()
-        other = Par if isinstance(form, Seq) else Seq
-        for j, part in enumerate(parts[:-1]):
-            later = parts[j + 1 :]
-            part.later_nonempty = sum(p.least > 0 for p in later)
-            part.one = isinstance(part.form, other) and sum(p.least > 0 for p in part.parts) >= 2
-            part.rest_least = sum(p.least for p in later)
-            part.rest_most = sum(p.most for p in later)
-            part.rest_forbid = functools.reduce(operator.and_, (p.forbid for p in later))
+        order = sorted(range(len(width)), key=width.__getitem__)  # stable: equal widths keep their order
+        node.commuted = parts if order == sorted(order) else _parts(form, order, width, facts)
     return node
+
+
+def _parts(form: SPTerm, order, width: list, facts: tuple) -> tuple:
+    """The planned children of `form` in `order`, each with its `index` and
+    `width`, and each but the last with the facts of the parts after it."""
+    parts = tuple(_plan(form.children[i], facts) for i in order)
+    for i, part in zip(order, parts):
+        part.index, part.width = i, width[i]
+    for j, part in enumerate(parts[:-1]):
+        later = parts[j + 1 :]
+        part.later_nonempty = sum(p.least > 0 for p in later)
+        part.rest_least = sum(p.least for p in later)
+        part.rest_most = sum(p.most for p in later)
+        part.rest_width = sum(p.width for p in later)
+        part.rest_forbid = functools.reduce(operator.and_, (p.forbid for p in later))
+    return parts
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:

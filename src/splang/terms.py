@@ -187,22 +187,6 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     return _node(Par, tuple(flat))
 
 
-def _seq_factors(t: SPTerm) -> tuple[SPTerm, ...]:
-    if isinstance(t, Eps):
-        return ()
-    if isinstance(t, Seq):
-        return t.children
-    return (t,)
-
-
-def _par_factors(t: SPTerm) -> tuple[SPTerm, ...]:
-    if isinstance(t, Eps):
-        return ()
-    if isinstance(t, Par):
-        return t.children
-    return (t,)
-
-
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """`t` in canonical form for `mode`. Idempotent. Every term is canonical
     for ORDERED, the constructors refusing any other, so `t` itself is

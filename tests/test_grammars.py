@@ -33,16 +33,21 @@ from splang.grammars import (
     _WIDTH,
     _MemberSearch,
     _Node,
+    _count_splits,
     _fits,
     _least,
     _letter_fields,
+    _takes,
+    _width,
     symbols_of,
 )
 from splang.langs import lang_equal
 from splang.terms import (
     COMMUTATIVE,
+    DEFAULT_CAP,
     EPS,
     ORDERED,
+    Eps,
     Leaf,
     Par,
     Seq,
@@ -353,6 +358,16 @@ def test_a_term_nested_a_thousand_deep_is_decided():
     assert len(trace) == 1002 and hash(trace[-1]) == hash(t)  # == would recurse through the whole term
 
 
+def test_an_accepted_long_word_tries_goals_linear_in_its_length():
+    g = parse_grammar("S -> a.S | b.S | eps\n")
+    goals = []
+    for pairs in (320, 640):  # 640 and 1,280 letters
+        search = _MemberSearch(g, ORDERED, DEFAULT_CAP)
+        assert search.proves(pt(".".join("ab" * pairs)))
+        goals.append(len(search.tried))
+    assert goals[1] <= 2.1 * goals[0]
+
+
 def test_membership_goals_past_the_cap_raise(monkeypatch):
     monkeypatch.setattr("splang.grammars.DEFAULT_CAP", 3)
     g = parse_grammar("S -> A.b\nA -> a | A.a\n")
@@ -432,10 +447,71 @@ def test_most_atoms_are_reached_and_never_passed(fixture_grammars):
                 assert largest > finite and high[nt] > low[nt], (format_grammar(g), nt)
 
 
+def form_width(form, kind, widths, least):
+    """The most top-level `kind` factors of a word of `form`, walking the form: a `kind` node adds its
+    children's; a node of the other operator is one factor when two children cannot derive eps, and otherwise
+    has its largest child's (of the child that cannot, if there is one)."""
+    if isinstance(form, Eps):
+        return 0
+    if isinstance(form, Leaf):
+        return widths[kind][form.symbol] if form.symbol.isupper() else 1
+    if isinstance(form, kind):
+        return sum(form_width(c, kind, widths, least) for c in form.children)
+    solid = [c for c in form.children if _least(c, least) > 0]
+    return 1 if len(solid) > 1 else max(form_width(c, kind, widths, least) for c in solid or form.children)
+
+
+def widths_of_low_trees(g, kind, height):
+    """Each nonterminal's most top-level `kind` factors over derivation trees at most `height` nonterminals
+    high, as `most_of_low_trees` counts atoms."""
+    productive = [p for p in g.productions if _least(p.rhs, g._least) < math.inf]
+    widths = {kind: dict.fromkeys(g.nonterminals, 0)}
+    for _ in range(height):
+        widths = {kind: {nt: max([form_width(p.rhs, kind, widths, g._least) for p in productive if p.lhs == nt],
+                                 default=0) for nt in g.nonterminals}}
+    return widths[kind]
+
+
+def top_factors(t, kind):
+    return len(t.children) if isinstance(t, kind) else int(not isinstance(t, Eps))
+
+
+# cycles that add a factor of one operator only, a cycle in a Seq that takes one Par factor (as a closure
+# `C -> eps | B.C` does), and a cycle whose other part derives only eps
+WIDTH_CYCLES = ["S -> a||S | b\n", "C -> eps | b.C\n", "S -> A||b\nA -> eps | B.A\nB -> a\n",
+                "S -> A||E\nA -> eps | E||A\nE -> eps\n"]
+
+
+def test_most_factors_are_reached_and_never_passed(fixture_grammars):
+    # a finite most is the most factors of a word up to the bound when every word is under it, and that of the
+    # low trees; an infinite one is beaten by a word wider than any finite one, and by a tree higher than the low
+    cycles = [parse_grammar(text) for text in WIDTH_CYCLES]
+    assert [g._widths[Par][g.start] for g in cycles] == [math.inf, 1, 2, 0]
+    assert [g._widths[Seq][g.start] for g in cycles] == [1, math.inf, 1, 0]
+    for g in cycles + [parse_grammar(text) for text in CYCLES] + fixture_grammars + [
+            random_general_grammar(seed) for seed in range(40)]:
+        productive = sorted(nt for nt in g.nonterminals if g._least[nt] < math.inf)
+        for kind in (Seq, Par):
+            finite = max((g._widths[kind][nt] for nt in productive if g._widths[kind][nt] < math.inf), default=0)
+            low, high = widths_of_low_trees(g, kind, len(g.nonterminals)), widths_of_low_trees(g, kind, 100)
+            for nt in productive:
+                width, most = g._widths[kind][nt], g._most[nt]
+                bound = min(most, max(finite + 1, g._least[nt]) + 4)
+                words = generate(Grammar(g.nonterminals, g.terminals, g.productions, nt), bound).terms
+                largest = max(top_factors(t, kind) for t in words)
+                if width < math.inf:
+                    assert largest <= width == low[nt] == high[nt], (format_grammar(g), nt)
+                    assert largest == width or most > bound, (format_grammar(g), nt)
+                else:
+                    assert largest > finite and high[nt] > low[nt], (format_grammar(g), nt)
+
+
 def naive_facts(g):
-    """Each nonterminal's fewest atoms, letter fields and most atoms, by fixpoints over the whole grammar at
-    once, with no component order: a nonterminal is pumped when a production of it names one that reaches it
-    back beside a leaf that derives an atom, and its most is inf when it reaches a pumped one."""
+    """Each nonterminal's fewest atoms, letter fields, most atoms and most top-level factors of each operator,
+    by fixpoints over the whole grammar at once, with no component order: a nonterminal is pumped when a
+    production of it names one that reaches it back beside a leaf that derives an atom, and its most is inf
+    when it reaches a pumped one. The factors are found alike, over the leaves whose factors a form's words can
+    have and a form's most factors (`_takes`, `_width`)."""
     def fixpoint(values, step, productions):
         while True:
             new = dict(values)
@@ -450,6 +526,7 @@ def naive_facts(g):
     fields = {c: _COUNT << _WIDTH * i for i, c in enumerate(sorted(g.terminals), 1)}
     allowed = fixpoint(dict.fromkeys(g.nonterminals, 0),
                        lambda rhs, m, v: m | _letter_fields(rhs, v, fields), productive)
+
     reach = {nt: {nt} for nt in g.nonterminals}  # nt -> what it reaches by zero or more names
     reach = fixpoint(reach, lambda rhs, r, v: r.union(*(v[s] for s in symbols_of(rhs) if s.isupper())), productive)
     pumped = {p.lhs for p in productive for leaves in [list(symbols_of(p.rhs))] for i, s in enumerate(leaves)
@@ -457,20 +534,30 @@ def naive_facts(g):
               and any(x.islower() or allowed[x] for x in leaves[:i] + leaves[i + 1 :])}
     most = fixpoint({nt: math.inf if reach[nt] & pumped else 0 for nt in g.nonterminals},
                     lambda rhs, m, v: max(m, sum(v[s] if s.isupper() else 1 for s in symbols_of(rhs))), productive)
-    return least, allowed, most
+
+    def widths(kind):
+        reach = {nt: {nt} for nt in g.nonterminals}  # nt -> what its words can have the factors of
+        reach = fixpoint(reach, lambda rhs, r, v: r.union(*(v[s] for s, _ in _takes(rhs, kind, least, allowed))),
+                         productive)
+        pumped = {p.lhs for p in productive for s, beside in _takes(p.rhs, kind, least, allowed)
+                  if beside and p.lhs in reach[s]}
+        return fixpoint({nt: math.inf if reach[nt] & pumped else 0 for nt in g.nonterminals},
+                        lambda rhs, m, v: max(m, _width(rhs, kind, v, least)), productive)
+
+    return least, allowed, most, {kind: widths(kind) for kind in (Seq, Par)}
 
 
 def test_planning_finds_components_once_per_graph(fixture_grammars, monkeypatch):
-    # the productions' graph, the productive productions' graph (shared by every fact but the fewest atoms)
-    # and the schedule's pass-through graph
+    # the productions' graph, the productive productions' graph (the order of every fact but the fewest atoms),
+    # the graphs of the most atoms and factors of each operator and the schedule's pass-through graph
     calls = []
     components = grammars._components
     monkeypatch.setattr(grammars, "_components", lambda graph: calls.append(graph) or components(graph))
     for g in fixture_grammars + [random_general_grammar(seed) for seed in range(60)]:
         calls.clear()
         planned = Grammar(g.nonterminals, g.terminals, g.productions, g.start)
-        assert len(calls) == 3
-        assert (planned._least, planned._allowed, planned._most) == naive_facts(g), format_grammar(g)
+        assert len(calls) == 6
+        assert (planned._least, planned._allowed, planned._most, planned._widths) == naive_facts(g), format_grammar(g)
 
 
 def planned_nodes(node):
@@ -494,19 +581,26 @@ def test_every_planned_node_has_the_facts_of_its_form(fixture_grammars):
         def forbid(forms):
             return ~(_COUNT | functools.reduce(operator.or_, (_letter_fields(f, g._allowed, fields) for f in forms)))
 
+        def width(forms, kind):
+            return sum(form_width(f, kind, g._widths, g._least) for f in forms)
+
         for node in (n for plans in g._plans.values() for top in plans for n in planned_nodes(top)):
             facts = (least([node.form]), most([node.form]), forbid([node.form]))
             assert (node.least, node.most, node.forbid) == facts, format_grammar(g)
             if node.parts is None:
                 continue
-            other = Par if isinstance(node.form, Seq) else Seq
-            for j, part in enumerate(node.parts[:-1]):
-                later = [p.form for p in node.parts[j + 1 :]]
-                facts = (least(later), most(later), forbid(later))
-                assert (part.rest_least, part.rest_most, part.rest_forbid) == facts, format_grammar(g)
-                assert part.later_nonempty == sum(least([f]) > 0 for f in later)
-                one = isinstance(part.form, other) and sum(least([c]) > 0 for c in part.form.children) >= 2
-                assert part.one == one
+            kind = type(node.form)
+            assert [part.index for part in node.parts] == list(range(len(node.parts)))
+            assert [part.width for part in node.parts] == [width([p.form], kind) for p in node.parts]
+            # the commutative order: the same parts, fewest factors first, ties in leaf order
+            order = sorted(node.parts, key=lambda p: (p.width, p.index))
+            assert [(p.form, p.index) for p in node.commuted] == [(p.form, p.index) for p in order]
+            for parts in (node.parts, node.commuted):
+                for j, part in enumerate(parts[:-1]):
+                    later = [p.form for p in parts[j + 1 :]]
+                    facts = (least(later), most(later), forbid(later), width(later, kind))
+                    assert (part.rest_least, part.rest_most, part.rest_forbid, part.rest_width) == facts
+                    assert part.later_nonempty == sum(least([f]) > 0 for f in later)
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
@@ -670,7 +764,7 @@ def test_multiset_splits_by_head_size_keep_the_filtered_order():
 
 
 def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
-    # the commutative split of the search against `multiset_splits` and the same checks, with random facts
+    # the commutative split of the search, over run counts, against `multiset_splits` and the same checks
     g = parse_grammar("S -> a | b | c | d\n")
     search = _MemberSearch(g, COMMUTATIVE, 100)
     fields = [_COUNT << _WIDTH * i for i in range(1, 5)]
@@ -678,18 +772,25 @@ def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
     for items in ["", "a", "aab", "aabbbc", "abcd"]:
         factors = tuple(map(Leaf, items))
         vec = sum(map(search.vector, factors))
-        for low in range(len(items) + 2):
-            for high in range(-1, len(items) + 2):
-                for _ in range(4):
-                    part = _Node()
-                    part.least, part.rest_least = rng.randint(0, 3), rng.randint(0, 3)
-                    part.most, part.rest_most = (rng.choice([rng.randint(0, 5), math.inf]) for _ in "hr")
-                    part.forbid, part.rest_forbid = (
-                        ~_COUNT & ~functools.reduce(operator.or_, rng.sample(fields, rng.randint(1, 4))) for _ in "hr")
-                    expected = []
-                    for share, rest in multiset_splits(factors, 2, (low, high)):
-                        h = sum(map(search.vector, share))
-                        if _fits(h, part.least, part.most, part.forbid) and _fits(
-                                vec - h, part.rest_least, part.rest_most, part.rest_forbid):
-                            expected.append((share, rest, h, vec - h))
-                    assert list(search.splits(factors, vec, low, high, False, part)) == expected
+        firsts, counts, vecs, _ = search.entry(factors, False)
+        for zeros in range(3):  # a sub-multiset of a node with more runs leaves some of them empty
+            at = rng.randrange(len(counts) + 1)
+            padded = counts[:at] + (0,) * zeros + counts[at:]
+            spread = vecs[:at] + (_COUNT << _WIDTH * 5,) * zeros + vecs[at:]
+            for low in range(len(items) + 2):
+                for high in range(-1, len(items) + 2):
+                    for _ in range(4):
+                        part = _Node()
+                        part.least, part.rest_least = rng.randint(0, 3), rng.randint(0, 3)
+                        part.most, part.rest_most = (rng.choice([rng.randint(0, 5), math.inf]) for _ in "hr")
+                        part.forbid, part.rest_forbid = (
+                            ~_COUNT & ~functools.reduce(operator.or_, rng.sample(fields, rng.randint(1, 4)))
+                            for _ in "hr")
+                        expected = []
+                        for share, rest in multiset_splits(factors, 2, (low, high)):
+                            h = sum(map(search.vector, share))
+                            if _fits(h, part.least, part.most, part.forbid) and _fits(
+                                    vec - h, part.rest_least, part.rest_most, part.rest_forbid):
+                                taken = tuple(share.count(f) for f in firsts)
+                                expected.append((taken[:at] + (0,) * zeros + taken[at:], h, vec - h))
+                        assert list(_count_splits(padded, spread, low, high, part)) == expected

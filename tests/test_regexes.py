@@ -5,7 +5,7 @@ import random
 import pytest
 
 from splang.errors import FragmentError, TermSyntaxError
-from splang.grammars import classify_grammar, generate
+from splang.grammars import _MemberSearch, classify_grammar, generate
 from splang.langs import ClosureKind, FiniteLang, kleene_bounded, lang_equal
 from splang.regexes import (
     Alt,
@@ -282,3 +282,21 @@ def test_conversion_matches_enumeration_for_fragment():
         got = generate(g, 4)
         want = regex_enumerate(r, "ab", 4)
         assert lang_equal(got, want), format_regex(r)
+
+
+def test_a_rejected_long_word_tries_goals_linear_in_its_length(monkeypatch):
+    # goals are positions of the word, not its sub-terms: twice the letters try about twice the goals
+    searches = []
+
+    class Recorded(_MemberSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr("splang.regexes._MemberSearch", Recorded)
+    r = parse_regex("(a.b)*")
+    goals = []
+    for pairs in (320, 640):  # 641 and 1,281 letters
+        assert not matches(r, parse_term(".".join("ab" * pairs + "a")))
+        goals.append(len(searches[-1].tried))
+    assert goals[1] <= 2.1 * goals[0]

@@ -31,8 +31,8 @@ from splang.terms import (
     reverse_term,
     seq,
     symbols_of,
+    _node,
 )
-from splang.grammars import _join
 
 from oracles import binary_universe
 
@@ -164,7 +164,7 @@ def checked(t):
 
 
 def shares(t, mode):
-    """The factor tuples the membership search joins for `t`: the ranges of
+    """The factor tuples of `t` the membership search reads: the ranges of
     its factors, and in COMMUTATIVE mode every sorted sub-multiset of a Par's."""
     if isinstance(t, (Eps, Leaf)):
         return
@@ -184,9 +184,10 @@ def test_unchecked_builders_make_the_nodes_the_constructors_accept(x, y, mode):
     products = [seq(x, y), par(x, y, mode=mode)]
     built = products + [reverse_term(t, mode) for t in (x, y, *products)]
     for t in (x, y, *products):
-        for share in shares(t, mode):
-            built.append(_join(type(t), share))
-            assert built[-1] == (par(*share, mode=mode) if isinstance(t, Par) else seq(*share))
+        for share in dict.fromkeys(shares(t, mode)):  # each distinct share once: equal children repeat them
+            if len(share) > 1:  # a range or sub-multiset of factors, as the membership search reads them
+                built.append(_node(type(t), share))
+                assert built[-1] == (par(*share, mode=mode) if isinstance(t, Par) else seq(*share))
     for t in built:
         rebuilt = checked(t)  # raises on a node that breaks the rule
         assert rebuilt == t and hash(rebuilt) == hash(t)
@@ -383,6 +384,12 @@ def test_enumerate_cap_bounds_the_terms_eps_included(mode, monkeypatch):
     monkeypatch.setattr("splang.terms.DEFAULT_CAP", size - 1)
     with pytest.raises(EnumerationCapError, match=rf"^term universe exceeds the cardinality cap \({size - 1}\)$"):
         enumerate_terms("ab", 4, mode)
+
+
+def test_a_universe_past_the_cap_raises_within_the_level():
+    # the cap is checked as each form's words are added: the level of 6 atoms over four letters is not finished
+    with pytest.raises(EnumerationCapError, match=r"^term universe exceeds the cardinality cap \(200000\)$"):
+        enumerate_terms("abcd", 6)
 
 
 def test_enumerate_rejects_bad_alphabet():

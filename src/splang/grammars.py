@@ -130,7 +130,7 @@ class Grammar(Immutable):
         fields = {c: _COUNT << shift for c, shift in shifts.items()}
         allowed = _solve(dict.fromkeys(self.nonterminals, 0), productive,
                          lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
-        most = _most(self.nonterminals, productive, least, allowed, (Seq, Par))  # every node adds its atoms
+        most = _most(self.nonterminals, productive, least, allowed, _ATOMS)
         widths = {kind: _most(self.nonterminals, productive, least, allowed, kind) for kind in (Seq, Par)}
         units = {c: 1 | 1 << shift for c, shift in shifts.items()}
         facts = least, most, allowed, fields, units, widths
@@ -265,22 +265,26 @@ def _least(form: SPTerm, least) -> float:
     return sum(least[s] if s.isupper() else 1 for s in symbols_of(form))
 
 
+_ATOMS = (Seq, Par)  # the `kind` for which every node adds its children's factors: the atoms
+
+
 def _most(nonterminals, productive: tuple[dict, list], least, allowed, kind) -> dict:
-    """The most top-level `kind` factors (see `_width`; atoms when `kind` is
-    (Seq, Par)) of a word of each nonterminal over the productive productions
-    (see `_heads`), 0 when it has none, given each nonterminal's fewest atoms
-    and letter fields (`allowed`): inf exactly when it reaches a cycle of "A's
-    words can have B's factors" (`_takes`) through a production where a part
-    beside B can add one, which can be pumped; otherwise a fixpoint gives the
-    most. B is on a cycle back to A when they share a strongly connected
-    component of that graph."""
-    by_lhs, _ = productive
+    """The most top-level `kind` factors (see `_width`) of a word of each
+    nonterminal over the productive productions (see `_heads`), 0 when it
+    has none, given each nonterminal's fewest atoms and letter fields: inf
+    exactly when it reaches a cycle of "A's words can have B's factors"
+    (`_takes`) through a production where a part beside B can add one;
+    otherwise a fixpoint gives the most. For the atoms that graph is the
+    productive one, whose strongly connected components are already found."""
+    by_lhs, order = productive
     takes = {nt: [t for rhs in alts for t in _takes(rhs, kind, least, allowed)] for nt, alts in by_lhs.items()}
-    component = {nt: group for _, group in _components({nt: [s for s, _ in t] for nt, t in takes.items()})
-                 for nt in group}
-    pumps = _solve({nt: any(beside and component[s] is component[nt] for s, beside in takes.get(nt, ()))
-                    for nt in nonterminals}, productive,
-                   lambda rhs, m, pumps: m or any(pumps[s] for s, _ in _takes(rhs, kind, least, allowed)))
+    if kind is not _ATOMS:
+        order = _components({nt: [s for s, _ in t] for nt, t in takes.items()})
+    pumps = dict.fromkeys(nonterminals, False)
+    for _, group in order:  # each after every component it takes from, whose members all reach each other
+        members = set(group)
+        pumped = any(beside if s in members else pumps[s] for nt in group for s, beside in takes[nt])
+        pumps.update(dict.fromkeys(group, pumped))
     return _solve({nt: math.inf if pumps[nt] else 0 for nt in nonterminals}, productive,
                   lambda rhs, m, most: max(m, _width(rhs, kind, most, least)))
 
@@ -296,16 +300,16 @@ def _width(form: SPTerm, kind, widths, least) -> float:
         return widths[form.symbol] if form.symbol.isupper() else 1
     if isinstance(form, kind):
         return sum(_width(c, kind, widths, least) for c in form.children)
-    return max((_width(c, kind, widths, least) for c in _through(form, least)), default=1)
+    children = _through(form.children, [_least(c, least) for c in form.children])
+    return max((_width(c, kind, widths, least) for c in children), default=1)
 
 
-def _through(form: SPTerm, least) -> tuple:
-    """The children of a Seq or Par form that can take all of a word's atoms,
-    and so its factors of the other operator: the one child that cannot
-    derive eps, or every child when all can; none when two cannot, as the
-    form's words are then one such factor (see `_Node.passing`)."""
-    solid = tuple(c for c in form.children if _least(c, least) > 0)
-    return () if len(solid) > 1 else solid or form.children
+def _through(children: tuple, leasts) -> tuple:
+    """The `children` of a Seq or Par form, whose fewest atoms are `leasts`,
+    that can take all of a word's atoms, passing their words on: the one
+    that cannot derive eps, or all when all can; none when two cannot."""
+    solid = tuple(c for c, n in zip(children, leasts) if n > 0)
+    return () if len(solid) > 1 else solid or children
 
 
 def _takes(form: SPTerm, kind, least, allowed, beside: bool = False):
@@ -319,7 +323,7 @@ def _takes(form: SPTerm, kind, least, allowed, beside: bool = False):
         for i, c in enumerate(form.children):
             yield from _takes(c, kind, least, allowed, beside or any(grows[:i] + grows[i + 1 :]))
     elif not isinstance(form, Eps):
-        for c in _through(form, least):
+        for c in _through(form.children, [_least(c, least) for c in form.children]):
             yield from _takes(c, kind, least, allowed, beside)
 
 
@@ -549,8 +553,9 @@ class _Levels:
         if i == len(node.parts) - 1:
             return self.sized(part, k) if k <= top else ()
         out = set()
-        low = max(part.least, k - part.rest_most)  # inf when a part has no word
-        high = min(top, k - part.rest_least, part.most)
+        rest_least, rest_most, _, _, _ = node.rests[i]
+        low = max(part.least, k - rest_most)  # inf when a part has no word
+        high = min(top, k - rest_least, part.most)
         if low <= high:
             make = self.join[type(node.form)]
             for j in range(low, high + 1):
@@ -719,47 +724,48 @@ class _MemberSearch:
         else:
             owner, at, entry = None, (), ((key,), (1,), (vec,), vec) if vec else ((), (), (), 0)
         if ordered:
-            return self.match_range(node.parts, 0, entry, owner, *(at or (0, len(entry[0]))))
-        found = self.match_counts(node.commuted, 0, entry, owner, at[0] if at else entry[1])
+            return self.match_range(node.parts, node.rests, 0, entry, owner, *(at or (0, len(entry[0]))))
+        parts, rests = node.commuted
+        found = self.match_counts(parts, rests, 0, entry, owner, at[0] if at else entry[1])
         if found is None:
             return None
-        if node.commuted is not node.parts:
+        if parts is not node.parts:
             found = sorted(found)  # back in the form's leaf order
         return tuple(goal for _, goals in found for goal in goals)
 
-    def match_range(self, parts, k: int, entry, owner, i: int, j: int) -> tuple | None:
-        """The goals under which parts k, k+1, ... of a form derive the
-        factors i..j-1 of `owner`, whose ordered `entry` they are, or None;
-        part k is not the last."""
-        part, (children, pre, _) = parts[k], entry
-        low, high = _share_sizes(part, j - i)
+    def match_range(self, parts, rests, k: int, entry, owner, i: int, j: int) -> tuple | None:
+        """The goals under which parts k, k+1, ... of a form (see `_rests`)
+        derive the factors i..j-1 of `owner`, whose ordered `entry` they
+        are, or None; part k is not the last."""
+        part, rest, (children, pre, _) = parts[k], rests[k], entry
+        rest_least, rest_most, rest_forbid, _, _ = rest
+        low, high = _share_sizes(part, rest, j - i)
         for m in range(i + low, i + high + 1):
             h, r = pre[m] - pre[i], pre[j] - pre[m]
-            if _fits(h, part.least, part.most, part.forbid) and _fits(r, part.rest_least, part.rest_most,
-                                                                       part.rest_forbid):
+            if _fits(h, part.least, part.most, part.forbid) and _fits(r, rest_least, rest_most, rest_forbid):
                 first = self.match(part, _range(children, owner, i, m), h)
                 if first is not None:
                     if k + 2 < len(parts):
-                        others = self.match_range(parts, k + 1, entry, owner, m, j)
+                        others = self.match_range(parts, rests, k + 1, entry, owner, m, j)
                     else:
                         others = self.match(parts[-1], _range(children, owner, m, j), r)
                     if others is not None:
                         return first + others
         return None
 
-    def match_counts(self, parts, k: int, entry, owner, counts: tuple) -> tuple | None:
+    def match_counts(self, parts, rests, k: int, entry, owner, counts: tuple) -> tuple | None:
         """The (part index, goals) pairs under which parts k, k+1, ... of a
-        COMMUTATIVE Par form derive the sub-multiset `counts` of `owner`,
-        whose `entry` they are, or None; part k is not the last."""
-        part, (firsts, full, vecs, _) = parts[k], entry
-        for share, h, r in _count_splits(counts, vecs, *_share_sizes(part, sum(counts)), part):
+        COMMUTATIVE Par form (see `_rests`) derive the sub-multiset `counts`
+        of `owner`, whose `entry` they are, or None; part k is not the last."""
+        part, rest, (firsts, full, vecs, _) = parts[k], rests[k], entry
+        for share, h, r in _count_splits(counts, vecs, *_share_sizes(part, rest, sum(counts)), part, rest):
             first = self.match(part, _sub_multiset(firsts, full, owner, share), h)
             if first is not None:
-                rest = tuple(map(operator.sub, counts, share))
+                left = tuple(map(operator.sub, counts, share))
                 if k + 2 < len(parts):
-                    others = self.match_counts(parts, k + 1, entry, owner, rest)
+                    others = self.match_counts(parts, rests, k + 1, entry, owner, left)
                 else:
-                    last = self.match(parts[-1], _sub_multiset(firsts, full, owner, rest), r)
+                    last = self.match(parts[-1], _sub_multiset(firsts, full, owner, left), r)
                     others = None if last is None else ((parts[-1].index, last),)
                 if others is not None:
                     return ((part.index, first),) + others
@@ -778,10 +784,11 @@ class _MemberSearch:
         return tuple(chain)
 
 
-def _share_sizes(part: _Node, size: int) -> tuple[int, int]:
-    """The fewest and most of `size` factors `part` can take, the later parts
-    taking at most `rest_width` and at least `later_nonempty`."""
-    return max(size - part.rest_width, int(part.least > 0)), min(size - part.later_nonempty, part.width)
+def _share_sizes(part: _Node, rest: tuple, size: int) -> tuple[int, int]:
+    """The fewest and most of `size` factors `part` can take, the parts after
+    it (`rest`, see `_rests`) taking at most their most factors and at least
+    one for each that cannot derive eps."""
+    return max(size - rest[3], int(part.least > 0)), min(size - rest[4], part.width)
 
 
 def _range(children: tuple, owner, i: int, j: int):
@@ -799,14 +806,15 @@ def _sub_multiset(firsts: tuple, full: tuple, owner, counts: tuple):
     return firsts[counts.index(1)] if size else EPS
 
 
-def _count_splits(counts: tuple, vecs: tuple, low: int, high: int, part: _Node):
+def _count_splits(counts: tuple, vecs: tuple, low: int, high: int, part: _Node, rest: tuple):
     """The two-way splits of the sub-multiset `counts` (per run of equal
     children of Parikh vector `vecs`) whose share has low..high children, as
     (share counts, share vector, rest vector), in the order of
     `multiset_splits(children, 2, (low, high))`, but those whose share or
-    rest cannot fit `part` or the later parts: a run prefix is dropped once
-    either has too many atoms or a letter it may not have."""
-    most, forbid, rest_most, rest_forbid = part.most, part.forbid, part.rest_most, part.rest_forbid
+    rest cannot fit `part` or the parts after it (`rest`, see `_rests`): a
+    run prefix is dropped once either has too many atoms or a letter it may
+    not have."""
+    most, forbid, (rest_least, rest_most, rest_forbid, _, _) = part.most, part.forbid, rest
     later = tuple(itertools.accumulate(reversed(counts), initial=0))[::-1]  # later[i]: children from run i on
     stack = [((), 0, 0, 0)] if low <= later[0] and high >= 0 else []  # (share counts, size, share, rest vectors)
     while stack:
@@ -815,7 +823,7 @@ def _count_splits(counts: tuple, vecs: tuple, low: int, high: int, part: _Node):
             share += (0,)  # an empty run takes no choice
         i = len(share)
         if i == len(counts):
-            if (h & _COUNT) >= part.least and (r & _COUNT) >= part.rest_least:
+            if (h & _COUNT) >= part.least and (r & _COUNT) >= rest_least:
                 yield share, h, r
             continue
         n, v = counts[i], vecs[i]
@@ -849,20 +857,16 @@ class _Node:
     the Parikh vector fields they never fill (`forbid`); a nonterminal's
     `symbol`; the vector of the one word of a terminal or eps (`unit`); and a
     Seq or Par form's `parts`, in order, with the parts that pass their words
-    of k atoms on unchanged as the form's words of k atoms (`passing`): every
-    part when all of them derive eps, the one part that cannot when only one
-    cannot, and none otherwise, as two parts that cannot derive eps share the
-    atoms. `generate` reads `passing`, `least` and `most` at each level, and
-    the grammar's schedule is planned from `passing`. A part also holds its
-    `index` and its most factors of its form's operator (`width`), and for
-    the search the facts of the parts after it: how many cannot derive eps
-    (`later_nonempty`), their fewest and most atoms and factors together
-    (`rest_least`, `rest_most`, `rest_width`) and the fields none fills
-    (`rest_forbid`). `commuted` plans the parts again fewest factors first,
-    when that order differs, each with the facts of the parts after it."""
+    of k atoms on unchanged as the form's words of k atoms (`passing`, see
+    `_through`). `generate` reads `passing`, `least` and `most` at each
+    level, and the grammar's schedule is planned from `passing`. A part also
+    holds its `index` and its most factors of its form's operator (`width`).
+    The facts of the parts after each part (`rests`, see `_rests`) bound its
+    share of a split; `commuted` holds the same parts fewest factors first,
+    with their `rests` in that order, for a COMMUTATIVE search."""
 
-    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts", "passing", "commuted", "index",
-                 "width", "later_nonempty", "rest_least", "rest_most", "rest_width", "rest_forbid")
+    __slots__ = ("form", "least", "most", "forbid", "symbol", "unit", "parts", "passing", "index", "width", "rests",
+                 "commuted")
 
 
 def _plan(form: SPTerm, facts: tuple) -> _Node:
@@ -871,7 +875,7 @@ def _plan(form: SPTerm, facts: tuple) -> _Node:
     each terminal's field and unit vector. A Seq or Par form takes its facts
     from its parts': it has a word only from a word of each, so its fewest
     and most atoms are their sums, and it fills a field only when one of
-    them does."""
+    them does. Each part is planned once, for both of its form's orders."""
     least, most, allowed, fields, units, widths = facts
     node = _Node()
     node.form = form
@@ -886,32 +890,28 @@ def _plan(form: SPTerm, facts: tuple) -> _Node:
             node.least, node.most, node.unit = 1, 1, units[form.symbol]
             node.forbid = ~(_COUNT | fields[form.symbol])
     else:
-        width = [_width(c, type(form), widths[type(form)], least) for c in form.children]
-        node.parts = parts = _parts(form, range(len(width)), width, facts)
+        node.parts = parts = tuple(_plan(c, facts) for c in form.children)
+        for i, part in enumerate(parts):
+            part.index, part.width = i, _width(part.form, type(form), widths[type(form)], least)
         node.least = sum(p.least for p in parts)
         node.most = sum(p.most for p in parts)
         node.forbid = functools.reduce(operator.and_, (p.forbid for p in parts))
-        solid = sum(p.least > 0 for p in parts)  # the parts that cannot derive eps
-        node.passing = tuple(p for p in parts if p.least > 0 or not solid) if solid <= 1 else ()
-        order = sorted(range(len(width)), key=width.__getitem__)  # stable: equal widths keep their order
-        node.commuted = parts if order == sorted(order) else _parts(form, order, width, facts)
+        node.passing = _through(parts, [p.least for p in parts])
+        node.rests = _rests(parts)
+        order = tuple(sorted(parts, key=operator.attrgetter("width")))  # stable: equal widths keep their order
+        node.commuted = (parts, node.rests) if order == parts else (order, _rests(order))
     return node
 
 
-def _parts(form: SPTerm, order, width: list, facts: tuple) -> tuple:
-    """The planned children of `form` in `order`, each with its `index` and
-    `width`, and each but the last with the facts of the parts after it."""
-    parts = tuple(_plan(form.children[i], facts) for i in order)
-    for i, part in zip(order, parts):
-        part.index, part.width = i, width[i]
-    for j, part in enumerate(parts[:-1]):
-        later = parts[j + 1 :]
-        part.later_nonempty = sum(p.least > 0 for p in later)
-        part.rest_least = sum(p.least for p in later)
-        part.rest_most = sum(p.most for p in later)
-        part.rest_width = sum(p.width for p in later)
-        part.rest_forbid = functools.reduce(operator.and_, (p.forbid for p in later))
-    return parts
+def _rests(parts: tuple) -> tuple:
+    """For each of `parts`, the facts of the parts after it together: their
+    fewest and most atoms, the fields none fills, their most factors and how
+    many cannot derive eps (none after the last)."""
+    rest, rests = (0, 0, ~_COUNT, 0, 0), []
+    for p in reversed(parts):
+        rests.append(rest)
+        rest = (rest[0] + p.least, rest[1] + p.most, rest[2] & p.forbid, rest[3] + p.width, rest[4] + (p.least > 0))
+    return tuple(reversed(rests))
 
 
 def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:

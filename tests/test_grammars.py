@@ -548,15 +548,16 @@ def naive_facts(g):
 
 
 def test_planning_finds_components_once_per_graph(fixture_grammars, monkeypatch):
-    # the productions' graph, the productive productions' graph (the order of every fact but the fewest atoms),
-    # the graphs of the most atoms and factors of each operator and the schedule's pass-through graph
+    # the productions' graph, the productive productions' graph (the order of every fact but the fewest atoms,
+    # and the graph of the most atoms), the graphs of the most factors of each operator and the schedule's
+    # pass-through graph
     calls = []
     components = grammars._components
     monkeypatch.setattr(grammars, "_components", lambda graph: calls.append(graph) or components(graph))
     for g in fixture_grammars + [random_general_grammar(seed) for seed in range(60)]:
         calls.clear()
         planned = Grammar(g.nonterminals, g.terminals, g.productions, g.start)
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert (planned._least, planned._allowed, planned._most, planned._widths) == naive_facts(g), format_grammar(g)
 
 
@@ -592,15 +593,34 @@ def test_every_planned_node_has_the_facts_of_its_form(fixture_grammars):
             kind = type(node.form)
             assert [part.index for part in node.parts] == list(range(len(node.parts)))
             assert [part.width for part in node.parts] == [width([p.form], kind) for p in node.parts]
-            # the commutative order: the same parts, fewest factors first, ties in leaf order
+            # the commutative order: the same part nodes, fewest factors first, ties in leaf order
             order = sorted(node.parts, key=lambda p: (p.width, p.index))
-            assert [(p.form, p.index) for p in node.commuted] == [(p.form, p.index) for p in order]
-            for parts in (node.parts, node.commuted):
-                for j, part in enumerate(parts[:-1]):
+            assert list(node.commuted[0]) == order
+            for parts, rests in ((node.parts, node.rests), node.commuted):
+                assert len(rests) == len(parts)
+                for j, rest in enumerate(rests):
                     later = [p.form for p in parts[j + 1 :]]
-                    facts = (least(later), most(later), forbid(later), width(later, kind))
-                    assert (part.rest_least, part.rest_most, part.rest_forbid, part.rest_width) == facts
-                    assert part.later_nonempty == sum(least([f]) > 0 for f in later)
+                    facts = (least(later), most(later), forbid(later + [EPS]), width(later, kind),
+                             sum(least([f]) > 0 for f in later))
+                    assert rest == facts
+
+
+def test_a_nest_of_reordered_par_forms_plans_each_part_once():
+    # each Par level's widths are [2, 1, 1], so its commutative order differs from its leaf order; both orders
+    # must share the part nodes, or the plan doubles at every level
+    for depth in (12, 30):
+        form = "a"
+        for _ in range(depth):
+            form = f"B||a||c.({form})"
+        g = parse_grammar(f"S -> {form}\nB -> a||a\n")
+        seen, todo = set(), list(g._plans["S"])
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen and node.parts is not None:
+                todo += node.parts + node.commuted[0]
+            seen.add(id(node))
+        assert len(seen) == sum(1 for top in g._plans["S"] for _ in planned_nodes(top)) == 5 * depth + 1
+        assert is_member(g, pt(form.replace("B", "(a||a)")), COMMUTATIVE)
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
@@ -781,16 +801,17 @@ def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
                 for high in range(-1, len(items) + 2):
                     for _ in range(4):
                         part = _Node()
-                        part.least, part.rest_least = rng.randint(0, 3), rng.randint(0, 3)
-                        part.most, part.rest_most = (rng.choice([rng.randint(0, 5), math.inf]) for _ in "hr")
-                        part.forbid, part.rest_forbid = (
+                        part.least, rest_least = rng.randint(0, 3), rng.randint(0, 3)
+                        part.most, rest_most = (rng.choice([rng.randint(0, 5), math.inf]) for _ in "hr")
+                        part.forbid, rest_forbid = (
                             ~_COUNT & ~functools.reduce(operator.or_, rng.sample(fields, rng.randint(1, 4)))
                             for _ in "hr")
                         expected = []
                         for share, rest in multiset_splits(factors, 2, (low, high)):
                             h = sum(map(search.vector, share))
                             if _fits(h, part.least, part.most, part.forbid) and _fits(
-                                    vec - h, part.rest_least, part.rest_most, part.rest_forbid):
+                                    vec - h, rest_least, rest_most, rest_forbid):
                                 taken = tuple(share.count(f) for f in firsts)
                                 expected.append((taken[:at] + (0,) * zeros + taken[at:], h, vec - h))
-                        assert list(_count_splits(padded, spread, low, high, part)) == expected
+                        rest = (rest_least, rest_most, rest_forbid, None, None)  # the factor facts are not read
+                        assert list(_count_splits(padded, spread, low, high, part, rest)) == expected

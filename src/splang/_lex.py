@@ -3,7 +3,10 @@
 `tokenize` is the shared tokenizer of terms, regexes, sentential forms and
 language lines: it produces the superset of tokens used by all formats, and
 each parser rejects the tokens its format does not allow. `||` is always read
-before `|`. `read_lines` is the line reader of the grammar, language and
+before `|`. `TokenStream.infix` is the shared reader of their infix
+operators: each format gives it a table of its operator levels, loosest
+first, and a reader of one operand, and `TokenStream.whole` reads a whole
+text that way. `read_lines` is the line reader of the grammar, language and
 automaton files: it cuts each line at ``#``, skips blank lines, and prefixes
 a line's error with ``line N:``. `is_atom` is the atom rule: one lowercase
 ASCII letter. Also home to `Immutable`, the one base of the package's value
@@ -217,7 +220,22 @@ class TokenStream:
         if not self.eat_op(op):
             raise TermSyntaxError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.offset)
 
-    def expect_end(self) -> None:
+    def infix(self, levels, operand):
+        """Operands joined by the infix operators of `levels`, a table of
+        ``(op, build)`` pairs, loosest first: each level reads the parts the
+        next level (or, after the last, `operand`) reads between its `op`s,
+        and joins them with ``build(*parts)``."""
+        (op, build), tighter = levels[0], levels[1:]
+        parts = []
+        while True:
+            parts.append(self.infix(tighter, operand) if tighter else operand(self))
+            if not self.eat_op(op):
+                return build(*parts)
+
+    def whole(self, levels, operand):
+        """`infix` over the rest of the text, which it must read to the end."""
+        result = self.infix(levels, operand)
         tok = self.peek()
         if tok.kind != "END":
             raise TermSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
+        return result

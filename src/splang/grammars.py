@@ -46,9 +46,10 @@ derivable word, so only splits that would fail are skipped.
 Grammar file format: one ``A -> alt1 | alt2 | ...`` rule per line, ``#``
 comments, nonterminals are uppercase letters, optionally indexed (``A_12``),
 terminals are lowercase letters, ``eps`` allowed, start symbol is the first
-rule's left-hand side. ``||`` is the parallel operator and binds
-looser than ``.``; a single ``|`` separates alternatives and may not appear
-inside parentheses.
+rule's left-hand side. The right-hand side reads the operator levels of
+``terms._LEVELS``, ``||`` binding looser than ``.``, with a level of ``|``
+in front that separates alternatives, so ``|`` may not appear inside
+parentheses.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from .terms import (
     SemanticsMode,
     SPTerm,
     Seq,
-    _parse_par,
+    _LEVELS,
+    _form,
     canonicalize,
     format_term,
     is_parallel_word,
@@ -341,7 +343,7 @@ def parse_grammar(text: str) -> Grammar:
         head, arrow, body = line.partition("->")
         if not arrow:
             raise TermSyntaxError("expected 'A -> ...'")
-        productions.extend(Production(head.strip(), rhs) for rhs in _parse_alternatives(body))
+        productions.extend(Production(head.strip(), rhs) for rhs in TokenStream(body).whole(_RULE_LEVELS, _form))
 
     read_lines(text, rule)
     if not productions:
@@ -352,13 +354,8 @@ def parse_grammar(text: str) -> Grammar:
         raise TermSyntaxError(str(exc)) from exc
 
 
-def _parse_alternatives(body: str) -> list[SPTerm]:
-    stream = TokenStream(body)
-    alternatives = [_parse_par(stream, allow_upper=True)]
-    while stream.eat_op("|"):
-        alternatives.append(_parse_par(stream, allow_upper=True))
-    stream.expect_end()
-    return alternatives
+# a rule's right-hand side: its alternatives, each a sentential form
+_RULE_LEVELS = (("|", lambda *alternatives: alternatives),) + _LEVELS
 
 
 def format_grammar(g: Grammar) -> str:
@@ -914,9 +911,9 @@ def _rests(parts: tuple) -> tuple:
     return tuple(reversed(rests))
 
 
-def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
-    """`form` with its first nonterminal leaf replaced by `rhs`; None if it
-    has none. The walk keeps its own stack, so a deep form needs no recursion."""
+def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm:
+    """`form`, which has a nonterminal leaf, with its first one replaced by
+    `rhs`. The walk keeps its own stack, so a deep form needs no recursion."""
     stack = [(form, None)]  # (node, (the Seq or Par above it, its index there, that node's link) or None)
     while stack:
         node, up = stack.pop()
@@ -928,7 +925,6 @@ def _expand_leftmost(form: SPTerm, rhs: SPTerm) -> SPTerm | None:
             return rhs
         if isinstance(node, (Seq, Par)):
             stack.extend((node.children[i], (node, i, up)) for i in reversed(range(len(node.children))))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from enum import Enum
 from ._lex import Immutable, read_lines
 from .errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from .terms import (
-    COMMUTATIVE,
     EPS,
     ORDERED,
     DEFAULT_CAP,
@@ -213,9 +212,6 @@ def universe(alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> FiniteL
     return _universe(_letters(alphabet, max_atoms), max_atoms, mode, DEFAULT_CAP)
 
 
-_MODE_NAMES = {"ordered": ORDERED, "commutative": COMMUTATIVE}
-
-
 def load_lang(text: str) -> FiniteLang:
     """Parse the language file format."""
     mode: SemanticsMode | None = None
@@ -229,9 +225,10 @@ def load_lang(text: str) -> FiniteLang:
         if not line.startswith("mode:"):
             raise TermSyntaxError("language file must start with a 'mode:' header")
         name = line.split(":", 1)[1].strip()
-        if name not in _MODE_NAMES:
-            raise TermSyntaxError(f"unknown mode {name!r}")
-        mode = _MODE_NAMES[name]
+        try:
+            mode = SemanticsMode(name)
+        except ValueError:
+            raise TermSyntaxError(f"unknown mode {name!r}") from None
 
     read_lines(text, entry)
     if mode is None:

@@ -14,7 +14,8 @@ with the exact membership search and the least fixpoint of ``grammars``.
 
 Text format: atoms ``a``-``z``, ``eps``, ``0`` for the empty set, postfix
 ``*`` ``^`` ``@``, infix ``.`` ``||`` ``|``. Precedence: postfix > ``.`` >
-``||`` > ``|``; parentheses group.
+``||`` > ``|``, the infix levels read from the table ``_LEVELS``; parentheses
+group.
 """
 
 from __future__ import annotations
@@ -134,31 +135,7 @@ def parprod(*parts: Regex) -> Regex:
 # Text format
 
 def parse_regex(text: str) -> Regex:
-    stream = TokenStream(text)
-    result = _parse_alt(stream)
-    stream.expect_end()
-    return result
-
-
-def _parse_alt(stream: TokenStream) -> Regex:
-    parts = [_parse_parprod(stream)]
-    while stream.eat_op("|"):
-        parts.append(_parse_parprod(stream))
-    return alt(*parts)
-
-
-def _parse_parprod(stream: TokenStream) -> Regex:
-    parts = [_parse_cat(stream)]
-    while stream.eat_op("||"):
-        parts.append(_parse_cat(stream))
-    return parprod(*parts)
-
-
-def _parse_cat(stream: TokenStream) -> Regex:
-    parts = [_parse_postfix(stream)]
-    while stream.eat_op("."):
-        parts.append(_parse_postfix(stream))
-    return cat(*parts)
+    return TokenStream(text).whole(_LEVELS, _parse_postfix)
 
 
 _POSTFIX = {"*": CloseSeq, "^": ClosePar, "@": CloseSP}
@@ -189,12 +166,16 @@ def _parse_prim(stream: TokenStream) -> Regex:
         stream.next()
         return EMPTY
     if stream.eat_op("("):
-        inner = _parse_alt(stream)
+        inner = stream.infix(_LEVELS, _parse_postfix)
         stream.expect_op(")")
         return inner
     raise TermSyntaxError(
         f"expected a letter, 'eps', '0' or '(', found {tok.text or 'end of input'!r}", tok.offset
     )
+
+
+# the infix operator levels of the regex text format, loosest first (see `TokenStream.infix`)
+_LEVELS = (("|", alt), ("||", parprod), (".", cat))
 
 
 _SUFFIX = {CloseSeq: "*", ClosePar: "^", CloseSP: "@"}

@@ -26,10 +26,9 @@ Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 sentential forms. That layer's bounded engine also builds the bounded term
 universe (`enumerate_terms`), from a grammar of canonical terms.
 
-Text format (whitespace ignored, ``.`` binds tighter than ``||``)::
-
-    term := par ;  par := seq { "||" seq } ;  seq := prim { "." prim } ;
-    prim := letter | "eps" | "(" term ")"
+Text format (whitespace ignored): operands joined by the operators of
+``_LEVELS``, loosest first, so ``.`` binds tighter than ``||``; an operand is
+a letter, ``eps`` or a parenthesized term (``_parse_prim``).
 """
 
 from __future__ import annotations
@@ -156,27 +155,14 @@ def _node(kind, children: tuple) -> _Product:
     return node
 
 
-def seq(*parts: SPTerm) -> SPTerm:
-    """Sequential composition with flattening, eps removal, and collapsing."""
+def _product(kind, parts: tuple, mode: SemanticsMode = ORDERED) -> SPTerm:
+    """The `kind` (Seq or Par) node of `parts`, the children of a part of
+    that kind inlined and eps dropped, and in COMMUTATIVE mode sorted; a
+    single child is returned itself, and none gives eps."""
     flat: list[SPTerm] = []
     for p in parts:
         cls = p.__class__
-        if cls is Seq:
-            flat += p.children
-        elif cls is not Eps:
-            flat.append(p)
-    if len(flat) > 1:
-        return _node(Seq, tuple(flat))
-    return flat[0] if flat else EPS
-
-
-def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
-    """Parallel composition with flattening, eps removal, collapsing, and in
-    COMMUTATIVE mode sorting: parts canonical for `mode` give a canonical result."""
-    flat: list[SPTerm] = []
-    for p in parts:
-        cls = p.__class__
-        if cls is Par:
+        if cls is kind:
             flat += p.children
         elif cls is not Eps:
             flat.append(p)
@@ -184,7 +170,18 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
         return flat[0] if flat else EPS
     if mode is COMMUTATIVE:
         flat.sort(key=format_term)
-    return _node(Par, tuple(flat))
+    return _node(kind, tuple(flat))
+
+
+def seq(*parts: SPTerm) -> SPTerm:
+    """Sequential composition with flattening, eps removal, and collapsing."""
+    return _product(Seq, parts)
+
+
+def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
+    """Parallel composition with flattening, eps removal, collapsing, and in
+    COMMUTATIVE mode sorting: parts canonical for `mode` give a canonical result."""
+    return _product(Par, parts, mode)
 
 
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
@@ -237,27 +234,11 @@ def parse_term(text: str, *, allow_upper: bool = False) -> SPTerm:
     Uppercase leaves are rejected unless `allow_upper` is set (the grammar
     layer sets it to parse sentential forms).
     """
-    stream = TokenStream(text)
-    result = _parse_par(stream, allow_upper)
-    stream.expect_end()
-    return result
+    return TokenStream(text).whole(_LEVELS, _form if allow_upper else _parse_prim)
 
 
-def _parse_par(stream: TokenStream, allow_upper: bool) -> SPTerm:
-    parts = [_parse_seq(stream, allow_upper)]
-    while stream.eat_op("||"):
-        parts.append(_parse_seq(stream, allow_upper))
-    return par(*parts)
-
-
-def _parse_seq(stream: TokenStream, allow_upper: bool) -> SPTerm:
-    parts = [_parse_prim(stream, allow_upper)]
-    while stream.eat_op("."):
-        parts.append(_parse_prim(stream, allow_upper))
-    return seq(*parts)
-
-
-def _parse_prim(stream: TokenStream, allow_upper: bool) -> SPTerm:
+def _parse_prim(stream: TokenStream, allow_upper: bool = False) -> SPTerm:
+    """An operand of a term: a letter, ``eps`` or a parenthesized term."""
     tok = stream.peek()
     if tok.kind == "LETTER":
         if tok.text.isupper() and not allow_upper:
@@ -268,10 +249,16 @@ def _parse_prim(stream: TokenStream, allow_upper: bool) -> SPTerm:
         stream.next()
         return EPS
     if stream.eat_op("("):
-        inner = _parse_par(stream, allow_upper)
+        inner = stream.infix(_LEVELS, _form if allow_upper else _parse_prim)
         stream.expect_op(")")
         return inner
     raise TermSyntaxError(f"expected a letter, 'eps' or '(', found {tok.text or 'end of input'!r}", tok.offset)
+
+
+# an operand of a sentential form: `_parse_prim` with nonterminal leaves
+_form = functools.partial(_parse_prim, allow_upper=True)
+# the operator levels of the term text format, loosest first (see `TokenStream.infix`)
+_LEVELS = (("||", par), (".", seq))
 
 
 def length(t: SPTerm) -> int:

@@ -401,6 +401,20 @@ def test_equiv_succeeds_on_linear_fixtures(capsys):
         assert out.startswith("equal:")
 
 
+def test_equiv_reports_a_mismatch_on_stderr_and_exits_1(capsys, monkeypatch):
+    from splang import automata, langs, terms
+
+    accepted = automata.enumerate_accepted
+
+    def dropping_eps(*args):
+        lang = accepted(*args)
+        return langs.FiniteLang(lang.mode, [t for t in lang if t != terms.EPS])
+
+    monkeypatch.setattr(automata, "enumerate_accepted", dropping_eps)
+    assert run(capsys, "equiv", DATA / "parallel_pairs.g", "--max-atoms", "2") == (
+        1, "", "not equal\nonly in left: eps\n")
+
+
 def test_equiv_rejects_non_linear_grammar_with_exit_5(capsys):
     code, _, err = run(capsys, "equiv", DATA / "branch_words.g")
     assert code == 5

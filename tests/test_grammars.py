@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import re
 import sys
 
 import pytest
@@ -98,6 +99,22 @@ def test_parse_multi_rule_grammar(branches_grammar):
 def test_undeclared_nonterminal_rejected():
     with pytest.raises(TermSyntaxError):
         parse_grammar("S -> X\n")
+
+
+@pytest.mark.parametrize("nonterminals,terminals,productions,start,message", [
+    ({"S"}, {"a"}, (), "S", "a grammar needs at least one production"),
+    ({"S"}, {"a"}, (Production("S", Leaf("a")),), "A", "start symbol 'A' is not a nonterminal"),
+    ({"S"}, {"a"}, (Production("A", Leaf("a")),), "S", "production head 'A' not declared"),
+    ({"S"}, {"a"}, (Production("S", Leaf("b")),), "S", "undeclared terminal 'b' in S -> b"),
+])
+def test_the_grammar_constructor_checks_its_fields(nonterminals, terminals, productions, start, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Grammar(frozenset(nonterminals), frozenset(terminals), productions, start)
+
+
+def test_a_grammar_of_no_productions_is_refused():
+    with pytest.raises(ValueError, match="^a grammar needs at least one production$"):
+        Grammar.of([])
 
 
 @pytest.mark.parametrize("bad", ["S -> a |\n", "-> a\n", "s -> a\n", "S -> (a|b)\n", "S ->\n"])

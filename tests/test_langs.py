@@ -123,6 +123,16 @@ def test_power_recurrence():
         assert lang_equal(power(l, n + 1, PowerKind.PAR), par_lang(power(l, n, PowerKind.PAR), l))
 
 
+def test_a_negative_exponent_or_bound_is_refused():
+    l = lang("a")
+    for kind in PowerKind:
+        with pytest.raises(ValueError, match="^power exponent must be >= 0$"):
+            power(l, -1, kind)
+    for kind in ClosureKind:
+        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+            kleene_bounded(l, kind, -1)
+
+
 def test_closure_monotone_in_bound():
     l = lang("a", "a||b")
     for kind in ClosureKind:
@@ -349,6 +359,11 @@ def test_empty_differs_from_epsilon():
     assert not diff
     assert diff.only_right == (EPS,)
     assert "eps" in diff.report()
+
+
+def test_equal_languages_report_so():
+    diff = lang_equal(lang("a", "b||a"), lang("b||a", "a"))
+    assert diff and diff.report() == "languages are equal"
 
 
 def test_report_caps_witnesses():

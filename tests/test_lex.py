@@ -14,7 +14,8 @@ from splang.cli import main
 from splang.errors import TermSyntaxError
 from splang.grammars import format_grammar, parse_grammar
 from splang.langs import load_lang
-from splang.terms import Leaf, enumerate_terms
+from splang.regexes import parse_regex
+from splang.terms import Leaf, enumerate_terms, parse_term
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 READERS = {".g": parse_grammar, ".aut": parse_automaton}
@@ -81,6 +82,74 @@ def test_every_line_error_names_a_line_that_is_there(case):
             lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # the line breaks of the formats
             n = int(m.group(1))
             assert 1 <= n <= len(lines) and lines[n - 1].split("#", 1)[0].strip(), message
+
+
+# The text readers: a plain term, a sentential form on a grammar line (its
+# offsets count from just after the arrow), a regex, and a term on a language
+# file's second line.
+TEXT_READERS = {
+    "term": parse_term,
+    "form": lambda text: parse_grammar(f"S -> {text}\n"),
+    "regex": parse_regex,
+    "lang": lambda text: load_lang(f"mode: ordered\n{text}\n"),
+}
+RUN = "is not a symbol; atoms are single letters and must be joined with an operator"
+GOLDEN_ERRORS = [
+    ("term", "", "expected a letter, 'eps' or '(', found 'end of input' (at offset 0)", 0),
+    ("form", "", "line 1: expected a letter, 'eps' or '(', found 'end of input' (at offset 0)", None),
+    ("regex", "", "expected a letter, 'eps', '0' or '(', found 'end of input' (at offset 0)", 0),
+    ("term", "a b", "unexpected trailing input 'b' (at offset 2)", 2),
+    ("form", "a b", "line 1: unexpected trailing input 'b' (at offset 3)", None),
+    ("regex", "a b", "unexpected trailing input 'b' (at offset 2)", 2),
+    ("lang", "a b", "line 2: unexpected trailing input 'b' (at offset 2)", None),
+    ("term", "(a.b", "expected ')', found 'end of input' (at offset 4)", 4),
+    ("form", "(a.b", "line 1: expected ')', found 'end of input' (at offset 5)", None),
+    ("regex", "(a.b", "expected ')', found 'end of input' (at offset 4)", 4),
+    ("lang", "(a.b", "line 2: expected ')', found 'end of input' (at offset 4)", None),
+    ("term", "a.b)", "unexpected trailing input ')' (at offset 3)", 3),
+    ("form", "a.b)", "line 1: unexpected trailing input ')' (at offset 4)", None),
+    ("regex", "a.b)", "unexpected trailing input ')' (at offset 3)", 3),
+    ("lang", "a.b)", "line 2: unexpected trailing input ')' (at offset 3)", None),
+    ("term", ")", "expected a letter, 'eps' or '(', found ')' (at offset 0)", 0),
+    ("form", "()", "line 1: expected a letter, 'eps' or '(', found ')' (at offset 2)", None),
+    ("regex", "a.()", "expected a letter, 'eps', '0' or '(', found ')' (at offset 3)", 3),
+    ("lang", "a||", "line 2: expected a letter, 'eps' or '(', found 'end of input' (at offset 3)", None),
+    ("form", "a.(b|c)", "line 1: expected ')', found '|' (at offset 5)", None),
+    ("term", "a|b", "unexpected trailing input '|' (at offset 1)", 1),
+    ("term", "A_12.a", "uppercase letter 'A_12' not allowed in a plain term (at offset 0)", 0),
+    ("lang", "a.S", "line 2: uppercase letter 'S' not allowed in a plain term (at offset 2)", None),
+    ("regex", "a|A", "regex atoms are lowercase letters, got 'A' (at offset 2)", 2),
+    ("term", "a.0", "expected a letter, 'eps' or '(', found '0' (at offset 2)", 2),
+    ("form", "0", "line 1: expected a letter, 'eps' or '(', found '0' (at offset 1)", None),
+    ("lang", "0", "line 2: expected a letter, 'eps' or '(', found '0' (at offset 0)", None),
+    ("term", "a.eps.abc", f"letter run 'abc' {RUN} (at offset 6)", 6),
+    ("form", "ab", f"line 1: letter run 'ab' {RUN} (at offset 1)", None),
+    ("regex", "ab*", f"letter run 'ab' {RUN} (at offset 0)", 0),
+    ("lang", "ab", f"line 2: letter run 'ab' {RUN} (at offset 0)", None),
+    ("term", "a%b", "unknown character '%' (at offset 1)", 1),
+    ("form", "a%b", "line 1: unknown character '%' (at offset 2)", None),
+    ("regex", "a|é", "unknown character 'é' (at offset 2)", 2),
+    ("lang", "a%b", "line 2: unknown character '%' (at offset 1)", None),
+]
+
+
+@pytest.mark.parametrize("reader,text,message,offset", GOLDEN_ERRORS)
+def test_each_reader_reports_malformed_text_exactly(reader, text, message, offset):
+    with pytest.raises(TermSyntaxError) as info:
+        TEXT_READERS[reader](text)
+    assert (str(info.value), info.value.offset) == (message, offset)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a\n", "line 1: language file must start with a 'mode:' header"),
+    ("mode: sideways\na\n", "line 1: unknown mode 'sideways'"),
+    ("mode: ORDERED\n", "line 1: unknown mode 'ORDERED'"),
+    ("# only a comment\n", "language file is missing the 'mode:' header"),
+])
+def test_a_language_file_header_error_is_exact(text, message):
+    with pytest.raises(TermSyntaxError) as info:
+        load_lang(text)
+    assert (str(info.value), info.value.offset) == (message, None)
 
 
 NOT_ATOMS = ["A", "é", "ab", "", "`", "{"]  # "`" and "{" are the neighbours of "a" and "z"

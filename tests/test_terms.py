@@ -165,13 +165,15 @@ def checked(t):
 
 def shares(t, mode):
     """The factor tuples of `t` the membership search reads: the ranges of
-    its factors, and in COMMUTATIVE mode every sorted sub-multiset of a Par's."""
+    its factors, and in COMMUTATIVE mode every sorted sub-multiset of a Par's,
+    each once: so many copies of each run of equal children."""
     if isinstance(t, (Eps, Leaf)):
         return
     n = len(t.children)
     if isinstance(t, Par) and mode is COMMUTATIVE:
-        for picks in itertools.product((False, True), repeat=n):
-            yield tuple(itertools.compress(t.children, picks))
+        runs = [tuple(run) for _, run in itertools.groupby(t.children)]
+        for takes in itertools.product(*(range(len(run) + 1) for run in runs)):
+            yield tuple(itertools.chain.from_iterable(run[:k] for run, k in zip(runs, takes)))
     else:
         for i in range(n + 1):
             for j in range(i, n + 1):

@@ -8,9 +8,10 @@ operators: each format gives it a table of its operator levels, loosest
 first, and a reader of one operand, and `TokenStream.whole` reads a whole
 text that way. `read_lines` is the line reader of the grammar, language and
 automaton files: it cuts each line at ``#``, skips blank lines, and prefixes
-a line's error with ``line N:``. `is_atom` is the atom rule: one lowercase
-ASCII letter. Also home to `Immutable`, the one base of the package's value
-classes: terms, languages, regexes, grammars, automata and tokens.
+a line's error with ``line N:``, its offset counted from the start of the
+line. `is_atom` is the atom rule: one lowercase ASCII letter. Also home to
+`Immutable`, the one base of the package's value classes: terms, languages,
+regexes, grammars, automata and tokens.
 """
 
 from __future__ import annotations
@@ -49,13 +50,18 @@ def read_lines(text: str, handle) -> None:
     stripped, skipping the lines that are then blank. A line ends only at an
     LF, a CR LF or a CR. A TermSyntaxError or ValueError from `handle` is
     raised again as a TermSyntaxError prefixed with ``line N:``, N counting
-    from 1."""
+    from 1; an offset into the stripped line becomes one from the start of
+    the line."""
     for lineno, raw in enumerate(_LINE_BREAK.split(text), 1):
-        line = raw.split("#", 1)[0].strip()
+        cut = raw.split("#", 1)[0]
+        line = cut.strip()
         if line:
             try:
                 handle(line)
-            except (TermSyntaxError, ValueError) as exc:
+            except TermSyntaxError as exc:
+                offset = None if exc.offset is None else exc.offset + len(cut) - len(cut.lstrip())
+                raise TermSyntaxError(f"line {lineno}: {exc.reason}", offset) from exc
+            except ValueError as exc:
                 raise TermSyntaxError(f"line {lineno}: {exc}") from exc
 
 
@@ -124,8 +130,8 @@ class Token(Immutable):
         object.__setattr__(self, "offset", offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split `text` into tokens, skipping whitespace.
+def tokenize(text: str, start: int = 0) -> list[Token]:
+    """Split `text` from offset `start` on into tokens, skipping whitespace.
 
     Raises TermSyntaxError (with the byte offset) on any character outside the
     formats, and on multi-letter runs other than the keyword ``eps``: atoms are
@@ -137,7 +143,7 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     groups = [0]  # deepest nesting inside each open parenthesis, the text itself first
     nesting = 0  # of the operand read last
-    i = 0
+    i = start
     n = len(text)
     while i < n:
         c = text[i]
@@ -196,8 +202,8 @@ def tokenize(text: str) -> list[Token]:
 class TokenStream:
     """Cursor over a token list with error-reporting helpers."""
 
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, start: int = 0):
+        self.tokens = tokenize(text, start)
         self.pos = 0
 
     def peek(self) -> Token:

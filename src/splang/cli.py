@@ -22,7 +22,8 @@ on stderr, no traceback); 141 (128 + SIGPIPE) when the reader closes stdout,
 with nothing on stderr.
 Regexes and automata are decided and enumerated through their compiled
 grammars. Grammar membership and generation are exact (no step budget);
-`member --trace` prints a leftmost derivation, not necessarily the shortest.
+`member --trace` prints a leftmost derivation, read from the proof tree the
+search kept only when the flag asks for it, and not necessarily the shortest.
 
 The command table (`_SHARED` and `_COMMANDS`) is the one place a command or
 option is declared: `build_parser` builds every parser from it, and `main`

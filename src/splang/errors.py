@@ -9,13 +9,14 @@ class TermSyntaxError(SplangError):
     """Malformed text in any of the text formats: terms and regexes, and the
     line formats of grammars, languages and automata.
 
-    Carries the byte offset of the offending character when known. An error
-    on one line of a line format says ``line N:`` first (see
-    `_lex.read_lines`).
+    Carries the byte offset of the offending character when known, and the
+    message without it (`reason`). An error on one line of a line format
+    says ``line N:`` first, and its offset counts from the start of that
+    line (see `_lex.read_lines`).
     """
 
     def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
+        self.offset, self.reason = offset, message
         if offset is not None:
             message = f"{message} (at offset {offset})"
         super().__init__(message)

@@ -340,10 +340,12 @@ def parse_grammar(text: str) -> Grammar:
     productions: list[Production] = []
 
     def rule(line: str) -> None:
-        head, arrow, body = line.partition("->")
+        head, arrow, _ = line.partition("->")
         if not arrow:
             raise TermSyntaxError("expected 'A -> ...'")
-        productions.extend(Production(head.strip(), rhs) for rhs in TokenStream(body).whole(_RULE_LEVELS, _form))
+        # read from just after the arrow, so an error's offset counts from the start of the line
+        alternatives = TokenStream(line, len(head) + len(arrow)).whole(_RULE_LEVELS, _form)
+        productions.extend(Production(head.strip(), rhs) for rhs in alternatives)
 
     read_lines(text, rule)
     if not productions:
@@ -580,23 +582,47 @@ def _universe(letters: tuple[str, ...], max_atoms: int, mode: SemanticsMode, cap
 
 
 class MembershipResult(Immutable):
-    __slots__ = _fields = ("member", "trace")  # trace: the sentential forms, start first, or None
+    """The answer of `is_member` in semantics `mode`. A True answer keeps
+    the proof the search found (`proof`; None for a False answer): its
+    derivation tree in pre-order, each node a (nonterminal, right-hand side)
+    pair followed by the subtrees of the right-hand side's nonterminal
+    leaves in leaf order. Pre-order is the order a leftmost derivation
+    applies the productions, so `trace` replays it into sentential forms,
+    and only when it is read; the tuple is flat, so comparing, hashing or
+    pickling the proof of a deep derivation needs no recursion."""
+
+    __slots__ = _fields = ("member", "proof", "mode")
 
     def __bool__(self) -> bool:
         return self.member
 
+    @property
+    def trace(self) -> tuple[SPTerm, ...] | None:
+        """The canonical forms of the leftmost derivation `proof` gives (in
+        COMMUTATIVE mode, leftmost as the productions write their
+        nonterminals), the start symbol first, or None for a False answer.
+        Built afresh on each read."""
+        if self.proof is None:
+            return None
+        form: SPTerm = Leaf(self.proof[0][0])
+        chain = [form]
+        for _, rhs in self.proof:
+            form = _expand_leftmost(form, rhs)
+            chain.append(canonicalize(form, self.mode))
+        return tuple(chain)
+
 
 def is_member(g: Grammar, t: SPTerm, mode: SemanticsMode = ORDERED) -> MembershipResult:
     """Exact membership of `t`, canonicalized for `mode`, in L(g). A True
-    answer carries the canonical forms of a leftmost derivation of `t` (in
-    COMMUTATIVE mode, leftmost as the productions write their nonterminals),
-    read off the first proof found, so not necessarily the shortest.
-    `DEFAULT_CAP` bounds the (nonterminal, position of `t`) goals one search
-    pass examines."""
+    answer keeps the tree of the first proof found, so not necessarily of
+    the shortest derivation, read out of the search's proofs without
+    building a sentential form; `trace` reads the forms of its leftmost
+    derivation from that tree on demand. `DEFAULT_CAP` bounds the
+    (nonterminal, position of `t`) goals one search pass examines."""
     search = _MemberSearch(g, mode, DEFAULT_CAP)
     if not search.proves(canonicalize(t, mode)):
-        return MembershipResult(False, None)
-    return MembershipResult(True, search.leftmost_derivation())
+        return MembershipResult(False, None, mode)
+    return MembershipResult(True, search.proof(), mode)
 
 
 class _MemberSearch:
@@ -612,7 +638,9 @@ class _MemberSearch:
     of the other operator, is one factor. A goal met again while being
     tried lies on a unit or eps cycle and counts as False for now; the
     search reruns, keeping what it proved, while a cycle was cut and new
-    facts appear.
+    facts appear. A proved goal keeps its production's form and its
+    subgoals, the back-pointers from which `proof` reads the derivation tree
+    of a query on demand; the search itself builds no sentential form.
 
     Each part of a form is planned (`_Node`) with its fewest and most atoms
     and factors and its letters, and those of the parts after it. A split is
@@ -623,7 +651,9 @@ class _MemberSearch:
     order. Shares are measured by Parikh vectors (see `_WIDTH`), summed once
     per query node: by prefix sums for a range, run by run for a
     sub-multiset, whose split prefix is dropped with all that extend it once
-    its share or rest has too many atoms or a letter it may not have."""
+    its share or rest has too many atoms or a letter it may not have. A
+    share of exactly one factor, the most common, is picked in one pass over
+    the runs instead (`_one_factor_splits`)."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
         self.g, self.mode, self.cap = g, mode, cap
@@ -723,7 +753,7 @@ class _MemberSearch:
         if ordered:
             return self.match_range(node.parts, node.rests, 0, entry, owner, *(at or (0, len(entry[0]))))
         parts, rests = node.commuted
-        found = self.match_counts(parts, rests, 0, entry, owner, at[0] if at else entry[1])
+        found = self.match_counts(parts, rests, 0, entry, owner, at[0] if at else entry[1], vec)
         if found is None:
             return None
         if parts is not node.parts:
@@ -750,17 +780,23 @@ class _MemberSearch:
                         return first + others
         return None
 
-    def match_counts(self, parts, rests, k: int, entry, owner, counts: tuple) -> tuple | None:
+    def match_counts(self, parts, rests, k: int, entry, owner, counts: tuple, vec: int) -> tuple | None:
         """The (part index, goals) pairs under which parts k, k+1, ... of a
         COMMUTATIVE Par form (see `_rests`) derive the sub-multiset `counts`
-        of `owner`, whose `entry` they are, or None; part k is not the last."""
+        of `owner`, whose `entry` they are and whose Parikh vector is `vec`,
+        or None; part k is not the last."""
         part, rest, (firsts, full, vecs, _) = parts[k], rests[k], entry
-        for share, h, r in _count_splits(counts, vecs, *_share_sizes(part, rest, sum(counts)), part, rest):
+        low, high = _share_sizes(part, rest, sum(counts))
+        if low == high == 1:
+            splits = _one_factor_splits(counts, vecs, vec, part, rest)
+        else:
+            splits = _count_splits(counts, vecs, low, high, part, rest)
+        for share, h, r in splits:
             first = self.match(part, _sub_multiset(firsts, full, owner, share), h)
             if first is not None:
                 left = tuple(map(operator.sub, counts, share))
                 if k + 2 < len(parts):
-                    others = self.match_counts(parts, rests, k + 1, entry, owner, left)
+                    others = self.match_counts(parts, rests, k + 1, entry, owner, left, r)
                 else:
                     last = self.match(parts[-1], _sub_multiset(firsts, full, owner, left), r)
                     others = None if last is None else ((parts[-1].index, last),)
@@ -768,17 +804,16 @@ class _MemberSearch:
                     return ((part.index, first),) + others
         return None
 
-    def leftmost_derivation(self) -> tuple[SPTerm, ...]:
-        """The leftmost derivation of the goal `proves` last proved."""
-        form: SPTerm = Leaf(self.g.start)
-        pending = [self.goal]  # goals of the nonterminal leaves of `form`, rightmost first
-        chain = [form]
+    def proof(self) -> tuple:
+        """The proof tree of the goal `proves` last proved, in pre-order (see
+        `MembershipResult`), read out of `proofs` with a stack."""
+        tree, pending = [], [self.goal]  # pending: the goals still to visit, the next one last
         while pending:
-            rhs, subgoals = self.proofs[pending.pop()]
-            form = _expand_leftmost(form, rhs)
-            pending.extend(reversed(subgoals))
-            chain.append(canonicalize(form, self.mode))
-        return tuple(chain)
+            goal = pending.pop()
+            rhs, subgoals = self.proofs[goal]
+            tree.append((goal[0], rhs))
+            pending += reversed(subgoals)
+        return tuple(tree)
 
 
 def _share_sizes(part: _Node, rest: tuple, size: int) -> tuple[int, int]:
@@ -827,6 +862,20 @@ def _count_splits(counts: tuple, vecs: tuple, low: int, high: int, part: _Node, 
         for c in range(min(n, high - size), max(0, low - later[i + 1] - size) - 1, -1):  # pushed last-first
             if _fits(hc := h + c * v, 0, most, forbid) and _fits(rc := r + (n - c) * v, 0, rest_most, rest_forbid):
                 stack.append((share + (c,), size + c, hc, rc))
+
+
+def _one_factor_splits(counts: tuple, vecs: tuple, vec: int, part: _Node, rest: tuple):
+    """The splits `_count_splits` yields for a share of exactly one child
+    (low == high == 1), in its order, from one pass over the runs, the last
+    run first; `vec` is the Parikh vector of the whole sub-multiset `counts`.
+    Along a run prefix the share's and the rest's vectors only grow, so
+    checking each whole split drops exactly the splits the prefix loop
+    drops."""
+    least, most, forbid, (rest_least, rest_most, rest_forbid, _, _) = part.least, part.most, part.forbid, rest
+    for i in range(len(counts) - 1, -1, -1):
+        h = vecs[i]
+        if counts[i] and _fits(h, least, most, forbid) and _fits(vec - h, rest_least, rest_most, rest_forbid):
+            yield (0,) * i + (1,) + (0,) * (len(counts) - i - 1), h, vec - h
 
 
 # A Parikh vector packs a term's atom count and its count of each letter into

@@ -12,7 +12,9 @@ fixpoint over nonterminals, and automaton runs follow the transitions
 directly (the library compiles automata to grammars instead), trying every
 assignment of a Par's children to fork targets. Powers and closures of finite
 languages are folds of pairwise products over plain sets, canonicalized
-afterwards, with no cap and no early stop.
+afterwards, with no cap and no early stop. A membership trace is replayed
+goal by goal from the search's proof table, each form rebuilt along the path
+to its leftmost nonterminal, instead of read from a proof tree.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from splang.regexes import (
     Regex,
 )
 from splang.automata import BranchingAutomaton, ParTransition
-from splang.grammars import Grammar, Production
+from splang.grammars import Grammar, Production, _MemberSearch
 from splang.terms import (
     COMMUTATIVE,
+    DEFAULT_CAP,
     EPS,
     ORDERED,
     Eps,
@@ -500,6 +503,23 @@ def check_trace(g: Grammar, t: SPTerm, mode: SemanticsMode, trace) -> None:
             for rhs in g.alternatives(_symbol_at(before, path))
         }
         assert after in successors, (format_term(before), format_term(after))
+
+
+def goal_trace(g: Grammar, t: SPTerm, mode: SemanticsMode) -> tuple:
+    """The leftmost derivation of `t` that a fresh membership search proves,
+    replayed from its table of proved goals: each goal's proof rewrites the
+    first nonterminal of the form (as the productions write them), and its
+    subgoals are rewritten next, left to right."""
+    search = _MemberSearch(g, mode, DEFAULT_CAP)
+    assert search.proves(canonicalize(t, mode))
+    form, pending = Leaf(g.start), [search.goal]
+    chain = [form]
+    while pending:
+        rhs, subgoals = search.proofs[pending.pop()]
+        form = _replace_at(form, _leftmost_nonterminal(form), rhs)
+        pending.extend(reversed(subgoals))
+        chain.append(canonicalize(form, mode))
+    return tuple(chain)
 
 
 def random_general_grammar(seed: int, alphabet=("a", "b")) -> Grammar:

@@ -311,8 +311,9 @@ def test_grammar_undeclared_symbol_exits_2(capsys, tmp_path):
     (("grammar", "classify"), "S a\n", "line 1: expected 'A -> ...'"),
     (("grammar", "classify"), "# start\n\ns -> a\n",
      "line 3: nonterminal must be an uppercase letter, optionally indexed (A_12), got 's'"),
-    (("grammar", "classify"), "S -> a\nA -> a..b\n", "line 2: expected a letter, 'eps' or '(', found '.' (at offset 3)"),
-    (("grammar", "classify"), "S -> (a|b)\n", "line 1: expected ')', found '|' (at offset 3)"),
+    (("grammar", "classify"), "S -> a\nA -> a..b\n",
+     "line 2: expected a letter, 'eps' or '(', found '.' (at offset 7)"),
+    (("grammar", "classify"), "S -> (a|b)\n", "line 1: expected ')', found '|' (at offset 7)"),
     (("grammar", "classify"), "# nothing\n\n", "grammar file has no productions"),
     (("grammar", "classify"), "S -> a | X  # X has no rule\n", "undeclared nonterminal 'X' in S -> X"),
     (("lang", "reverse"), "a.b\n", "line 1: language file must start with a 'mode:' header"),

@@ -1,11 +1,14 @@
+import copy
 import functools
 import math
 import operator
+import pickle
 import random
 import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     OracleCapError,
@@ -13,6 +16,7 @@ from oracles import (
     bfs_derive,
     check_trace,
     fixpoint_words,
+    goal_trace,
     oracle_words,
     random_general_grammar,
 )
@@ -21,6 +25,7 @@ from splang._partitions import multiset_splits
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.grammars import (
     Grammar,
+    MembershipResult,
     Production,
     ProductionShape,
     classify_grammar,
@@ -38,6 +43,7 @@ from splang.grammars import (
     _fits,
     _least,
     _letter_fields,
+    _one_factor_splits,
     _takes,
     _width,
     symbols_of,
@@ -375,6 +381,63 @@ def test_a_term_nested_a_thousand_deep_is_decided():
     assert len(trace) == 1002 and hash(trace[-1]) == hash(t)  # == would recurse through the whole term
 
 
+def alternating(n: int):
+    """n nested nodes built in code, alternating a.(...) and b||(...), the
+    outermost a Seq when n is even, around a."""
+    t = Leaf("a")
+    for i in range(n):
+        t = Par((Leaf("b"), t)) if i % 2 == 0 else Seq((Leaf("a"), t))
+    return t
+
+
+ALTERNATING = "S -> a.P | a\nP -> b||S | b\n"
+
+
+@pytest.mark.parametrize("mode,n", [(ORDERED, 800), (COMMUTATIVE, 400)])
+def test_a_deep_term_is_a_member_without_building_its_trace(mode, n):
+    # a COMMUTATIVE trace of 400 nodes overflows the stack, so `is_member` must not build it
+    g = parse_grammar(ALTERNATING)
+    result = is_member(g, alternating(n), mode)  # canonicalizes the only copy
+    assert result and len(result.proof) == n + 1
+    assert [nt for nt, _ in result.proof] == ["S", "P"] * (n // 2) + ["S"]
+
+
+def test_a_long_word_is_a_member_with_a_flat_proof():
+    g = parse_grammar("S -> a.S | b.S | eps\n")
+    word = pt(".".join("ab" * 640))  # 1,280 letters
+    result = is_member(g, word)
+    assert result and len(result.proof) == 1281
+    # the proof is one flat tuple, so comparing and pickling it needs no recursion
+    assert pickle.loads(pickle.dumps(result)) == result == is_member(g, word)
+
+
+def test_is_member_builds_no_form_until_the_trace_is_read(monkeypatch, branches_grammar):
+    def refuse(form, rhs):
+        raise AssertionError("a sentential form was built")
+
+    monkeypatch.setattr(grammars, "_expand_leftmost", refuse)
+    for mode in (ORDERED, COMMUTATIVE):
+        result = is_member(branches_grammar, pt("(a.a)||b"), mode)
+        assert result and result.proof[0] == ("S", foreign_term("a.A||b.B"))
+        with pytest.raises(AssertionError, match="a sentential form was built"):
+            result.trace
+    assert is_member(branches_grammar, pt("a.b")).trace is None
+
+
+def test_membership_results_compare_copy_and_pickle_by_their_proof(branches_grammar):
+    result = is_member(branches_grammar, pt("(a.a)||b"))
+    forms = map(foreign_term, ["a.A||b.B", "A.a", "eps", "eps"])  # the pinned trace of `test_membership_with_trace`
+    assert result.proof == tuple(zip("SAAB", forms))
+    assert result == is_member(branches_grammar, pt("(a.a)||b")) and result.mode is ORDERED
+    assert result != is_member(branches_grammar, pt("(a.a.a)||b"))
+    assert result != MembershipResult(True, result.proof[:1] + result.proof[2:], ORDERED)
+    assert result != MembershipResult(True, result.proof, COMMUTATIVE)  # the same tree, other forms
+    for clone in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+        assert clone == result and hash(clone) == hash(result)
+        assert clone.proof == result.proof and clone.trace == result.trace
+    assert is_member(branches_grammar, pt("a.b")) == MembershipResult(False, None, ORDERED)
+
+
 def test_an_accepted_long_word_tries_goals_linear_in_its_length():
     g = parse_grammar("S -> a.S | b.S | eps\n")
     goals = []
@@ -665,6 +728,7 @@ def assert_membership_agrees(g, words, universe, mode):
         assert bool(result) == (t in words), (format_grammar(g), format_term(t))
         if result:
             check_trace(g, t, mode, result.trace)
+            assert result.trace == goal_trace(g, t, mode)
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
@@ -787,6 +851,38 @@ def test_random_grammars_are_deterministic():
 def test_random_grammars_are_parallel_linear():
     for seed in range(40):
         assert classify_grammar(random_parallel_linear_grammar(seed)).parallel_linear
+
+
+@st.composite
+def one_factor_cases(draw):
+    """Run counts (some empty), the Parikh vector of each run's child (its
+    atoms, over letters in fields 1..3 and a foreign field 4), and the facts
+    of a part and of the parts after it."""
+    fields = [_COUNT << _WIDTH * i for i in range(1, 5)]
+    counts = tuple(draw(st.lists(st.integers(0, 3), max_size=6)))
+    vecs = []
+    for _ in counts:
+        letters = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4).filter(any))
+        vecs.append(sum(letters) + sum(n << _WIDTH * i for i, n in enumerate(letters, 1)))
+
+    def facts():
+        least = draw(st.integers(0, 4))
+        most = draw(st.one_of(st.integers(0, 8), st.just(math.inf)))
+        allowed = draw(st.lists(st.sampled_from(fields), unique=True))
+        return least, most, ~_COUNT & ~functools.reduce(operator.or_, allowed, 0)
+
+    part = _Node()
+    part.least, part.most, part.forbid = facts()
+    return counts, tuple(vecs), part, facts() + (None, None)  # the rest's factor facts are not read
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_factor_cases())
+def test_a_one_factor_share_is_picked_as_the_prefix_loop_picks_it(case):
+    counts, vecs, part, rest = case
+    vec = sum(map(operator.mul, counts, vecs))
+    expected = list(_count_splits(counts, vecs, 1, 1, part, rest))
+    assert list(_one_factor_splits(counts, vecs, vec, part, rest)) == expected
 
 
 def test_multiset_splits_by_head_size_keep_the_filtered_order():

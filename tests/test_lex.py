@@ -84,9 +84,9 @@ def test_every_line_error_names_a_line_that_is_there(case):
             assert 1 <= n <= len(lines) and lines[n - 1].split("#", 1)[0].strip(), message
 
 
-# The text readers: a plain term, a sentential form on a grammar line (its
-# offsets count from just after the arrow), a regex, and a term on a language
-# file's second line.
+# The text readers: a plain term, a sentential form on a grammar line, a
+# regex, and a term on a language file's second line. An error on a line of a
+# file counts its offset from the start of that line.
 TEXT_READERS = {
     "term": parse_term,
     "form": lambda text: parse_grammar(f"S -> {text}\n"),
@@ -96,40 +96,41 @@ TEXT_READERS = {
 RUN = "is not a symbol; atoms are single letters and must be joined with an operator"
 GOLDEN_ERRORS = [
     ("term", "", "expected a letter, 'eps' or '(', found 'end of input' (at offset 0)", 0),
-    ("form", "", "line 1: expected a letter, 'eps' or '(', found 'end of input' (at offset 0)", None),
+    ("form", "", "line 1: expected a letter, 'eps' or '(', found 'end of input' (at offset 4)", 4),
     ("regex", "", "expected a letter, 'eps', '0' or '(', found 'end of input' (at offset 0)", 0),
     ("term", "a b", "unexpected trailing input 'b' (at offset 2)", 2),
-    ("form", "a b", "line 1: unexpected trailing input 'b' (at offset 3)", None),
+    ("form", "a b", "line 1: unexpected trailing input 'b' (at offset 7)", 7),
     ("regex", "a b", "unexpected trailing input 'b' (at offset 2)", 2),
-    ("lang", "a b", "line 2: unexpected trailing input 'b' (at offset 2)", None),
+    ("lang", "a b", "line 2: unexpected trailing input 'b' (at offset 2)", 2),
+    ("lang", "  a b", "line 2: unexpected trailing input 'b' (at offset 4)", 4),
     ("term", "(a.b", "expected ')', found 'end of input' (at offset 4)", 4),
-    ("form", "(a.b", "line 1: expected ')', found 'end of input' (at offset 5)", None),
+    ("form", "(a.b", "line 1: expected ')', found 'end of input' (at offset 9)", 9),
     ("regex", "(a.b", "expected ')', found 'end of input' (at offset 4)", 4),
-    ("lang", "(a.b", "line 2: expected ')', found 'end of input' (at offset 4)", None),
+    ("lang", "(a.b", "line 2: expected ')', found 'end of input' (at offset 4)", 4),
     ("term", "a.b)", "unexpected trailing input ')' (at offset 3)", 3),
-    ("form", "a.b)", "line 1: unexpected trailing input ')' (at offset 4)", None),
+    ("form", "a.b)", "line 1: unexpected trailing input ')' (at offset 8)", 8),
     ("regex", "a.b)", "unexpected trailing input ')' (at offset 3)", 3),
-    ("lang", "a.b)", "line 2: unexpected trailing input ')' (at offset 3)", None),
+    ("lang", "a.b)", "line 2: unexpected trailing input ')' (at offset 3)", 3),
     ("term", ")", "expected a letter, 'eps' or '(', found ')' (at offset 0)", 0),
-    ("form", "()", "line 1: expected a letter, 'eps' or '(', found ')' (at offset 2)", None),
+    ("form", "()", "line 1: expected a letter, 'eps' or '(', found ')' (at offset 6)", 6),
     ("regex", "a.()", "expected a letter, 'eps', '0' or '(', found ')' (at offset 3)", 3),
-    ("lang", "a||", "line 2: expected a letter, 'eps' or '(', found 'end of input' (at offset 3)", None),
-    ("form", "a.(b|c)", "line 1: expected ')', found '|' (at offset 5)", None),
+    ("lang", "a||", "line 2: expected a letter, 'eps' or '(', found 'end of input' (at offset 3)", 3),
+    ("form", "a.(b|c)", "line 1: expected ')', found '|' (at offset 9)", 9),
     ("term", "a|b", "unexpected trailing input '|' (at offset 1)", 1),
     ("term", "A_12.a", "uppercase letter 'A_12' not allowed in a plain term (at offset 0)", 0),
-    ("lang", "a.S", "line 2: uppercase letter 'S' not allowed in a plain term (at offset 2)", None),
+    ("lang", "a.S", "line 2: uppercase letter 'S' not allowed in a plain term (at offset 2)", 2),
     ("regex", "a|A", "regex atoms are lowercase letters, got 'A' (at offset 2)", 2),
     ("term", "a.0", "expected a letter, 'eps' or '(', found '0' (at offset 2)", 2),
-    ("form", "0", "line 1: expected a letter, 'eps' or '(', found '0' (at offset 1)", None),
-    ("lang", "0", "line 2: expected a letter, 'eps' or '(', found '0' (at offset 0)", None),
+    ("form", "0", "line 1: expected a letter, 'eps' or '(', found '0' (at offset 5)", 5),
+    ("lang", "0", "line 2: expected a letter, 'eps' or '(', found '0' (at offset 0)", 0),
     ("term", "a.eps.abc", f"letter run 'abc' {RUN} (at offset 6)", 6),
-    ("form", "ab", f"line 1: letter run 'ab' {RUN} (at offset 1)", None),
+    ("form", "ab", f"line 1: letter run 'ab' {RUN} (at offset 5)", 5),
     ("regex", "ab*", f"letter run 'ab' {RUN} (at offset 0)", 0),
-    ("lang", "ab", f"line 2: letter run 'ab' {RUN} (at offset 0)", None),
+    ("lang", "ab", f"line 2: letter run 'ab' {RUN} (at offset 0)", 0),
     ("term", "a%b", "unknown character '%' (at offset 1)", 1),
-    ("form", "a%b", "line 1: unknown character '%' (at offset 2)", None),
+    ("form", "a%b", "line 1: unknown character '%' (at offset 6)", 6),
     ("regex", "a|é", "unknown character 'é' (at offset 2)", 2),
-    ("lang", "a%b", "line 2: unknown character '%' (at offset 1)", None),
+    ("lang", "a%b", "line 2: unknown character '%' (at offset 1)", 1),
 ]
 
 

@@ -171,7 +171,8 @@ def test_the_value_constructor_takes_fields_by_position_or_keyword():
     assert Production("S", t) == Production("S", rhs=t) == Production(rhs=t, lhs="S")
     assert Production("S", t) != Production("A", t) and Production("S", t) != ("S", t)
     assert repr(SeqTransition("p", "a", "q")) == "SeqTransition(src='p', label='a', dst='q')"
-    for args, kwargs in [((True,), {}), ((True, None, None), {}), ((True,), {"member": True}), ((True,), {"proof": None})]:
+    too_many = (True, None, splang.ORDERED, None)
+    for args, kwargs in [((True,), {}), (too_many, {}), ((True,), {"member": True}), ((True,), {"trace": None})]:
         with pytest.raises(TypeError):
             MembershipResult(*args, **kwargs)
 

@@ -585,9 +585,17 @@ FORK_JOIN = "fork: F p -> {p, q}\njoin: J {p, q} -> q\n"
     (AUT_HEAD + FORK_JOIN + "par: F * J\npar: F * K\n", "par transition references unknown join 'K'"),
     ("states: p q\nfinal: q\n", "missing 'initial:' line"),
     (AUT_HEAD + FORK_JOIN + "join: K {p, q} -> q\npar: F * J\n", "join 'K' is not referenced by any par transition"),
+    ("initial: p\nstates: p q\nfinal: q\n", "line 2: section 'states' out of order"),
+    (AUT_HEAD + "fork: F p -> {q}\n", "line 4: fork F needs at least two targets"),
+    (AUT_HEAD + FORK_JOIN, "fork 'F' is not referenced by any par transition"),
+    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: G * J\n", "par transition references unknown fork 'G'"),
+    (AUT_HEAD + "seq: p a r\n", "undeclared state 'r' in seq transition"),
+    ("initial: p\nfinal: q\n", "missing 'states:' line"),
+    (AUT_HEAD + "final: p\n", "line 4: duplicate 'final' line"),
 ], ids=["section", "duplicate-states", "state-name", "multiset-name", "empty-name", "seq", "fork", "join", "par",
         "one-source", "duplicate-fork", "duplicate-join", "unknown-join", "missing-initial",
-        "unreferenced-join"])
+        "unreferenced-join", "section-order", "one-target", "unreferenced-fork", "unknown-fork",
+        "undeclared-seq-state", "missing-states", "duplicate-final"])
 def test_every_automaton_file_error_exits_2(capsys, tmp_path, text, err):
     path = tmp_path / "x.aut"
     path.write_text(text, encoding="utf-8")

@@ -131,6 +131,11 @@ GOLDEN_ERRORS = [
     ("form", "a%b", "line 1: unknown character '%' (at offset 6)", 6),
     ("regex", "a|é", "unknown character 'é' (at offset 2)", 2),
     ("lang", "a%b", "line 2: unknown character '%' (at offset 1)", 1),
+    ("term", "(" * 101 + "a", "input nests deeper than the nesting limit (100) (at offset 100)", 100),
+    ("regex", "a" + "*" * 101, "input nests deeper than the nesting limit (100) (at offset 101)", 101),
+    ("form", "A_12b", "line 1: unexpected trailing input 'b' (at offset 9)", 9),
+    ("term", "A_", "unknown character '_' (at offset 1)", 1),
+    ("term", "epsa", f"letter run 'epsa' {RUN} (at offset 0)", 0),
 ]
 
 

@@ -1,8 +1,9 @@
 """The lexical rules of every text format.
 
 `tokenize` is the shared tokenizer of terms, regexes, sentential forms and
-language lines: it produces the superset of tokens used by all formats, and
-each parser rejects the tokens its format does not allow. `||` is always read
+language lines: one pattern, `_TOKEN`, matched one token at a time, names the
+kind of each token in the superset of tokens used by all formats, and each
+parser rejects the tokens its format does not allow. `||` is always read
 before `|`. `TokenStream.infix` is the shared reader of their infix
 operators: each format gives it a table of its operator levels, loosest
 first, and a reader of one operand, and `TokenStream.whole` reads a whole
@@ -21,9 +22,6 @@ import re
 
 from .errors import TermSyntaxError
 
-# Longest operators first so "||" never lexes as two "|".
-_OPS = ("||", "|", ".", "*", "^", "@", "(", ")")
-
 # A nonterminal name: an uppercase letter, optionally indexed (A_12).
 NONTERMINAL = re.compile(r"[A-Z](?:_[0-9]+)?")
 
@@ -33,6 +31,12 @@ NONTERMINAL = re.compile(r"[A-Z](?:_[0-9]+)?")
 # would overflow the interpreter's stack; it is a TermSyntaxError instead.
 MAX_NESTING = 100
 _CLOSURES = ("*", "^", "@")
+
+# One token after any whitespace, named by its kind: a letter or an indexed
+# uppercase letter (A_12), the keyword eps, any other letter run, the empty
+# language 0, an operator ("||" before "|"), or any other character.
+_TOKEN = re.compile(r"""\s*(?:(?P<LETTER>[A-Z]_[0-9]+|[A-Za-z](?![A-Za-z])) | (?P<EPS>eps(?![A-Za-z]))
+    | (?P<RUN>[A-Za-z]+) | (?P<EMPTY>0) | (?P<OP>\|\||[|.*^@()]) | (?P<OTHER>\S))""", re.VERBOSE)
 
 
 def is_atom(s: str) -> bool:
@@ -131,7 +135,8 @@ class Token(Immutable):
 
 
 def tokenize(text: str, start: int = 0) -> list[Token]:
-    """Split `text` from offset `start` on into tokens, skipping whitespace.
+    """Split `text` from offset `start` on into tokens, skipping whitespace,
+    with `_TOKEN` matched one token at a time.
 
     Raises TermSyntaxError (with the byte offset) on any character outside the
     formats, and on multi-letter runs other than the keyword ``eps``: atoms are
@@ -142,60 +147,28 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
     """
     tokens: list[Token] = []
     groups = [0]  # deepest nesting inside each open parenthesis, the text itself first
-    nesting = 0  # of the operand read last
-    i = start
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "0":
-            nesting = 0
-            tokens.append(Token("EMPTY", c, i))
-            i += 1
-            continue
-        if c.isascii() and c.isalpha():
-            nesting = 0
-            j = i
-            while j < n and text[j].isascii() and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "eps":
-                tokens.append(Token("EPS", word, i))
-            elif len(word) == 1:
-                if word.isupper():
-                    word = NONTERMINAL.match(text, i).group()
-                    j = i + len(word)
-                tokens.append(Token("LETTER", word, i))
-            else:
-                raise TermSyntaxError(
-                    f"letter run {word!r} is not a symbol; atoms are single "
-                    "letters and must be joined with an operator",
-                    i,
-                )
-            i = j
-            continue
-        for op in _OPS:
-            if text.startswith(op, i):
-                if op == "(":
-                    groups.append(0)
-                    nesting = 0
-                elif op == ")" and len(groups) > 1:
-                    nesting = groups.pop() + 1
-                elif op in _CLOSURES:
-                    nesting += 1
-                else:
-                    nesting = 0
-                if len(groups) - 1 + nesting > MAX_NESTING:
-                    raise TermSyntaxError(f"input nests deeper than the nesting limit ({MAX_NESTING})", i)
-                groups[-1] = max(groups[-1], nesting)
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                break
+    nesting = 0  # of the token read last
+    while m := _TOKEN.match(text, start):
+        kind = m.lastgroup
+        word, i, start = m[kind], m.start(kind), m.end()
+        if kind == "RUN":
+            raise TermSyntaxError(
+                f"letter run {word!r} is not a symbol; atoms are single letters and must be joined with an operator", i)
+        if kind == "OTHER":
+            raise TermSyntaxError(f"unknown character {word!r}", i)
+        if word in _CLOSURES:
+            nesting += 1
+        elif word == ")" and len(groups) > 1:
+            nesting = groups.pop() + 1
         else:
-            raise TermSyntaxError(f"unknown character {c!r}", i)
-    tokens.append(Token("END", "", n))
+            nesting = 0
+            if word == "(":
+                groups.append(0)
+        if len(groups) - 1 + nesting > MAX_NESTING:
+            raise TermSyntaxError(f"input nests deeper than the nesting limit ({MAX_NESTING})", i)
+        groups[-1] = max(groups[-1], nesting)
+        tokens.append(Token(kind, word, i))
+    tokens.append(Token("END", "", len(text)))
     return tokens
 
 

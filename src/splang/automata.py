@@ -32,7 +32,10 @@ nested guarded transitions are settled before they are needed. `accepts` and
 `runs_between` are the commutative membership search of `grammars` on that
 grammar, and `enumerate_accepted` is its `generate`.
 
-Automaton file format (sections in this order, ``#`` comments)::
+Automaton file format (sections in this order, ``#`` comments). A states,
+initial or final line lists state names; each transition section's row of
+`_TRANSITIONS` gives the pattern of its lines and the builder of their
+transitions::
 
     states: q0 q1 ...
     initial: q0 ...
@@ -210,7 +213,7 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
     words = sorted((len(ms), ms, k) for k, (_, _, guard, _) in enumerate(guarded) for ms in guard)
     for _, level in groupby(words, key=lambda w: w[0]):  # smallest first
         g = Grammar(names | test_names, terminals, productions() + tests, "S")
-        search = _MemberSearch(g, COMMUTATIVE, DEFAULT_CAP)
+        search = _MemberSearch(g, COMMUTATIVE)
         for _, ms, k in level:
             word = par(*map(Leaf, ms), mode=COMMUTATIVE)
             if search.proves(word, f"G_{k}"):
@@ -231,7 +234,7 @@ def _search(aut: BranchingAutomaton, letters=None) -> _MemberSearch:
     kept = aut._labels if letters is None else aut._labels.intersection(letters)
     search = aut._searches.get(kept)
     if search is None:
-        search = aut._searches[kept] = _MemberSearch(to_grammar(aut, kept), COMMUTATIVE, DEFAULT_CAP)
+        search = aut._searches[kept] = _MemberSearch(to_grammar(aut, kept), COMMUTATIVE)
     if len(search.proofs) > DEFAULT_CAP:
         search.proofs.clear()
     return search
@@ -362,10 +365,6 @@ def _linear_parts(rhs: SPTerm) -> tuple[tuple[str, ...], str | None]:
 # Text format
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
-_FORK_RE = re.compile(rf"^({_NAME})\s+({_NAME})\s*->\s*\{{([^{{}}]*)\}}$")
-_JOIN_RE = re.compile(rf"^({_NAME})\s+\{{([^{{}}]*)\}}\s*->\s*({_NAME})$")
-_PAR_RE = re.compile(rf"^({_NAME})\s+(\*|\{{[^{{}}]*\}})\s+({_NAME})$")
-_SECTIONS = ("states", "initial", "final", "seq", "fork", "join", "par")
 
 
 def _names(body: str, sep: str | None = None) -> list[str]:
@@ -379,89 +378,76 @@ def _names(body: str, sep: str | None = None) -> list[str]:
     return names
 
 
+def _seq(src: str, label: str, dst: str) -> SeqTransition:
+    if not is_atom(label):
+        raise TermSyntaxError("label must be one lowercase letter")
+    return SeqTransition(src, label, dst)
+
+
+def _par(fid: str, guard_text: str, jid: str) -> ParTransition:
+    if guard_text == "*":
+        return ParTransition(fid, None, jid)
+    multisets = [tuple(a.strip() for a in chunk.split(",")) for chunk in guard_text[1:-1].split(";")]
+    if not all(is_atom(a) for ms in multisets for a in ms):
+        raise TermSyntaxError("guard atoms must be lowercase letters")
+    return ParTransition(fid, frozenset(multisets), jid)
+
+
+# Each transition section, in file order: the pattern of its line's body, the
+# error when the body does not match, and the builder of its transition from
+# the pattern's groups.
+_TRANSITIONS = {
+    "seq": (r"(\S+)\s+(\S+)\s+(\S+)", "expected 'seq: p a q'", _seq),
+    "fork": (rf"({_NAME})\s+({_NAME})\s*->\s*\{{([^{{}}]*)\}}", "expected 'fork: F p -> {q1, q2, ...}'",
+             lambda fid, src, targets: ForkTransition(fid, src, tuple(_names(targets, ",")))),
+    "join": (rf"({_NAME})\s+\{{([^{{}}]*)\}}\s*->\s*({_NAME})", "expected 'join: J {q1, q2, ...} -> p'",
+             lambda jid, sources, dst: JoinTransition(jid, tuple(_names(sources, ",")), dst)),
+    "par": (rf"({_NAME})\s+(\*|\{{[^{{}}]*\}})\s+({_NAME})", "expected 'par: F * J' or 'par: F {a,b;...} J'", _par),
+}
+_SECTIONS = ("states", "initial", "final", *_TRANSITIONS)
+
+
 def parse_automaton(text: str) -> BranchingAutomaton:
     """Parse the automaton file format, enforcing the section order and
     rejecting dangling or unreferenced fork/join declarations."""
     named: dict[str, list[str]] = {}  # the states, initial and final lines
-    seqs: list[SeqTransition] = []
-    forks: list[ForkTransition] = []
-    joins: list[JoinTransition] = []
-    pars: list[ParTransition] = []
-    section_idx = -1
+    transitions: dict[str, list] = {key: [] for key in _TRANSITIONS}
+    section_idx = 0  # of the section read last
 
     def entry(line: str) -> None:
         nonlocal section_idx
         key, colon, body = line.partition(":")
-        key = key.strip()
-        body = body.strip()
+        key, body = key.strip(), body.strip()
         if not colon or key not in _SECTIONS:
             raise TermSyntaxError(f"expected one of {', '.join(_SECTIONS)}")
         idx = _SECTIONS.index(key)
         if idx < section_idx:
             raise TermSyntaxError(f"section {key!r} out of order")
         section_idx = idx
-        if key in ("states", "initial", "final"):
-            if key in named:
-                raise TermSyntaxError(f"duplicate {key!r} line")
+        if key in _TRANSITIONS:
+            pattern, usage, build = _TRANSITIONS[key]
+            m = re.fullmatch(pattern, body)
+            if not m:
+                raise TermSyntaxError(usage)
+            transitions[key].append(build(*m.groups()))
+        elif key in named:
+            raise TermSyntaxError(f"duplicate {key!r} line")
+        else:
             named[key] = _names(body)
-        elif key == "seq":
-            parts = body.split()
-            if len(parts) != 3:
-                raise TermSyntaxError("expected 'seq: p a q'")
-            src, label, dst = parts
-            if not is_atom(label):
-                raise TermSyntaxError("label must be one lowercase letter")
-            seqs.append(SeqTransition(src, label, dst))
-        elif key == "fork":
-            m = _FORK_RE.match(body)
-            if not m:
-                raise TermSyntaxError("expected 'fork: F p -> {q1, q2, ...}'")
-            fid, src, targets = m.groups()
-            forks.append(ForkTransition(fid, src, tuple(_names(targets, ","))))
-        elif key == "join":
-            m = _JOIN_RE.match(body)
-            if not m:
-                raise TermSyntaxError("expected 'join: J {q1, q2, ...} -> p'")
-            jid, sources, dst = m.groups()
-            joins.append(JoinTransition(jid, tuple(_names(sources, ",")), dst))
-        else:  # par
-            m = _PAR_RE.match(body)
-            if not m:
-                raise TermSyntaxError("expected 'par: F * J' or 'par: F {a,b;...} J'")
-            fid, guard_text, jid = m.groups()
-            guard = None
-            if guard_text != "*":
-                multisets = set()
-                for chunk in guard_text[1:-1].split(";"):
-                    atoms = [a.strip() for a in chunk.split(",")]
-                    if not all(map(is_atom, atoms)):
-                        raise TermSyntaxError("guard atoms must be lowercase letters")
-                    multisets.add(tuple(sorted(atoms)))
-                guard = frozenset(multisets)
-            pars.append(ParTransition(fid, guard, jid))
 
     read_lines(text, entry)
     for required in ("states", "initial", "final"):
         if required not in named:
             raise TermSyntaxError(f"missing '{required}:' line")
-    referenced_forks = {p.fork_id for p in pars}
-    referenced_joins = {p.join_id for p in pars}
-    for f in forks:
-        if f.fid not in referenced_forks:
-            raise TermSyntaxError(f"fork {f.fid!r} is not referenced by any par transition")
-    for j in joins:
-        if j.jid not in referenced_joins:
-            raise TermSyntaxError(f"join {j.jid!r} is not referenced by any par transition")
+    seqs, forks, joins, pars = transitions.values()
+    fork_ids, join_ids = {p.fork_id for p in pars}, {p.join_id for p in pars}
+    unused = [f"fork {f.fid!r}" for f in forks if f.fid not in fork_ids]
+    unused += [f"join {j.jid!r}" for j in joins if j.jid not in join_ids]
+    if unused:
+        raise TermSyntaxError(f"{unused[0]} is not referenced by any par transition")
     try:
-        return BranchingAutomaton(
-            states=frozenset(named["states"]),
-            seqs=tuple(seqs),
-            forks=tuple(forks),
-            joins=tuple(joins),
-            pars=tuple(pars),
-            initial=frozenset(named["initial"]),
-            final=frozenset(named["final"]),
-        )
+        return BranchingAutomaton(frozenset(named["states"]), tuple(seqs), tuple(forks), tuple(joins), tuple(pars),
+                                  frozenset(named["initial"]), frozenset(named["final"]))
     except ValueError as exc:
         raise TermSyntaxError(str(exc)) from exc
 

@@ -76,6 +76,7 @@ from .terms import (
     Seq,
     _LEVELS,
     _form,
+    _products,
     canonicalize,
     format_term,
     is_parallel_word,
@@ -491,6 +492,8 @@ def generate(
     the nonterminals whose productions are all eps or a single nonterminal:
     they only copy words counted elsewhere. `max_steps` is ignored; it stays
     the third positional parameter for existing callers."""
+    if max_atoms < 0:
+        raise ValueError("max_atoms must be >= 0")
     levels = _Levels(g, mode)
     words = levels.words
     count = 0
@@ -619,7 +622,7 @@ def is_member(g: Grammar, t: SPTerm, mode: SemanticsMode = ORDERED) -> Membershi
     building a sentential form; `trace` reads the forms of its leftmost
     derivation from that tree on demand. `DEFAULT_CAP` bounds the
     (nonterminal, position of `t`) goals one search pass examines."""
-    search = _MemberSearch(g, mode, DEFAULT_CAP)
+    search = _MemberSearch(g, mode)
     if not search.proves(canonicalize(t, mode)):
         return MembershipResult(False, None, mode)
     return MembershipResult(True, search.proof(), mode)
@@ -653,10 +656,11 @@ class _MemberSearch:
     sub-multiset, whose split prefix is dropped with all that extend it once
     its share or rest has too many atoms or a letter it may not have. A
     share of exactly one factor, the most common, is picked in one pass over
-    the runs instead (`_one_factor_splits`)."""
+    the runs instead (`_one_factor_splits`). `DEFAULT_CAP`, read when the
+    search is built, bounds the goals one pass tries."""
 
-    def __init__(self, g: Grammar, mode: SemanticsMode, cap: int):
-        self.g, self.mode, self.cap = g, mode, cap
+    def __init__(self, g: Grammar, mode: SemanticsMode):
+        self.g, self.mode, self.cap = g, mode, DEFAULT_CAP
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> [still being tried], in this pass
         self.table: dict = {}  # Seq or Par node of the last query -> its factors (see `entry`)
@@ -692,10 +696,7 @@ class _MemberSearch:
             return 0
         entry = self.table.get(t)
         if entry is None:
-            order = [t]  # the Seq and Par nodes in `t`, each before its children
-            for node in order:
-                order += [c for c in node.children if not isinstance(c, Leaf)]
-            for node in reversed(order):
+            for node in _products(t):
                 self.table[node] = self.entry(node.children, type(node) is Seq or self.mode is ORDERED)
             entry = self.table[t]
         return entry[-1]

@@ -214,7 +214,7 @@ def matches(r: Regex, t: SPTerm, mode: SemanticsMode = ORDERED) -> bool:
     compiled grammars of the last 64 regexes are cached; each call searches
     afresh, so no proof outlives it."""
     g = _compile(r)
-    return g is not None and _MemberSearch(g, mode, DEFAULT_CAP).proves(canonicalize(t, mode))
+    return g is not None and _MemberSearch(g, mode).proves(canonicalize(t, mode))
 
 
 def regex_enumerate(r: Regex, alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> FiniteLang:

@@ -184,6 +184,16 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     return _product(Par, parts, mode)
 
 
+def _products(t: SPTerm) -> list:
+    """The Seq and Par nodes of `t`, each after its children, found with a
+    stack: the order of a bottom-up walk that needs no recursion."""
+    order = [t] if isinstance(t, _Product) else []
+    for node in order:
+        order += [c for c in node.children if c.__class__ is not Leaf]
+    order.reverse()
+    return order
+
+
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """`t` in canonical form for `mode`. Idempotent. Every term is canonical
     for ORDERED, the constructors refusing any other, so `t` itself is
@@ -196,11 +206,8 @@ def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     and recurses only a few frames."""
     if mode is ORDERED or t.__class__ is Leaf or t.__class__ is Eps:
         return t
-    order = [t]  # the Seq and Par nodes of `t`, each before its children
-    for node in order:
-        order += [c for c in node.children if c.__class__ is not Leaf]
-    done = {}  # id of a node of `t` -> its canonical form
-    for node in reversed(order):
+    done = {}  # id of a Seq or Par node of `t` -> its canonical form
+    for node in _products(t):
         children = tuple([done.get(id(c), c) for c in node.children]) if done else node.children
         if node.__class__ is Par:
             keys = list(map(format_term, children))
@@ -261,26 +268,23 @@ _form = functools.partial(_parse_prim, allow_upper=True)
 _LEVELS = (("||", par), (".", seq))
 
 
+def _extents(t: SPTerm) -> tuple[int, int]:
+    """`length` and `depth` of `t`, found in one bottom-up walk."""
+    done = {}  # id of a Seq or Par node of `t` -> its extents
+    for node in _products(t):
+        lengths, depths = zip(*[done.get(id(c), (1, 1)) for c in node.children])
+        done[id(node)] = (sum(lengths), max(depths)) if node.__class__ is Seq else (max(lengths), sum(depths))
+    return done.get(id(t), (0, 0) if t.__class__ is Eps else (1, 1))
+
+
 def length(t: SPTerm) -> int:
     """Sequential extent: atoms count 1, Seq sums, Par takes the max."""
-    if isinstance(t, Eps):
-        return 0
-    if isinstance(t, Leaf):
-        return 1
-    if isinstance(t, Seq):
-        return sum(length(c) for c in t.children)
-    return max(length(c) for c in t.children)
+    return _extents(t)[0]
 
 
 def depth(t: SPTerm) -> int:
     """Parallel width: atoms count 1, Seq takes the max, Par sums."""
-    if isinstance(t, Eps):
-        return 0
-    if isinstance(t, Leaf):
-        return 1
-    if isinstance(t, Seq):
-        return max(depth(c) for c in t.children)
-    return sum(depth(c) for c in t.children)
+    return _extents(t)[1]
 
 
 def symbols_of(t: SPTerm):
@@ -306,13 +310,14 @@ def atoms_multiset(t: SPTerm) -> Counter[str]:
 
 def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """Mirror the sequential structure: Seq children are reversed (and each
-    reversed recursively), Par children re-sorted in COMMUTATIVE mode. An
-    involution on terms canonical for `mode` that keeps length and depth."""
-    if isinstance(t, (Eps, Leaf)):
-        return t
-    if isinstance(t, Seq):
-        return _node(Seq, tuple(reverse_term(c, mode) for c in reversed(t.children)))
-    return par(*(reverse_term(c, mode) for c in t.children), mode=mode)
+    reversed in turn, in one bottom-up walk), Par children re-sorted in
+    COMMUTATIVE mode. An involution on terms canonical for `mode` that keeps
+    length and depth."""
+    done = {}  # id of a Seq or Par node of `t` -> its reversal
+    for node in _products(t):
+        children = [done.get(id(c), c) for c in node.children]
+        done[id(node)] = _node(Seq, tuple(reversed(children))) if node.__class__ is Seq else par(*children, mode=mode)
+    return done.get(id(t), t)
 
 
 class TermClass(Enum):

@@ -41,7 +41,6 @@ from splang.automata import BranchingAutomaton, ParTransition
 from splang.grammars import Grammar, Production, _MemberSearch
 from splang.terms import (
     COMMUTATIVE,
-    DEFAULT_CAP,
     EPS,
     ORDERED,
     Eps,
@@ -510,7 +509,7 @@ def goal_trace(g: Grammar, t: SPTerm, mode: SemanticsMode) -> tuple:
     replayed from its table of proved goals: each goal's proof rewrites the
     first nonterminal of the form (as the productions write them), and its
     subgoals are rewritten next, left to right."""
-    search = _MemberSearch(g, mode, DEFAULT_CAP)
+    search = _MemberSearch(g, mode)
     assert search.proves(canonicalize(t, mode))
     form, pending = Leaf(g.start), [search.goal]
     chain = [form]

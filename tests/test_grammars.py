@@ -51,7 +51,6 @@ from splang.grammars import (
 from splang.langs import lang_equal
 from splang.terms import (
     COMMUTATIVE,
-    DEFAULT_CAP,
     EPS,
     ORDERED,
     Eps,
@@ -266,6 +265,12 @@ def test_generate_monotone_in_bounds(branches_grammar):
         prev = cur
 
 
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_generate_refuses_a_negative_bound(branches_grammar, mode):
+    with pytest.raises(ValueError, match=r"^max_atoms must be >= 0$"):
+        generate(branches_grammar, -1, mode=mode)
+
+
 def test_generate_commutative_mode(pairs_grammar):
     out = generate(pairs_grammar, 4, mode=COMMUTATIVE)
     assert texts(out) == ["a||a||b||b", "a||b", "eps"]
@@ -442,7 +447,7 @@ def test_an_accepted_long_word_tries_goals_linear_in_its_length():
     g = parse_grammar("S -> a.S | b.S | eps\n")
     goals = []
     for pairs in (320, 640):  # 640 and 1,280 letters
-        search = _MemberSearch(g, ORDERED, DEFAULT_CAP)
+        search = _MemberSearch(g, ORDERED)
         assert search.proves(pt(".".join("ab" * pairs)))
         goals.append(len(search.tried))
     assert goals[1] <= 2.1 * goals[0]
@@ -899,7 +904,7 @@ def test_multiset_splits_by_head_size_keep_the_filtered_order():
 def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
     # the commutative split of the search, over run counts, against `multiset_splits` and the same checks
     g = parse_grammar("S -> a | b | c | d\n")
-    search = _MemberSearch(g, COMMUTATIVE, 100)
+    search = _MemberSearch(g, COMMUTATIVE)
     fields = [_COUNT << _WIDTH * i for i in range(1, 5)]
     rng = random.Random(0)
     for items in ["", "a", "aab", "aabbbc", "abcd"]:

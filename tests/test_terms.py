@@ -275,6 +275,29 @@ def test_leaf_walks_take_a_term_ten_thousand_levels_deep():
     assert atoms_multiset(t) == {"a": 5_000, "b": 5_000, "c": 1}
 
 
+def test_metrics_and_reversal_take_a_term_ten_thousand_levels_deep():
+    # hash, not ==: equality recurses on two distinct deep terms
+    t, rev, lg, dp = Leaf("c"), Leaf("c"), 1, 1  # a.(b||(a.(b||...c))), its reversal and metrics
+    for level in range(10_000):
+        if level % 2:
+            t, rev, lg, dp = seq(Leaf("a"), t), seq(rev, Leaf("a")), lg + 1, max(dp, 1)
+        else:
+            t, rev, lg, dp = par(Leaf("b"), t), par(Leaf("b"), rev), max(lg, 1), dp + 1
+        if level == 999:
+            commutative = reverse_term(t, COMMUTATIVE)
+    assert (length(t), depth(t)) == (lg, dp) == (5_001, 5_001)
+    assert hash(reverse_term(t)) == hash(rev)
+    assert hash(reverse_term(reverse_term(t))) == hash(t)
+    assert (length(rev), depth(rev)) == (lg, dp)
+    # checked node by node: `format_term`'s cache would compare a second deep copy by ==
+    node = commutative  # ...((b||c).a||b).a...: each Seq reversed, each Par sorted by its text
+    for level in range(999, 0, -1):
+        assert node.__class__ is (Seq if level % 2 else Par)
+        assert node.children[1] == Leaf("a" if level % 2 else "b")
+        node = node.children[0]
+    assert node == Par((Leaf("b"), Leaf("c")))
+
+
 def test_recurrences_hold_structurally():
     # over all pairs of the 3-atom universe: composing and canonicalizing
     # keeps the defining equations for both metrics

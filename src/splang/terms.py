@@ -315,7 +315,7 @@ def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     length and depth."""
     done = {}  # id of a Seq or Par node of `t` -> its reversal
     for node in _products(t):
-        children = [done.get(id(c), c) for c in node.children]
+        children = [done.get(id(c), c) for c in node.children] if done else node.children
         done[id(node)] = _node(Seq, tuple(reversed(children))) if node.__class__ is Seq else par(*children, mode=mode)
     return done.get(id(t), t)
 

@@ -148,25 +148,30 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
     tokens: list[Token] = []
     groups = [0]  # deepest nesting inside each open parenthesis, the text itself first
     nesting = 0  # of the token read last
-    while m := _TOKEN.match(text, start):
+    while m := _TOKEN.match(text, start):  # finditer would search again from each trailing space
         kind = m.lastgroup
-        word, i, start = m[kind], m.start(kind), m.end()
-        if kind == "RUN":
+        word = m[kind]
+        start = m.end()
+        i = start - len(word)
+        if kind == "OP":
+            if word in _CLOSURES:
+                nesting += 1
+            elif word == ")" and len(groups) > 1:
+                nesting = groups.pop() + 1
+            else:
+                nesting = 0
+                if word == "(":
+                    groups.append(0)
+            if len(groups) - 1 + nesting > MAX_NESTING:
+                raise TermSyntaxError(f"input nests deeper than the nesting limit ({MAX_NESTING})", i)
+            groups[-1] = max(groups[-1], nesting)
+        elif kind == "RUN":
             raise TermSyntaxError(
                 f"letter run {word!r} is not a symbol; atoms are single letters and must be joined with an operator", i)
-        if kind == "OTHER":
+        elif kind == "OTHER":
             raise TermSyntaxError(f"unknown character {word!r}", i)
-        if word in _CLOSURES:
-            nesting += 1
-        elif word == ")" and len(groups) > 1:
-            nesting = groups.pop() + 1
         else:
             nesting = 0
-            if word == "(":
-                groups.append(0)
-        if len(groups) - 1 + nesting > MAX_NESTING:
-            raise TermSyntaxError(f"input nests deeper than the nesting limit ({MAX_NESTING})", i)
-        groups[-1] = max(groups[-1], nesting)
         tokens.append(Token(kind, word, i))
     tokens.append(Token("END", "", len(text)))
     return tokens

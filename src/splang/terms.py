@@ -310,9 +310,8 @@ def atoms_multiset(t: SPTerm) -> Counter[str]:
 
 def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """Mirror the sequential structure: Seq children are reversed (and each
-    reversed in turn, in one bottom-up walk), Par children re-sorted in
-    COMMUTATIVE mode. An involution on terms canonical for `mode` that keeps
-    length and depth."""
+    reversed, bottom up), Par children re-sorted in COMMUTATIVE mode. An
+    involution on terms canonical for `mode` that keeps length and depth."""
     done = {}  # id of a Seq or Par node of `t` -> its reversal
     for node in _products(t):
         children = [done.get(id(c), c) for c in node.children] if done else node.children

@@ -381,6 +381,7 @@ def _names(body: str, sep: str | None = None) -> list[str]:
 def _seq(src: str, label: str, dst: str) -> SeqTransition:
     if not is_atom(label):
         raise TermSyntaxError("label must be one lowercase letter")
+    _names(f"{src} {dst}")  # both must be state names, as on a fork or join line
     return SeqTransition(src, label, dst)
 
 

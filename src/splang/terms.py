@@ -15,11 +15,16 @@ kept in a canonical form:
   is canonical for ORDERED. ``canonicalize`` sorts the Par nodes of a term
   built without the mode.
 
-Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
-``("symbol",)`` and ``("children",)``. Each computes its hash once, at
-construction, from its kind and its children's stored hashes, so a term hashes
-in constant time at any depth; equality returns at once on the same object or
-on a different kind or hash (see `SPTerm`).
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
+2006): there is one live node per term, so two terms are equal exactly when
+they are the same object, and ``==`` is ``is`` at any depth. Every node comes
+from a weak table keyed on its kind and its symbol or children (`_node`), so
+the constructors, pickling and `copy` give back the node that is already
+alive, and the table keeps no node alive that nothing else holds. Nodes are
+immutable values (see ``_lex.Immutable``) with the fields ``()``,
+``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
+made, from its kind and its children's stored hashes, so a term hashes in
+constant time at any depth, and not by its address (see `SPTerm`).
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from collections import Counter
 from enum import Enum
 
@@ -56,16 +62,19 @@ COMMUTATIVE = SemanticsMode.COMMUTATIVE
 class SPTerm(Immutable):
     """Base class of term nodes.
 
-    Nodes are immutable and slotted. Each computes its hash once, in its
-    constructor, from a tag for its kind and its children's stored hashes, so
-    hashing a term of any depth reads one slot, and a ``Seq`` does not hash
-    like the ``Par`` of the same children. Equality is True at once on the
-    same object and False at once on a different kind or stored hash; only
-    otherwise does it compare the children, and that compare stops at the
-    children the two nodes share.
+    Nodes are immutable, slotted and interned: the constructors return the
+    live node of a term if there is one, so equality is identity, and
+    comparing two terms of any depth, or finding one in a set or cache,
+    never walks their children. Each node computes its hash once, when it
+    is made, from a tag for its kind and its children's stored hashes, not
+    from its address: hashing a term of any depth reads one slot, a set of
+    terms iterates in the same order in every run under one hash seed, and a
+    ``Seq`` does not hash like the ``Par`` of the same children.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "__weakref__")
+    __eq__ = object.__eq__  # one node per term
+    __init__ = object.__init__  # `__new__` makes or finds the node
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,62 +86,76 @@ class SPTerm(Immutable):
 _init = object.__setattr__  # the constructors' way past Immutable.__setattr__
 
 
+class _Ref(weakref.ref):
+    """The intern table's entry for a node, which knows its own key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop the entry of a node that has died, unless a new node of the same
+    term has taken its key (a deep term's deallocation can be deferred)."""
+    if _table.get(ref.key) is ref:
+        del _table[ref.key]
+
+
+# (Leaf, symbol) or (Seq or Par, children) -> a weak reference to the one live node of that term
+_table: dict[tuple, _Ref] = {}
+
+
+def _keep(node: SPTerm, key: tuple) -> SPTerm:
+    """Enter the new `node` in the table under `key`, and return it."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _table[key] = ref
+    return node
+
+
 class Eps(SPTerm):
     """The empty word; identity of both compositions, length = depth = 0."""
 
     __slots__ = ()
 
-    def __init__(self):
-        _init(self, "_hash", hash((3,)))
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is Eps
-
-    __hash__ = SPTerm.__hash__
+    def __new__(cls):
+        return EPS
 
 
-EPS = Eps()
+EPS = object.__new__(Eps)
+_init(EPS, "_hash", hash((3,)))
 
 
 class Leaf(SPTerm):
     __slots__ = _fields = ("symbol",)
 
-    def __init__(self, symbol: str):
-        if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
-            raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
-        _init(self, "symbol", symbol)
-        _init(self, "_hash", hash((0, symbol)))
-
-    def __eq__(self, other) -> bool:
-        return self is other or (other.__class__ is Leaf and other.symbol == self.symbol)
-
-    __hash__ = SPTerm.__hash__
+    def __new__(cls, symbol: str):
+        key = (Leaf, symbol)
+        ref = _table.get(key)
+        leaf = None if ref is None else ref()
+        if leaf is None:
+            if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
+                raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
+            leaf = object.__new__(Leaf)
+            _init(leaf, "symbol", symbol)
+            _init(leaf, "_hash", hash((0, symbol)))
+            _keep(leaf, key)
+        return leaf
 
 
 class _Product(SPTerm):
     """A Seq or Par node: at least two children, none eps or of its own kind.
     The constructor, which pickling also uses, checks that rule on children
-    from outside the package; `_node` builds the same node without the check."""
+    from outside the package; `_node` finds or builds the node without it."""
 
     __slots__ = _fields = ("children",)
     _TAG: int
 
-    def __init__(self, children: tuple[SPTerm, ...]):
-        kind = type(self)
+    def __new__(cls, children: tuple[SPTerm, ...]):
         if len(children) < 2:
-            raise ValueError(f"{kind.__name__} needs at least two children")
+            raise ValueError(f"{cls.__name__} needs at least two children")
         for c in children:
-            if isinstance(c, (kind, Eps)):
-                raise ValueError(f"{kind.__name__} children must be flattened and eps-free")
-        _init(self, "children", children)
-        _init(self, "_hash", hash((self._TAG, children)))
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            other.__class__ is self.__class__ and other._hash == self._hash and other.children == self.children
-        )
-
-    __hash__ = SPTerm.__hash__
+            if isinstance(c, (cls, Eps)):
+                raise ValueError(f"{cls.__name__} children must be flattened and eps-free")
+        return _node(cls, children)
 
 
 class Seq(_Product):
@@ -146,13 +169,21 @@ class Par(_Product):
 
 
 def _node(kind, children: tuple) -> _Product:
-    """The `kind` (Seq or Par) node of `children`, hashed as the constructor
-    does but unchecked: `seq`, `par`, `reverse_term` and the membership
-    search's shares keep the rule of `_Product` by construction."""
+    """The `kind` (Seq or Par) node of `children`, found in the table or
+    made, hashed as the constructor does but unchecked: `seq`, `par`,
+    `reverse_term`, `canonicalize` and the membership search's shares keep
+    the rule of `_Product` by construction. The children are interned, so
+    the key compares them by identity."""
+    key = (kind, children)
+    ref = _table.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
     node = object.__new__(kind)
     _init(node, "children", children)
     _init(node, "_hash", hash((kind._TAG, children)))
-    return node
+    return _keep(node, key)
 
 
 def _product(kind, parts: tuple, mode: SemanticsMode = ORDERED) -> SPTerm:
@@ -203,7 +234,8 @@ def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     come back unchanged and, for a Par, in order is kept, so a term that is
     already canonical comes back itself. Each Par's children are sorted by
     `format_term` after theirs were, so the sort key finds their text cached
-    and recurses only a few frames."""
+    and recurses only a few frames. The cache finds a node by identity, so a
+    term whose equal copy was canonicalized before costs no deep compare."""
     if mode is ORDERED or t.__class__ is Leaf or t.__class__ is Eps:
         return t
     done = {}  # id of a Seq or Par node of `t` -> its canonical form

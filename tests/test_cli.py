@@ -590,12 +590,14 @@ FORK_JOIN = "fork: F p -> {p, q}\njoin: J {p, q} -> q\n"
     (AUT_HEAD + FORK_JOIN, "fork 'F' is not referenced by any par transition"),
     (AUT_HEAD + FORK_JOIN + "par: F * J\npar: G * J\n", "par transition references unknown fork 'G'"),
     (AUT_HEAD + "seq: p a r\n", "undeclared state 'r' in seq transition"),
+    (AUT_HEAD + "seq: p a 9q\n", "line 4: bad state name '9q'"),
+    (AUT_HEAD + "seq: 9p a q\n", "line 4: bad state name '9p'"),
     ("initial: p\nfinal: q\n", "missing 'states:' line"),
     (AUT_HEAD + "final: p\n", "line 4: duplicate 'final' line"),
 ], ids=["section", "duplicate-states", "state-name", "multiset-name", "empty-name", "seq", "fork", "join", "par",
         "one-source", "duplicate-fork", "duplicate-join", "unknown-join", "missing-initial",
         "unreferenced-join", "section-order", "one-target", "unreferenced-fork", "unknown-fork",
-        "undeclared-seq-state", "missing-states", "duplicate-final"])
+        "undeclared-seq-state", "seq-target-name", "seq-source-name", "missing-states", "duplicate-final"])
 def test_every_automaton_file_error_exits_2(capsys, tmp_path, text, err):
     path = tmp_path / "x.aut"
     path.write_text(text, encoding="utf-8")

@@ -59,6 +59,7 @@ from splang.terms import (
     Seq,
     atoms_count,
     atoms_multiset,
+    canonicalize,
     depth,
     enumerate_terms,
     format_term,
@@ -405,6 +406,14 @@ def test_a_deep_term_is_a_member_without_building_its_trace(mode, n):
     result = is_member(g, alternating(n), mode)  # canonicalizes the only copy
     assert result and len(result.proof) == n + 1
     assert [nt for nt, _ in result.proof] == ["S", "P"] * (n // 2) + ["S"]
+
+
+def test_a_commutative_trace_of_a_deep_term_prints():
+    query = canonicalize(alternating(400), COMMUTATIVE)
+    trace = is_member(parse_grammar(ALTERNATING), alternating(400), COMMUTATIVE).trace
+    assert len(trace) == 402 and trace[-1] is query
+    lines = "\n".join(map(format_term, trace)).splitlines()
+    assert len(lines) == 402 and lines[-1] == format_term(query)
 
 
 def test_a_long_word_is_a_member_with_a_flat_proof():

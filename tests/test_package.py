@@ -5,7 +5,8 @@ until a name is used, and the CLI imports the grammar, regex and automaton
 modules only in the handlers that run them. No module uses dataclasses, so
 no command loads `dataclasses` or the `inspect` module it imports. A library
 call leaves no reference cycle behind, so what it built is freed when it
-returns, without the cyclic garbage collector."""
+returns, without the cyclic garbage collector, and the table of interned
+terms lets go of every term nothing else holds."""
 
 import ast
 import copy
@@ -232,6 +233,26 @@ def test_a_call_leaves_no_cyclic_garbage():
     finally:
         gc.unfreeze()
         gc.enable()
+
+
+def test_the_intern_table_keeps_no_dropped_term_alive():
+    def live_nodes():
+        terms.format_term.cache_clear()  # the text cache holds every term it formatted
+        gc.collect()
+        return len(terms._table)
+
+    def deep_term():
+        t = terms.Leaf("a")
+        for level in range(10_000):
+            t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
+        return len(terms._table)
+
+    def tenth_power():
+        return len(langs.power(langs.FiniteLang.parse(["a", "b"]), 10, langs.PowerKind.SEQ))
+
+    before = live_nodes()
+    assert deep_term() > before and live_nodes() == before
+    assert tenth_power() == 1024 and live_nodes() == before
 
 
 def test_no_nested_helper_names_itself_or_a_sibling():

@@ -121,6 +121,19 @@ def test_a_deep_term_hashes_and_compares_without_recursion():
     assert t != t.children[1]
 
 
+def test_two_deep_terms_built_apart_are_one_node():
+    first, second = alternating(10_000), alternating(10_000)
+    assert first == second and not (first != second) and first is second
+
+
+@pytest.mark.parametrize("mode,levels", [(ORDERED, 10_000), (COMMUTATIVE, 1_000)])
+def test_a_second_copy_of_a_deep_term_canonicalizes(mode, levels):
+    # COMMUTATIVE stops at 1,000 levels: `format_term` caches the text of
+    # every Par child, which is quadratic in the depth
+    first = canonicalize(alternating(levels), mode)
+    assert canonicalize(alternating(levels), mode) is first
+
+
 @pytest.mark.parametrize("text", ["eps", "a", "A_2", "a.b||c", "(a||b).a", "(a.b||c).(b||a)"])
 def test_pickle_and_copy_give_an_equal_term(text):
     t = parse_term(text, allow_upper=True)
@@ -453,9 +466,17 @@ def test_constructors_build_canonical_terms_from_canonical_parts(x, y, mode):
 def test_terms_parsed_apart_are_equal_and_hash_equal(t, mode):
     text = format_term(canonicalize(t, mode))
     first, second = (canonicalize(parse_term(text), mode) for _ in range(2))
-    assert first is not second or isinstance(first, Eps)
+    assert first is second
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
+
+
+@given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_a_term_read_back_copied_or_unpickled_is_the_same_node(t, mode):
+    canon = canonicalize(t, mode)
+    assert parse_term(format_term(canon)) is canon
+    for clone in (pickle.loads(pickle.dumps(canon)), copy.copy(canon), copy.deepcopy(canon)):
+        assert clone is canon
 
 
 @given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))

@@ -18,9 +18,9 @@ kept in a canonical form:
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
 2006): there is one live node per term, so two terms are equal exactly when
 they are the same object, and ``==`` is ``is`` at any depth. Every node comes
-from a weak table keyed on its kind and its symbol or children (`_node`), so
-the constructors, pickling and `copy` give back the node that is already
-alive, and the table keeps no node alive that nothing else holds. Nodes are
+from a weak table keyed on its stored hash (`_node`, `_add`), so the
+constructors, pickling and `copy` give back the node that is already alive,
+and the table keeps no node alive that nothing else holds. Nodes are
 immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
 made, from its kind and its children's stored hashes, so a term hashes in
@@ -87,28 +87,26 @@ _init = object.__setattr__  # the constructors' way past Immutable.__setattr__
 
 
 class _Ref(weakref.ref):
-    """The intern table's entry for a node, which knows its own key."""
+    """A weak reference from the intern table to a node, which knows its key."""
 
     __slots__ = ("key",)
 
 
 def _forget(ref: _Ref) -> None:
-    """Drop the entry of a node that has died, unless a new node of the same
-    term has taken its key (a deep term's deallocation can be deferred)."""
-    if _table.get(ref.key) is ref:
-        del _table[ref.key]
+    """Drop the entry of a node that has died, unless a new node has taken
+    its key (a deep term's deallocation can be deferred)."""
+    table = _table if ref.key.__class__ is int else _spill
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
-# (Leaf, symbol) or (Seq or Par, children) -> a weak reference to the one live node of that term
-_table: dict[tuple, _Ref] = {}
-
-
-def _keep(node: SPTerm, key: tuple) -> SPTerm:
-    """Enter the new `node` in the table under `key`, and return it."""
-    ref = _Ref(node, _forget)
-    ref.key = key
-    _table[key] = ref
-    return node
+# The intern table: a stored hash -> a weak reference to the live node with
+# that hash. An int key hashes and compares in C, where a (kind, children)
+# key would call every child's `__hash__` at each lookup, insert and delete.
+# A live node whose hash another live node holds in `_table` (a collision) is
+# kept in `_spill` instead, keyed on its kind and field.
+_table: dict[int, _Ref] = {}
+_spill: dict[tuple, _Ref] = {}
 
 
 class Eps(SPTerm):
@@ -128,17 +126,14 @@ class Leaf(SPTerm):
     __slots__ = _fields = ("symbol",)
 
     def __new__(cls, symbol: str):
-        key = (Leaf, symbol)
-        ref = _table.get(key)
+        h = hash((0, symbol))
+        ref = _table.get(h)
         leaf = None if ref is None else ref()
-        if leaf is None:
-            if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
-                raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
-            leaf = object.__new__(Leaf)
-            _init(leaf, "symbol", symbol)
-            _init(leaf, "_hash", hash((0, symbol)))
-            _keep(leaf, key)
-        return leaf
+        if leaf.__class__ is Leaf and leaf.symbol == symbol:
+            return leaf
+        if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
+            raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
+        return _add(Leaf, "symbol", symbol, h, leaf)
 
 
 class _Product(SPTerm):
@@ -169,21 +164,39 @@ class Par(_Product):
 
 
 def _node(kind, children: tuple) -> _Product:
-    """The `kind` (Seq or Par) node of `children`, found in the table or
-    made, hashed as the constructor does but unchecked: `seq`, `par`,
-    `reverse_term`, `canonicalize` and the membership search's shares keep
-    the rule of `_Product` by construction. The children are interned, so
-    the key compares them by identity."""
-    key = (kind, children)
-    ref = _table.get(key)
-    if ref is not None:
-        node = ref()
+    """The `kind` (Seq or Par) node of `children`, hashed as the constructor
+    does but unchecked: `seq`, `par`, `reverse_term`, `canonicalize` and the
+    membership search's shares keep the rule of `_Product` by construction.
+    The children are interned, so the tuples compare them by identity."""
+    h = hash((kind._TAG, children))
+    ref = _table.get(h)
+    node = None if ref is None else ref()
+    if node.__class__ is kind and node.children == children:
+        return node
+    return _add(kind, "children", children, h, node)
+
+
+def _add(kind, field: str, value, h: int, holder) -> SPTerm:
+    """The `kind` node whose `field` is `value`, with the stored hash `h`,
+    when `_table` does not hold it under `h` but `holder` (a live node, or
+    None): the node `_spill` holds, or a new node, entered in `_table` if
+    `h` is free there and in `_spill` if not."""
+    if _spill:
+        ref = _spill.get((kind, value))
+        node = None if ref is None else ref()
         if node is not None:
             return node
     node = object.__new__(kind)
-    _init(node, "children", children)
-    _init(node, "_hash", hash((kind._TAG, children)))
-    return _keep(node, key)
+    _init(node, field, value)
+    _init(node, "_hash", h)
+    ref = _Ref(node, _forget)
+    if holder is None:
+        ref.key = h
+        _table[h] = ref
+    else:
+        ref.key = (kind, value)
+        _spill[ref.key] = ref
+    return node
 
 
 def _product(kind, parts: tuple, mode: SemanticsMode = ORDERED) -> SPTerm:

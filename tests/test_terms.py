@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from splang import terms
 from splang._lex import tokenize
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.terms import (
@@ -124,6 +125,22 @@ def test_a_deep_term_hashes_and_compares_without_recursion():
 def test_two_deep_terms_built_apart_are_one_node():
     first, second = alternating(10_000), alternating(10_000)
     assert first == second and not (first != second) and first is second
+
+
+def test_a_term_whose_hash_another_node_holds_is_interned_apart():
+    # a stand-in for a hash collision: a live `A_3.A_4` holds the table entry of the hash `A_1||A_2` will get
+    holder = seq(Leaf("A_3"), Leaf("A_4"))
+    children = (Leaf("A_1"), Leaf("A_2"))
+    h = hash((Par._TAG, children))
+    terms._table[h] = stand_in = terms._Ref(holder, terms._forget)
+    stand_in.key = h
+    first = Par(children)
+    assert first is Par(children) is par(*children) and hash(first) == h
+    assert terms._spill[Par, children]() is first
+    del holder  # the entry goes with its node, and the spilled node is still the one found
+    assert h not in terms._table and Par(children) is first
+    del first
+    assert (Par, children) not in terms._spill
 
 
 @pytest.mark.parametrize("mode,levels", [(ORDERED, 10_000), (COMMUTATIVE, 1_000)])

@@ -177,10 +177,10 @@ def _node(kind, children: tuple) -> _Product:
 
 
 def _add(kind, field: str, value, h: int, holder) -> SPTerm:
-    """The `kind` node whose `field` is `value`, with the stored hash `h`,
-    when `_table` does not hold it under `h` but `holder` (a live node, or
-    None): the node `_spill` holds, or a new node, entered in `_table` if
-    `h` is free there and in `_spill` if not."""
+    """The `kind` node whose `field` is `value` and stored hash `h`, which
+    `_table` does not hold: under `h` it holds the live node `holder`, or
+    None. The node is found in `_spill`, or made and entered in `_table` if
+    `h` is free there, else in `_spill`."""
     if _spill:
         ref = _spill.get((kind, value))
         node = None if ref is None else ref()

@@ -120,42 +120,48 @@ class BranchingAutomaton(Immutable):
             tuple(sorted(forks, key=lambda f: f.fid)), tuple(sorted(joins, key=lambda j: j.jid)),
             tuple(sorted(pars, key=lambda p: (p.fork_id, p.join_id, _guard_text(p.guard)))), initial, final)
 
-        def need_state(name: str, where: str):
-            if name not in self.states:
-                raise ValueError(f"undeclared state {name!r} in {where}")
-
         for s in sorted(self.initial | self.final):  # sorted: an error names the same state in every run
-            need_state(s, "initial/final sets")
-        for tr in self.seqs:
-            need_state(tr.src, "seq transition")
-            need_state(tr.dst, "seq transition")
+            if s not in self.states:
+                raise ValueError(f"undeclared state {s!r} in initial/final sets")
         fork_by_id: dict[str, ForkTransition] = {}
-        for f in self.forks:
-            if f.fid in fork_by_id:
-                raise ValueError(f"duplicate fork id {f.fid!r}")
-            fork_by_id[f.fid] = f
-            need_state(f.src, f"fork {f.fid}")
-            for q in f.targets:
-                need_state(q, f"fork {f.fid}")
         join_by_id: dict[str, JoinTransition] = {}
-        for j in self.joins:
-            if j.jid in join_by_id:
-                raise ValueError(f"duplicate join id {j.jid!r}")
-            join_by_id[j.jid] = j
-            need_state(j.dst, f"join {j.jid}")
-            for q in j.sources:
-                need_state(q, f"join {j.jid}")
-        for p in self.pars:
-            if p.fork_id not in fork_by_id:
-                raise ValueError(f"par transition references unknown fork {p.fork_id!r}")
-            if p.join_id not in join_by_id:
-                raise ValueError(f"par transition references unknown join {p.join_id!r}")
+        for tr in self.seqs + self.forks + self.joins + self.pars:
+            _check_transition(tr, self.states, fork_by_id, join_by_id)
         object.__setattr__(self, "_fork_by_id", fork_by_id)
         object.__setattr__(self, "_join_by_id", join_by_id)
         object.__setattr__(self, "_state_index", {s: i for i, s in enumerate(sorted(self.states))})
         object.__setattr__(self, "_labels", frozenset(tr.label for tr in self.seqs))
         object.__setattr__(self, "_searches", {})  # kept labels -> search on to_grammar, built on demand
         object.__setattr__(self, "_ends", {})  # state p -> (q, N_pq) of its grammar, built on demand
+
+
+def _check_transition(tr, states, fork_by_id: dict, join_by_id: dict) -> None:
+    """Raise ValueError if transition `tr` names a state not in `states`,
+    repeats the id of a fork or join in `fork_by_id` or `join_by_id`, or is
+    a par transition naming a fork or join not in them; a fork or join is
+    then entered in its table. Transitions are checked seqs, forks, joins,
+    pars, as the file format orders them."""
+    if tr.__class__ is SeqTransition:
+        names, where = (tr.src, tr.dst), "seq transition"
+    elif tr.__class__ is ForkTransition:
+        if tr.fid in fork_by_id:
+            raise ValueError(f"duplicate fork id {tr.fid!r}")
+        fork_by_id[tr.fid] = tr
+        names, where = (tr.src, *tr.targets), f"fork {tr.fid}"
+    elif tr.__class__ is JoinTransition:
+        if tr.jid in join_by_id:
+            raise ValueError(f"duplicate join id {tr.jid!r}")
+        join_by_id[tr.jid] = tr
+        names, where = (tr.dst, *tr.sources), f"join {tr.jid}"
+    else:
+        if tr.fork_id not in fork_by_id:
+            raise ValueError(f"par transition references unknown fork {tr.fork_id!r}")
+        if tr.join_id not in join_by_id:
+            raise ValueError(f"par transition references unknown join {tr.join_id!r}")
+        names = ()
+    for name in names:
+        if name not in states:
+            raise ValueError(f"undeclared state {name!r} in {where}")
 
 
 def automaton_alphabet(aut: BranchingAutomaton) -> tuple[str, ...]:
@@ -410,9 +416,14 @@ _SECTIONS = ("states", "initial", "final", *_TRANSITIONS)
 
 def parse_automaton(text: str) -> BranchingAutomaton:
     """Parse the automaton file format, enforcing the section order and
-    rejecting dangling or unreferenced fork/join declarations."""
-    named: dict[str, list[str]] = {}  # the states, initial and final lines
+    rejecting dangling or unreferenced fork/join declarations. Each
+    transition line is checked as it is read (`_check_transition`), against
+    the states line and the fork and join lines before it, so its error
+    names its line."""
+    named: dict[str, frozenset[str]] = {}  # the states, initial and final lines
     transitions: dict[str, list] = {key: [] for key in _TRANSITIONS}
+    fork_by_id: dict[str, ForkTransition] = {}
+    join_by_id: dict[str, JoinTransition] = {}
     section_idx = 0  # of the section read last
 
     def entry(line: str) -> None:
@@ -430,11 +441,14 @@ def parse_automaton(text: str) -> BranchingAutomaton:
             m = re.fullmatch(pattern, body)
             if not m:
                 raise TermSyntaxError(usage)
-            transitions[key].append(build(*m.groups()))
+            tr = build(*m.groups())
+            if "states" in named:  # else the file fails for its missing 'states:' line
+                _check_transition(tr, named["states"], fork_by_id, join_by_id)
+            transitions[key].append(tr)
         elif key in named:
             raise TermSyntaxError(f"duplicate {key!r} line")
         else:
-            named[key] = _names(body)
+            named[key] = frozenset(_names(body))
 
     read_lines(text, entry)
     for required in ("states", "initial", "final"):
@@ -447,8 +461,8 @@ def parse_automaton(text: str) -> BranchingAutomaton:
     if unused:
         raise TermSyntaxError(f"{unused[0]} is not referenced by any par transition")
     try:
-        return BranchingAutomaton(frozenset(named["states"]), tuple(seqs), tuple(forks), tuple(joins), tuple(pars),
-                                  frozenset(named["initial"]), frozenset(named["final"]))
+        return BranchingAutomaton(named["states"], tuple(seqs), tuple(forks), tuple(joins), tuple(pars),
+                                  named["initial"], named["final"])
     except ValueError as exc:
         raise TermSyntaxError(str(exc)) from exc
 

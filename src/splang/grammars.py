@@ -688,8 +688,8 @@ class _MemberSearch:
 
     def vector(self, t: SPTerm) -> int:
         """The Parikh vector of `t` (see `_WIDTH`). The entries of the query's
-        Seq and Par nodes are made with a stack, each after its children's,
-        so deep terms need no recursion."""
+        Seq and Par nodes are made with a stack, each once and after its
+        children's (`_products`), so deep terms need no recursion."""
         if isinstance(t, Leaf):
             return self.g._units.get(t.symbol, self.g._foreign)
         if isinstance(t, Eps):

@@ -24,7 +24,12 @@ and the table keeps no node alive that nothing else holds. Nodes are
 immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
 made, from its kind and its children's stored hashes, so a term hashes in
-constant time at any depth, and not by its address (see `SPTerm`).
+constant time at any depth, and not by its address (see `SPTerm`). A Seq or
+Par node also keeps two facts once they are first asked for, its COMMUTATIVE
+canonical form and its text (see `_Product`), so a node is canonicalized and
+formatted once in its life. Equal sub-terms are one node, so a term is a DAG:
+the walks over a term (`_products`) visit each distinct node once, and a
+term that shares its sub-terms costs its nodes, not its paths.
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
@@ -139,9 +144,17 @@ class Leaf(SPTerm):
 class _Product(SPTerm):
     """A Seq or Par node: at least two children, none eps or of its own kind.
     The constructor, which pickling also uses, checks that rule on children
-    from outside the package; `_node` finds or builds the node without it."""
+    from outside the package; `_node` finds or builds the node without it.
 
-    __slots__ = _fields = ("children",)
+    Two slots hold facts that are made once, when first asked for:
+    `_canon` is the node's COMMUTATIVE canonical form, which `canonicalize`
+    sets: unset while it is not known, None when the node is its own form,
+    else the form. No node is its own slot's value, and a form has as many
+    nodes as its term, so it cannot hold the term: the slots make no
+    reference cycle. `_text` is the text `format_term` made."""
+
+    __slots__ = ("children", "_canon", "_text")
+    _fields = ("children",)
     _TAG: int
 
     def __new__(cls, children: tuple[SPTerm, ...]):
@@ -228,56 +241,82 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     return _product(Par, parts, mode)
 
 
-def _products(t: SPTerm) -> list:
-    """The Seq and Par nodes of `t`, each after its children, found with a
-    stack: the order of a bottom-up walk that needs no recursion."""
-    order = [t] if isinstance(t, _Product) else []
-    for node in order:
-        order += [c for c in node.children if c.__class__ is not Leaf]
-    order.reverse()
+def _products(t: SPTerm, known: str | None = None) -> list:
+    """The distinct Seq and Par nodes of `t`, each once and after its
+    children: a post-order walk over visited ids with its own stack, so a
+    deep term needs no recursion and a shared sub-term is walked once. A node
+    below `t` whose slot `known` is set is left out, and so is what lies only
+    below it."""
+    if t.__class__ is Leaf or t.__class__ is Eps:
+        return []
+    order, seen = [], set()
+    nodes, rests = [t], [iter(t.children)]  # the path from `t`, and each node's children left to visit
+    while rests:
+        for c in rests[-1]:
+            if c.__class__ is not Leaf and id(c) not in seen:
+                seen.add(id(c))
+                if known is None or not hasattr(c, known):
+                    nodes.append(c)
+                    rests.append(iter(c.children))
+                    break
+        else:
+            rests.pop()
+            order.append(nodes.pop())
     return order
 
 
 def canonicalize(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """`t` in canonical form for `mode`. Idempotent. Every term is canonical
     for ORDERED, the constructors refusing any other, so `t` itself is
-    returned. COMMUTATIVE sorts the children of every Par in one bottom-up
-    pass with its own stack, so a deep term needs no recursion. Sorting never
-    changes a node's kind, so no node needs flattening; a node whose children
-    come back unchanged and, for a Par, in order is kept, so a term that is
-    already canonical comes back itself. Each Par's children are sorted by
-    `format_term` after theirs were, so the sort key finds their text cached
-    and recurses only a few frames. The cache finds a node by identity, so a
-    term whose equal copy was canonicalized before costs no deep compare."""
+    returned. COMMUTATIVE sorts the children of every Par by `format_term`.
+    Each node's form is recorded on the node (`_Product._canon`), so a term
+    is canonicalized once in its life: a later call reads the slot, and a
+    first call walks only the nodes whose form is not known yet, each once
+    and after its children (`_products`), so a deep term needs no recursion.
+    Sorting never changes a node's kind, so no node needs flattening; a node
+    whose children come back unchanged and, for a Par, in order is its own
+    form, so a term that is already canonical comes back itself."""
     if mode is ORDERED or t.__class__ is Leaf or t.__class__ is Eps:
         return t
-    done = {}  # id of a Seq or Par node of `t` -> its canonical form
-    for node in _products(t):
-        children = tuple([done.get(id(c), c) for c in node.children]) if done else node.children
+    form = getattr(t, "_canon", t)  # t itself: not known yet
+    if form is not t:
+        return t if form is None else form
+    for node in _products(t, "_canon"):
+        children = tuple([c if c.__class__ is Leaf else c._canon or c for c in node.children])
         if node.__class__ is Par:
             keys = list(map(format_term, children))
             if any(map(operator.gt, keys, keys[1:])):
                 children = tuple([children[i] for i in sorted(range(len(keys)), key=keys.__getitem__)])
-        done[id(node)] = node if children == node.children else _node(node.__class__, children)
-    return done[id(t)]
+        if children == node.children:
+            _init(node, "_canon", None)
+        else:
+            form = _node(node.__class__, children)
+            _init(form, "_canon", None)
+            _init(node, "_canon", form)
+    return t._canon or t
 
 
 @functools.lru_cache(maxsize=None)
 def format_term(t: SPTerm) -> str:
-    """Minimal-parenthesization text for `t`; also the canonical sort key."""
-    if isinstance(t, Eps):
-        return "eps"
-    if isinstance(t, Leaf):
+    """Minimal-parenthesization text for `t`; also the canonical sort key.
+    A Seq or Par node's text is made once, from its children's, and kept on
+    the node (`_Product._text`): a miss makes the texts of the nodes of `t`
+    that have none, each after its children's (`_products`), so a deep term
+    needs no recursion. The cache keeps the terms it formatted alive."""
+    cls = t.__class__
+    if cls is Leaf:
         return t.symbol
-    if isinstance(t, Seq):
-        return ".".join(
-            f"({format_term(c)})" if isinstance(c, Par) else format_term(c)
-            for c in t.children
-        )
-    if isinstance(t, Par):
-        # children are leaves or Seq; "." binds tighter, so no parens needed
-        return "||".join(format_term(c) for c in t.children)
-    raise TypeError(f"not a term: {t!r}")
+    if cls is Eps:
+        return "eps"
+    if cls is not Seq and cls is not Par:
+        raise TypeError(f"not a term: {t!r}")
+    for node in _products(t, "_text"):
+        if node.__class__ is Par:  # children are leaves or Seq; "." binds tighter, so no parens needed
+            text = "||".join([c.symbol if c.__class__ is Leaf else c._text for c in node.children])
+        else:  # children are leaves or Par
+            text = ".".join([c.symbol if c.__class__ is Leaf else f"({c._text})" for c in node.children])
+        _init(node, "_text", text)
+    return t._text
 
 
 def parse_term(text: str, *, allow_upper: bool = False) -> SPTerm:

@@ -119,6 +119,15 @@ def test_code_built_automata_and_runs_check_their_arguments(fanout_automaton):
         runs_between(fanout_automaton, "zz", parse_term("a"))
     with pytest.raises(ValueError, match="^a non-ANY guard needs at least one atom multiset$"):
         ParTransition("F", frozenset(), "J")
+    # the checks a file's lines get, with no line to name
+    states, fork, join = frozenset("pq"), ForkTransition("F", "p", ("p", "q")), JoinTransition("J", ("p", "q"), "q")
+    for seqs, forks, pars, error in [
+        ((SeqTransition("p", "a", "r"),), (), (), "undeclared state 'r' in seq transition"),
+        ((), (fork, fork), (ParTransition("F", None, "J"),), "duplicate fork id 'F'"),
+        ((), (fork,), (ParTransition("F", None, "K"),), "par transition references unknown join 'K'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            BranchingAutomaton(states, seqs, forks, (join,), pars, frozenset("p"), frozenset("q"))
 
 
 def test_guard_syntax_round_trips():

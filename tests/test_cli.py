@@ -580,16 +580,16 @@ FORK_JOIN = "fork: F p -> {p, q}\njoin: J {p, q} -> q\n"
     (AUT_HEAD + "par: F J\n", "line 4: expected 'par: F * J' or 'par: F {a,b;...} J'"),
     (AUT_HEAD + "join: J {p} -> q\n", "line 4: join J needs at least two sources"),
     (AUT_HEAD + "fork: F p -> {p, q}\nfork: F q -> {p, q}\njoin: J {p, q} -> q\npar: F * J\n",
-     "duplicate fork id 'F'"),
-    (AUT_HEAD + FORK_JOIN + "join: J {q, q} -> p\npar: F * J\n", "duplicate join id 'J'"),
-    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: F * K\n", "par transition references unknown join 'K'"),
+     "line 5: duplicate fork id 'F'"),
+    (AUT_HEAD + FORK_JOIN + "join: J {q, q} -> p\npar: F * J\n", "line 6: duplicate join id 'J'"),
+    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: F * K\n", "line 7: par transition references unknown join 'K'"),
     ("states: p q\nfinal: q\n", "missing 'initial:' line"),
     (AUT_HEAD + FORK_JOIN + "join: K {p, q} -> q\npar: F * J\n", "join 'K' is not referenced by any par transition"),
     ("initial: p\nstates: p q\nfinal: q\n", "line 2: section 'states' out of order"),
     (AUT_HEAD + "fork: F p -> {q}\n", "line 4: fork F needs at least two targets"),
     (AUT_HEAD + FORK_JOIN, "fork 'F' is not referenced by any par transition"),
-    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: G * J\n", "par transition references unknown fork 'G'"),
-    (AUT_HEAD + "seq: p a r\n", "undeclared state 'r' in seq transition"),
+    (AUT_HEAD + FORK_JOIN + "par: F * J\npar: G * J\n", "line 7: par transition references unknown fork 'G'"),
+    (AUT_HEAD + "seq: p a r\n", "line 4: undeclared state 'r' in seq transition"),
     (AUT_HEAD + "seq: p a 9q\n", "line 4: bad state name '9q'"),
     (AUT_HEAD + "seq: 9p a q\n", "line 4: bad state name '9p'"),
     ("initial: p\nfinal: q\n", "missing 'states:' line"),

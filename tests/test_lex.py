@@ -29,8 +29,7 @@ FILE_WIDE = re.compile(
     r"grammar file has no productions|undeclared nonterminal '.*' in .*"
     r"|language file is missing the 'mode:' header|missing '(states|initial|final):' line"
     r"|(fork|join) '.*' is not referenced by any par transition"
-    r"|undeclared state '.*' in .*|duplicate (fork|join) id '.*'"
-    r"|par transition references unknown (fork|join) '.*'"
+    r"|undeclared state '.*' in initial/final sets"
 )
 
 

@@ -212,6 +212,8 @@ def library_calls():
         ("lang_equal", lambda: langs.lang_equal(left, right)),
         ("load_lang", lambda: langs.load_lang(langs.dump_lang(left))),
         ("regex_alphabet", lambda: regexes.regex_alphabet(regexes.parse_regex("(a.b)*||c^"))),
+        # a term no other test builds, so its nodes get their forms here
+        ("canonicalize", lambda: terms.canonicalize(terms.parse_term("(q.p||p).(r||q)||q"), COMMUTATIVE)),
         ("to_parallel_linear_grammar", lambda: regexes.to_parallel_linear_grammar(regexes.parse_regex("(a||b)^|c"))),
     ]
 
@@ -247,11 +249,20 @@ def test_the_intern_table_keeps_no_dropped_term_alive():
             t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
         return len(terms._table) + len(terms._spill)
 
+    def canonical_deep_term():
+        t = terms.Leaf("a")  # b||(b.(...(b||a))): the form has a new node at every level but the few inmost
+        for level in range(1_000):
+            t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
+        built = len(terms._table) + len(terms._spill)
+        assert terms.canonicalize(t, COMMUTATIVE) is not t
+        return len(terms._table) + len(terms._spill) - built  # the forms, which the term's nodes keep
+
     def tenth_power():
         return len(langs.power(langs.FiniteLang.parse(["a", "b"]), 10, langs.PowerKind.SEQ))
 
     before = live_nodes()
     assert deep_term() > before and live_nodes() == before
+    assert canonical_deep_term() > 900 and live_nodes() == before
     assert tenth_power() == 1024 and live_nodes() == before
 
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from splang import terms
 from splang._lex import tokenize
 from splang.errors import EnumerationCapError, TermSyntaxError
+from splang.langs import FiniteLang
 from splang.terms import (
     COMMUTATIVE,
     EPS,
@@ -254,7 +256,7 @@ def test_commutative_canonicalize_sorts_a_term_a_thousand_levels_deep():
     for level in range(1, 1_000):
         expected = (Seq if level % 2 else Par)((Leaf("b"), expected))
     canon = canonicalize(t, COMMUTATIVE)
-    assert canon is not t and hash(canon) == hash(expected)  # == recurses on two distinct deep copies
+    assert canon is not t and canon is expected
     assert canonicalize(canon, COMMUTATIVE) is canon
 
 
@@ -262,6 +264,54 @@ def test_commutative_mode_sorts_parallel_children():
     assert canonicalize(pt("b||a||a"), COMMUTATIVE) == pt("a||a||b")
     # sorting is recursive and uses the canonical text order
     assert format_term(canonicalize(pt("b.a||a.b"), COMMUTATIVE)) == "a.b||b.a"
+
+
+_tags = itertools.count()
+
+
+def relabeled(t, tag: int):
+    """`t` with each leaf x renamed X_tag: nodes that no other test has made,
+    so no form or text is known for them yet."""
+    if isinstance(t, Leaf):
+        return Leaf(f"{t.symbol.upper()}_{tag}")
+    if isinstance(t, Eps):
+        return t
+    return (seq if isinstance(t, Seq) else par)(*(relabeled(c, tag) for c in t.children))
+
+
+def reference_canonical(t, mode, memo: dict):
+    """The canonical form of `t` by plain recursion through the checked
+    constructors, each node's computed once (`memo`)."""
+    if isinstance(t, (Eps, Leaf)):
+        return t
+    if t not in memo:
+        children = [reference_canonical(c, mode, memo) for c in t.children]
+        if isinstance(t, Par) and mode is COMMUTATIVE:
+            children.sort(key=format_term)
+        memo[t] = type(t)(tuple(children))
+    return memo[t]
+
+
+@given(terms_st, terms_st, st.sampled_from([ORDERED, COMMUTATIVE]), st.booleans())
+def test_overlapping_terms_canonicalize_in_either_order_as_the_reference(x, y, mode, backwards):
+    tag = next(_tags)
+    x, y = relabeled(x, tag), relabeled(y, tag)
+    first, second = par(seq(y, x), x), seq(par(x, y), seq(y, x))  # sharing x, y and y.x
+    if backwards:
+        first, second = second, first
+    forms = [canonicalize(first, mode), canonicalize(second, mode)]
+    memo = {}
+    assert forms == [reference_canonical(first, mode, memo), reference_canonical(second, mode, memo)]
+    assert [canonicalize(first, mode), canonicalize(second, mode)] == forms
+
+
+def test_a_term_is_canonicalized_once():
+    t = relabeled(pt("(b.a||a).(b||a)||b.a"), next(_tags))
+    form = canonicalize(t, COMMUTATIVE)
+    assert form is not t
+    hits = format_term.cache_info().hits
+    assert canonicalize(t, COMMUTATIVE) is form and canonicalize(form, COMMUTATIVE) is form
+    assert format_term.cache_info().hits == hits  # the form is read from the node, with no sort
 
 
 def test_single_child_collapses():
@@ -306,7 +356,6 @@ def test_leaf_walks_take_a_term_ten_thousand_levels_deep():
 
 
 def test_metrics_and_reversal_take_a_term_ten_thousand_levels_deep():
-    # hash, not ==: equality recurses on two distinct deep terms
     t, rev, lg, dp = Leaf("c"), Leaf("c"), 1, 1  # a.(b||(a.(b||...c))), its reversal and metrics
     for level in range(10_000):
         if level % 2:
@@ -316,10 +365,9 @@ def test_metrics_and_reversal_take_a_term_ten_thousand_levels_deep():
         if level == 999:
             commutative = reverse_term(t, COMMUTATIVE)
     assert (length(t), depth(t)) == (lg, dp) == (5_001, 5_001)
-    assert hash(reverse_term(t)) == hash(rev)
-    assert hash(reverse_term(reverse_term(t))) == hash(t)
+    assert reverse_term(t) is rev
+    assert reverse_term(reverse_term(t)) is t
     assert (length(rev), depth(rev)) == (lg, dp)
-    # checked node by node: `format_term`'s cache would compare a second deep copy by ==
     node = commutative  # ...((b||c).a||b).a...: each Seq reversed, each Par sorted by its text
     for level in range(999, 0, -1):
         assert node.__class__ is (Seq if level % 2 else Par)
@@ -338,6 +386,64 @@ def test_recurrences_hold_structurally():
             assert depth(canonicalize(seq(x, y))) == max(depth(x), depth(y))
             assert length(canonicalize(par(x, y))) == max(length(x), length(y))
             assert depth(canonicalize(par(x, y))) == depth(x) + depth(y)
+
+
+def shared(levels):
+    """A term built in code, `levels` levels of (b.t)||(t.c) over the level
+    below: three nodes a level, but twice as many paths."""
+    t = Leaf("a")
+    for _ in range(levels):
+        t = Par((Seq((Leaf("b"), t)), Seq((t, Leaf("c")))))
+    return t
+
+
+def reference_extents(t, memo: dict):
+    """(length, depth) of `t` by plain recursion, each node's once (`memo`)."""
+    if isinstance(t, Leaf):
+        return 1, 1
+    if t not in memo:
+        lengths, depths = zip(*(reference_extents(c, memo) for c in t.children))
+        memo[t] = (sum(lengths), max(depths)) if isinstance(t, Seq) else (max(lengths), sum(depths))
+    return memo[t]
+
+
+def reference_reverse(t, memo: dict):
+    """The ORDERED reversal of `t` by plain recursion, each node's once (`memo`)."""
+    if isinstance(t, Leaf):
+        return t
+    if t not in memo:
+        children = tuple(reference_reverse(c, memo) for c in t.children)
+        memo[t] = Seq(children[::-1]) if isinstance(t, Seq) else Par(children)
+    return memo[t]
+
+
+def test_a_shared_term_is_walked_once_per_node():
+    t = shared(60)
+    start = time.perf_counter()
+    extents, reverse = (length(t), depth(t)), reverse_term(t)
+    assert time.perf_counter() - start < 0.5
+    assert extents == reference_extents(t, {}) == (61, 2 ** 60)
+    # booleans: a failed assert would print the terms, whose text has 2**60 letters
+    as_reference, involution = reverse is reference_reverse(t, {}), reverse_term(reverse) is t
+    assert as_reference and involution
+    # the COMMUTATIVE order is the text order, and the text doubles with each
+    # level, so the sort keys cap this check at 16 levels (a million letters)
+    t = relabeled(shared(16), next(_tags))
+    start = time.perf_counter()
+    form = canonicalize(t, COMMUTATIVE)
+    assert time.perf_counter() - start < 0.5
+    assert form is reference_canonical(t, COMMUTATIVE, {}) and form is not t
+
+
+def test_a_term_two_thousand_levels_deep_is_formatted_and_collected():
+    # built in code: the parser caps nesting. The cached texts grow with the
+    # square of the depth, so 2,000 levels, not 10,000
+    t = alternating(2_000)  # b.(b||b.(b||...(b||a)))
+    assert format_term(t) == "b.(b||" * 1_000 + "a" + ")" * 1_000
+    for mode in (ORDERED, COMMUTATIVE):  # "b.(" sorts before "b||"
+        lang = FiniteLang.of([t.children[1], t], mode)
+        assert lang.terms == (canonicalize(t, mode), canonicalize(t.children[1], mode))
+    assert format_term(lang.terms[0]) == "b.(b||" * 999 + "b.(a||b" + ")" * 1_000
 
 
 def test_zero_metrics_only_for_eps():

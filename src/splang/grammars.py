@@ -74,9 +74,12 @@ from .terms import (
     SemanticsMode,
     SPTerm,
     Seq,
+    _COUNT,
     _LEVELS,
+    _UNITS,
     _form,
-    _products,
+    _parikh,
+    _runs,
     canonicalize,
     format_term,
     is_parallel_word,
@@ -105,7 +108,7 @@ class Grammar(Immutable):
 
     _fields = ("nonterminals", "terminals", "productions", "start")
     __slots__ = _fields + ("_by_lhs", "_least", "_most", "_widths", "_allowed", "_plans", "_schedule", "_counted",
-                           "_units", "_foreign", "_frames_per_goal")
+                           "_frames_per_goal")
 
     def __init__(self, nonterminals: frozenset[str], terminals: frozenset[str], productions: tuple[Production, ...],
                  start: str):
@@ -128,15 +131,11 @@ class Grammar(Immutable):
                        lambda rhs, n, least: min(n, _least(rhs, least)))
         # the productions with words, and the order of their heads, shared by the facts below
         productive = _heads([p for p in self.productions if _least(p.rhs, least) < math.inf])
-        # a letter's field in a Parikh vector (see _WIDTH)
-        shifts = {c: _WIDTH * i for i, c in enumerate(sorted(self.terminals), 1)}
-        fields = {c: _COUNT << shift for c, shift in shifts.items()}
         allowed = _solve(dict.fromkeys(self.nonterminals, 0), productive,
-                         lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, fields))
+                         lambda rhs, m, allowed: m | _letter_fields(rhs, allowed, _FIELDS))
         most = _most(self.nonterminals, productive, least, allowed, _ATOMS)
         widths = {kind: _most(self.nonterminals, productive, least, allowed, kind) for kind in (Seq, Par)}
-        units = {c: 1 | 1 << shift for c, shift in shifts.items()}
-        facts = least, most, allowed, fields, units, widths
+        facts = least, most, allowed, widths
         plans = {nt: tuple(_plan(rhs, facts) for rhs in alts) for nt, alts in by_lhs.items()}
         object.__setattr__(self, "_by_lhs", by_lhs)
         object.__setattr__(self, "_least", least)
@@ -149,8 +148,6 @@ class Grammar(Immutable):
         counted = frozenset(nt for nt, alts in by_lhs.items()
                             if not all(isinstance(rhs, Eps) or _is_nt_leaf(rhs) for rhs in alts))
         object.__setattr__(self, "_counted", counted)
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_foreign", 1 | 1 << _WIDTH * (len(shifts) + 1))  # any other letter
         # membership recursion: two frames per node of a production (at most its text length)
         object.__setattr__(self, "_frames_per_goal", 2 * max(len(format_term(p.rhs)) for p in self.productions) + 2)
 
@@ -269,6 +266,7 @@ def _least(form: SPTerm, least) -> float:
 
 
 _ATOMS = (Seq, Par)  # the `kind` for which every node adds its children's factors: the atoms
+_FIELDS = {c: _COUNT * (unit ^ 1) for c, unit in _UNITS.items()}  # a letter's field in a Parikh vector, filled
 
 
 def _most(nonterminals, productive: tuple[dict, list], least, allowed, kind) -> dict:
@@ -651,19 +649,19 @@ class _MemberSearch:
     more atoms, or a letter it never derives; the others are tried in the
     form's order, but a COMMUTATIVE Par form's parts fewest factors first,
     so that an unbounded part takes what is left. Subgoals are kept in leaf
-    order. Shares are measured by Parikh vectors (see `_WIDTH`), summed once
-    per query node: by prefix sums for a range, run by run for a
-    sub-multiset, whose split prefix is dropped with all that extend it once
-    its share or rest has too many atoms or a letter it may not have. A
-    share of exactly one factor, the most common, is picked in one pass over
-    the runs instead (`_one_factor_splits`). `DEFAULT_CAP`, read when the
-    search is built, bounds the goals one pass tries."""
+    order. Shares are measured by Parikh vectors, from the facts each query
+    node keeps for its life (`terms._parikh`): by prefix sums for a range,
+    run by run (`terms._runs`) for a sub-multiset, whose split prefix is
+    dropped with all that extend it once its share or rest has too many
+    atoms or a letter it may not have. A share of exactly one factor, the
+    most common, is picked in one pass over the runs instead
+    (`_one_factor_splits`). `DEFAULT_CAP`, read when the search is built,
+    bounds the goals one pass tries."""
 
     def __init__(self, g: Grammar, mode: SemanticsMode):
         self.g, self.mode, self.cap = g, mode, DEFAULT_CAP
         self.proofs: dict = {}  # goal -> (rhs, goals of its nonterminal leaves, left to right)
         self.tried: dict = {}  # goal -> [still being tried], in this pass
-        self.table: dict = {}  # Seq or Par node of the last query -> its factors (see `entry`)
 
     def proves(self, t: SPTerm, start: str | None = None) -> bool:
         """Whether `start` (by default the grammar's) derives `t`, a term
@@ -671,11 +669,9 @@ class _MemberSearch:
         self.goal = goal = (start or self.g.start, t)
         if goal in self.proofs:  # proved for an earlier query
             return True
-        if t not in self.table:  # a query on a sub-term of the last one keeps its table
-            self.table = {}
-        vec = self.vector(t)
-        # A call path holds at most one goal per (nonterminal, atom count).
-        per_path = self.g._frames_per_goal * len(self.g.nonterminals) * ((vec & _COUNT) + 1)
+        vec = _parikh(t)
+        # A call path holds at most one goal per (nonterminal, atom count), and one pass at most cap + 1 goals.
+        per_path = self.g._frames_per_goal * min(len(self.g.nonterminals) * ((vec & _COUNT) + 1), self.cap + 1)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + per_path)
         try:
@@ -685,33 +681,6 @@ class _MemberSearch:
                     return goal in self.proofs
         finally:
             sys.setrecursionlimit(limit)
-
-    def vector(self, t: SPTerm) -> int:
-        """The Parikh vector of `t` (see `_WIDTH`). The entries of the query's
-        Seq and Par nodes are made with a stack, each once and after its
-        children's (`_products`), so deep terms need no recursion."""
-        if isinstance(t, Leaf):
-            return self.g._units.get(t.symbol, self.g._foreign)
-        if isinstance(t, Eps):
-            return 0
-        entry = self.table.get(t)
-        if entry is None:
-            for node in _products(t):
-                self.table[node] = self.entry(node.children, type(node) is Seq or self.mode is ORDERED)
-            entry = self.table[t]
-        return entry[-1]
-
-    def entry(self, children: tuple, ordered: bool) -> tuple:
-        """A node's `children` as the search reads them, its Parikh vector
-        last: when `ordered`, with the prefix sums of their vectors; else the
-        first child of each run of equal ones, the run lengths and vectors."""
-        if ordered:
-            pre = tuple(itertools.accumulate(map(self.vector, children), initial=0))
-            return children, pre, pre[-1]
-        runs = [(c, len(tuple(same))) for c, same in itertools.groupby(children)]
-        firsts, counts = tuple(c for c, _ in runs), tuple(n for _, n in runs)
-        vecs = tuple(map(self.vector, firsts))
-        return firsts, counts, vecs, sum(map(operator.mul, counts, vecs))
 
     def derives(self, goal, vec: int) -> bool:
         """Whether goal (A, key) holds, `vec` being the Parikh vector of the key's word."""
@@ -745,12 +714,12 @@ class _MemberSearch:
         kind = type(node.form)
         ordered = kind is Seq or self.mode is ORDERED
         owner, at = (key[0], key[1:]) if type(key) is tuple else (key, ())
-        if type(owner) is kind:
-            entry = self.table[owner]
+        if type(owner) is kind:  # the node's kept facts: its factors and their prefix sums, or its runs
+            entry = (owner.children, owner._sums) if ordered else _runs(owner)
         elif ordered:  # one factor, or none
-            owner, at, entry = None, (), ((key,), (0, vec), vec) if vec else ((), (0,), 0)
+            owner, at, entry = None, (), ((key,), (0, vec)) if vec else ((), (0,))
         else:
-            owner, at, entry = None, (), ((key,), (1,), (vec,), vec) if vec else ((), (), (), 0)
+            owner, at, entry = None, (), ((key,), (1,), (vec,)) if vec else ((), (), ())
         if ordered:
             return self.match_range(node.parts, node.rests, 0, entry, owner, *(at or (0, len(entry[0]))))
         parts, rests = node.commuted
@@ -765,7 +734,7 @@ class _MemberSearch:
         """The goals under which parts k, k+1, ... of a form (see `_rests`)
         derive the factors i..j-1 of `owner`, whose ordered `entry` they
         are, or None; part k is not the last."""
-        part, rest, (children, pre, _) = parts[k], rests[k], entry
+        part, rest, (children, pre) = parts[k], rests[k], entry
         rest_least, rest_most, rest_forbid, _, _ = rest
         low, high = _share_sizes(part, rest, j - i)
         for m in range(i + low, i + high + 1):
@@ -786,7 +755,7 @@ class _MemberSearch:
         COMMUTATIVE Par form (see `_rests`) derive the sub-multiset `counts`
         of `owner`, whose `entry` they are and whose Parikh vector is `vec`,
         or None; part k is not the last."""
-        part, rest, (firsts, full, vecs, _) = parts[k], rests[k], entry
+        part, rest, (firsts, full, vecs) = parts[k], rests[k], entry
         low, high = _share_sizes(part, rest, sum(counts))
         if low == high == 1:
             splits = _one_factor_splits(counts, vecs, vec, part, rest)
@@ -832,7 +801,7 @@ def _range(children: tuple, owner, i: int, j: int):
 
 
 def _sub_multiset(firsts: tuple, full: tuple, owner, counts: tuple):
-    """The key of the sub-multiset `counts` of `owner`'s runs (see `entry`)."""
+    """The key of the sub-multiset `counts` of `owner`'s runs (see `terms._runs`)."""
     size = sum(counts)
     if size > 1:
         return owner if counts == full else (owner, counts)
@@ -879,17 +848,6 @@ def _one_factor_splits(counts: tuple, vecs: tuple, vec: int, part: _Node, rest: 
             yield (0,) * i + (1,) + (0,) * (len(counts) - i - 1), h, vec - h
 
 
-# A Parikh vector packs a term's atom count and its count of each letter into
-# one int, _WIDTH bits a field: the atoms in field 0, the grammar's terminals
-# in sorted order from field 1, and every other letter (an uppercase leaf of a
-# term built in code included) in the field after them, which no production
-# fills. No term whose atoms can be counted has 2**64 of them, so no field
-# overflows: the vector of a share of factors is the sum of theirs, and the
-# vector of the rest is the whole's minus the share's.
-_WIDTH = 64
-_COUNT = (1 << _WIDTH) - 1  # the atom count's field
-
-
 def _fits(vec: int, least: float, most: float, forbid: int) -> bool:
     """Whether a word with Parikh vector `vec` has least..most atoms and
     fills no field of `forbid`, as every word of the parts with those facts
@@ -918,12 +876,12 @@ class _Node:
 
 def _plan(form: SPTerm, facts: tuple) -> _Node:
     """The `_Node` of `form`, given the `facts` each nonterminal's least and
-    most atoms, allowed letter fields and most factors of each operator, and
-    each terminal's field and unit vector. A Seq or Par form takes its facts
-    from its parts': it has a word only from a word of each, so its fewest
-    and most atoms are their sums, and it fills a field only when one of
-    them does. Each part is planned once, for both of its form's orders."""
-    least, most, allowed, fields, units, widths = facts
+    most atoms, allowed letter fields and most factors of each operator (a
+    terminal's are fixed). A Seq or Par form takes its facts from its parts':
+    it has a word only from a word of each, so its fewest and most atoms are
+    their sums, and it fills a field only when one of them does. Each part
+    is planned once, for both of its form's orders."""
+    least, most, allowed, widths = facts
     node = _Node()
     node.form = form
     node.symbol = node.unit = node.parts = node.passing = None
@@ -934,8 +892,8 @@ def _plan(form: SPTerm, facts: tuple) -> _Node:
             node.least, node.most, node.symbol = least[form.symbol], most[form.symbol], form.symbol
             node.forbid = ~(_COUNT | allowed[form.symbol])
         else:
-            node.least, node.most, node.unit = 1, 1, units[form.symbol]
-            node.forbid = ~(_COUNT | fields[form.symbol])
+            node.least, node.most, node.unit = 1, 1, _UNITS[form.symbol]
+            node.forbid = ~(_COUNT | _FIELDS[form.symbol])
     else:
         node.parts = parts = tuple(_plan(c, facts) for c in form.children)
         for i, part in enumerate(parts):

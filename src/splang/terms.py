@@ -25,11 +25,15 @@ immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
 made, from its kind and its children's stored hashes, so a term hashes in
 constant time at any depth, and not by its address (see `SPTerm`). A Seq or
-Par node also keeps two facts once they are first asked for, its COMMUTATIVE
-canonical form and its text (see `_Product`), so a node is canonicalized and
-formatted once in its life. Equal sub-terms are one node, so a term is a DAG:
-the walks over a term (`_products`) visit each distinct node once, and a
-term that shares its sub-terms costs its nodes, not its paths.
+Par node also keeps facts once they are first asked for (see `_Product`): its
+COMMUTATIVE canonical form, its text, and what the membership search reads,
+its Parikh vector in the one layout of every grammar (`_WIDTH`) with its
+children's prefix sums (`_parikh`) and a Par's runs of equal children
+(`_runs`). So a node is canonicalized, formatted and summed once in its life,
+whatever grammar it is searched against. Equal sub-terms are one node, so a
+term is a DAG: the walks over a term (`_products`) visit each distinct node
+once, and a term that shares its sub-terms costs its nodes, not its paths,
+also when it is pickled.
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
@@ -44,6 +48,7 @@ a letter, ``eps`` or a parenthesized term (``_parse_prim``).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import weakref
 from collections import Counter
@@ -86,6 +91,11 @@ class SPTerm(Immutable):
 
     def __repr__(self) -> str:
         return format_term(self)
+
+    def __copy__(self, memo=None):  # one node per term, and immutable: the node is its own copy
+        return self
+
+    __deepcopy__ = __copy__
 
 
 _init = object.__setattr__  # the constructors' way past Immutable.__setattr__
@@ -146,14 +156,15 @@ class _Product(SPTerm):
     The constructor, which pickling also uses, checks that rule on children
     from outside the package; `_node` finds or builds the node without it.
 
-    Two slots hold facts that are made once, when first asked for:
-    `_canon` is the node's COMMUTATIVE canonical form, which `canonicalize`
-    sets: unset while it is not known, None when the node is its own form,
-    else the form. No node is its own slot's value, and a form has as many
-    nodes as its term, so it cannot hold the term: the slots make no
-    reference cycle. `_text` is the text `format_term` made."""
+    Slots hold facts that are made once, when first asked for: `_canon` is
+    the node's COMMUTATIVE canonical form, which `canonicalize` sets: unset
+    while it is not known, None when the node is its own form, else the
+    form. No node is its own slot's value, and a form has as many nodes as
+    its term, so it cannot hold the term: the slots make no reference
+    cycle. `_text` is the text `format_term` made, `_sums` the prefix sums
+    `_parikh` made and a Par's `_runs` those `_runs` made."""
 
-    __slots__ = ("children", "_canon", "_text")
+    __slots__ = ("children", "_canon", "_text", "_sums")
     _fields = ("children",)
     _TAG: int
 
@@ -165,6 +176,24 @@ class _Product(SPTerm):
                 raise ValueError(f"{cls.__name__} children must be flattened and eps-free")
         return _node(cls, children)
 
+    def __reduce__(self):
+        """The term's distinct Seq and Par nodes in post-order (`_products`),
+        each child a leaf or the index of an earlier node: a flat list, so a
+        deep term pickles and unpickles (`_rebuild`) without recursion."""
+        at, nodes = {}, []
+        for node in _products(self):
+            at[id(node)] = len(nodes)
+            nodes.append((node.__class__, tuple([c if c.__class__ is Leaf else at[id(c)] for c in node.children])))
+        return _rebuild, (nodes,)
+
+
+def _rebuild(nodes: list) -> SPTerm:
+    """The last node of a pickled term, each made by its checked constructor."""
+    built = []
+    for kind, children in nodes:
+        built.append(kind(tuple([built[c] if c.__class__ is int else c for c in children])))
+    return built[-1]
+
 
 class Seq(_Product):
     __slots__ = ()
@@ -172,7 +201,7 @@ class Seq(_Product):
 
 
 class Par(_Product):
-    __slots__ = ()
+    __slots__ = ("_runs",)
     _TAG = 2
 
 
@@ -317,6 +346,50 @@ def format_term(t: SPTerm) -> str:
             text = ".".join([c.symbol if c.__class__ is Leaf else f"({c._text})" for c in node.children])
         _init(node, "_text", text)
     return t._text
+
+
+# A Parikh vector (Parikh, JACM 13, 1966) packs a term's atom count and its
+# count of each leaf symbol into one int, _WIDTH bits a field, in one layout
+# for every grammar: the atoms in field 0, a..z in fields 1..26 and any other
+# symbol (a nonterminal leaf of a term built in code) in field 27, which no
+# grammar's words fill. `_parikh` refuses a term of 2**64 atoms or more, which
+# only a term that shares its sub-terms can have, so no field overflows: a
+# share's vector is the sum of its factors', and the rest's is the whole's
+# minus the share's.
+_WIDTH = 64
+_COUNT = (1 << _WIDTH) - 1  # the atom count's field
+_UNITS = {chr(ord("a") + i - 1): 1 | 1 << _WIDTH * i for i in range(1, 27)}  # a letter's vector
+_OTHER = 1 | 1 << _WIDTH * 27  # the vector of any other leaf
+
+
+def _parikh(t: SPTerm) -> int:
+    """The Parikh vector of `t`. A Seq or Par node keeps the prefix sums of
+    its children's vectors, its own last (`_Product._sums`): a first call
+    sums the nodes of `t` that have none, each once and after its children
+    (`_products`), so a deep term needs no recursion. Raises OverflowError
+    when `t` has 2**64 atoms or more (see `_WIDTH`)."""
+    cls = t.__class__
+    if cls is Leaf:
+        return _UNITS.get(t.symbol, _OTHER)
+    if cls is Eps:
+        return 0
+    if not hasattr(t, "_sums"):
+        for node in _products(t, "_sums"):
+            vecs = [_UNITS.get(c.symbol, _OTHER) if c.__class__ is Leaf else c._sums[-1] for c in node.children]
+            if sum(map(_COUNT.__and__, vecs)) > _COUNT:  # the children's counts are exact: none was refused
+                raise OverflowError(f"a term of 2**{_WIDTH} atoms or more has no Parikh vector")
+            _init(node, "_sums", tuple(itertools.accumulate(vecs, initial=0)))
+    return t._sums[-1]
+
+
+def _runs(t: Par) -> tuple:
+    """The children of `t` as a COMMUTATIVE read takes them: the first child
+    of each run of equal ones, the run lengths and the firsts' Parikh
+    vectors, made once and kept on the node (`Par._runs`)."""
+    if not hasattr(t, "_runs"):
+        firsts, counts = zip(*[(c, len(tuple(same))) for c, same in itertools.groupby(t.children)])
+        _init(t, "_runs", (firsts, counts, tuple(map(_parikh, firsts))))
+    return t._runs
 
 
 def parse_term(text: str, *, allow_upper: bool = False) -> SPTerm:

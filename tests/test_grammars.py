@@ -1,11 +1,13 @@
 import copy
 import functools
+import itertools
 import math
 import operator
 import pickle
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +37,6 @@ from splang.grammars import (
     parse_grammar,
     production_shapes,
     random_parallel_linear_grammar,
-    _COUNT,
-    _WIDTH,
     _MemberSearch,
     _Node,
     _count_splits,
@@ -65,8 +65,14 @@ from splang.terms import (
     format_term,
     is_parallel_word,
     length,
+    par,
     parse_term,
     seq,
+    _COUNT,
+    _WIDTH,
+    _parikh,
+    _products,
+    _runs,
 )
 
 
@@ -387,6 +393,31 @@ def test_a_term_nested_a_thousand_deep_is_decided():
     assert len(trace) == 1002 and trace[-1] is t
 
 
+def test_a_shared_term_of_two_to_the_41_atoms_is_decided():
+    # built in code, 40 levels of (b.t)||(t.c) over the level below: the recursion limit the search would raise
+    # for that many atoms does not fit a C int, but a call path never holds more goals than one pass may try
+    t = Leaf("a")
+    for _ in range(40):
+        t = par(seq(Leaf("b"), t), seq(t, Leaf("c")))
+    limit = sys.getrecursionlimit()
+    assert not is_member(parse_grammar("S -> a | b.S | S.c\n"), t, ORDERED)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_a_term_of_two_to_the_64_atoms_is_refused_not_misread():
+    # (b.t)||(t.c) over b, a word of S at every level: 62 levels have 3 * 2**62 - 2 atoms, and 63 levels would
+    # carry the atom count past its field into the letters'; the search (not `is_member`, whose proof tree has a
+    # node per path) decides the first
+    g = parse_grammar("S -> b | c | S.S | S||S\n")
+    t = Leaf("b")
+    for _ in range(62):
+        t = par(seq(Leaf("b"), t), seq(t, Leaf("c")))
+    assert _parikh(t) & _COUNT == 3 * 2**62 - 2 and _MemberSearch(g, ORDERED).proves(t)
+    t = par(seq(Leaf("b"), t), seq(t, Leaf("c")))
+    with pytest.raises(OverflowError, match=r"^a term of 2\*\*64 atoms or more has no Parikh vector$"):
+        is_member(g, t, ORDERED)
+
+
 def alternating(n: int):
     """n nested nodes built in code, alternating a.(...) and b||(...), the
     outermost a Seq when n is even, around a."""
@@ -487,9 +518,56 @@ def test_a_foreign_leaf_is_not_a_member(text, mode):
     assert not is_member(g, foreign_term(text), mode)
 
 
+def packed(t):
+    """The Parikh vector of `t` from a count of its leaves: the atoms in field 0, a..z in fields 1..26 and any
+    other symbol in field 27, for every grammar."""
+    counts = Counter(symbols_of(t))
+    fields = {s: ord(s) - ord("a") + 1 if s.islower() else 27 for s in counts}
+    return sum(counts.values()) + sum(n << _WIDTH * fields[s] for s, n in counts.items())
+
+
+fact_terms = st.recursive(
+    st.sampled_from(["a", "b", "z", "S", "B_2"]).map(Leaf),  # with leaves a grammar names as nonterminals
+    lambda inner: st.builds(lambda cs: seq(*cs), st.lists(inner, min_size=2, max_size=3))
+    | st.builds(lambda cs: par(*cs), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fact_terms, st.sampled_from([ORDERED, COMMUTATIVE]), st.integers(0, 10_000), st.data())
+def test_each_node_keeps_the_parikh_facts_of_its_atoms_whatever_grammar_asks(t, mode, seed, data):
+    # two grammars over other letters query a term and its sub-terms in a drawn order; each answer agrees with
+    # the generated words, and each node keeps the vector of its leaves and the sums and runs of its children's
+    t = canonicalize(t, mode)
+    nodes = _products(t)
+    pair = (random_general_grammar(seed, ("a", "b")), random_general_grammar(seed + 1, ("b", "z")))
+    words = [generate(g, atoms_count(t), mode=mode) for g in pair]
+    queries = [(i, s) for i in range(2) for s in nodes + sorted(set(map(Leaf, symbols_of(t))), key=format_term)]
+    for i, s in data.draw(st.permutations(queries)):
+        assert bool(is_member(pair[i], s, mode)) == (s in words[i]), (format_grammar(pair[i]), format_term(s))
+    for node in nodes:
+        assert node._sums[-1] == _parikh(node) == packed(node)
+        assert node._sums == tuple(itertools.accumulate(map(packed, node.children), initial=0))
+        if isinstance(node, Par):
+            firsts, counts = [], []
+            for c in node.children:
+                if firsts and firsts[-1] is c:
+                    counts[-1] += 1
+                else:
+                    firsts.append(c)
+                    counts.append(1)
+            assert _runs(node) == (tuple(firsts), tuple(counts), tuple(map(packed, firsts)))
+
+
+def letter_fields(letters):
+    """Each letter's field in a Parikh vector, filled: a..z in fields 1..26, for every grammar."""
+    return {c: _COUNT << _WIDTH * (ord(c) - ord("a") + 1) for c in letters}
+
+
 def planned_letters(g, nonterminal):
     """The letters the grammar's plan lets the words of `nonterminal` have."""
-    return {c for c, unit in g._units.items() if unit & g._allowed[nonterminal]}
+    return {c for c, field in letter_fields(g.terminals).items() if field & g._allowed[nonterminal]}
 
 
 @pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
@@ -617,7 +695,7 @@ def naive_facts(g):
 
     least = fixpoint(dict.fromkeys(g.nonterminals, math.inf), lambda rhs, n, v: min(n, _least(rhs, v)), g.productions)
     productive = [p for p in g.productions if _least(p.rhs, least) < math.inf]
-    fields = {c: _COUNT << _WIDTH * i for i, c in enumerate(sorted(g.terminals), 1)}
+    fields = letter_fields(g.terminals)
     allowed = fixpoint(dict.fromkeys(g.nonterminals, 0),
                        lambda rhs, m, v: m | _letter_fields(rhs, v, fields), productive)
 
@@ -665,7 +743,7 @@ def planned_nodes(node):
 def test_every_planned_node_has_the_facts_of_its_form(fixture_grammars):
     # the plan sums and ANDs its parts' facts; the leaf walks recompute them from each form
     for g in fixture_grammars + [random_general_grammar(seed) for seed in range(40)]:
-        fields = {c: _COUNT << _WIDTH * i for i, c in enumerate(sorted(g.terminals), 1)}
+        fields = letter_fields(g.terminals)
 
         def least(forms):
             return sum(_least(f, g._least) for f in forms)
@@ -911,15 +989,16 @@ def test_multiset_splits_by_head_size_keep_the_filtered_order():
 
 
 def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
-    # the commutative split of the search, over run counts, against `multiset_splits` and the same checks
-    g = parse_grammar("S -> a | b | c | d\n")
-    search = _MemberSearch(g, COMMUTATIVE)
+    # the commutative split of the search, over the run counts a Par node keeps, against `multiset_splits` and
+    # the same checks; one factor or none is read as one run or none, as the search reads it
     fields = [_COUNT << _WIDTH * i for i in range(1, 5)]
     rng = random.Random(0)
     for items in ["", "a", "aab", "aabbbc", "abcd"]:
         factors = tuple(map(Leaf, items))
-        vec = sum(map(search.vector, factors))
-        firsts, counts, vecs, _ = search.entry(factors, False)
+        vec = sum(map(_parikh, factors))
+        node = par(*factors, mode=COMMUTATIVE)
+        one = (factors, (1,) * len(factors), tuple(map(_parikh, factors)))
+        firsts, counts, vecs = _runs(node) if isinstance(node, Par) else one
         for zeros in range(3):  # a sub-multiset of a node with more runs leaves some of them empty
             at = rng.randrange(len(counts) + 1)
             padded = counts[:at] + (0,) * zeros + counts[at:]
@@ -935,7 +1014,7 @@ def test_the_search_splits_over_run_counts_as_the_filtered_multiset_splits():
                             for _ in "hr")
                         expected = []
                         for share, rest in multiset_splits(factors, 2, (low, high)):
-                            h = sum(map(search.vector, share))
+                            h = sum(map(_parikh, share))
                             if _fits(h, part.least, part.most, part.forbid) and _fits(
                                     vec - h, rest_least, rest_most, rest_forbid):
                                 taken = tuple(share.count(f) for f in firsts)

@@ -260,10 +260,18 @@ def test_the_intern_table_keeps_no_dropped_term_alive():
     def tenth_power():
         return len(langs.power(langs.FiniteLang.parse(["a", "b"]), 10, langs.PowerKind.SEQ))
 
+    def queried_deep_term():
+        t = terms.Leaf("a")  # the membership facts each node keeps go with the node
+        for level in range(1_000):
+            t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
+        g = grammars.parse_grammar("S -> a | b.S | b||S\n")
+        return [bool(grammars.is_member(g, t, mode)) for mode in (terms.ORDERED, COMMUTATIVE)]
+
     before = live_nodes()
     assert deep_term() > before and live_nodes() == before
     assert canonical_deep_term() > 900 and live_nodes() == before
     assert tenth_power() == 1024 and live_nodes() == before
+    assert queried_deep_term() == [True, True] and live_nodes() == before
 
 
 def test_no_nested_helper_names_itself_or_a_sibling():

@@ -30,10 +30,13 @@ from splang.regexes import (
 from splang.terms import (
     COMMUTATIVE,
     ORDERED,
+    Leaf,
     atoms_count,
     enumerate_terms,
     format_term,
+    par,
     parse_term,
+    seq,
 )
 
 from oracles import all_regexes, naive_matches, oracle_regex_words
@@ -300,3 +303,12 @@ def test_a_rejected_long_word_tries_goals_linear_in_its_length(monkeypatch):
         assert not matches(r, parse_term(".".join("ab" * pairs + "a")))
         goals.append(len(searches[-1].tried))
     assert goals[1] <= 2.1 * goals[0]
+
+
+def test_a_shared_term_of_two_to_the_41_atoms_is_matched():
+    # built in code, 40 levels of (b.t)||(t.c) over the level below: the search's recursion limit is capped by
+    # the goals one pass may try, not by the term's atoms
+    t = Leaf("a")
+    for _ in range(40):
+        t = par(seq(Leaf("b"), t), seq(t, Leaf("c")))
+    assert not matches(parse_regex("(a|b|c)@"), t, ORDERED)

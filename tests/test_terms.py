@@ -153,6 +153,21 @@ def test_a_second_copy_of_a_deep_term_canonicalizes(mode, levels):
     assert canonicalize(alternating(levels), mode) is first
 
 
+def test_a_term_ten_thousand_levels_deep_copies_and_pickles_to_itself():
+    t = alternating(10_000)
+    for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert clone is t
+
+
+def test_a_shared_term_pickles_its_nodes_not_its_paths():
+    # 40 levels of (b.t)||(t.c): about 2**41 atoms on 120 nodes, each written once
+    t = Leaf("a")
+    for _ in range(40):
+        t = par(seq(Leaf("b"), t), seq(t, Leaf("c")))
+    data = pickle.dumps(t)
+    assert len(data) < 5_000 and pickle.loads(data) is t
+
+
 @pytest.mark.parametrize("text", ["eps", "a", "A_2", "a.b||c", "(a||b).a", "(a.b||c).(b||a)"])
 def test_pickle_and_copy_give_an_equal_term(text):
     t = parse_term(text, allow_upper=True)

@@ -78,6 +78,7 @@ from .terms import (
     _LEVELS,
     _UNITS,
     _form,
+    _join,
     _parikh,
     _runs,
     canonicalize,
@@ -519,16 +520,19 @@ def generate(
 
 
 class _Levels:
-    """The words one `generate` call has found. Its helpers are methods of
-    this object, not closures that name each other, so nothing it holds is on
-    a reference cycle and all of it is freed when the call returns."""
+    """The words one `generate` call has found, canonical for `mode`: a Seq
+    or Par form's word is the `_join` of a word of one part with a word of
+    the parts after it, both canonical for `mode`. Its helpers are
+    methods of this object, not closures that name each other, so nothing it
+    holds is on a reference cycle and all of it is freed when the call
+    returns."""
 
-    __slots__ = ("words", "inner", "join")
+    __slots__ = ("words", "inner", "mode")
 
     def __init__(self, g: Grammar, mode: SemanticsMode):
         self.words = {nt: [] for nt in g.nonterminals}  # nonterminal -> its words by atom count
         self.inner = {}  # (a Seq or Par form, atoms) -> its words where no part takes all the atoms
-        self.join = {Seq: seq, Par: functools.partial(par, mode=mode)}
+        self.mode = mode  # the mode the words are canonical for, which `_join` keeps
 
     def sized(self, node: _Node, k: int):
         """The words of k atoms of a production's form or part, from the words found so far."""
@@ -557,11 +561,12 @@ class _Levels:
         low = max(part.least, k - rest_most)  # inf when a part has no word
         high = min(top, k - rest_least, part.most)
         if low <= high:
-            make = self.join[type(node.form)]
+            kind, mode = node.form.__class__, self.mode
+            words = None if part.symbol is None else self.words[part.symbol]
             for j in range(low, high + 1):
-                xs = self.sized(part, j)
+                xs = self.sized(part, j) if words is None else words[j]
                 if xs:
-                    out.update({make(x, y) for y in self.combined(node, k - j, top, i + 1) for x in xs})
+                    out.update({_join(kind, x, y, mode) for y in self.combined(node, k - j, top, i + 1) for x in xs})
         return out
 
 

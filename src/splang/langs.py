@@ -12,7 +12,10 @@ infinite closure.
 Powers and closures step on plain sets of terms and sort once, into the
 language they return. Each level is the product of the one before with the
 operand, so they stop once a level repeats, as those of {eps} and of the
-empty language do at once.
+empty language do at once. Every product here, of levels, concatenations and
+parallel compositions alike, joins two words in one step (`terms._join`),
+which holds because both are canonical for the language's mode: so is every
+member of a language, and every word a join makes from them.
 
 Language file format: a ``mode: ordered|commutative`` header, then one term
 per line in the term text format. ``#`` starts a comment.
@@ -20,7 +23,6 @@ per line in the term text format. ``#`` starts a comment.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
@@ -30,15 +32,18 @@ from .terms import (
     EPS,
     ORDERED,
     DEFAULT_CAP,
+    Par,
+    Seq,
     SemanticsMode,
     SPTerm,
+    _built,
+    _flat,
+    _join,
     _letters,
     canonicalize,
     format_term,
     parse_term,
-    par,
     reverse_term,
-    seq,
 )
 
 
@@ -74,6 +79,18 @@ class FiniteLang(Immutable):
         body = ", ".join(format_term(t) for t in self.terms)
         return f"FiniteLang({self.mode.value}, {{{body}}})"
 
+    def __reduce__(self):
+        """The mode and the terms' distinct Seq and Par nodes in one flat
+        list (`terms._flat`), so a node that many terms share is written
+        once."""
+        return _unpickle, (self.mode, *_flat(self.terms))
+
+
+def _unpickle(mode: SemanticsMode, nodes: list, terms: list) -> FiniteLang:
+    """The language pickled by `FiniteLang.__reduce__`."""
+    built = _built(nodes)
+    return FiniteLang(mode, [built[t] if t.__class__ is int else t for t in terms])
+
 
 def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
     if l1.mode is not l2.mode:
@@ -84,13 +101,13 @@ def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
 def concat_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise sequential products x.y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, {seq(x, y) for x in l1.terms for y in l2.terms})
+    return FiniteLang(mode, {_join(Seq, x, y) for x in l1.terms for y in l2.terms})
 
 
 def par_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise parallel products x||y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, {par(x, y, mode=mode) for x in l1.terms for y in l2.terms})
+    return FiniteLang(mode, {_join(Par, x, y, mode) for x in l1.terms for y in l2.terms})
 
 
 def union_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
@@ -113,19 +130,21 @@ def epsilon_lang(mode: SemanticsMode = ORDERED) -> FiniteLang:
     return FiniteLang(mode, (EPS,))
 
 
-def _level(lang: FiniteLang, n: int, compose, operation: str, union: set | None = None) -> set[SPTerm]:
-    """The n-th power of `lang` under `compose` (level 0 is {eps}), or the
-    first level that repeats. Each level is built one row (one word of the
-    level before) at a time, and goes into `union` too when it is given. The
-    words counted after each row (those of `union` when given, else of the
-    level) must not exceed DEFAULT_CAP, so EnumerationCapError is raised
-    inside the step that crosses it."""
+def _level(lang: FiniteLang, n: int, kind, operation: str, union: set | None = None) -> set[SPTerm]:
+    """The n-th power of `lang` under `kind` (Seq or Par; level 0 is {eps}),
+    or the first level that repeats. Each level is built one row (one word
+    of the level before) at a time, each word joined with the operand's by
+    `_join`, and goes into `union` too when it is given. The words counted
+    after each row (those of `union` when given, else of the level) must not
+    exceed DEFAULT_CAP, so EnumerationCapError is raised inside the step that
+    crosses it."""
+    mode = lang.mode
     level = {EPS}
     for _ in range(n):
         step: set[SPTerm] = set()
         counted = step if union is None else union
         for x in level:
-            row = [compose(x, y) for y in lang.terms]
+            row = [_join(kind, x, y, mode) for y in lang.terms]
             step.update(row)
             if union is not None:
                 union.update(row)
@@ -145,8 +164,7 @@ def power(lang: FiniteLang, n: int, kind: PowerKind) -> FiniteLang:
     """
     if n < 0:
         raise ValueError("power exponent must be >= 0")
-    compose = seq if kind is PowerKind.SEQ else functools.partial(par, mode=lang.mode)
-    return FiniteLang(lang.mode, _level(lang, n, compose, f"{kind.value} power"))
+    return FiniteLang(lang.mode, _level(lang, n, Seq if kind is PowerKind.SEQ else Par, f"{kind.value} power"))
 
 
 def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLang:
@@ -160,10 +178,9 @@ def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLan
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    parallel = functools.partial(par, mode=lang.mode)
     union = {EPS}
-    for compose in {ClosureKind.STAR: (seq,), ClosureKind.PAR_PLUS: (parallel,), ClosureKind.SP: (seq, parallel)}[kind]:
-        _level(lang, n_max, compose, f"{kind.value} closure", union)
+    for product in {ClosureKind.STAR: (Seq,), ClosureKind.PAR_PLUS: (Par,), ClosureKind.SP: (Seq, Par)}[kind]:
+        _level(lang, n_max, product, f"{kind.value} closure", union)
     return FiniteLang(lang.mode, union)
 
 

@@ -12,8 +12,11 @@ kept in a canonical form:
   sorts them, so ``seq`` and ``par`` build canonical terms from canonical
   parts. The constructors ``Seq(...)`` and ``Par(...)`` refuse a node that
   breaks the first rule; ``_node`` trusts its caller to keep it, so every term
-  is canonical for ORDERED. ``canonicalize`` sorts the Par nodes of a term
-  built without the mode.
+  is canonical for ORDERED. Its callers are ``seq`` and ``par``, ``_join``
+  (the product of two parts canonical for a mode, which the finite-language
+  algebra and ``grammars.generate`` build their words with),
+  ``reverse_term``, ``canonicalize`` and the membership search's shares.
+  ``canonicalize`` sorts the Par nodes of a term built without the mode.
 
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
 2006): there is one live node per term, so two terms are equal exactly when
@@ -177,22 +180,35 @@ class _Product(SPTerm):
         return _node(cls, children)
 
     def __reduce__(self):
-        """The term's distinct Seq and Par nodes in post-order (`_products`),
-        each child a leaf or the index of an earlier node: a flat list, so a
-        deep term pickles and unpickles (`_rebuild`) without recursion."""
-        at, nodes = {}, []
-        for node in _products(self):
+        """The term's distinct Seq and Par nodes as a flat list (`_flat`), so
+        a deep term pickles and unpickles (`_rebuild`) without recursion."""
+        return _rebuild, (_flat((self,))[0],)
+
+
+def _flat(terms) -> tuple[list, list]:
+    """The distinct Seq and Par nodes of `terms` in post-order (`_products`),
+    each once, however many of the terms share it, and each child a leaf or
+    the index of an earlier node; and each term as a leaf, eps or the index
+    of its node."""
+    at, nodes, seen = {}, [], set()
+    for t in terms:
+        for node in _products(t, seen=seen):
             at[id(node)] = len(nodes)
             nodes.append((node.__class__, tuple([c if c.__class__ is Leaf else at[id(c)] for c in node.children])))
-        return _rebuild, (nodes,)
+    return nodes, [at.get(id(t), t) for t in terms]
 
 
-def _rebuild(nodes: list) -> SPTerm:
-    """The last node of a pickled term, each made by its checked constructor."""
+def _built(nodes: list) -> list:
+    """The nodes of a `_flat` list, each made by its checked constructor."""
     built = []
     for kind, children in nodes:
         built.append(kind(tuple([built[c] if c.__class__ is int else c for c in children])))
-    return built[-1]
+    return built
+
+
+def _rebuild(nodes: list) -> SPTerm:
+    """The last node of a pickled term."""
+    return _built(nodes)[-1]
 
 
 class Seq(_Product):
@@ -207,8 +223,9 @@ class Par(_Product):
 
 def _node(kind, children: tuple) -> _Product:
     """The `kind` (Seq or Par) node of `children`, hashed as the constructor
-    does but unchecked: `seq`, `par`, `reverse_term`, `canonicalize` and the
-    membership search's shares keep the rule of `_Product` by construction.
+    does but unchecked: `seq`, `par`, `_join`, `reverse_term`, `canonicalize`
+    and the membership search's shares keep the rule of `_Product` by
+    construction.
     The children are interned, so the tuples compare them by identity."""
     h = hash((kind._TAG, children))
     ref = _table.get(h)
@@ -259,6 +276,26 @@ def _product(kind, parts: tuple, mode: SemanticsMode = ORDERED) -> SPTerm:
     return _node(kind, tuple(flat))
 
 
+def _join(kind, x: SPTerm, y: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
+    """The `kind` (Seq or Par) product of `x` and `y`, which must be
+    canonical for `mode`: what `seq(x, y)` or `par(x, y, mode=mode)` gives,
+    in one step. An eps part gives the other part, and a part of `kind`
+    gives its children. In COMMUTATIVE mode a Par's two runs of children are
+    each sorted already, so they are sorted together only when they
+    interleave."""
+    cx = x.__class__
+    if cx is Eps:
+        return y
+    cy = y.__class__
+    if cy is Eps:
+        return x
+    xs = x.children if cx is kind else (x,)
+    ys = y.children if cy is kind else (y,)
+    if kind is Par and mode is COMMUTATIVE and format_term(ys[0]) < format_term(xs[-1]):
+        return _node(Par, tuple(sorted(xs + ys, key=format_term)))
+    return _node(kind, xs + ys)
+
+
 def seq(*parts: SPTerm) -> SPTerm:
     """Sequential composition with flattening, eps removal, and collapsing."""
     return _product(Seq, parts)
@@ -270,15 +307,21 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     return _product(Par, parts, mode)
 
 
-def _products(t: SPTerm, known: str | None = None) -> list:
+def _products(t: SPTerm, known: str | None = None, seen: set | None = None) -> list:
     """The distinct Seq and Par nodes of `t`, each once and after its
     children: a post-order walk over visited ids with its own stack, so a
     deep term needs no recursion and a shared sub-term is walked once. A node
     below `t` whose slot `known` is set is left out, and so is what lies only
-    below it."""
+    below it. A walk given `seen`, the ids of the nodes earlier walks
+    visited, leaves those out too and adds the ids of its own."""
     if t.__class__ is Leaf or t.__class__ is Eps:
         return []
-    order, seen = [], set()
+    if seen is None:
+        seen = set()
+    elif id(t) in seen:
+        return []
+    order = []
+    seen.add(id(t))
     nodes, rests = [t], [iter(t.children)]  # the path from `t`, and each node's children left to visit
     while rests:
         for c in rests[-1]:

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import pickle
 import random
 from unittest import mock
 
@@ -22,7 +24,7 @@ from splang.langs import (
     union_lang,
     universe,
 )
-from splang.terms import COMMUTATIVE, DEFAULT_CAP, EPS, ORDERED, canonicalize, format_term, parse_term
+from splang.terms import COMMUTATIVE, DEFAULT_CAP, EPS, ORDERED, canonicalize, enumerate_terms, format_term, parse_term
 
 from oracles import oracle_closure, oracle_power
 
@@ -176,15 +178,19 @@ def test_the_cap_counts_words_after_deduplication(monkeypatch):
 
 
 def count_products(monkeypatch):
-    """Count the langs module's calls of seq and par from here on."""
+    """Count the langs module's products from here on, by kind: its calls of
+    the join, keyed "seq" and "par"."""
     import splang.langs
 
     calls = {}
-    for name in ("seq", "par"):
-        def counted(*parts, _name=name, _compose=getattr(splang.langs, name), **mode):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _compose(*parts, **mode)
-        monkeypatch.setattr(splang.langs, name, counted)
+    join = splang.langs._join
+
+    def counted(kind, *parts):
+        name = kind.__name__.lower()
+        calls[name] = calls.get(name, 0) + 1
+        return join(kind, *parts)
+
+    monkeypatch.setattr(splang.langs, "_join", counted)
     return calls
 
 
@@ -383,6 +389,17 @@ def test_load_dump_round_trip():
     assert l.mode is COMMUTATIVE
     assert texts(l) == ["a.b", "a||b"]
     assert load_lang(dump_lang(l)) == l
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_a_language_pickles_each_node_its_terms_share_once(mode):
+    # 1,966 ORDERED terms: pickled one flat list per term, the nodes they
+    # share took 66,930 bytes in all
+    l = FiniteLang(mode, enumerate_terms("abc", 4, mode))
+    data = pickle.dumps(l)
+    assert len(data) < 66_930 // 2
+    clone = pickle.loads(data)
+    assert clone == l and all(map(operator.is_, clone.terms, l.terms))
 
 
 def test_load_requires_header():

@@ -4,7 +4,7 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from splang import terms
 from splang._lex import tokenize
@@ -598,6 +598,18 @@ def test_constructors_build_canonical_terms_from_canonical_parts(x, y, mode):
     x, y = canonicalize(x, mode), canonicalize(y, mode)
     assert par(x, y, mode=mode) == canonicalize(par(x, y), mode)
     assert seq(x, y) == canonicalize(seq(x, y), mode)
+
+
+@given(terms_st, terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))
+@example(EPS, pt("a||b"), COMMUTATIVE)  # an eps part gives the other
+@example(pt("a"), pt("b.a"), ORDERED)  # a leaf and a part of either kind
+@example(pt("a||b"), pt("a||b"), COMMUTATIVE)  # Par runs that interleave
+@example(pt("a||a"), pt("a.b||b"), COMMUTATIVE)  # Par runs end to end
+@example(pt("a.b||b"), pt("a||a"), COMMUTATIVE)  # the same runs the other way round interleave
+def test_the_join_of_canonical_parts_is_the_node_seq_and_par_make(x, y, mode):
+    x, y = canonicalize(x, mode), canonicalize(y, mode)
+    assert terms._join(Seq, x, y, mode) is seq(x, y)
+    assert terms._join(Par, x, y, mode) is par(x, y, mode=mode)
 
 
 @given(terms_st, st.sampled_from([ORDERED, COMMUTATIVE]))

@@ -9,7 +9,7 @@ parallel) and the fully linear classes.
 
 Generation and membership are exact, with no derivation-step budget: the words
 of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
-A's productions", L(rhs) composing its leaves' words with `seq` and `par`.
+A's productions", L(rhs) joining its leaves' words (`terms._join`).
 Regexes, branching automata and the term universe are all compiled into
 grammars and decided or enumerated here: this is the package's one membership
 engine and its one bounded engine.

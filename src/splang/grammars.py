@@ -89,7 +89,7 @@ from .terms import (
     seq,
     symbols_of,
 )
-from .langs import FiniteLang
+from .langs import FiniteLang, _lang
 
 
 class Production(Immutable):
@@ -515,8 +515,9 @@ def generate(
                                 if count > cap:
                                     raise EnumerationCapError(f"grammar words exceed the cardinality cap ({cap})")
                     grown |= cyclic and len(got) > size
-    # a set: the language's frozenset copies it without hashing the words again
-    return FiniteLang(mode, set().union(*words[g.start]))
+    # canonical words, so no per-word work; a set, which the language's
+    # frozenset copies without hashing the words again
+    return _lang(mode, set().union(*words[g.start]))
 
 
 class _Levels:

@@ -4,10 +4,13 @@ A FiniteLang is an immutable value (see ``_lex.Immutable``) with the fields
 ``mode`` and ``terms``: a deterministic, duplicate-free, sorted tuple of
 canonical terms and the semantics mode they are canonical for. Two languages
 are equal when their modes and members are, and hash alike then. The
-constructor sorts and deduplicates, and ``FiniteLang.of`` canonicalizes. All
-operations here are total on finite languages; the three Kleene closures are
-truncated at an explicit repetition bound and never claim anything about the
-infinite closure.
+constructor, and ``FiniteLang.of`` with its arguments the other way round,
+canonicalizes each term for the mode (in COMMUTATIVE mode it sorts the
+children of every Par), then sorts and deduplicates. The operations here and
+``grammars.generate`` make only canonical words, so they build their results
+through `_lang`, which does no work per word. All operations here are total
+on finite languages; the three Kleene closures are truncated at an explicit
+repetition bound and never claim anything about the infinite closure.
 
 Powers and closures step on plain sets of terms and sort once, into the
 language they return. Each level is the product of the one before with the
@@ -52,7 +55,12 @@ class FiniteLang(Immutable):
     __slots__ = _fields + ("_members",)
 
     def __init__(self, mode: SemanticsMode, terms: Iterable[SPTerm]):
-        members = frozenset(terms)
+        """The language of `terms`, each canonicalized for `mode`: in
+        COMMUTATIVE mode a term whose Par children are out of order gives
+        its canonical form."""
+        self._hold(mode, frozenset([canonicalize(t, mode) for t in terms]))
+
+    def _hold(self, mode: SemanticsMode, members: frozenset) -> None:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "terms", tuple(sorted(members, key=format_term)))
         object.__setattr__(self, "_members", members)
@@ -60,7 +68,7 @@ class FiniteLang(Immutable):
     @staticmethod
     def of(terms: Iterable[SPTerm], mode: SemanticsMode = ORDERED) -> "FiniteLang":
         """Canonicalize `terms` for `mode` into a language."""
-        return FiniteLang(mode, tuple(canonicalize(t, mode) for t in terms))
+        return FiniteLang(mode, terms)
 
     @staticmethod
     def parse(texts: Iterable[str], mode: SemanticsMode = ORDERED) -> "FiniteLang":
@@ -86,8 +94,19 @@ class FiniteLang(Immutable):
         return _unpickle, (self.mode, *_flat(self.terms))
 
 
+def _lang(mode: SemanticsMode, words: Iterable[SPTerm]) -> FiniteLang:
+    """The language of `words`, which are canonical for `mode` already: the
+    constructor without its work per word, for the operations here and
+    `grammars.generate`, which make only canonical words."""
+    lang = object.__new__(FiniteLang)
+    lang._hold(mode, frozenset(words))
+    return lang
+
+
 def _unpickle(mode: SemanticsMode, nodes: list, terms: list) -> FiniteLang:
-    """The language pickled by `FiniteLang.__reduce__`."""
+    """The language pickled by `FiniteLang.__reduce__`, through the
+    constructor: a language pickled before it canonicalized may hold
+    COMMUTATIVE terms that are not canonical."""
     built = _built(nodes)
     return FiniteLang(mode, [built[t] if t.__class__ is int else t for t in terms])
 
@@ -101,18 +120,18 @@ def _require_same_mode(l1: FiniteLang, l2: FiniteLang) -> SemanticsMode:
 def concat_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise sequential products x.y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, {_join(Seq, x, y) for x in l1.terms for y in l2.terms})
+    return _lang(mode, {_join(Seq, x, y) for x in l1.terms for y in l2.terms})
 
 
 def par_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     """All pairwise parallel products x||y for x in l1, y in l2."""
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, {_join(Par, x, y, mode) for x in l1.terms for y in l2.terms})
+    return _lang(mode, {_join(Par, x, y, mode) for x in l1.terms for y in l2.terms})
 
 
 def union_lang(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
     mode = _require_same_mode(l1, l2)
-    return FiniteLang(mode, l1._members | l2._members)
+    return _lang(mode, l1._members | l2._members)
 
 
 class PowerKind(Enum):
@@ -127,7 +146,7 @@ class ClosureKind(Enum):
 
 
 def epsilon_lang(mode: SemanticsMode = ORDERED) -> FiniteLang:
-    return FiniteLang(mode, (EPS,))
+    return _lang(mode, (EPS,))
 
 
 def _level(lang: FiniteLang, n: int, kind, operation: str, union: set | None = None) -> set[SPTerm]:
@@ -164,7 +183,7 @@ def power(lang: FiniteLang, n: int, kind: PowerKind) -> FiniteLang:
     """
     if n < 0:
         raise ValueError("power exponent must be >= 0")
-    return FiniteLang(lang.mode, _level(lang, n, Seq if kind is PowerKind.SEQ else Par, f"{kind.value} power"))
+    return _lang(lang.mode, _level(lang, n, Seq if kind is PowerKind.SEQ else Par, f"{kind.value} power"))
 
 
 def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLang:
@@ -181,12 +200,12 @@ def kleene_bounded(lang: FiniteLang, kind: ClosureKind, n_max: int) -> FiniteLan
     union = {EPS}
     for product in {ClosureKind.STAR: (Seq,), ClosureKind.PAR_PLUS: (Par,), ClosureKind.SP: (Seq, Par)}[kind]:
         _level(lang, n_max, product, f"{kind.value} closure", union)
-    return FiniteLang(lang.mode, union)
+    return _lang(lang.mode, union)
 
 
 def reverse_lang(lang: FiniteLang) -> FiniteLang:
     """Element-wise reversal, re-sorted. An involution."""
-    return FiniteLang(lang.mode, tuple(reverse_term(t, lang.mode) for t in lang))
+    return _lang(lang.mode, tuple(reverse_term(t, lang.mode) for t in lang))
 
 
 class LangDiff(Immutable):

@@ -19,16 +19,23 @@ kept in a canonical form:
   ``canonicalize`` sorts the Par nodes of a term built without the mode.
 
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
-2006): there is one live node per term, so two terms are equal exactly when
-they are the same object, and ``==`` is ``is`` at any depth. Every node comes
-from a weak table keyed on its stored hash (`_node`, `_add`), so the
-constructors, pickling and `copy` give back the node that is already alive,
-and the table keeps no node alive that nothing else holds. Nodes are
-immutable values (see ``_lex.Immutable``) with the fields ``()``,
+2006): there is one node per term in the intern table, so two terms are equal
+exactly when they are the same object, and ``==`` is ``is`` at any depth.
+Every node comes from that table, keyed on its stored hash (`_node`, `_add`),
+so the constructors, pickling and `copy` give back the node already made.
+Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
 made, from its kind and its children's stored hashes, so a term hashes in
-constant time at any depth, and not by its address (see `SPTerm`). A Seq or
-Par node also keeps facts once they are first asked for (see `_Product`): its
+constant time at any depth, and not by its address (see `SPTerm`). The hash
+is kept as the node's ``__hash__`` slot, a C callable, so hashing a node (in
+`_node`'s key, a set of words or the `format_term` cache) enters no Python
+frame. The table holds its nodes strongly and is swept by reference count
+(`_sweep`, after Appel & Gonçalves, "Hash-consing garbage collection", 1993):
+once it has doubled since the last sweep, every node that only the table
+holds is dropped, newest first, so a dead parent frees its children before
+they are looked at and a term of any depth is swept without recursion. The
+sweep reads ``sys.getrefcount``, so it is specific to CPython. A Seq or Par
+node also keeps facts once they are first asked for (see `_Product`): its
 COMMUTATIVE canonical form, its text, and what the membership search reads,
 its Parikh vector in the one layout of every grammar (`_WIDTH`) with its
 children's prefix sums (`_parikh`) and a Par's runs of equal children
@@ -53,9 +60,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
 from collections import Counter
 from enum import Enum
+from sys import getrefcount
 
 from ._lex import NONTERMINAL, Immutable, TokenStream, is_atom
 from .errors import TermSyntaxError
@@ -76,21 +83,23 @@ class SPTerm(Immutable):
     """Base class of term nodes.
 
     Nodes are immutable, slotted and interned: the constructors return the
-    live node of a term if there is one, so equality is identity, and
+    node of a term if the intern table has one, so equality is identity, and
     comparing two terms of any depth, or finding one in a set or cache,
     never walks their children. Each node computes its hash once, when it
     is made, from a tag for its kind and its children's stored hashes, not
     from its address: hashing a term of any depth reads one slot, a set of
     terms iterates in the same order in every run under one hash seed, and a
-    ``Seq`` does not hash like the ``Par`` of the same children.
+    ``Seq`` does not hash like the ``Par`` of the same children. The hash
+    is stored in `_hash`, and ``__hash__`` is a slot too, holding the bound
+    ``__index__`` of that int: CPython hashes a node by calling that C
+    callable, so a hash, a set or dict lookup and a cache hit enter no
+    Python frame, where a ``__hash__`` method would enter one per node
+    hashed.
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("_hash", "__hash__")
     __eq__ = object.__eq__  # one node per term
     __init__ = object.__init__  # `__new__` makes or finds the node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -104,27 +113,40 @@ class SPTerm(Immutable):
 _init = object.__setattr__  # the constructors' way past Immutable.__setattr__
 
 
-class _Ref(weakref.ref):
-    """A weak reference from the intern table to a node, which knows its key."""
-
-    __slots__ = ("key",)
-
-
-def _forget(ref: _Ref) -> None:
-    """Drop the entry of a node that has died, unless a new node has taken
-    its key (a deep term's deallocation can be deferred)."""
-    table = _table if ref.key.__class__ is int else _spill
-    if table.get(ref.key) is ref:
-        del table[ref.key]
+# The intern table: a stored hash -> the node with that hash. An int key
+# hashes and compares in C. A node whose hash another node holds in `_table`
+# (a collision) is kept in `_spill` instead, keyed on its kind and field. Both
+# hold their nodes strongly, and `_sweep` drops the nodes nothing else holds
+# once `_table` reaches `_limit` entries.
+_table: dict[int, SPTerm] = {}
+_spill: dict[tuple, SPTerm] = {}
+_SWEPT_AT_LEAST = 4_096  # the fewest entries a table is swept at
+_limit = _SWEPT_AT_LEAST
 
 
-# The intern table: a stored hash -> a weak reference to the live node with
-# that hash. An int key hashes and compares in C, where a (kind, children)
-# key would call every child's `__hash__` at each lookup, insert and delete.
-# A live node whose hash another live node holds in `_table` (a collision) is
-# kept in `_spill` instead, keyed on its kind and field.
-_table: dict[int, _Ref] = {}
-_spill: dict[tuple, _Ref] = {}
+def _sweep() -> None:
+    """Drop from the intern table every node that only the table holds.
+
+    A pass walks each table newest entry first and drops a node whose
+    reference count is the table's and the call's own; it reads CPython's
+    counts (`sys.getrefcount`), so it is specific to CPython. A node is entered after its children, so a dropped
+    parent has released them by the time they are looked at, and dropping a
+    node never frees more than itself: a term of any depth is swept without
+    recursion. Passes repeat while one drops a node, for the references that
+    run the other way: a node's COMMUTATIVE form (`_Product._canon`) can be
+    newer than the node, and a spilled node's parent older. The next sweep
+    comes when the table has grown to twice the entries left, and at least
+    `_SWEPT_AT_LEAST`."""
+    global _limit
+    dropped = True
+    while dropped:
+        dropped = False
+        for table in (_table, _spill):
+            for key in reversed([*table]):
+                if getrefcount(table[key]) == 2:
+                    del table[key]
+                    dropped = True
+    _limit = max(_SWEPT_AT_LEAST, 2 * len(_table))
 
 
 class Eps(SPTerm):
@@ -138,6 +160,7 @@ class Eps(SPTerm):
 
 EPS = object.__new__(Eps)
 _init(EPS, "_hash", hash((3,)))
+_init(EPS, "__hash__", EPS._hash.__index__)
 
 
 class Leaf(SPTerm):
@@ -145,8 +168,7 @@ class Leaf(SPTerm):
 
     def __new__(cls, symbol: str):
         h = hash((0, symbol))
-        ref = _table.get(h)
-        leaf = None if ref is None else ref()
+        leaf = _table.get(h)
         if leaf.__class__ is Leaf and leaf.symbol == symbol:
             return leaf
         if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
@@ -165,7 +187,9 @@ class _Product(SPTerm):
     form. No node is its own slot's value, and a form has as many nodes as
     its term, so it cannot hold the term: the slots make no reference
     cycle. `_text` is the text `format_term` made, `_sums` the prefix sums
-    `_parikh` made and a Par's `_runs` those `_runs` made."""
+    `_parikh` made and a Par's `_runs` those `_runs` made. A form is often
+    newer than its term, so it is a reference from an older node to a newer
+    one, which `_sweep` repeats its pass for."""
 
     __slots__ = ("children", "_canon", "_text", "_sums")
     _fields = ("children",)
@@ -228,8 +252,7 @@ def _node(kind, children: tuple) -> _Product:
     construction.
     The children are interned, so the tuples compare them by identity."""
     h = hash((kind._TAG, children))
-    ref = _table.get(h)
-    node = None if ref is None else ref()
+    node = _table.get(h)
     if node.__class__ is kind and node.children == children:
         return node
     return _add(kind, "children", children, h, node)
@@ -237,24 +260,28 @@ def _node(kind, children: tuple) -> _Product:
 
 def _add(kind, field: str, value, h: int, holder) -> SPTerm:
     """The `kind` node whose `field` is `value` and stored hash `h`, which
-    `_table` does not hold: under `h` it holds the live node `holder`, or
-    None. The node is found in `_spill`, or made and entered in `_table` if
-    `h` is free there, else in `_spill`."""
+    `_table` does not hold: under `h` it holds the node `holder`, or None.
+    The node is found in `_spill`, or made and entered in `_table` if `h` is
+    free there, else in `_spill`. A node made gets `h` twice: in `_hash`, and
+    as the C callable of its `__hash__` slot, which hashes it with no Python
+    frame (see `SPTerm`). The tables hold their nodes strongly:
+    entering one in `_table` sweeps it (`_sweep`) once it has `_limit`
+    entries, so a node nothing else holds lives until the next sweep, and a
+    term built again before then is the node already made."""
     if _spill:
-        ref = _spill.get((kind, value))
-        node = None if ref is None else ref()
+        node = _spill.get((kind, value))
         if node is not None:
             return node
     node = object.__new__(kind)
     _init(node, field, value)
     _init(node, "_hash", h)
-    ref = _Ref(node, _forget)
+    _init(node, "__hash__", h.__index__)
     if holder is None:
-        ref.key = h
-        _table[h] = ref
+        _table[h] = node
+        if len(_table) >= _limit:
+            _sweep()
     else:
-        ref.key = (kind, value)
-        _spill[ref.key] = ref
+        _spill[kind, value] = node
     return node
 
 

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splang import langs
 from splang.errors import EnumerationCapError, ModeMismatchError, TermSyntaxError
 from splang.langs import (
     ClosureKind,
@@ -274,6 +275,41 @@ def test_constructor_sorts_and_deduplicates(mode):
     canon = [canonicalize(t, mode) for t in raw] * 2
     random.Random(3).shuffle(canon)
     assert FiniteLang(mode, tuple(canon)) == FiniteLang.of(raw, mode)
+
+
+def test_the_constructor_canonicalizes_commutative_terms():
+    l = FiniteLang(COMMUTATIVE, [parse_term("b||a")])
+    assert texts(l) == ["a||b"] and parse_term("a||b") in l and parse_term("b||a") in l
+    assert l == FiniteLang.of([parse_term("b||a")], COMMUTATIVE) == lang("a||b", mode=COMMUTATIVE)
+    assert texts(par_lang(l, lang("c", mode=COMMUTATIVE))) == ["a||b||c"]
+    assert texts(concat_lang(l, lang("c", mode=COMMUTATIVE))) == ["(a||b).c"]
+    assert texts(power(l, 2, PowerKind.PAR)) == ["a||a||b||b"]
+    assert texts(FiniteLang(ORDERED, [parse_term("b||a")])) == ["b||a"]  # every term is canonical for ORDERED
+    # a language pickled before the constructor canonicalized could hold b||a
+    assert pickle.loads(pickle.dumps(l)) == langs._unpickle(COMMUTATIVE, *langs._flat([parse_term("b||a")])) == l
+
+
+@given(st.lists(st.sampled_from(universe("ab", 3).terms), max_size=4), st.sampled_from([ORDERED, COMMUTATIVE]))
+def test_the_constructor_takes_any_terms_as_of_does(words, mode):
+    # universe("ab", 3) is ORDERED: its Par nodes come in either order
+    l = FiniteLang(mode, words)
+    assert l == FiniteLang.of(words, mode) and all(canonicalize(t, mode) is t for t in l)
+    assert all(w in l for w in words)
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+def test_the_operations_canonicalize_no_word(monkeypatch, mode):
+    # their words are canonical already, so they skip the constructor's work per word
+    from splang import grammars
+
+    l, other = lang("b||a", "a.b", "eps", mode=mode), lang("a", "b||b", mode=mode)
+    g = grammars.parse_grammar("S -> a | b||S | S.a\n")
+    monkeypatch.setattr(langs, "canonicalize", mock.Mock(side_effect=canonicalize))
+    results = [concat_lang(l, other), par_lang(l, other), union_lang(l, other), reverse_lang(l), epsilon_lang(mode),
+               grammars.generate(g, 4, mode=mode), universe("ab", 3, mode)]
+    results += [power(l, 3, k) for k in PowerKind] + [kleene_bounded(l, k, 2) for k in ClosureKind]
+    assert langs.canonicalize.call_count == 0
+    assert all(canonicalize(t, mode) is t for r in results for t in r)
 
 
 def test_languages_are_values():

@@ -1,10 +1,12 @@
 import copy
+import gc
 import itertools
 import pickle
+import sys
 import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splang import terms
 from splang._lex import tokenize
@@ -130,19 +132,155 @@ def test_two_deep_terms_built_apart_are_one_node():
 
 
 def test_a_term_whose_hash_another_node_holds_is_interned_apart():
-    # a stand-in for a hash collision: a live `A_3.A_4` holds the table entry of the hash `A_1||A_2` will get
-    holder = seq(Leaf("A_3"), Leaf("A_4"))
+    # a stand-in for a hash collision: a node of `A_3.A_4`, held here, holds the table entry of the hash `A_1||A_2` will get
     children = (Leaf("A_1"), Leaf("A_2"))
     h = hash((Par._TAG, children))
-    terms._table[h] = stand_in = terms._Ref(holder, terms._forget)
-    stand_in.key = h
+    holder = object.__new__(Seq)
+    terms._init(holder, "children", (Leaf("A_3"), Leaf("A_4")))
+    terms._init(holder, "_hash", h)
+    terms._init(holder, "__hash__", h.__index__)
+    terms._table[h] = holder
     first = Par(children)
     assert first is Par(children) is par(*children) and hash(first) == h
-    assert terms._spill[Par, children]() is first
-    del holder  # the entry goes with its node, and the spilled node is still the one found
+    assert terms._spill[Par, children] is first
+    del holder  # the entry goes with its node at the next sweep, and the spilled node is still the one found
+    terms._sweep()
     assert h not in terms._table and Par(children) is first
     del first
+    terms._sweep()
     assert (Par, children) not in terms._spill
+
+
+# ---------------------------------------------------------------------------
+# the intern table and its sweep
+
+def entries():
+    return [*terms._table.values(), *terms._spill.values()]
+
+
+def nodes_of(t):
+    """Every node of `t`, its leaves and the COMMUTATIVE forms its nodes keep included."""
+    found, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            if node.__class__ is Seq or node.__class__ is Par:
+                stack += node.children
+                stack.append(getattr(node, "_canon", None) or node)
+    return found
+
+
+def built(spec):
+    """The term of `spec`: a letter, or (seq or par, [specs])."""
+    if spec.__class__ is str:
+        return Leaf(spec)
+    compose, parts = spec
+    return compose(*map(built, parts))
+
+
+specs_st = st.recursive(st.sampled_from("xyz"), lambda inner: st.tuples(st.sampled_from([seq, par]), st.lists(
+    inner, min_size=2, max_size=3)), max_leaves=8)
+steps_st = st.lists(st.one_of(
+    st.tuples(st.just("build"), st.integers(0, 2), specs_st, st.none() | st.integers(0, 2)),
+    st.tuples(st.just("drop"), st.integers(0, 2)),
+    st.tuples(st.just("canonicalize"), st.integers(0, 2)),
+    st.just(("sweep",)),
+), max_size=12)
+
+
+@settings(deadline=None)  # a sweep costs the whole table, which earlier tests and caches may have filled
+@given(steps_st)
+@example([("build", 0, (par, ["y", "x"]), None), ("canonicalize", 0), ("drop", 0)])  # the form is newer than its term
+@example([("build", 0, (seq, ["x", (par, ["z", "y"])]), 0), ("build", 1, (seq, ["z", "x"]), 1), ("sweep",)])
+def test_a_sweep_keeps_every_held_term_and_drops_every_other(steps):
+    # the model: the spec each of three slots holds; a build may be given room
+    # for only a few new entries, so that a sweep falls inside it. Nodes the
+    # table held before are left out of the check; other tests hold no term
+    # of x, y and z, so these are new nodes
+    terms._sweep()
+    before = {id(node) for node in entries()}
+    slots, held = [None] * 3, [None] * 3
+    for step in steps:
+        i = step[1] if len(step) > 1 else None
+        if step[0] == "build":
+            if step[3] is not None:
+                terms._limit = len(terms._table) + step[3]
+            slots[i], held[i] = built(step[2]), step[2]
+        elif step[0] == "drop":
+            slots[i] = held[i] = None
+        elif step[0] == "canonicalize" and slots[i] is not None:
+            canonicalize(slots[i], COMMUTATIVE)  # its nodes keep their forms, which may be newer than they
+        elif step[0] == "sweep":
+            terms._sweep()
+    format_term.cache_clear()  # canonicalizing formats terms, and the cache holds them
+    terms._sweep()
+    kept = {}
+    for t in slots:
+        if t is not None:
+            kept.update(nodes_of(t))
+    assert {id(node) for node in entries()} - before == kept.keys() - before
+    for t, spec in zip(slots, held):
+        assert spec is None or built(spec) is t
+
+
+def test_a_dropped_term_ten_thousand_levels_deep_is_swept_at_the_default_recursion_limit():
+    gc.collect()  # what earlier tests left in reference cycles goes now, not during the count
+    terms._sweep()
+    before = len(entries())
+    t = alternating(10_000)
+    assert len(entries()) > before
+    del t
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        terms._sweep()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(entries()) == before
+
+
+def test_a_term_built_again_is_its_interned_node_before_and_after_a_sweep():
+    text = "(q.r||s).(r||q.s)"
+    t = parse_term(text)
+    data, h, node = pickle.dumps(t), hash(t), id(t)
+    assert pickle.loads(data) is t and copy.copy(t) is t and copy.deepcopy(t) is t
+    del t  # until the next sweep the table holds the node, which is still the term's node
+    assert id(parse_term(text)) == node and id(pickle.loads(data)) == node
+    terms._sweep()
+    t = pickle.loads(data)
+    assert t is parse_term(text) and hash(t) == h
+    assert pickle.loads(data) is t and copy.copy(t) is t and copy.deepcopy(t) is t
+
+
+def test_a_node_hashes_as_the_tuple_of_its_kind_tag_and_field():
+    # the values of the hash every set order, trace and CLI output depends on
+    a, b = Leaf("a"), Leaf("b")
+    assert hash(EPS) == hash((3,)) and hash(a) == hash((0, "a")) and hash(Leaf("A_2")) == hash((0, "A_2"))
+    seq_children, par_children = (a, Par((a, b)), b), (Seq((a, b)), a, b)
+    assert hash(Seq(seq_children)) == hash((1, seq_children))
+    assert hash(Par(par_children)) == hash((2, par_children))
+
+
+def test_hashing_a_term_enters_no_python_frame():
+    # a Python `__hash__` would run once per node hashed: in `_node`'s key,
+    # in every set of words and in the `format_term` cache
+    t, frames = parse_term("a.b||c"), []
+    words = {t}
+    format_term(t)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        hash(t)
+        assert t in words
+        format_term(t)
+    finally:
+        sys.setprofile(None)
+    assert frames == []
 
 
 @pytest.mark.parametrize("mode,levels", [(ORDERED, 10_000), (COMMUTATIVE, 1_000)])

@@ -19,31 +19,30 @@ kept in a canonical form:
   ``canonicalize`` sorts the Par nodes of a term built without the mode.
 
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
-2006): there is one node per term in the intern table, so two terms are equal
-exactly when they are the same object, and ``==`` is ``is`` at any depth.
-Every node comes from that table, keyed on its stored hash (`_node`, `_add`),
-so the constructors, pickling and `copy` give back the node already made.
-Nodes are immutable values (see ``_lex.Immutable``) with the fields ``()``,
+2006): there is one node per term, so two terms are equal exactly when they
+are the same object, and ``==`` is ``is`` at any depth. Every node comes
+from its kind's intern table, keyed on the node's field (`_node`, `_add`), so
+the constructors, pickling and `copy` give back the node already made. Nodes
+are immutable values (see ``_lex.Immutable``) with the fields ``()``,
 ``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
 made, from its kind and its children's stored hashes, so a term hashes in
 constant time at any depth, and not by its address (see `SPTerm`). The hash
 is kept as the node's ``__hash__`` slot, a C callable, so hashing a node (in
-`_node`'s key, a set of words or the `format_term` cache) enters no Python
-frame. The table holds its nodes strongly and is swept by reference count
+a table's key, a set of words or the `format_term` cache) enters no Python
+frame. The tables hold their nodes strongly and are swept by reference count
 (`_sweep`, after Appel & Gonçalves, "Hash-consing garbage collection", 1993):
-once it has doubled since the last sweep, every node that only the table
-holds is dropped, newest first, so a dead parent frees its children before
-they are looked at and a term of any depth is swept without recursion. The
-sweep reads ``sys.getrefcount``, so it is specific to CPython. A Seq or Par
-node also keeps facts once they are first asked for (see `_Product`): its
-COMMUTATIVE canonical form, its text, and what the membership search reads,
-its Parikh vector in the one layout of every grammar (`_WIDTH`) with its
-children's prefix sums (`_parikh`) and a Par's runs of equal children
-(`_runs`). So a node is canonicalized, formatted and summed once in its life,
-whatever grammar it is searched against. Equal sub-terms are one node, so a
-term is a DAG: the walks over a term (`_products`) visit each distinct node
-once, and a term that shares its sub-terms costs its nodes, not its paths,
-also when it is pickled.
+once they have doubled since the last sweep, every node that only its table
+holds is dropped, and what it held is tested in turn, so a dead term goes in
+one cascade, without recursion. The sweep reads ``sys.getrefcount``, so it
+is specific to CPython. A Seq or Par node also keeps facts once they are
+first asked for (see `_Product`): its COMMUTATIVE canonical form, its text,
+and what the membership search reads, its Parikh vector in the one layout of
+every grammar (`_WIDTH`) with its children's prefix sums (`_parikh`) and a
+Par's runs of equal children (`_runs`). So a node is canonicalized,
+formatted and summed once in its life, whatever grammar it is searched
+against. Equal sub-terms are one node, so a term is a DAG: the walks over a
+term (`_products`) visit each distinct node once, and a term that shares its
+sub-terms costs its nodes, not its paths, also when it is pickled.
 
 Lowercase leaves are alphabet atoms. Uppercase leaves, optionally indexed
 (``A_12``), are reserved for the grammar layer, which reuses this algebra for
@@ -83,18 +82,19 @@ class SPTerm(Immutable):
     """Base class of term nodes.
 
     Nodes are immutable, slotted and interned: the constructors return the
-    node of a term if the intern table has one, so equality is identity, and
-    comparing two terms of any depth, or finding one in a set or cache,
-    never walks their children. Each node computes its hash once, when it
-    is made, from a tag for its kind and its children's stored hashes, not
-    from its address: hashing a term of any depth reads one slot, a set of
-    terms iterates in the same order in every run under one hash seed, and a
-    ``Seq`` does not hash like the ``Par`` of the same children. The hash
-    is stored in `_hash`, and ``__hash__`` is a slot too, holding the bound
-    ``__index__`` of that int: CPython hashes a node by calling that C
-    callable, so a hash, a set or dict lookup and a cache hit enter no
-    Python frame, where a ``__hash__`` method would enter one per node
-    hashed.
+    node of a term if its kind's intern table has one, so equality is
+    identity, and comparing two terms of any depth, or finding one in a set
+    or cache, never walks their children. Each node computes its hash once,
+    when it is made, from a tag for its kind and its children's stored
+    hashes, not from its address: hashing a term of any depth reads one
+    slot, a set of terms iterates in the same order in every run under one
+    hash seed, and a ``Seq`` does not hash like the ``Par`` of the same
+    children. The hash keys no intern table: each kind's is keyed on the
+    node's field. The hash is stored in `_hash`, and ``__hash__`` is a slot
+    too, holding the bound ``__index__`` of that int: CPython hashes a node
+    by calling that C callable, so a hash, a set or dict lookup and a cache
+    hit enter no Python frame, where a ``__hash__`` method would enter one
+    per node hashed.
     """
 
     __slots__ = ("_hash", "__hash__")
@@ -113,40 +113,46 @@ class SPTerm(Immutable):
 _init = object.__setattr__  # the constructors' way past Immutable.__setattr__
 
 
-# The intern table: a stored hash -> the node with that hash. An int key
-# hashes and compares in C. A node whose hash another node holds in `_table`
-# (a collision) is kept in `_spill` instead, keyed on its kind and field. Both
-# hold their nodes strongly, and `_sweep` drops the nodes nothing else holds
-# once `_table` reaches `_limit` entries.
-_table: dict[int, SPTerm] = {}
-_spill: dict[tuple, SPTerm] = {}
-_SWEPT_AT_LEAST = 4_096  # the fewest entries a table is swept at
-_limit = _SWEPT_AT_LEAST
+# The intern tables, one per kind (`_interned`): a Leaf's keyed on its symbol,
+# a Seq's or Par's on the node's own children tuple, so a node adds no key
+# object. A field makes one node, so no two nodes share a key, and two equal
+# hashes are the dict's business: no collision path is needed. The tables
+# hold their nodes strongly, and `_sweep` drops those nothing else holds once
+# the tables have taken `_room` more entries.
+_SWEPT_AT_LEAST = 4_096  # the fewest entries the tables are swept at
+_room = _SWEPT_AT_LEAST  # the entries the tables take before the next sweep
 
 
 def _sweep() -> None:
-    """Drop from the intern table every node that only the table holds.
+    """Drop from the intern tables every node that only its table holds.
 
-    A pass walks each table newest entry first and drops a node whose
-    reference count is the table's and the call's own; it reads CPython's
-    counts (`sys.getrefcount`), so it is specific to CPython. A node is entered after its children, so a dropped
-    parent has released them by the time they are looked at, and dropping a
-    node never frees more than itself: a term of any depth is swept without
-    recursion. Passes repeat while one drops a node, for the references that
-    run the other way: a node's COMMUTATIVE form (`_Product._canon`) can be
-    newer than the node, and a spilled node's parent older. The next sweep
-    comes when the table has grown to twice the entries left, and at least
-    `_SWEPT_AT_LEAST`."""
-    global _limit
-    dropped = True
-    while dropped:
-        dropped = False
-        for table in (_table, _spill):
-            for key in reversed([*table]):
-                if getrefcount(table[key]) == 2:
-                    del table[key]
-                    dropped = True
-    _limit = max(_SWEPT_AT_LEAST, 2 * len(_table))
+    The sweep walks a snapshot of each table's nodes, newest first, and
+    clears each slot as it reads it, so the node is held by its table, the
+    sweep's local and the call's argument: a `sys.getrefcount` of 3 drops
+    it. A dropped node releases its children and its COMMUTATIVE form
+    (`_Product._canon`), so they go on a stack, and each node popped gets
+    the same test: a dead term goes in one cascade from its root, whatever
+    its kinds and depth. A node that an unread slot or another stack entry
+    still holds counts one more, and is tested again when that one is read.
+    So the sweep is one pass with no recursion, linear in the entries and
+    the drops, and specific to CPython, whose counts it reads. The next
+    sweep comes when the tables together have twice the entries left, and
+    at least `_SWEPT_AT_LEAST`."""
+    global _room
+    for kind in (Seq, Par, Leaf):
+        nodes, stack = [*kind._interned.values()], []
+        while nodes or stack:
+            node = stack.pop() if stack else nodes.pop()
+            if getrefcount(node) == 3:
+                if node.__class__ is Leaf:
+                    del Leaf._interned[node.symbol]
+                else:  # no local may name a child or the form, or its count would be one more
+                    del node._interned[node.children]
+                    stack += node.children
+                    if getattr(node, "_canon", None) is not None:
+                        stack.append(node._canon)
+    left = len(Leaf._interned) + len(Seq._interned) + len(Par._interned)
+    _room = max(_SWEPT_AT_LEAST, 2 * left) - left
 
 
 class Eps(SPTerm):
@@ -165,21 +171,23 @@ _init(EPS, "__hash__", EPS._hash.__index__)
 
 class Leaf(SPTerm):
     __slots__ = _fields = ("symbol",)
+    _TAG = 0
+    _interned: dict[str, Leaf] = {}
 
     def __new__(cls, symbol: str):
-        h = hash((0, symbol))
-        leaf = _table.get(h)
-        if leaf.__class__ is Leaf and leaf.symbol == symbol:
+        leaf = Leaf._interned.get(symbol)
+        if leaf is not None:
             return leaf
         if not (is_atom(symbol) or NONTERMINAL.fullmatch(symbol)):
             raise ValueError(f"leaf symbol must be a lowercase letter or a nonterminal name, got {symbol!r}")
-        return _add(Leaf, "symbol", symbol, h, leaf)
+        return _add(Leaf, "symbol", symbol)
 
 
 class _Product(SPTerm):
-    """A Seq or Par node: at least two children, none eps or of its own kind.
-    The constructor, which pickling also uses, checks that rule on children
-    from outside the package; `_node` finds or builds the node without it.
+    """A Seq or Par node: at least two children, each a term, none eps or of
+    its own kind. The constructor, which pickling also uses, checks that rule
+    on children from outside the package before it looks the node up; `_node`
+    finds or builds the node without it.
 
     Slots hold facts that are made once, when first asked for: `_canon` is
     the node's COMMUTATIVE canonical form, which `canonicalize` sets: unset
@@ -188,17 +196,21 @@ class _Product(SPTerm):
     its term, so it cannot hold the term: the slots make no reference
     cycle. `_text` is the text `format_term` made, `_sums` the prefix sums
     `_parikh` made and a Par's `_runs` those `_runs` made. A form is often
-    newer than its term, so it is a reference from an older node to a newer
-    one, which `_sweep` repeats its pass for."""
+    newer than its term, and in the other kind's table when the term is a
+    Seq, so `_sweep` follows `_canon` from a dropped node as it follows the
+    children."""
 
     __slots__ = ("children", "_canon", "_text", "_sums")
     _fields = ("children",)
     _TAG: int
+    _interned: dict[tuple, _Product]
 
     def __new__(cls, children: tuple[SPTerm, ...]):
         if len(children) < 2:
             raise ValueError(f"{cls.__name__} needs at least two children")
         for c in children:
+            if not isinstance(c, SPTerm):
+                raise TypeError(f"{cls.__name__} children must be terms, got {c!r}")
             if isinstance(c, (cls, Eps)):
                 raise ValueError(f"{cls.__name__} children must be flattened and eps-free")
         return _node(cls, children)
@@ -238,50 +250,43 @@ def _rebuild(nodes: list) -> SPTerm:
 class Seq(_Product):
     __slots__ = ()
     _TAG = 1
+    _interned = {}
 
 
 class Par(_Product):
     __slots__ = ("_runs",)
     _TAG = 2
+    _interned = {}
 
 
 def _node(kind, children: tuple) -> _Product:
-    """The `kind` (Seq or Par) node of `children`, hashed as the constructor
-    does but unchecked: `seq`, `par`, `_join`, `reverse_term`, `canonicalize`
-    and the membership search's shares keep the rule of `_Product` by
-    construction.
-    The children are interned, so the tuples compare them by identity."""
-    h = hash((kind._TAG, children))
-    node = _table.get(h)
-    if node.__class__ is kind and node.children == children:
-        return node
-    return _add(kind, "children", children, h, node)
+    """The `kind` (Seq or Par) node of `children`, found in the kind's table
+    or made, but unchecked: `seq`, `par`, `_join`, `reverse_term`,
+    `canonicalize` and the membership search's shares keep the rule of
+    `_Product` by construction. The children are interned, so the key
+    tuples compare them by identity; a node is never false."""
+    return kind._interned.get(children) or _add(kind, "children", children)
 
 
-def _add(kind, field: str, value, h: int, holder) -> SPTerm:
-    """The `kind` node whose `field` is `value` and stored hash `h`, which
-    `_table` does not hold: under `h` it holds the node `holder`, or None.
-    The node is found in `_spill`, or made and entered in `_table` if `h` is
-    free there, else in `_spill`. A node made gets `h` twice: in `_hash`, and
-    as the C callable of its `__hash__` slot, which hashes it with no Python
-    frame (see `SPTerm`). The tables hold their nodes strongly:
-    entering one in `_table` sweeps it (`_sweep`) once it has `_limit`
-    entries, so a node nothing else holds lives until the next sweep, and a
-    term built again before then is the node already made."""
-    if _spill:
-        node = _spill.get((kind, value))
-        if node is not None:
-            return node
+def _add(kind, field: str, value) -> SPTerm:
+    """The new `kind` node whose `field` is `value`, entered in the kind's
+    table (`_interned`) under `value` itself. It gets its stored hash,
+    ``hash((kind._TAG, value))``, twice: in `_hash`, and as the C callable
+    of its `__hash__` slot, which hashes it with no Python frame (see
+    `SPTerm`). The tables hold their nodes strongly: entering one sweeps them
+    (`_sweep`) once they have taken `_room` entries since the last sweep, so
+    a node nothing else holds lives until the next sweep, and a term built
+    again before then is the node already made."""
+    global _room
     node = object.__new__(kind)
     _init(node, field, value)
+    h = hash((kind._TAG, value))
     _init(node, "_hash", h)
     _init(node, "__hash__", h.__index__)
-    if holder is None:
-        _table[h] = node
-        if len(_table) >= _limit:
-            _sweep()
-    else:
-        _spill[kind, value] = node
+    kind._interned[value] = node
+    _room -= 1
+    if _room <= 0:
+        _sweep()
     return node
 
 
@@ -306,10 +311,10 @@ def _product(kind, parts: tuple, mode: SemanticsMode = ORDERED) -> SPTerm:
 def _join(kind, x: SPTerm, y: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """The `kind` (Seq or Par) product of `x` and `y`, which must be
     canonical for `mode`: what `seq(x, y)` or `par(x, y, mode=mode)` gives,
-    in one step. An eps part gives the other part, and a part of `kind`
-    gives its children. In COMMUTATIVE mode a Par's two runs of children are
-    each sorted already, so they are sorted together only when they
-    interleave."""
+    in one step, with `_node`'s lookup made here. An eps part gives the
+    other part, and a part of `kind` gives its children. In COMMUTATIVE mode
+    a Par's two runs of children are each sorted already, so they are sorted
+    together only when they interleave."""
     cx = x.__class__
     if cx is Eps:
         return y
@@ -318,9 +323,10 @@ def _join(kind, x: SPTerm, y: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
         return x
     xs = x.children if cx is kind else (x,)
     ys = y.children if cy is kind else (y,)
+    children = xs + ys
     if kind is Par and mode is COMMUTATIVE and format_term(ys[0]) < format_term(xs[-1]):
-        return _node(Par, tuple(sorted(xs + ys, key=format_term)))
-    return _node(kind, xs + ys)
+        children = tuple(sorted(children, key=format_term))
+    return kind._interned.get(children) or _add(kind, "children", children)
 
 
 def seq(*parts: SPTerm) -> SPTerm:

@@ -238,25 +238,28 @@ def test_a_call_leaves_no_cyclic_garbage():
 
 
 def test_the_intern_table_keeps_no_dropped_term_alive():
+    def entries():
+        return len(terms.Leaf._interned) + len(terms.Seq._interned) + len(terms.Par._interned)
+
     def live_nodes():
         terms.format_term.cache_clear()  # the text cache holds every term it formatted
         gc.collect()
-        terms._sweep()  # the table holds a dropped node until it is swept
-        return len(terms._table) + len(terms._spill)
+        terms._sweep()  # the tables hold a dropped node until they are swept
+        return entries()
 
     def deep_term():
         t = terms.Leaf("a")
         for level in range(10_000):
             t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
-        return len(terms._table) + len(terms._spill)
+        return entries()
 
     def canonical_deep_term():
         t = terms.Leaf("a")  # b||(b.(...(b||a))): the form has a new node at every level but the few inmost
         for level in range(1_000):
             t = (terms.Seq if level % 2 else terms.Par)((terms.Leaf("b"), t))
-        built = len(terms._table) + len(terms._spill)
+        built = entries()
         assert terms.canonicalize(t, COMMUTATIVE) is not t
-        return len(terms._table) + len(terms._spill) - built  # the forms, which the term's nodes keep
+        return entries() - built  # the forms, which the term's nodes keep
 
     def tenth_power():
         return len(langs.power(langs.FiniteLang.parse(["a", "b"]), 10, langs.PowerKind.SEQ))

@@ -4,9 +4,10 @@ import itertools
 import pickle
 import sys
 import time
+from sys import getrefcount
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splang import terms
 from splang._lex import tokenize
@@ -132,30 +133,64 @@ def test_two_deep_terms_built_apart_are_one_node():
 
 
 def test_a_term_whose_hash_another_node_holds_is_interned_apart():
-    # a stand-in for a hash collision: a node of `A_3.A_4`, held here, holds the table entry of the hash `A_1||A_2` will get
+    # a stand-in for a hash collision: a node of `A_3.A_4`, held here, has the stored hash `A_1||A_2` will get
     children = (Leaf("A_1"), Leaf("A_2"))
     h = hash((Par._TAG, children))
+    terms._sweep()
+    assert children not in Par._interned
     holder = object.__new__(Seq)
     terms._init(holder, "children", (Leaf("A_3"), Leaf("A_4")))
     terms._init(holder, "_hash", h)
     terms._init(holder, "__hash__", h.__index__)
-    terms._table[h] = holder
+    Seq._interned[holder.children] = holder  # planted under its own children
     first = Par(children)
-    assert first is Par(children) is par(*children) and hash(first) == h
-    assert terms._spill[Par, children] is first
-    del holder  # the entry goes with its node at the next sweep, and the spilled node is still the one found
+    assert first.__class__ is Par and first is not holder and hash(first) == h == hash(holder)
+    assert first is Par(children) is par(*children) is terms._join(Par, *children)
+    assert Seq(holder.children) is holder
+    del holder  # each entry goes with its node at the next sweep
     terms._sweep()
-    assert h not in terms._table and Par(children) is first
+    assert (Leaf("A_3"), Leaf("A_4")) not in Seq._interned and Par(children) is first
     del first
     terms._sweep()
-    assert (Par, children) not in terms._spill
+    assert children not in Par._interned
+
+
+@pytest.mark.parametrize("kind,children", [(Seq, (Leaf("a"), "b")), (Par, (Leaf("a"), 5))])
+def test_a_constructor_refuses_a_child_that_is_not_a_term_and_interns_nothing(kind, children):
+    # such a node would break `repr`, `format_term` and `canonicalize`
+    sizes = [len(k._interned) for k in (Leaf, Seq, Par)]
+    with pytest.raises(TypeError, match=f"{kind.__name__} children must be terms, got {children[1]!r}"):
+        kind(children)
+    assert [len(k._interned) for k in (Leaf, Seq, Par)] == sizes
+
+
+def test_finding_a_node_calls_no_hash():
+    # each kind's table is keyed on the node's field, which the dict hashes in
+    # C: a hash-keyed table would call `hash` on every hit, and cost the
+    # finite-language algebra about a tenth of its time
+    a, b = Leaf("a"), Leaf("b")
+    x, y = Par((a, b)), Seq((b, a))
+    node, joined = Seq((x, b)), terms._join(Seq, x, y)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is hash:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        found = [Leaf("a"), Seq(node.children), terms._join(Seq, x, y)]
+    finally:
+        sys.setprofile(None)
+    assert found[0] is a and found[1] is node and found[2] is joined
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# the intern table and its sweep
+# the intern tables and their sweep
 
 def entries():
-    return [*terms._table.values(), *terms._spill.values()]
+    return [*Leaf._interned.values(), *Seq._interned.values(), *Par._interned.values()]
 
 
 def nodes_of(t):
@@ -205,7 +240,7 @@ def test_a_sweep_keeps_every_held_term_and_drops_every_other(steps):
         i = step[1] if len(step) > 1 else None
         if step[0] == "build":
             if step[3] is not None:
-                terms._limit = len(terms._table) + step[3]
+                terms._room = step[3]
             slots[i], held[i] = built(step[2]), step[2]
         elif step[0] == "drop":
             slots[i] = held[i] = None
@@ -224,13 +259,24 @@ def test_a_sweep_keeps_every_held_term_and_drops_every_other(steps):
         assert spec is None or built(spec) is t
 
 
-def test_a_dropped_term_ten_thousand_levels_deep_is_swept_at_the_default_recursion_limit():
+def test_a_dropped_term_ten_thousand_levels_deep_is_swept_at_the_default_recursion_limit(monkeypatch):
+    # one pass with a cascade: every entry is read once from its table's
+    # snapshot, and a dropped node pushes its two children; passes repeated
+    # over the per-kind tables would need one per level of the chain
+    tests = []
+
+    def counted(node):
+        tests.append(None)
+        return getrefcount(node) - 1  # this frame's own reference
+
     gc.collect()  # what earlier tests left in reference cycles goes now, not during the count
     terms._sweep()
     before = len(entries())
     t = alternating(10_000)
     assert len(entries()) > before
     del t
+    started = len(entries())
+    monkeypatch.setattr(terms, "getrefcount", counted)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1_000)
     try:
@@ -238,6 +284,32 @@ def test_a_dropped_term_ten_thousand_levels_deep_is_swept_at_the_default_recursi
     finally:
         sys.setrecursionlimit(limit)
     assert len(entries()) == before
+    dropped = started - before  # the chain, bar a few inmost nodes earlier tests may hold
+    assert dropped > 9_900 and len(tests) <= started + 3 * dropped
+
+
+children_st = st.lists(terms_st.filter(lambda t: t is not EPS), min_size=2, max_size=4).map(tuple)
+
+
+@settings(deadline=None)  # a sweep costs the whole table, which earlier tests and caches may have filled
+@given(children_st)
+@example((Leaf("a"), Leaf("b")))
+def test_a_node_is_found_again_by_every_way_in_before_and_after_a_sweep(children):
+    kinds = [kind for kind in (Seq, Par) if all(c.__class__ is not kind for c in children)]
+    assume(kinds)
+    if len(kinds) == 2:
+        assert Seq(children) is not Par(children)
+    for kind, tag, compose in ((Seq, 1, seq), (Par, 2, par)):
+        if kind not in kinds:
+            continue
+        node = kind(children)
+        assert hash(node) == hash((tag, children)) and node.children == children
+        rest = children[1] if len(children) == 2 else _node(kind, children[1:])
+        for _ in range(2):
+            assert compose(*children) is node and _node(kind, children) is node
+            assert terms._join(kind, children[0], rest) is node
+            assert pickle.loads(pickle.dumps(node)) is node and copy.copy(node) is node and copy.deepcopy(node) is node
+            terms._sweep()
 
 
 def test_a_term_built_again_is_its_interned_node_before_and_after_a_sweep():
@@ -263,7 +335,7 @@ def test_a_node_hashes_as_the_tuple_of_its_kind_tag_and_field():
 
 
 def test_hashing_a_term_enters_no_python_frame():
-    # a Python `__hash__` would run once per node hashed: in `_node`'s key,
+    # a Python `__hash__` would run once per node hashed: in a table's key,
     # in every set of words and in the `format_term` cache
     t, frames = parse_term("a.b||c"), []
     words = {t}

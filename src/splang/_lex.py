@@ -78,12 +78,12 @@ class Immutable:
     through an `operator.attrgetter` bound per class; the repr
     ``Name(field=value, ...)``; and a ``__reduce__`` that rebuilds the value
     through its class, so pickle, `copy.copy` and `copy.deepcopy` work and
-    derived slots (a term's stored hash, which differs between processes)
-    are computed afresh. A
-    subclass whose values need checking, normalizing or derived facts writes
-    its own constructor, which sets each slot once through ``object.__setattr__``
-    (or the base constructor); other slots hold facts derived from the fields
-    and are not compared. Any later assignment raises.
+    derived slots (a regex's cached hash, which differs between processes)
+    are computed afresh. A subclass whose values need checking, normalizing
+    or derived facts writes its own constructor, which sets each slot once
+    through ``object.__setattr__`` (or the base constructor); other slots
+    hold facts derived from the fields and are not compared. Any later
+    assignment raises.
     """
 
     __slots__ = ()

@@ -80,8 +80,8 @@ class FiniteLang(Immutable):
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, t: SPTerm) -> bool:
-        return canonicalize(t, self.mode) in self._members
+    def __contains__(self, t: object) -> bool:
+        return isinstance(t, SPTerm) and canonicalize(t, self.mode) in self._members
 
     def __repr__(self) -> str:
         body = ", ".join(format_term(t) for t in self.terms)

@@ -24,12 +24,10 @@ are the same object, and ``==`` is ``is`` at any depth. Every node comes
 from its kind's intern table, keyed on the node's field (`_node`, `_add`), so
 the constructors, pickling and `copy` give back the node already made. Nodes
 are immutable values (see ``_lex.Immutable``) with the fields ``()``,
-``("symbol",)`` and ``("children",)``. Each computes its hash once, when it is
-made, from its kind and its children's stored hashes, so a term hashes in
-constant time at any depth, and not by its address (see `SPTerm`). The hash
-is kept as the node's ``__hash__`` slot, a C callable, so hashing a node (in
-a table's key, a set of words or the `format_term` cache) enters no Python
-frame. The tables hold their nodes strongly and are swept by reference count
+``("symbol",)`` and ``("children",)``. As in their scheme, a node hashes by
+its identity, the one object it is: in constant time at any depth, with no
+Python frame and with no hash stored (see `SPTerm`). The tables hold their
+nodes strongly and are swept by reference count
 (`_sweep`, after Appel & Gonçalves, "Hash-consing garbage collection", 1993):
 once they have doubled since the last sweep, every node that only its table
 holds is dropped, and what it held is tested in turn, so a dead term goes in
@@ -84,21 +82,20 @@ class SPTerm(Immutable):
     Nodes are immutable, slotted and interned: the constructors return the
     node of a term if its kind's intern table has one, so equality is
     identity, and comparing two terms of any depth, or finding one in a set
-    or cache, never walks their children. Each node computes its hash once,
-    when it is made, from a tag for its kind and its children's stored
-    hashes, not from its address: hashing a term of any depth reads one
-    slot, a set of terms iterates in the same order in every run under one
-    hash seed, and a ``Seq`` does not hash like the ``Par`` of the same
-    children. The hash keys no intern table: each kind's is keyed on the
-    node's field. The hash is stored in `_hash`, and ``__hash__`` is a slot
-    too, holding the bound ``__index__`` of that int: CPython hashes a node
-    by calling that C callable, so a hash, a set or dict lookup and a cache
-    hit enter no Python frame, where a ``__hash__`` method would enter one
-    per node hashed.
+    or cache, never walks their children. For the same reason a node hashes
+    by its identity, as `object` does, and stores no hash: hashing a term of
+    any depth costs what `id` costs and enters no Python frame, and the
+    walks over a term key their dicts and sets on the nodes themselves. The
+    hash keys no intern table: each kind's is keyed on the node's field.
+    A set of terms iterates in an order that changes from process to
+    process, so no output may depend on it: a language sorts its words by
+    `format_term`, a proof follows its plan's order and a grammar is built
+    over sorted states.
     """
 
-    __slots__ = ("_hash", "__hash__")
+    __slots__ = ()
     __eq__ = object.__eq__  # one node per term
+    __hash__ = object.__hash__  # by identity, as `==`; `Immutable`'s would walk the children
     __init__ = object.__init__  # `__new__` makes or finds the node
 
     def __repr__(self) -> str:
@@ -165,13 +162,10 @@ class Eps(SPTerm):
 
 
 EPS = object.__new__(Eps)
-_init(EPS, "_hash", hash((3,)))
-_init(EPS, "__hash__", EPS._hash.__index__)
 
 
 class Leaf(SPTerm):
     __slots__ = _fields = ("symbol",)
-    _TAG = 0
     _interned: dict[str, Leaf] = {}
 
     def __new__(cls, symbol: str):
@@ -202,7 +196,6 @@ class _Product(SPTerm):
 
     __slots__ = ("children", "_canon", "_text", "_sums")
     _fields = ("children",)
-    _TAG: int
     _interned: dict[tuple, _Product]
 
     def __new__(cls, children: tuple[SPTerm, ...]):
@@ -229,9 +222,9 @@ def _flat(terms) -> tuple[list, list]:
     at, nodes, seen = {}, [], set()
     for t in terms:
         for node in _products(t, seen=seen):
-            at[id(node)] = len(nodes)
-            nodes.append((node.__class__, tuple([c if c.__class__ is Leaf else at[id(c)] for c in node.children])))
-    return nodes, [at.get(id(t), t) for t in terms]
+            at[node] = len(nodes)
+            nodes.append((node.__class__, tuple([c if c.__class__ is Leaf else at[c] for c in node.children])))
+    return nodes, [at.get(t, t) for t in terms]
 
 
 def _built(nodes: list) -> list:
@@ -249,13 +242,11 @@ def _rebuild(nodes: list) -> SPTerm:
 
 class Seq(_Product):
     __slots__ = ()
-    _TAG = 1
     _interned = {}
 
 
 class Par(_Product):
     __slots__ = ("_runs",)
-    _TAG = 2
     _interned = {}
 
 
@@ -270,19 +261,15 @@ def _node(kind, children: tuple) -> _Product:
 
 def _add(kind, field: str, value) -> SPTerm:
     """The new `kind` node whose `field` is `value`, entered in the kind's
-    table (`_interned`) under `value` itself. It gets its stored hash,
-    ``hash((kind._TAG, value))``, twice: in `_hash`, and as the C callable
-    of its `__hash__` slot, which hashes it with no Python frame (see
-    `SPTerm`). The tables hold their nodes strongly: entering one sweeps them
-    (`_sweep`) once they have taken `_room` entries since the last sweep, so
-    a node nothing else holds lives until the next sweep, and a term built
-    again before then is the node already made."""
+    table (`_interned`) under `value` itself. It hashes by its identity
+    (see `SPTerm`), so it is given no hash. The tables hold their nodes
+    strongly: entering one sweeps them (`_sweep`) once they have taken
+    `_room` entries since the last sweep, so a node nothing else holds lives
+    until the next sweep, and a term built again before then is the node
+    already made."""
     global _room
     node = object.__new__(kind)
     _init(node, field, value)
-    h = hash((kind._TAG, value))
-    _init(node, "_hash", h)
-    _init(node, "__hash__", h.__index__)
     kind._interned[value] = node
     _room -= 1
     if _room <= 0:
@@ -342,24 +329,24 @@ def par(*parts: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
 
 def _products(t: SPTerm, known: str | None = None, seen: set | None = None) -> list:
     """The distinct Seq and Par nodes of `t`, each once and after its
-    children: a post-order walk over visited ids with its own stack, so a
-    deep term needs no recursion and a shared sub-term is walked once. A node
-    below `t` whose slot `known` is set is left out, and so is what lies only
-    below it. A walk given `seen`, the ids of the nodes earlier walks
-    visited, leaves those out too and adds the ids of its own."""
+    children: a post-order walk over a set of visited nodes with its own
+    stack, so a deep term needs no recursion and a shared sub-term is walked
+    once. A node below `t` whose slot `known` is set is left out, and so is
+    what lies only below it. A walk given `seen`, the nodes earlier walks
+    visited, leaves those out too and adds its own."""
     if t.__class__ is Leaf or t.__class__ is Eps:
         return []
     if seen is None:
         seen = set()
-    elif id(t) in seen:
+    elif t in seen:
         return []
     order = []
-    seen.add(id(t))
+    seen.add(t)
     nodes, rests = [t], [iter(t.children)]  # the path from `t`, and each node's children left to visit
     while rests:
         for c in rests[-1]:
-            if c.__class__ is not Leaf and id(c) not in seen:
-                seen.add(id(c))
+            if c.__class__ is not Leaf and c not in seen:
+                seen.add(c)
                 if known is None or not hasattr(c, known):
                     nodes.append(c)
                     rests.append(iter(c.children))
@@ -503,11 +490,11 @@ _LEVELS = (("||", par), (".", seq))
 
 def _extents(t: SPTerm) -> tuple[int, int]:
     """`length` and `depth` of `t`, found in one bottom-up walk."""
-    done = {}  # id of a Seq or Par node of `t` -> its extents
+    done = {}  # a Seq or Par node of `t` -> its extents
     for node in _products(t):
-        lengths, depths = zip(*[done.get(id(c), (1, 1)) for c in node.children])
-        done[id(node)] = (sum(lengths), max(depths)) if node.__class__ is Seq else (max(lengths), sum(depths))
-    return done.get(id(t), (0, 0) if t.__class__ is Eps else (1, 1))
+        lengths, depths = zip(*[done.get(c, (1, 1)) for c in node.children])
+        done[node] = (sum(lengths), max(depths)) if node.__class__ is Seq else (max(lengths), sum(depths))
+    return done.get(t, (0, 0) if t.__class__ is Eps else (1, 1))
 
 
 def length(t: SPTerm) -> int:
@@ -545,11 +532,11 @@ def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:
     """Mirror the sequential structure: Seq children are reversed (and each
     reversed, bottom up), Par children re-sorted in COMMUTATIVE mode. An
     involution on terms canonical for `mode` that keeps length and depth."""
-    done = {}  # id of a Seq or Par node of `t` -> its reversal
+    done = {}  # a Seq or Par node of `t` -> its reversal
     for node in _products(t):
-        children = [done.get(id(c), c) for c in node.children] if done else node.children
-        done[id(node)] = _node(Seq, tuple(reversed(children))) if node.__class__ is Seq else par(*children, mode=mode)
-    return done.get(id(t), t)
+        children = [done.get(c, c) for c in node.children] if done else node.children
+        done[node] = _node(Seq, tuple(reversed(children))) if node.__class__ is Seq else par(*children, mode=mode)
+    return done.get(t, t)
 
 
 class TermClass(Enum):

@@ -710,15 +710,21 @@ def test_outputs_are_byte_deterministic(capsys):
     assert third == fourth
 
 
-def test_outputs_are_identical_across_hash_seeds():
+def test_outputs_are_identical_across_hash_seeds(tmp_path):
+    # terms hash by identity, so every process iterates a set of terms in its
+    # own order; these commands iterate such sets, and must not show it
     commands = [
         ["grammar", "member", DATA / "branch_words.g", "(a.a)||b", "--trace"],
         ["grammar", "member", DATA / "branch_words.g", "b.b||a", "--trace", "--mode", "commutative"],
         ["grammar", "generate", DATA / "branch_words.g", "--max-atoms", "5"],
         ["grammar", "generate", DATA / "parallel_pairs.g", "--max-atoms", "6", "--mode", "commutative"],
+        ["term", "enum", "--alphabet", "abc", "--max-atoms", "4", "--mode", "commutative"],
+        ["regex", "enum", "(a.b|c)@", "--max-atoms", "5", "--mode", "commutative"],
+        ["equiv", DATA / "parallel_pairs.g"],
     ]
     src = str(Path(splang.__file__).resolve().parents[1])
-    for argv in commands:
+
+    def output(argv):
         outputs = set()
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
@@ -726,6 +732,13 @@ def test_outputs_are_identical_across_hash_seeds():
                                   env=env, capture_output=True, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
+        return outputs.pop()
+
+    for argv in commands:
+        output(argv)
+    aut = tmp_path / "a_fanout.aut"  # branch_words.g is not parallel-linear, so it has no automaton
+    aut.write_bytes(output(["automaton", "from-grammar", DATA / "a_fanout.g"]))
+    output(["automaton", "enum", aut, "--max-atoms", "6"])
 
 
 def test_an_undeclared_initial_and_final_state_give_the_same_error_across_hash_seeds(tmp_path):
@@ -743,7 +756,7 @@ def test_an_undeclared_initial_and_final_state_give_the_same_error_across_hash_s
 
 @pytest.mark.parametrize("mode,lines", [("ordered", ["a", "b.a", "a||b"]), ("commutative", ["b", "b||a", "a.b"])])
 def test_lang_powers_and_closures_are_identical_across_hash_seeds(tmp_path, mode, lines):
-    # the products are built in set order, which the hash seed moves
+    # the products are built in set order, which the hash seed and the node addresses move
     path = write_lang(tmp_path, "l.lang", *lines, mode=mode)
     src = str(Path(splang.__file__).resolve().parents[1])
     for argv in (["power", "--kind", "par", "--n", "3"], ["closure", "--kind", "sp", "--nmax", "2"]):

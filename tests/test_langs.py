@@ -449,3 +449,9 @@ def test_membership_respects_mode():
     l = lang("a||b", mode=COMMUTATIVE)
     assert parse_term("b||a") in l
     assert parse_term("b||a") not in lang("a||b")
+
+
+@pytest.mark.parametrize("mode", [ORDERED, COMMUTATIVE])
+@pytest.mark.parametrize("item", [5, "a||b", None, ("a", "b")])
+def test_a_value_that_is_not_a_term_is_not_a_member(mode, item):
+    assert item not in lang("a||b", "a", mode=mode)

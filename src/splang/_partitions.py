@@ -1,8 +1,9 @@
 """Split and partition enumeration for tuples treated as multisets.
 
 Inputs are tuples sorted by a stable key so that equal elements are adjacent;
-outputs preserve that sortedness inside every part. Sizes here are desk-scale
-(a handful of elements), so the generators favour clarity over cleverness.
+outputs preserve that sortedness inside every part. Sizes here are desk-scale,
+so the generators favour clarity over cleverness. No library module calls
+them: they are the tests' oracles, and the benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ def multiset_splits(
     """All distributions of the multiset `items` into k labeled, possibly
     empty parts, each distinct distribution exactly once. With `head_sizes`,
     a (low, high) pair, only the distributions whose first part has between
-    low and high items, in the same order; the others are never built. In
-    the package only `multiset_partitions` calls it now: the tests use it as
-    the oracle of the membership search's own two-way splits, and the
-    benchmark's tracer names it."""
+    low and high items, in the same order; the others are never built. The
+    tests use it as the oracle of the membership search's own two-way
+    splits."""
     runs = _runs(items)
     low, high = head_sizes or (0, len(items))
     # how many of each run every part takes, run by run in product order,
@@ -87,5 +87,6 @@ def multiset_partitions(items: Sequence[T], k: int, key=None) -> Iterator[tuple[
 
 
 def distinct_permutations(items: Sequence[T]) -> list[tuple[T, ...]]:
-    """Distinct permutations of a small multiset, deterministically ordered."""
+    """Distinct permutations of a small multiset, in sorted order. The tests
+    filter them as the oracle of `automata._matchings`."""
     return sorted(set(itertools.permutations(items)))

@@ -21,9 +21,10 @@ Weil, TCS 237, 2000). Each state pair (p, q) joined by a path of transitions
 has a nonterminal N_pq deriving the nonempty words of a run from p to q. A
 step x from p to r is an atom a of a seq transition p a r, or a form
 ``N_{T1,Sσ1} || ... || N_{Tm,Sσm}`` of a parallel transition from fork
-p -> {T1..Tm} to join {S1..Sm} -> r, one per distinct permutation σ of the
-join sources; each step gives ``N_pr -> x`` and ``N_pq -> x.N_rq``. A step is
-never a Seq word, so a Seq word's first factor is the step's whole word.
+p -> {T1..Tm} to join {S1..Sm} -> r, one per permutation σ of the join
+sources with a path from each Ti to Sσi, matched target by target; each step
+gives ``N_pr -> x`` and ``N_pq -> x.N_rq``. A step is never a Seq word, so a
+Seq word's first factor is the step's whole word.
 
 The start symbol derives N_if for each initial i and final f, and eps when
 some state is both. A guarded parallel transition instead has one step per
@@ -54,9 +55,8 @@ from functools import partial
 from itertools import groupby
 
 from ._lex import Immutable, is_atom, read_lines
-from ._partitions import distinct_permutations
 from .errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
-from .grammars import Grammar, Production, _MemberSearch, classify_grammar, generate
+from .grammars import Grammar, Production, _linear, _MemberSearch, classify_grammar, generate
 from .langs import FiniteLang
 from .terms import (
     COMMUTATIVE,
@@ -64,7 +64,6 @@ from .terms import (
     EPS,
     Eps,
     Leaf,
-    Par,
     SPTerm,
     _letters,
     canonicalize,
@@ -175,7 +174,8 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
     """The commutative sp grammar of `aut` (see the module docstring), with
     start S and the seq transitions kept to `labels` when given. The state
     pair (p, q) has the nonterminal N_k, k = i * len(states) + j for p and q
-    the i-th and j-th states in sorted order."""
+    the i-th and j-th states in sorted order. A parallel transition has a
+    form per distinct one of its `_matchings`."""
     seqs = [tr for tr in aut.seqs if labels is None or tr.label in labels]
     pars = [(aut._fork_by_id[p.fork_id], p.guard, aut._join_by_id[p.join_id]) for p in aut.pars]
     pars = [(fork, guard, join) for fork, guard, join in pars if len(fork.targets) == len(join.sources)]
@@ -195,11 +195,8 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
     steps = [(tr.src, Leaf(tr.label), tr.dst) for tr in seqs]  # (p, x, r): x leads from p to r
     guarded = []  # (fork, ANY forms, guard, join) of each guarded parallel transition
     for fork, guard, join in pars:
-        forms = dict.fromkeys(
-            par(*(Leaf(N(t, s)) for t, s in zip(fork.targets, sources)), mode=COMMUTATIVE)
-            for sources in distinct_permutations(join.sources)
-            if all(s in reach.get(t, ()) for t, s in zip(fork.targets, sources))
-        )
+        forms = dict.fromkeys(par(*(Leaf(N(t, s)) for t, s in zip(fork.targets, sources)), mode=COMMUTATIVE)
+                              for sources in _matchings(fork.targets, join.sources, reach))
         if guard is None:
             steps += [(fork.src, form, join.dst) for form in forms]
         else:
@@ -225,6 +222,23 @@ def to_grammar(aut: BranchingAutomaton, labels=None) -> Grammar:
             if search.proves(word, f"G_{k}"):
                 steps.append((guarded[k][0].src, word, guarded[k][3].dst))
     return Grammar(names, terminals, productions(), "S")
+
+
+def _matchings(targets: tuple, sources: tuple, reach: dict):
+    """The distinct permutations of the sorted join `sources` in which a path
+    leads from each fork target to its source (`reach`), in sorted order:
+    depth first, each target trying the distinct sources left, least first."""
+    stack = [((), sources)]  # (the sources of the first targets, the sources left)
+    while stack:
+        chosen, left = stack.pop()
+        if not left:
+            yield chosen
+            continue
+        allowed = reach.get(targets[len(chosen)], ())
+        for s in reversed(dict.fromkeys(left)):  # pushed last first, so the least is tried first
+            if s in allowed:
+                i = left.index(s)
+                stack.append((chosen + (s,), left[:i] + left[i + 1:]))
 
 
 def _pair(aut: BranchingAutomaton, p: str, q: str) -> str:
@@ -299,72 +313,37 @@ def from_linear_grammar(g: Grammar) -> BranchingAutomaton:
     terminal variant of itself, and an eps production on the start symbol
     marks the entry state final instead.
     """
-    cls = classify_grammar(g)
-    if not cls.parallel_linear:
-        raise NotParallelLinearError(
-            "grammar is not parallel-linear (need x||B, B||x, parallel terminal words, or eps)"
-        )
+    if not classify_grammar(g).parallel_linear:
+        raise NotParallelLinearError("grammar is not parallel-linear "
+                                     "(need x||B, B||x, parallel terminal words, or eps)")
     nullable = {p.lhs for p in g.productions if isinstance(p.rhs, Eps)}
-    rows: list[tuple[str, tuple[str, ...], str | None]] = []
+    rows: dict = {}  # (head, atoms, continuation or None) of each row, in first-appearance order
     for p in g.productions:
-        if isinstance(p.rhs, Eps):
-            continue
-        atoms, cont = _linear_parts(p.rhs)
-        for row in ((p.lhs, atoms, cont),) + (
-            ((p.lhs, atoms, None),) if cont is not None and cont in nullable else ()
-        ):
-            if row not in rows:
-                rows.append(row)
+        _, atoms, cont = _linear(p.rhs)
+        if atoms:  # eps has no row
+            rows[p.lhs, atoms, cont] = None
+            if cont in nullable:
+                rows[p.lhs, atoms, None] = None
 
-    states = {f"entry_{v}" for v in sorted(g.nonterminals)}
-    states |= {f"ret_{v}" for v in sorted(g.nonterminals)}
-    seqs: list[SeqTransition] = []
-    forks: list[ForkTransition] = []
-    joins: list[JoinTransition] = []
-    pars: list[ParTransition] = []
+    states = {f"{side}_{v}" for v in g.nonterminals for side in ("entry", "ret")}
+    seqs, forks, joins, pars = [], [], [], []
     for i, (lhs, atoms, cont) in enumerate(rows, start=1):
         if cont is None and len(atoms) == 1:
             seqs.append(SeqTransition(f"entry_{lhs}", atoms[0], f"ret_{lhs}"))
             continue
-        branch_srcs = [f"s{i}_{k}" for k in range(1, len(atoms) + 1)]
-        branch_dsts = [f"t{i}_{k}" for k in range(1, len(atoms) + 1)]
-        states.update(branch_srcs)
-        states.update(branch_dsts)
-        seqs.extend(
-            SeqTransition(src, atom, dst)
-            for src, atom, dst in zip(branch_srcs, atoms, branch_dsts)
-        )
-        targets = branch_srcs + ([f"entry_{cont}"] if cont is not None else [])
-        sources = branch_dsts + ([f"ret_{cont}"] if cont is not None else [])
+        targets = [f"s{i}_{k}" for k in range(1, len(atoms) + 1)]
+        sources = [f"t{i}_{k}" for k in range(1, len(atoms) + 1)]
+        states.update(targets + sources)
+        seqs += map(SeqTransition, targets, atoms, sources)
+        if cont is not None:  # the continuation's branch
+            targets.append(f"entry_{cont}")
+            sources.append(f"ret_{cont}")
         forks.append(ForkTransition(f"F{i}", f"entry_{lhs}", tuple(targets)))
         joins.append(JoinTransition(f"J{i}", tuple(sources), f"ret_{lhs}"))
         pars.append(ParTransition(f"F{i}", None, f"J{i}"))
-
-    final = {f"ret_{g.start}"}
-    if g.start in nullable:
-        final.add(f"entry_{g.start}")
-    return BranchingAutomaton(
-        states=frozenset(states),
-        seqs=tuple(seqs),
-        forks=tuple(forks),
-        joins=tuple(joins),
-        pars=tuple(pars),
-        initial=frozenset({f"entry_{g.start}"}),
-        final=frozenset(final),
-    )
-
-
-def _linear_parts(rhs: SPTerm) -> tuple[tuple[str, ...], str | None]:
-    """Terminal atoms (in order) and the continuation nonterminal, if any."""
-    if isinstance(rhs, Leaf):
-        return (rhs.symbol,), None
-    assert isinstance(rhs, Par)
-    children = rhs.children
-    if children[-1].symbol.isupper():  # type: ignore[union-attr]
-        return tuple(c.symbol for c in children[:-1]), children[-1].symbol
-    if children[0].symbol.isupper():  # type: ignore[union-attr]
-        return tuple(c.symbol for c in children[1:]), children[0].symbol
-    return tuple(c.symbol for c in children), None
+    final = {f"ret_{g.start}"} | ({f"entry_{g.start}"} if g.start in nullable else set())
+    return BranchingAutomaton(frozenset(states), tuple(seqs), tuple(forks), tuple(joins), tuple(pars),
+                              frozenset({f"entry_{g.start}"}), frozenset(final))
 
 
 # ---------------------------------------------------------------------------

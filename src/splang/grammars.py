@@ -1,11 +1,12 @@
 """Grammars whose right-hand sides are series-parallel forms over mixed symbols.
 
 A sentential form reuses the term algebra with uppercase leaves standing for
-nonterminals and lowercase leaves for terminals. Classification recognises the
-linear production shapes (right-linear x.B, left-linear B.x, parallel-linear
-x||B / B||x with x a parallel word of terminals, and terminal productions),
-plus the grammar-wide families: no-Seq right-hand sides (context-free
-parallel) and the fully linear classes.
+nonterminals and lowercase leaves for terminals. Each production is read once
+(`_linear`) as a linear shape (right-linear x.B, left-linear B.x,
+parallel-linear x||B / B||x with x a parallel word of terminals, or terminal),
+its letters and its nonterminal. Classification folds the shapes into the
+linear families, beside the no-Seq (context-free parallel) and no-Par ones,
+and `automata` builds a parallel-linear grammar's automaton from the letters.
 
 Generation and membership are exact, with no derivation-step budget: the words
 of a nonterminal are the least solution of "L(A) is the union of L(rhs) over
@@ -62,7 +63,7 @@ import random
 import sys
 from enum import Enum
 
-from ._lex import NONTERMINAL, Immutable, TokenStream, read_lines
+from ._lex import MAX_NESTING, NONTERMINAL, Immutable, TokenStream, read_lines
 from .errors import EnumerationCapError, TermSyntaxError
 from .terms import (
     DEFAULT_CAP,
@@ -80,6 +81,7 @@ from .terms import (
     _form,
     _join,
     _parikh,
+    _products,
     _runs,
     canonicalize,
     format_term,
@@ -98,10 +100,21 @@ class Production(Immutable):
     def __init__(self, lhs: str, rhs: SPTerm):
         if not NONTERMINAL.fullmatch(lhs):
             raise ValueError(f"nonterminal must be an uppercase letter, optionally indexed (A_12), got {lhs!r}")
+        if _parens(rhs) > MAX_NESTING:  # no grammar text holds it, and planning would recurse past the stack
+            raise ValueError(f"production form nests deeper than the nesting limit ({MAX_NESTING})")
         super().__init__(lhs, rhs)
 
     def __repr__(self) -> str:
         return f"{self.lhs} -> {format_term(self.rhs)}"
+
+
+def _parens(form: SPTerm) -> int:
+    """The most parentheses `format_term` puts around an atom of `form`: the
+    most Par nodes that are children of a Seq on a path down from it."""
+    most = {}  # a Seq or Par node of `form` -> its parentheses
+    for node in _products(form):
+        most[node] = max(most.get(c, 0) + (node.__class__ is Seq and c.__class__ is Par) for c in node.children)
+    return most.get(form, 0)
 
 
 class Grammar(Immutable):
@@ -381,30 +394,29 @@ def _is_nt_leaf(form: SPTerm) -> bool:
     return isinstance(form, Leaf) and form.symbol.isupper()
 
 
-def _is_terminal_leaf(form: SPTerm) -> bool:
-    return isinstance(form, Leaf) and form.symbol.islower()
+def _linear(rhs: SPTerm):
+    """The linear reading of a right-hand side: its `ProductionShape`, its
+    terminal letters in order and its nonterminal (None for a terminal
+    production), or None when it has no linear shape. A linear shape is one
+    nonterminal leaf at either end of a Seq or Par whose other children are
+    all terminal leaves; the Seq's end says right or left."""
+    symbols = tuple(symbols_of(rhs))
+    at = [i for i, s in enumerate(symbols) if s.isupper()]
+    if not at:
+        return ProductionShape.TERMINAL, symbols, None
+    if (len(at) > 1 or at[0] not in (0, len(symbols) - 1) or rhs.__class__ not in (Seq, Par)
+            or not all(c.__class__ is Leaf for c in rhs.children)):
+        return None
+    i = at[0]
+    shape = (ProductionShape.PARALLEL_LINEAR if rhs.__class__ is Par
+             else ProductionShape.RIGHT_LINEAR if i else ProductionShape.LEFT_LINEAR)
+    return shape, symbols[:i] + symbols[i + 1:], symbols[i]
 
 
 def production_shapes(rhs: SPTerm) -> frozenset[ProductionShape]:
-    """Which linear/terminal shapes the right-hand side satisfies."""
-    shapes = set()
-    if not any(s.isupper() for s in symbols_of(rhs)):
-        shapes.add(ProductionShape.TERMINAL)
-    if isinstance(rhs, Seq):
-        head, tail = rhs.children[0], rhs.children[-1]
-        body_first = rhs.children[1:]
-        body_last = rhs.children[:-1]
-        if _is_nt_leaf(tail) and all(map(_is_terminal_leaf, body_last)):
-            shapes.add(ProductionShape.RIGHT_LINEAR)
-        if _is_nt_leaf(head) and all(map(_is_terminal_leaf, body_first)):
-            shapes.add(ProductionShape.LEFT_LINEAR)
-    if isinstance(rhs, Par):
-        head, tail = rhs.children[0], rhs.children[-1]
-        if _is_nt_leaf(tail) and all(map(_is_terminal_leaf, rhs.children[:-1])):
-            shapes.add(ProductionShape.PARALLEL_LINEAR)
-        elif _is_nt_leaf(head) and all(map(_is_terminal_leaf, rhs.children[1:])):
-            shapes.add(ProductionShape.PARALLEL_LINEAR)
-    return frozenset(shapes)
+    """The one shape `_linear` reads in the right-hand side, or none."""
+    linear = _linear(rhs)
+    return frozenset(linear[:1] if linear else ())
 
 
 # flag print order used by the CLI and reports
@@ -430,7 +442,7 @@ class GrammarClass(Immutable):
 
 
 def classify_grammar(g: Grammar) -> GrammarClass:
-    """Shape-test every production and fold into grammar-level families.
+    """Fold the shape of every production (`_linear`) into grammar-level families.
 
     A grammar is right-/left-/parallel-linear when every production either
     has that linear shape or is a terminal production whose word fits the

@@ -520,12 +520,18 @@ def symbols_of(t: SPTerm):
 
 
 def atoms_count(t: SPTerm) -> int:
-    return sum(1 for _ in symbols_of(t))
+    """The leaves of `t`, from its Parikh vector (`_parikh`): a shared term
+    costs its nodes, not its paths. Raises OverflowError at 2**64 atoms or more."""
+    return _parikh(t) & _COUNT
 
 
 def atoms_multiset(t: SPTerm) -> Counter[str]:
-    """Leaf symbols with multiplicity."""
-    return Counter(symbols_of(t))
+    """Leaf symbols with multiplicity, summed over the distinct nodes of `t`,
+    each once and after its children (`_products`)."""
+    done = {}  # a Seq or Par node of `t` -> its leaf symbols
+    for node in _products(t):
+        done[node] = sum((done.get(c) or Counter((c.symbol,)) for c in node.children), Counter())
+    return done.get(t) or Counter(symbols_of(t))
 
 
 def reverse_term(t: SPTerm, mode: SemanticsMode = ORDERED) -> SPTerm:

@@ -10,11 +10,16 @@ breadth-first search over leftmost derivations, or from a fixpoint over whole
 languages where that search cannot finish, instead of a level-by-level
 fixpoint over nonterminals, and automaton runs follow the transitions
 directly (the library compiles automata to grammars instead), trying every
-assignment of a Par's children to fork targets. Powers and closures of finite
-languages are folds of pairwise products over plain sets, canonicalized
-afterwards, with no cap and no early stop. A membership trace is replayed
-goal by goal from the search's proof table, each form rebuilt along the path
-to its leftmost nonterminal, instead of read from a proof tree.
+assignment of a Par's children to fork targets. The forms of a parallel
+transition filter every permutation of the join's sources (the library
+matches the sources to the fork targets one by one), production shapes and
+grammar families are read off their definitions, and atoms are counted
+along every path of a term (the library reads its Parikh vector). Powers
+and closures of finite languages are folds of pairwise products over plain
+sets, canonicalized afterwards, with no cap and no early stop. A membership
+trace is replayed goal by goal from the search's proof table, each form
+rebuilt along the path to its leftmost nonterminal, instead of read from a
+proof tree.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from splang.regexes import (
     ParProd,
     Regex,
 )
+from splang._partitions import distinct_permutations
 from splang.automata import BranchingAutomaton, ParTransition
-from splang.grammars import Grammar, Production, _MemberSearch
+from splang.grammars import FLAG_ORDER, Grammar, Production, ProductionShape, _MemberSearch
 from splang.terms import (
     COMMUTATIVE,
     EPS,
@@ -73,6 +79,19 @@ def binary_universe(alphabet, max_atoms: int, mode: SemanticsMode = ORDERED) -> 
     for n in range(0, max_atoms + 1):
         out |= exact[n]
     return tuple(sorted(out, key=format_term))
+
+
+def path_atoms(t: SPTerm) -> int:
+    """The leaves of `t` counted along every path from its root, with a stack
+    and no Parikh vector: what `atoms_count` reads from the vector."""
+    count, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            count += 1
+        elif isinstance(node, (Seq, Par)):
+            stack += node.children
+    return count
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,6 +166,13 @@ def _par_fires(fork, join, sub: Par, go) -> bool:
         if any(sorted(pick) == sorted(join.sources) for pick in itertools.product(*ends)):
             return True
     return False
+
+
+def permuted_matchings(targets: tuple, sources: tuple, reach: dict) -> list:
+    """The ways of giving each fork target one of the join `sources` that a
+    path leads to (`reach`), in sorted order: every distinct permutation of
+    the sources tried and filtered."""
+    return [p for p in distinct_permutations(sources) if all(s in reach.get(t, ()) for t, s in zip(targets, p))]
 
 
 def oracle_acceptor(aut: BranchingAutomaton, observer=None):
@@ -519,6 +545,58 @@ def goal_trace(g: Grammar, t: SPTerm, mode: SemanticsMode) -> tuple:
         pending.extend(reversed(subgoals))
         chain.append(canonicalize(form, mode))
     return tuple(chain)
+
+
+def oracle_shapes(rhs: SPTerm) -> frozenset:
+    """The shapes of a right-hand side, by their definitions: TERMINAL when
+    it has no nonterminal leaf; a Seq of terminal leaves ending in a
+    nonterminal leaf RIGHT_LINEAR, one starting with it LEFT_LINEAR, and a
+    Par of terminal leaves with one at either end PARALLEL_LINEAR."""
+    terminal = lambda node: isinstance(node, Leaf) and node.symbol.islower()
+    nonterminal = lambda node: isinstance(node, Leaf) and node.symbol.isupper()
+    shapes = set()
+    if _leftmost_nonterminal(rhs) is None:
+        shapes.add(ProductionShape.TERMINAL)
+    if isinstance(rhs, (Seq, Par)):
+        first, *middle, last = rhs.children
+        is_seq = isinstance(rhs, Seq)
+        if nonterminal(last) and all(map(terminal, [first, *middle])):
+            shapes.add(ProductionShape.RIGHT_LINEAR if is_seq else ProductionShape.PARALLEL_LINEAR)
+        if nonterminal(first) and all(map(terminal, [*middle, last])):
+            shapes.add(ProductionShape.LEFT_LINEAR if is_seq else ProductionShape.PARALLEL_LINEAR)
+    return frozenset(shapes)
+
+
+def _sequential(t: SPTerm) -> bool:
+    """No Par node in `t`."""
+    return not isinstance(t, Par) and all(map(_sequential, getattr(t, "children", ())))
+
+
+def _parallel(t: SPTerm) -> bool:
+    """`t` is eps, a leaf or a Par of leaves."""
+    return not isinstance(t, Seq) and all(isinstance(c, Leaf) for c in getattr(t, "children", ()))
+
+
+def oracle_classes(g: Grammar) -> tuple:
+    """The flags of `g` in `FLAG_ORDER` and the shapes of its productions
+    (`oracle_shapes`), by the definitions of the families: a linear family
+    has every production of its shape or terminal with a word that fits it
+    (sequential for right and left, parallel for parallel), SP_REGULAR has
+    every production of some shape, CF_SEQUENTIAL and CF_PARALLEL every
+    right-hand side a sequential or a parallel word of any leaves, and every
+    grammar is CF_SP."""
+    shapes = tuple(oracle_shapes(p.rhs) for p in g.productions)
+
+    def family(shape, fits) -> bool:
+        return all(shape in s or ProductionShape.TERMINAL in s and fits(p.rhs) for s, p in zip(shapes, g.productions))
+
+    rhss = [p.rhs for p in g.productions]
+    flags = {"RIGHT_LINEAR": family(ProductionShape.RIGHT_LINEAR, _sequential),
+             "LEFT_LINEAR": family(ProductionShape.LEFT_LINEAR, _sequential),
+             "PARALLEL_LINEAR": family(ProductionShape.PARALLEL_LINEAR, _parallel),
+             "SP_REGULAR": all(shapes), "CF_SEQUENTIAL": all(map(_sequential, rhss)),
+             "CF_PARALLEL": all(map(_parallel, rhss)), "CF_SP": True}
+    return tuple(flag for flag in FLAG_ORDER if flags[flag]), shapes
 
 
 def random_general_grammar(seed: int, alphabet=("a", "b")) -> Grammar:

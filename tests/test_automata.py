@@ -1,7 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
+from splang import automata
 from splang.automata import (
     BranchingAutomaton,
     ForkTransition,
@@ -18,7 +20,7 @@ from splang.automata import (
     to_grammar,
 )
 from splang.errors import EnumerationCapError, NotParallelLinearError, TermSyntaxError
-from splang.grammars import is_member, parse_grammar, random_parallel_linear_grammar
+from splang.grammars import format_grammar, is_member, parse_grammar, random_parallel_linear_grammar
 from splang.langs import lang_equal
 from splang.grammars import generate
 from splang.terms import (
@@ -39,6 +41,7 @@ from oracles import (
     oracle_acceptor,
     oracle_accepted,
     oracle_runner,
+    permuted_matchings,
     with_observed_guards,
 )
 
@@ -283,6 +286,14 @@ HAND_WRITTEN = {
         "join: J1 {r1, r2} -> q\njoin: J2 {u, v} -> r2\n"
         "par: F1 {a,a,b;a,b,b} J1\npar: F2 {a,b} J2\n"
     ),
+    # both r and u reach s and v, so the join's sources can meet the fork's targets three ways, two of one form
+    "shared-sources": (
+        "states: p r u s v q\n"
+        "initial: p\nfinal: q\n"
+        "seq: r a s\nseq: r b v\nseq: s b s\nseq: u a s\nseq: u c v\n"
+        "fork: F1 p -> {r, r, u}\njoin: J1 {s, s, v} -> q\n"
+        "par: F1 * J1\n"
+    ),
     "unreachable": (
         "states: p q x y z\n"
         "initial: p\nfinal: q\n"
@@ -391,6 +402,25 @@ def test_runs_and_acceptance_agree_with_the_run_oracle():
             assert accepts(aut, t) == accepted(t), (name, format_term(t))
             for state in sorted(aut.states):
                 assert runs_between(aut, state, t) == runs(state, t), (name, state, format_term(t))
+
+
+def test_to_grammar_keeps_the_permutations_of_the_join_sources_the_paths_allow(monkeypatch):
+    got = [(name, format_grammar(to_grammar(aut))) for name, aut in differential_automata()]
+    monkeypatch.setattr(automata, "_matchings", permuted_matchings)
+    assert got == [(name, format_grammar(to_grammar(aut))) for name, aut in differential_automata()]
+    shared = parse_automaton(HAND_WRITTEN["shared-sources"])
+    # p to q (N_1): r to s (N_15) twice and u to v (N_29), or r to s, r to v (N_17) and u to s (N_27)
+    assert [format_term(p.rhs) for p in to_grammar(shared).productions if p.lhs == "N_1"] == [
+        "N_15||N_15||N_29", "N_15||N_17||N_27"]
+
+
+def test_matching_the_join_sources_to_the_fork_targets_filters_their_permutations():
+    rng = random.Random(0)
+    for _ in range(500):
+        targets = tuple(sorted(rng.choices("pqr", k=rng.randint(2, 5))))
+        sources = tuple(sorted(rng.choices("xyz", k=len(targets))))
+        reach = {t: sorted(rng.sample("xyz", rng.randint(0, 3))) for t in "pqr" if rng.random() < 0.9}
+        assert list(automata._matchings(targets, sources, reach)) == permuted_matchings(targets, sources, reach)
 
 
 # ---------------------------------------------------------------------------

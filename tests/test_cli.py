@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,24 @@ def test_non_ascii_automaton_letters_exit_2(capsys, tmp_path, lines, err, argv):
 def test_equiv_beyond_the_universe_cap(capsys):
     code, out, _ = run(capsys, "equiv", DATA / "a_fanout.g", "--max-atoms", "8")
     assert (code, out) == (0, "equal: 7 words up to 8 atoms\n")
+
+
+def test_a_wide_fork_is_matched_branch_by_branch(capsys, tmp_path):
+    # twelve branches and the continuation: trying every order of the join's sources would take hours
+    from splang import automata, grammars, terms
+
+    grammar = tmp_path / "wide.g"
+    grammar.write_text("S -> a||b||c||d||e||f||g||h||i||j||k||l||S | a\n", encoding="utf-8")
+    word = terms.parse_term("a||b||c||d||e||f||g||h||i||j||k||l||a")
+    start = time.perf_counter()
+    aut = automata.from_linear_grammar(grammars.parse_grammar(grammar.read_text(encoding="utf-8")))
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert automata.accepts(aut, word) and not automata.accepts(aut, terms.par(word, terms.Leaf("a")))
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert run(capsys, "equiv", grammar, "--max-atoms", "14") == (0, "equal: 2 words up to 14 atoms\n", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_equiv_succeeds_on_linear_fixtures(capsys):

@@ -19,11 +19,14 @@ from oracles import (
     check_trace,
     fixpoint_words,
     goal_trace,
+    oracle_classes,
     oracle_words,
+    path_atoms,
     random_general_grammar,
 )
 from splang import grammars
 from splang._partitions import multiset_splits
+from splang._lex import MAX_NESTING
 from splang.errors import EnumerationCapError, TermSyntaxError
 from splang.grammars import (
     Grammar,
@@ -58,7 +61,6 @@ from splang.terms import (
     Par,
     Seq,
     atoms_count,
-    atoms_multiset,
     canonicalize,
     depth,
     enumerate_terms,
@@ -215,6 +217,53 @@ def test_middle_nonterminal_is_not_linear():
     cls = classify_grammar(g)
     assert not cls.parallel_linear
     assert not cls.sp_regular
+
+
+# a unit production, a middle nonterminal, a nested terminal word, both Seq ends, two nonterminals, and eps
+SHAPE_EDGES = ["S -> B\nB -> b\n", "S -> a||S||b | a\n", "S -> a.(b||c)\n", "S -> B.a.b | a.b.S\nB -> S.a | a\n",
+               "S -> A.B | A||B | eps\nA -> a\nB -> b.a\n"]
+
+
+def test_shapes_and_families_agree_with_their_definitions(fixture_grammars):
+    seeded = [random_general_grammar(seed) for seed in range(300)]
+    seeded += [random_parallel_linear_grammar(seed) for seed in range(300)]
+    for g in fixture_grammars + [parse_grammar(text) for text in SHAPE_EDGES] + seeded:
+        cls = classify_grammar(g)
+        assert (cls.flags(), cls.shapes) == oracle_classes(g), format_grammar(g)
+        assert tuple(production_shapes(p.rhs) for p in g.productions) == cls.shapes
+
+
+@pytest.mark.parametrize("text,reading", [
+    ("a.b.S", (ProductionShape.RIGHT_LINEAR, ("a", "b"), "S")),
+    ("S.a.b", (ProductionShape.LEFT_LINEAR, ("a", "b"), "S")),
+    ("b||a||S", (ProductionShape.PARALLEL_LINEAR, ("b", "a"), "S")),
+    ("S||b||a", (ProductionShape.PARALLEL_LINEAR, ("b", "a"), "S")),
+    ("b||a", (ProductionShape.TERMINAL, ("b", "a"), None)),
+    ("a.(b||c)", (ProductionShape.TERMINAL, ("a", "b", "c"), None)),
+    ("eps", (ProductionShape.TERMINAL, (), None)),
+    ("S", None), ("a||S||b", None), ("a.S.S", None), ("a.(b||S)", None),
+])
+def test_the_linear_reading_of_a_right_hand_side(text, reading):
+    assert grammars._linear(parse_term(text, allow_upper=True)) == reading
+
+
+def alternating_form(parens):
+    """a.(b||a.(b||...c)) built in code, `parens` parentheses around c."""
+    t = Leaf("c")
+    for level in range(2 * parens):
+        t = seq(Leaf("a"), t) if level % 2 else par(Leaf("b"), t)
+    return t
+
+
+def test_a_production_form_no_grammar_text_can_hold_is_refused():
+    # a grammar text puts at most MAX_NESTING parentheses around an atom, and planning a deeper form built in
+    # code would recurse past the stack; 5,000 parentheses are 10,000 levels
+    g = Grammar.of([Production("S", alternating_form(MAX_NESTING))])
+    assert parse_grammar(format_grammar(g)) == g
+    assert is_member(g, alternating_form(MAX_NESTING))
+    for parens in (MAX_NESTING + 1, 5_000):
+        with pytest.raises(ValueError, match=r"^production form nests deeper than the nesting limit \(100\)$"):
+            Production("S", alternating_form(parens))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +591,7 @@ def test_each_node_keeps_the_parikh_facts_of_its_atoms_whatever_grammar_asks(t, 
     t = canonicalize(t, mode)
     nodes = _products(t)
     pair = (random_general_grammar(seed, ("a", "b")), random_general_grammar(seed + 1, ("b", "z")))
-    words = [generate(g, atoms_count(t), mode=mode) for g in pair]
+    words = [generate(g, path_atoms(t), mode=mode) for g in pair]
     queries = [(i, s) for i in range(2) for s in nodes + sorted(set(map(Leaf, symbols_of(t))), key=format_term)]
     for i, s in data.draw(st.permutations(queries)):
         assert bool(is_member(pair[i], s, mode)) == (s in words[i]), (format_grammar(pair[i]), format_term(s))
@@ -577,9 +626,9 @@ def test_planned_facts_bound_the_generated_words(fixture_grammars, mode):
             words = generate(Grammar(g.nonterminals, g.terminals, g.productions, nt), 5, mode=mode).terms
             least, letters = g._least[nt], planned_letters(g, nt)
             for w in words:
-                assert atoms_count(w) >= least and set(atoms_multiset(w)) <= letters, (format_grammar(g), nt, w)
+                assert path_atoms(w) >= least and set(symbols_of(w)) <= letters, (format_grammar(g), nt, w)
             if least <= 5:
-                assert any(atoms_count(w) == least for w in words), (format_grammar(g), nt)
+                assert any(path_atoms(w) == least for w in words), (format_grammar(g), nt)
 
 
 def most_of_low_trees(g, height):
@@ -612,7 +661,7 @@ def test_most_atoms_are_reached_and_never_passed(fixture_grammars):
             most = g._most[nt]
             bound = most + 1 if most < math.inf else max(finite + 1, g._least[nt]) + 4
             words = generate(Grammar(g.nonterminals, g.terminals, g.productions, nt), bound).terms
-            largest = max(map(atoms_count, words))
+            largest = max(map(path_atoms, words))
             if most < math.inf:
                 assert largest == most == low[nt] == high[nt], (format_grammar(g), nt)
             else:

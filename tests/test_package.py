@@ -111,13 +111,17 @@ def loaded_after(argv, cwd):
         (["grammar", "member", "g.g", "a||b"], ("splang.automata", *DATACLASSES)),
         (["regex", "match", "(a||b)^", "a||b"], ("splang.automata", *DATACLASSES)),
         (["automaton", "accepts", "x.aut", "a"], DATACLASSES),
+        (["automaton", "accepts", "f.aut", "a||a"], ("splang._partitions", *DATACLASSES)),
+        (["equiv", "g.g"], ("splang._partitions", *DATACLASSES)),
     ],
-    ids=["term", "lang", "grammar", "regex", "automaton"],
+    ids=["term", "lang", "grammar", "regex", "automaton", "automaton-fork", "equiv"],
 )
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, absent):
     (tmp_path / "l.lang").write_text("mode: ordered\na\nb\n", encoding="utf-8")
     (tmp_path / "g.g").write_text("S -> a||b\n", encoding="utf-8")
     (tmp_path / "x.aut").write_text("states: p q\ninitial: p\nfinal: q\nseq: p a q\n", encoding="utf-8")
+    (tmp_path / "f.aut").write_text("states: p q r s\ninitial: p\nfinal: q\nseq: r a s\n"
+                                    "fork: F p -> {r, r}\njoin: J {s, s} -> q\npar: F * J\n", encoding="utf-8")
     loaded = loaded_after(argv, tmp_path)
     assert "splang.cli" in loaded
     assert loaded.isdisjoint(absent)

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import sys
 import time
+from collections import Counter
 from sys import getrefcount
 
 import pytest
@@ -40,7 +41,7 @@ from splang.terms import (
     _node,
 )
 
-from oracles import binary_universe
+from oracles import binary_universe, path_atoms
 
 
 def pt(text: str):
@@ -629,6 +630,26 @@ def test_a_shared_term_is_walked_once_per_node():
     form = canonicalize(t, COMMUTATIVE)
     assert time.perf_counter() - start < 0.5
     assert form is reference_canonical(t, COMMUTATIVE, {}) and form is not t
+
+
+def test_a_shared_term_counts_its_atoms_once_per_node():
+    # 40 levels have 3 * 2**40 - 2 atoms, which a count along the paths would take hours to reach; 63 levels
+    # have 2**64 or more, which no Parikh vector holds
+    t = shared(40)
+    start = time.perf_counter()
+    count, multiset = atoms_count(t), atoms_multiset(t)
+    assert time.perf_counter() - start < 0.5
+    assert count == 3 * 2**40 - 2
+    assert multiset == {"a": 2**40, "b": 2**40 - 1, "c": 2**40 - 1}
+    with pytest.raises(OverflowError, match=r"^a term of 2\*\*64 atoms or more has no Parikh vector$"):
+        atoms_count(shared(63))
+
+
+def test_atom_counts_agree_with_a_count_along_the_paths():
+    forms = [parse_term(text, allow_upper=True) for text in ("S", "a.S||B_2", "(S||a).(a||S).S")]
+    for t in binary_universe("abc", 4) + (shared(6), *forms):
+        assert atoms_count(t) == path_atoms(t), format_term(t)
+        assert atoms_multiset(t) == Counter(symbols_of(t)), format_term(t)
 
 
 def test_a_term_two_thousand_levels_deep_is_formatted_and_collected():

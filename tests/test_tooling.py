@@ -42,3 +42,9 @@ def test_every_library_hook_the_bench_names_exists():
     lang = grammars.generate(g, n, 4 * n + 8, terms.COMMUTATIVE)
     assert lang == grammars.generate(g, n, mode=terms.COMMUTATIVE)
     assert [terms.format_term(w) for w in lang] == ["a", "a.a"]
+
+
+def test_no_library_module_imports_the_brute_force_partitions():
+    # `_partitions` stays for the bench's tracer and the tests' oracles; no other library module names it at all
+    modules = (Path(__file__).resolve().parents[1] / "src" / "splang").glob("*.py")
+    assert [m.name for m in sorted(modules) if m.name != "_partitions.py" and "_partitions" in m.read_text()] == []
